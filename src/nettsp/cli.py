@@ -9,7 +9,7 @@ import sys
 from .errors import NetTspError
 from .io import FORMATS, generate_instance, load_instance, save_points_csv
 from .metric import validate_metric
-from .runner import render_report, run
+from .runner import MODES, render_report, run
 
 
 def _add_solver_args(p):
@@ -30,9 +30,7 @@ def build_parser():
     p_run = sub.add_parser("run", help="execute a pipeline mode and emit a report")
     p_run.add_argument("--instance", required=True)
     p_run.add_argument("--format", required=True, choices=FORMATS)
-    p_run.add_argument("--mode", required=True,
-                       choices=("solve", "sparse_only", "baseline", "oracle",
-                                "partition_stats", "lemma_checks"))
+    p_run.add_argument("--mode", required=True, choices=MODES)
     _add_solver_args(p_run)
     p_run.add_argument("--out", default=None)
 

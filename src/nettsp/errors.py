@@ -55,6 +55,10 @@ class ParseError(NetTspError):
         self.line = line
 
 
+class InvalidMetric(NetTspError):
+    """A distance is non-finite, negative, asymmetric or a non-zero self-distance."""
+
+
 class TriangleViolation(NetTspError):
     """Explicit matrix input fails the triangle inequality."""
 

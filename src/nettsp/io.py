@@ -2,8 +2,8 @@
 
 Supported formats: a TSPLIB subset (EUC_2D coordinates or EXPLICIT
 FULL_MATRIX), one-point-per-line CSV, and JSON with either a point list or a
-full matrix. Loaded instances are validated; matrix inputs failing the
-triangle inequality are rejected.
+full matrix. Loaded instances are validated; an invalid one raises a
+NetTspError that names the failed check.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ FORMATS = ("tsplib_euc2d", "tsplib_matrix", "points_csv", "points_json")
 
 
 def _check(space: MetricSpace) -> MetricSpace:
+    report = validate_metric(space)
     gap, pair = space.min_gap()
     if space.n >= 2 and gap <= 0:
         raise DegenerateInstance(
             f"points {pair[0]} and {pair[1]} coincide; deduplicate first")
-    report = validate_metric(space)
     if not report.passed:
-        first = report.violations[0] if report.violations else None
-        raise TriangleViolation(f"metric validation failed, first violating triple: {first}")
+        raise TriangleViolation("triangle inequality fails, first violating (i, j, k, slack): "
+                                f"{report.violations[0]}; close the matrix under shortest paths")
     return space
 
 

@@ -10,6 +10,7 @@ the path-building construction itself, which cannot close a stray cycle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -20,7 +21,8 @@ import numpy as np
 from .errors import BudgetExceeded, Infeasible
 from .metric import REL_TOL, MetricSpace
 from .nets import NetHierarchy
-from .partition import ClusterNode, ClusterTree, partition_with_radii, sample_radius
+from .partition import (ClusterNode, ClusterTree, distinct_carvings, partition_with_radii,
+                        sample_radius)
 from .tours import Tour, _collapse, dedupe_visits
 
 DEFAULT_BUDGET = 5_000_000
@@ -122,7 +124,7 @@ class _Engine:
         self.m_cap = max(1, int(m_cap))
         self.r = int(r)
         self.budget = int(budget)
-        self.children_options = children_options
+        self.children_options = functools.cache(children_options)   # one carving per cluster
         self.portal_chooser = portal_chooser
         self.D = space.pairwise()
         self.ops = 0
@@ -675,18 +677,18 @@ class _Engine:
         raw = Tour(tuple(seq), closed=True)
         audit = []
         self.audit_trace(best_key, audit)
-        return best_cost, raw, audit
+        tour = dedupe_visits(raw)
+        missing = set(members) - tour.visits()
+        if missing:
+            raise Infeasible(f"tour misses points {sorted(missing)}")
+        return LightTourResult(tour=tour, cost=best_cost, raw=raw, audit=audit,
+                               stats={"entries": len(self.memo), "ops": self.ops})
 
 
 def _tree_children_options(tree: ClusterTree):
-    mapping = {}
-    for node in tree.nodes():
-        mapping[(node.level, node.members)] = [tuple(ch.members) for ch in node.children]
-
-    def options(level, members):
-        return [mapping[(level, members)]]
-
-    return options
+    mapping = {(n.level, n.members): [tuple(ch.members for ch in n.children)]
+               for n in tree.nodes()}
+    return lambda level, members: mapping[level, members]
 
 
 def make_flat_tree(space: MetricSpace, s: float = 6.0) -> ClusterTree:
@@ -707,14 +709,7 @@ def solve_light_tour(space: MetricSpace, h: NetHierarchy, tree: ClusterTree,
     """
     engine = _Engine(space, h, m_cap, r, budget, _tree_children_options(tree),
                      portal_chooser=portal_chooser)
-    members = tuple(tree.root.members)
-    cost, raw, audit = engine.solve_root(tree.root.level, members)
-    tour = dedupe_visits(raw)
-    missing = set(members) - tour.visits()
-    if missing:
-        raise Infeasible(f"tour misses points {sorted(missing)}")
-    stats = {"entries": len(engine.memo), "ops": engine.ops}
-    return LightTourResult(tour=tour, cost=cost, raw=raw, audit=audit, stats=stats)
+    return engine.solve_root(tree.root.level, tuple(tree.root.members))
 
 
 def draw_radius_samples(space: MetricSpace, h: NetHierarchy, guesses: int,
@@ -771,42 +766,17 @@ def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int
     extends the table search over the radius choices of the centers whose
     balls can reach each cluster. Radius choices below a cluster are made
     jointly for all of its children, so parent and child subdivisions always
-    agree on shared centers. Identical member sets reached under different
-    choices share table entries.
+    agree on shared centers. Each cluster's subdivisions are enumerated once
+    by :func:`distinct_carvings`, which drops repeated outcomes while it
+    enumerates them and yields the rest in first-occurrence product order.
+    Identical member sets reached under different choices share table entries.
     """
     if guesses < 1:
         raise ValueError("guesses must be >= 1")
     samples = draw_radius_samples(space, h, guesses, ddim, rng)
-    tol = REL_TOL
 
     def options(level, members):
-        lvl = level - 1
-        centers = [int(c) for c in h.net(lvl)]
-        a = h.radius(lvl)
-        marr = np.asarray(members, dtype=np.intp)
-        dmin = space.pairwise(centers, marr).min(axis=1)
-        relevant = [c for c, dm in zip(centers, dmin)
-                    if dm <= 2 * a + tol * max(1.0, 2 * a)]
-        seen = set()
-        outs = []
-        for combo in itertools.product(range(guesses), repeat=len(relevant)):
-            radii = {c: samples[lvl][c][0] for c in centers}
-            for c, t in zip(relevant, combo):
-                radii[c] = samples[lvl][c][t]
-            part = partition_with_radii(space, members, h, lvl, radii)
-            children = tuple(sorted(tuple(v) for v in part.clusters().values()))
-            if children in seen:
-                continue
-            seen.add(children)
-            outs.append(list(children))
-        return outs
+        return distinct_carvings(space, members, h, level - 1, samples[level - 1])
 
     engine = _Engine(space, h, m_cap, r, budget, options, portal_chooser=portal_chooser)
-    members = tuple(range(space.n))
-    cost, raw, audit = engine.solve_root(h.top, members)
-    tour = dedupe_visits(raw)
-    missing = set(members) - tour.visits()
-    if missing:
-        raise Infeasible(f"tour misses points {sorted(missing)}")
-    stats = {"entries": len(engine.memo), "ops": engine.ops}
-    return LightTourResult(tour=tour, cost=cost, raw=raw, audit=audit, stats=stats)
+    return engine.solve_root(h.top, tuple(range(space.n)))

@@ -121,6 +121,45 @@ def partition_with_radii(space: MetricSpace, subset, h: NetHierarchy, level: int
                                 assign_rank=assign_rank)
 
 
+def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
+                      radius_choices: dict) -> list:
+    """Distinct carvings of ``subset`` over each center's candidate radii, in
+    first-occurrence itertools.product order, deduplicated while enumerated.
+
+    Centers are walked depth first in carving order; a radius whose ball
+    claims the same unassigned points as an earlier radius of the same center
+    is skipped, as its subtree only repeats earlier outcomes. Each surviving
+    walk is carved by partition_with_radii into sorted member tuples.
+    """
+    subset = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
+    centers = [int(c) for c in h.net(level)]
+    reach = []                     # (center, balls) for centers that can claim a point
+    for c, row in zip(centers, space.pairwise(centers, subset)):
+        balls = [row <= r + REL_TOL * max(1.0, r) for r in radius_choices[c]]
+        if any(ball.any() for ball in balls):
+            reach.append((c, balls))
+    radii = {c: radius_choices[c][0] for c in centers}
+    outs = {}                      # distinct outcomes in first-occurrence order
+
+    def walk(depth, unassigned):
+        if depth == len(reach) or not unassigned.any():
+            part = partition_with_radii(space, subset, h, level, dict(radii))
+            outs.setdefault(tuple(sorted(tuple(v) for v in part.clusters().values())))
+            return
+        c, balls = reach[depth]
+        tried = set()
+        for t, ball in enumerate(balls):
+            claim = unassigned & ball
+            if claim.tobytes() not in tried:
+                tried.add(claim.tobytes())
+                radii[c] = radius_choices[c][t]
+                walk(depth + 1, unassigned & ~claim)
+        radii[c] = radius_choices[c][0]
+
+    walk(0, np.ones(len(subset), dtype=bool))
+    return list(outs)
+
+
 def draw_level_radii(space: MetricSpace, h: NetHierarchy, level: int, ddim: float,
                      rng, radius_filter=None) -> dict:
     """One radius per center in carving order, resampling while the filter rejects."""

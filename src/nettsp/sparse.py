@@ -241,13 +241,6 @@ class SolveParams:
         }
 
 
-def scale_from_size(n: int, ddim: float, c: float = 32.0) -> float:
-    """Scale base (log n)^(1/(c*ddim)), clamped to the admissible minimum 6."""
-    if n < 2:
-        return 6.0
-    return max(6.0, math.log(n) ** (1.0 / (c * ddim)))
-
-
 @dataclass
 class LocalBoundsReport:
     inside_weight: float
@@ -312,10 +305,8 @@ def solve_tsp(space: MetricSpace, params: SolveParams):
             return params.ddim
         return estimate_doubling(sub, audit_balls=24, seed=params.seed).ddim_upper
 
-    def solve_sparse(indices, note):
-        """Solve the induced sub-instance; returns a tour in global indices."""
-        sub = restrict(space, indices)
-        h = build_hierarchy(sub, params.s)
+    def solve_sparse(indices, sub, h, note):
+        """Solve the induced sub-instance with its hierarchy; returns a global tour."""
         res = solve_with_radius_guessing(
             sub, h, params.guesses, params.m_cap, params.r,
             ddim_for(sub), rng, budget=params.budget)
@@ -336,7 +327,7 @@ def solve_tsp(space: MetricSpace, params: SolveParams):
         h = build_hierarchy(sub, params.s)
         dense = find_dense_region(sub, h, params.q)
         if dense is None:
-            return solve_sparse(indices, note)
+            return solve_sparse(indices, sub, h, note)
         level, v, q_star = dense
         note.update({"mode": "dense", "level": level, "v": int(indices[v]),
                      "q_star": q_star})
@@ -345,14 +336,15 @@ def solve_tsp(space: MetricSpace, params: SolveParams):
             sr = split_instance(sub, h, v, level, hsplit, params.delta, params.eps)
         except DegenerateSplit:
             note["mode"] = "dense_degenerate"
-            return solve_sparse(indices, note)
+            return solve_sparse(indices, sub, h, note)
         note["split"] = {"s1": len(sr.s1), "s2": len(sr.s2),
                          "overlap": len(set(sr.s1) & set(sr.s2)), "h": sr.h}
         g1 = tuple(indices[p] for p in sr.s1)
         g2 = tuple(indices[p] for p in sr.s2)
         note1 = {"n": len(g1), "depth": depth, "side": "inside"}
         trace.append(note1)
-        t1 = solve_sparse(g1, note1)
+        sub1 = restrict(space, g1)
+        t1 = solve_sparse(g1, sub1, build_hierarchy(sub1, params.s), note1)
         t2 = rec(g2, depth + 1)
         return _splice(space, t1, t2, set(g1) & set(g2))
 

@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from nettsp.errors import (ConfigError, DegenerateInstance, ParseError,
+from nettsp.errors import (ConfigError, DegenerateInstance, InvalidMetric, ParseError,
                            TriangleViolation)
 from nettsp.io import generate_instance, instance_digest, load_instance, save_points_csv
 from nettsp.metric import from_points, validate_metric
@@ -54,6 +55,32 @@ def test_load_matrix_triangle_violation(tmp_path):
     with pytest.raises(TriangleViolation) as err:
         load_instance(str(path), "tsplib_matrix")
     assert "(0, 2, 1" in str(err.value)
+
+
+@pytest.mark.parametrize("text, fmt, message", [
+    ("0,0\n1,nan\n2,2\n", "points_csv", "non-finite coordinate at (1, 1)"),
+    ("0,0\ninf,1\n2,2\n", "points_csv", "non-finite coordinate at (1, 0)"),
+    ('{"matrix": [[0, NaN], [NaN, 0]]}', "points_json", "non-finite distance at (0, 1)"),
+    ('{"matrix": [[0, 1], [3, 0]]}', "points_json", "asymmetric distance at (0, 1)"),
+])
+def test_load_rejects_invalid_distances_by_name(tmp_path, text, fmt, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidMetric) as err:
+            load_instance(str(path), fmt)
+    assert str(err.value).startswith(message + ": ")
+    assert not caught
+
+
+def test_cli_run_reports_non_finite_input(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("0,0\n1,inf\n2,2\n")
+    code = main(["run", "--instance", str(path), "--format", "points_csv",
+                 "--mode", "solve"])
+    assert code == 2
+    assert "non-finite coordinate at (1, 1): replace nan and inf" in capsys.readouterr().err
 
 
 def test_parse_error_carries_line(tmp_path):

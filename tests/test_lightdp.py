@@ -1,14 +1,19 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from nettsp.errors import BudgetExceeded
-from nettsp.lightdp import (auto_portals, choose_portals, draw_radius_samples,
+from nettsp.io import generate_instance
+from nettsp.lightdp import (DEFAULT_BUDGET, _Engine, _tree_children_options,
+                            auto_portals, choose_portals, draw_radius_samples,
                             make_flat_tree, solve_light_tour,
                             solve_with_radius_guessing, tree_from_samples)
-from nettsp.metric import estimate_doubling, from_points, normalize
+from nettsp.metric import REL_TOL, estimate_doubling, from_points, normalize
 from nettsp.nets import build_hierarchy
 from nettsp.oracles import brute_force_tsp, held_karp_tsp
-from nettsp.partition import hierarchical_clustering
+from nettsp.partition import distinct_carvings, hierarchical_clustering, partition_with_radii
 from nettsp.tours import edges_weight, mst, tour_weight
 
 
@@ -201,3 +206,99 @@ def test_guessing_more_options_never_hurt(seed):
                                       np.random.default_rng(seed + 77))
     assert res3.cost <= base.cost + 1e-9
     assert tour_weight(sp, res3.tour) >= held_karp_tsp(sp).weight - 1e-9
+
+
+# ------------------------------------------------- carving enumeration
+
+def product_carvings(space, members, h, level, choices):
+    """Reference enumeration: carve every radius combination of the centers
+    within reach of ``members``, in product order, and drop repeats."""
+    centers = [int(c) for c in h.net(level)]
+    a = h.radius(level)
+    dmin = space.pairwise(centers, np.asarray(members, dtype=np.intp)).min(axis=1)
+    relevant = [c for c, dm in zip(centers, dmin) if dm <= 2 * a + REL_TOL * max(1.0, 2 * a)]
+    guesses = len(choices[centers[0]])
+    seen, outs = set(), []
+    for combo in itertools.product(range(guesses), repeat=len(relevant)):
+        radii = {c: choices[c][0] for c in centers}
+        radii.update({c: choices[c][t] for c, t in zip(relevant, combo)})
+        part = partition_with_radii(space, members, h, level, radii)
+        children = tuple(sorted(tuple(v) for v in part.clusters().values()))
+        if children not in seen:
+            seen.add(children)
+            outs.append(children)
+    return outs
+
+
+def small_spaces():
+    yield from (rand_space(seed + 40, 8) for seed in range(3))
+    # integer grid: many distances sit exactly on ball boundaries
+    yield normalize(from_points([(x, y) for x in range(4) for y in range(2)]))
+
+
+@pytest.mark.parametrize("guesses", [1, 2, 3])
+def test_distinct_carvings_match_product_enumeration(guesses):
+    checked, several = 0, 0
+    for i, sp in enumerate(small_spaces()):
+        h = build_hierarchy(sp, 6.0)
+        samples = draw_radius_samples(sp, h, guesses, 2.5, np.random.default_rng(i))
+        for node in tree_from_samples(sp, h, samples).nodes():
+            if node.level == 0:
+                continue
+            lvl = node.level - 1
+            got = distinct_carvings(sp, node.members, h, lvl, samples[lvl])
+            assert got == product_carvings(sp, node.members, h, lvl, samples[lvl])
+            checked += 1
+            several += len(got) > 1
+    assert checked > 4
+    assert (several > 0) == (guesses > 1)
+
+
+def test_engine_asks_for_each_clusters_options_once():
+    sp = rand_space(7, 14)
+    h = build_hierarchy(sp, 6.0)
+    tree = hierarchical_clustering(sp, h, 2.5, np.random.default_rng(7))
+    inner = _tree_children_options(tree)
+    calls = Counter()
+
+    def counting(level, members):
+        calls[(level, members)] += 1
+        return inner(level, members)
+
+    engine = _Engine(sp, h, 6, 2, DEFAULT_BUDGET, counting)
+    engine.solve_root(tree.root.level, tuple(tree.root.members))
+    internal = {(n.level, n.members) for n in tree.nodes() if n.level > 0}
+    assert set(calls) == internal
+    assert set(calls.values()) == {1}
+    # several portal configurations per cluster share one options call
+    assert sum(1 for key in engine.memo if key[0] > 0) > len(internal)
+
+
+def subset_dp_optimum(d):
+    """Optimal closed-tour weight by a subset DP vectorized over masks."""
+    m = len(d) - 1
+    size = 1 << m
+    masks = np.arange(size)
+    popcount = sum((masks >> b) & 1 for b in range(m))
+    dp = np.full((size, m), np.inf)
+    dp[1 << np.arange(m), np.arange(m)] = d[0, 1:]
+    for count in range(2, m + 1):
+        layer = masks[popcount == count]
+        for k in range(m):
+            ending = layer[(layer >> k) & 1 == 1]
+            dp[ending, k] = (dp[ending ^ (1 << k)] + d[1:, 1 + k]).min(axis=1)
+    return float((dp[size - 1] + d[1:, 0]).min())
+
+
+def test_subset_dp_optimum_matches_held_karp():
+    sp = rand_space(11, 9)
+    assert subset_dp_optimum(sp.pairwise()) == pytest.approx(held_karp_tsp(sp).weight)
+
+
+def test_guessing_two_guesses_on_the_heavy_uniform_instance():
+    sp = normalize(generate_instance("uniform2d", 20, seed=0))
+    ddim = estimate_doubling(sp, seed=0).ddim_upper
+    res = solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), 2, 6, 2, ddim,
+                                     np.random.default_rng(0))
+    assert sorted(res.tour.seq) == list(range(20))
+    assert tour_weight(sp, res.tour) >= subset_dp_optimum(sp.pairwise()) * (1 - 1e-9)

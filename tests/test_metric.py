@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from nettsp.errors import DegenerateInstance
+from nettsp.errors import DegenerateInstance, InvalidMetric
 from nettsp.metric import (MetricSpace, annulus, ball, estimate_doubling,
                            from_matrix, from_points, normalize, restrict,
                            validate_metric)
@@ -38,6 +39,26 @@ def test_validate_sampled_path_large_instance():
     sp = from_points(np.random.default_rng(1).random((210, 2)))
     report = validate_metric(sp)
     assert report.passed and not report.checks["triangle_exhaustive"]
+
+
+@pytest.mark.parametrize("space, message", [
+    (from_points([(0.0, 0.0), (1.0, math.nan), (2.0, 2.0)]),
+     "non-finite coordinate at (1, 1)"),
+    (from_points([(0.0, 0.0), (1.0, 1.0), (-math.inf, 2.0)]),
+     "non-finite coordinate at (2, 0)"),
+    (from_points([(0.0, 0.0), (1e200, 0.0)]), "non-finite distance at (0, 1)"),
+    (from_matrix([[0, math.inf], [math.inf, 0]]), "non-finite distance at (0, 1)"),
+    (from_matrix([[0, -1], [-1, 0]]), "negative distance at (0, 1)"),
+    (from_matrix([[0, 1], [1, 0.5]]), "non-zero diagonal distance at (1, 1)"),
+    (from_matrix([[0, 1], [2, 0]]), "asymmetric distance at (0, 1)"),
+])
+def test_validate_raises_named_check_without_warnings(space, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidMetric) as err:
+            validate_metric(space)
+    assert str(err.value).startswith(message + ": ")
+    assert not caught
 
 
 def test_normalize_two_points_scale():
