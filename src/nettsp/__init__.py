@@ -2,7 +2,7 @@
 
 from .metric import (MetricSpace, annulus, ball, estimate_doubling, from_matrix,
                      from_points, normalize, restrict, validate_metric)
-from .nets import NetHierarchy, build_hierarchy, cover_point, verify_nets
+from .nets import NetHierarchy, build_hierarchy, verify_nets
 from .partition import (ClusterTree, RadiusDistribution, estimate_cut_probability,
                         hierarchical_clustering, sample_radius,
                         single_scale_partition, valid_radius_set)

@@ -8,7 +8,6 @@ import sys
 
 from .errors import NetTspError
 from .io import FORMATS, generate_instance, load_instance, save_points_csv
-from .metric import validate_metric
 from .runner import MODES, render_report, run
 
 
@@ -74,11 +73,10 @@ def main(argv=None) -> int:
                 save_points_csv(space, args.out)
             return 0
 
-        space = load_instance(args.instance, args.format)
+        space = load_instance(args.instance, args.format)   # raises on every failed check
         if args.command == "validate":
-            report = validate_metric(space)
-            print("pass" if report.passed else f"fail: {report.violations[:3]}")
-            return 0 if report.passed else 1
+            print("pass")
+            return 0
 
         config = {"space": space, "seed": args.seed}
         if args.command == "oracle":

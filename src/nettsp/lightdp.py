@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +20,13 @@ import numpy as np
 from .errors import BudgetExceeded, Infeasible
 from .metric import REL_TOL, MetricSpace
 from .nets import NetHierarchy
+from .oracles import subset_path_table, subset_path_trace
 from .partition import (ClusterNode, ClusterTree, distinct_carvings, partition_with_radii,
                         sample_radius)
 from .tours import Tour, _collapse, dedupe_visits
 
 DEFAULT_BUDGET = 5_000_000
-MAX_CHILDREN = 26
+MAX_CHILDREN = 26        # children per combine under multi-pair enumeration (r >= 4)
 
 
 @dataclass(frozen=True)
@@ -268,8 +268,6 @@ class _Engine:
         return ps, mat
 
     def _combine(self, level, members, children, config):
-        if len(children) > MAX_CHILDREN:
-            raise BudgetExceeded(f"{len(children)} children exceed the ceiling {MAX_CHILDREN}")
         if len(config) == 1 and self.r == 2:
             return self._combine_path(level, members, children, config)
         return self._combine_general(level, members, children, config)
@@ -310,56 +308,32 @@ class _Engine:
         enter = self.D[A, ej]
         return np.min(enter[:, None] + info[2], axis=0)
 
-    def _path_table(self, level, children, A):
-        """Subset DP over (visited children, last child, exit portal), from A.
+    def _path_table(self, level, children, A, infos, hop):
+        """Subset path table over (visited children, last child, exit portal), from A.
 
-        Layered over popcount with dense arrays; cached per (children, A) so
-        one table serves every exit point B of the parent pair.
+        Cached per (children, A) so one table serves every exit point B of the
+        parent pair.
         """
         key = ("table", level, children, A)
         hit = self.hk_cache.get(key)
-        if hit is not None:
-            return hit
-        k = len(children)
-        infos = self._child_infos(level, children)
-        hop = self._hop_matrices(level, children, infos)
-        m = hop.shape[2]
-        self.charge(k * k * (1 << k) // 8 + 1)
-        table = np.full((1 << k, k, m), np.inf)
-        for ci in range(k):
-            vec = self._entry_vec(A, infos[ci])
-            table[1 << ci, ci, : len(vec)] = vec
-        by_pop = defaultdict(list)
-        for mask in range(1, 1 << k):
-            by_pop[bin(mask).count("1")].append(mask)
-        for count in range(1, k):
-            masks = np.asarray(by_pop[count], dtype=np.int64)
+        if hit is None:
+            k = len(children)
+            self.charge(k * k * (1 << k) // 8 + 1)
+            entry = np.full((k, hop.shape[2]), np.inf)
             for ci in range(k):
-                sel = masks[(masks >> ci) & 1 == 1]
-                if len(sel) == 0:
-                    continue
-                arr = table[sel, ci]
-                for cj in range(k):
-                    if cj == ci:
-                        continue
-                    sub = (sel >> cj) & 1 == 0
-                    if not sub.any():
-                        continue
-                    src = arr[sub]
-                    cand = np.min(src[:, :, None] + hop[ci, cj][None, :, :], axis=1)
-                    tgt = sel[sub] | (1 << cj)
-                    table[tgt, cj] = np.minimum(table[tgt, cj], cand)
-        result = (infos, table)
-        self.hk_cache[key] = result
-        return result
+                vec = self._entry_vec(A, infos[ci])
+                entry[ci, : len(vec)] = vec
+            hit = subset_path_table(entry, hop)
+            self.hk_cache[key] = hit
+        return hit
 
-    def _chain_cost(self, A, B, infos, hop, order):
-        """Exact portal assignment for a fixed child order (min-plus chain)."""
-        vec = self._entry_vec(A, infos[order[0]])
+    def _chain_forward(self, A, B, infos, hop, order):
+        """Min-plus vectors along a fixed child order, and the costs of closing at B."""
+        vecs = [self._entry_vec(A, infos[order[0]])]
         for prev, cur in zip(order, order[1:]):
-            vec = np.min(vec[:, None] + hop[prev, cur][: len(vec)], axis=0)
+            vecs.append(np.min(vecs[-1][:, None] + hop[prev, cur][: len(vecs[-1])], axis=0))
         xs = np.asarray(infos[order[-1]][1].portals, dtype=np.intp)
-        return float(np.min(vec[: len(xs)] + self.D[xs, B]))
+        return vecs, vecs[-1][: len(xs)] + self.D[xs, B]
 
     def _heuristic_order(self, A, B, infos, hop):
         """Greedy insertion order improved by deterministic 2-opt reversals."""
@@ -385,16 +359,20 @@ class _Engine:
             else:
                 pos_vec = np.min(pos_vec[:, None] + hop[cur, cj][: len(pos_vec)], axis=0)
             cur = cj
+
+        def score(order):
+            return float(np.min(self._chain_forward(A, B, infos, hop, order)[1]))
+
         improved = True
         rounds = 0
         while improved and rounds < 4:
             improved = False
             rounds += 1
-            base = self._chain_cost(A, B, infos, hop, order)
+            base = score(order)
             for i in range(k - 1):
                 for j in range(i + 1, k):
                     cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
-                    c = self._chain_cost(A, B, infos, hop, cand)
+                    c = score(cand)
                     if c < base - 1e-12:
                         order, base = cand, c
                         improved = True
@@ -410,16 +388,22 @@ class _Engine:
         """
         (A, B), = config
         k = len(children)
+        infos = self._child_infos(level, children)
+        hop = self._hop_matrices(level, children, infos)
         if k > self.EXACT_PATH_CHILDREN:
-            infos = self._child_infos(level, children)
-            hop = self._hop_matrices(level, children, infos)
             self.charge(k * k * 50)
             order = self._heuristic_order(A, B, infos, hop)
-            cost, steps = self._chain_steps(A, B, infos, hop, order)
+            vecs, tot = self._chain_forward(A, B, infos, hop, order)
+            xi = int(np.argmin(tot))
+            cost = float(tot[xi])
             if not math.isfinite(cost):
                 return math.inf, None
-            return cost, ("combine", [(A, self._steps_to_walk(infos, steps), B)])
-        infos, table = self._path_table(level, children, A)
+            path = [(order[-1], xi)]
+            for t in range(k - 2, -1, -1):
+                xi = int(np.argmin(vecs[t] + hop[order[t], order[t + 1], : len(vecs[t]), xi]))
+                path.append((order[t], xi))
+            return cost, ("combine", [(A, self._walk(A, infos, path[::-1]), B)])
+        table = self._path_table(level, children, A, infos, hop)
         full = (1 << k) - 1
         best_cost = math.inf
         best_end = None
@@ -432,93 +416,24 @@ class _Engine:
                 best_end = (ci, xi)
         if not math.isfinite(best_cost):
             return math.inf, None
-        steps = self._reconstruct_path(A, infos, table, best_end)
-        return best_cost, ("combine", [(A, self._steps_to_walk(infos, steps), B)])
+        path = subset_path_trace(table, hop, *best_end)
+        return best_cost, ("combine", [(A, self._walk(A, infos, path), B)])
 
-    def _chain_steps(self, A, B, infos, hop, order):
-        """Cost and per-child (entry, exit) choices for a fixed child order."""
-        vecs = [self._entry_vec(A, infos[order[0]])]
-        for prev, cur in zip(order, order[1:]):
-            vecs.append(np.min(vecs[-1][:, None] + hop[prev, cur][: len(vecs[-1])], axis=0))
-        xs = np.asarray(infos[order[-1]][1].portals, dtype=np.intp)
-        tot = vecs[-1][: len(xs)] + self.D[xs, B]
-        xi = int(np.argmin(tot))
-        cost = float(tot[xi])
-        steps = []
-        for t in range(len(order) - 1, -1, -1):
-            ci = order[t]
-            vec = vecs[t]
-            if t == 0:
-                ej = np.asarray(infos[ci][1].portals, dtype=np.intp)
-                cand = self.D[A, ej][:, None] + infos[ci][2]
-                ei = int(np.argmin(cand[:, xi]))
-                steps.append((ci, ei, xi))
-                break
-            cp = order[t - 1]
-            vprev = vecs[t - 1]
-            ej = np.asarray(infos[ci][1].portals, dtype=np.intp)
-            xs_p = np.asarray(infos[cp][1].portals, dtype=np.intp)
-            enter = self.D[np.ix_(xs_p, ej)]
-            cand = (vprev[: len(xs_p), None, None] + enter[:, :, None]
-                    + infos[ci][2][None, :, :])
-            w = cand[:, :, xi]
-            flat = int(np.argmin(w))
-            xpi, ei = divmod(flat, w.shape[1])
-            steps.append((ci, int(ei), int(xi)))
-            xi = int(xpi)
-        steps.reverse()
-        return cost, steps
+    def _walk(self, A, infos, path):
+        """Child segment keys for a path of (child, exit portal index) pairs from A.
 
-    def _steps_to_walk(self, infos, steps):
+        Each child is entered at the portal that realizes the hop from the
+        previous exit (from A for the first child), ties to the lowest index.
+        """
         walk = []
-        for ci, ei, xi in steps:
+        prev = A
+        for ci, xi in path:
             ch, ps, mat = infos[ci]
-            e, x = ps.portals[ei], ps.portals[xi]
-            pair = (min(e, x), max(e, x))
-            ckey = (ps.level, ch, (pair,))
-            walk.append((ckey, 0, e != pair[0]))
+            ei = int(np.argmin(self.D[prev, np.asarray(ps.portals, dtype=np.intp)] + mat[:, xi]))
+            e, prev = ps.portals[ei], ps.portals[xi]
+            pair = (min(e, prev), max(e, prev))
+            walk.append(((ps.level, ch, (pair,)), 0, e != pair[0]))
         return walk
-
-    def _reconstruct_path(self, A, infos, table, best_end):
-        """Recover child order and portals by re-deriving the argmins backwards."""
-        k = len(infos)
-        ci, xi = best_end
-        mask = (1 << k) - 1 if k else 0
-        steps = []
-        while True:
-            vec = table[mask, ci]
-            ej = np.asarray(infos[ci][1].portals, dtype=np.intp)
-            if mask == (1 << ci):
-                enter = self.D[A, ej]
-                cand = enter[:, None] + infos[ci][2]
-                ei = int(np.argmin(cand[:, xi]))
-                steps.append((ci, ei, xi))
-                break
-            prev_mask = mask ^ (1 << ci)
-            found = False
-            for cp in range(k):
-                if not prev_mask & (1 << cp):
-                    continue
-                vprev = table[prev_mask, cp]
-                if not np.isfinite(vprev).any():
-                    continue
-                xs_p = np.asarray(infos[cp][1].portals, dtype=np.intp)
-                ej_n = len(ej)
-                cand = (vprev[: len(xs_p), None, None]
-                        + self.D[np.ix_(xs_p, ej)][:, :, None]
-                        + infos[ci][2][None, :, :])
-                w = cand[:, :, xi]
-                flat = int(np.argmin(w))
-                xpi, ei = divmod(flat, w.shape[1])
-                if abs(float(w[xpi, ei]) - float(vec[xi])) <= 1e-9 * max(1.0, abs(float(vec[xi]))):
-                    steps.append((ci, int(ei), int(xi)))
-                    ci, xi, mask = cp, int(xpi), prev_mask
-                    found = True
-                    break
-            if not found:
-                raise AssertionError("path reconstruction failed")
-        steps.reverse()
-        return steps
 
     def _child_config_options(self, level, children):
         """Finite-cost configs per child, every size up to r // 2 pairs,
@@ -552,6 +467,8 @@ class _Engine:
         connected decompositions are explored. Uncommitted children are
         admissibly lower-bounded by their cheapest config.
         """
+        if len(children) > MAX_CHILDREN:
+            raise BudgetExceeded(f"{len(children)} children exceed the ceiling {MAX_CHILDREN}")
         options = self._child_config_options(level, children)
         if options is None:
             return math.inf, None

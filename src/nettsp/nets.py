@@ -65,36 +65,6 @@ class NetHierarchy:
         return i
 
 
-@dataclass(frozen=True)
-class NetPointCopy:
-    """Occurrence of a base point at one hierarchy level.
-
-    Conceptual zero-length edges link a copy to the copies of the same base
-    point one level down (always present, nets are nested) and one level up
-    (when the base point survives there). These links carry no weight and are
-    never cut by partitions.
-    """
-
-    base: int
-    level: int
-    below: bool
-    above: bool
-
-
-def copies_of(h: NetHierarchy, p: int):
-    """All level copies of base point p, with their up/down links."""
-    out = []
-    for i in range(h.top + 1):
-        if h.in_net(p, i):
-            out.append(NetPointCopy(
-                base=p,
-                level=i,
-                below=i > 0,
-                above=h.in_net(p, i + 1) if i < h.top else False,
-            ))
-    return out
-
-
 def build_hierarchy(space: MetricSpace, s: float) -> NetHierarchy:
     """Greedy top-down nested net construction.
 
@@ -140,10 +110,6 @@ def build_hierarchy(space: MetricSpace, s: float) -> NetHierarchy:
         mask[levels[i]] = True
         member.append(mask)
     return NetHierarchy(space=space, s=s, top=top, levels=levels, covers=covers, member=member)
-
-
-def cover_point(h: NetHierarchy, p: int, i: int) -> int:
-    return h.cover_point(p, i)
 
 
 @dataclass

@@ -51,60 +51,77 @@ def brute_force_tsp(space: MetricSpace, max_n: int = BRUTE_MAX) -> OracleResult:
     return OracleResult(Tour(best_seq), float(best), "brute", True)
 
 
+def subset_path_table(entry: np.ndarray, hop: np.ndarray) -> np.ndarray:
+    """Cheapest ordered visits of subsets of k groups, each left by one of m exits.
+
+    ``entry[c, x]`` is the cost of starting at group c and leaving it at exit
+    x; ``hop[c, d, x, y]`` is the cost of going from exit x of c through d to
+    exit y. ``table[mask, c, y]`` is the least cost of visiting exactly the
+    groups in ``mask`` once each, ending at c and leaving by exit y (inf where
+    c is not in ``mask``). Layers run by popcount, so every entry is final
+    before it is extended.
+    """
+    k, m = entry.shape
+    table = np.full((1 << k, k, m), np.inf)
+    for c in range(k):
+        table[1 << c, c] = entry[c]
+    masks = np.arange(1 << k, dtype=np.int64)
+    popcount = sum((masks >> b) & 1 for b in range(k))
+    for count in range(1, k):
+        layer = masks[popcount == count]
+        for ci in range(k):
+            sel = layer[(layer >> ci) & 1 == 1]
+            arr = table[sel, ci]
+            for cj in range(k):
+                if cj == ci:
+                    continue
+                sub = (sel >> cj) & 1 == 0
+                cand = np.min(arr[sub][:, :, None] + hop[ci, cj][None, :, :], axis=1)
+                tgt = sel[sub] | (1 << cj)
+                table[tgt, cj] = np.minimum(table[tgt, cj], cand)
+    return table
+
+
+def subset_path_step(table: np.ndarray, hop: np.ndarray, mask: int, c: int, y: int):
+    """(group, exit) before group c left by exit y on the cheapest visit of ``mask``.
+
+    The argmin runs over the very sums the forward pass minimized, so it is the
+    forward pass's own choice: the lowest group, then the lowest exit.
+    """
+    return divmod(int(np.argmin(table[mask ^ (1 << c)] + hop[:, c, :, y])), table.shape[2])
+
+
+def subset_path_trace(table: np.ndarray, hop: np.ndarray, c: int, y: int) -> list:
+    """(group, exit) pairs, first to last, of the cheapest visit of all groups ending at (c, y)."""
+    mask = table.shape[0] - 1
+    path = [(c, y)]
+    while mask != 1 << c:
+        prev = subset_path_step(table, hop, mask, c, y)
+        mask ^= 1 << c
+        c, y = prev
+        path.append((c, y))
+    return path[::-1]
+
+
 def held_karp_tsp(space: MetricSpace, max_n: int = HELD_KARP_MAX) -> OracleResult:
     """Exact optimum by dynamic programming over vertex subsets.
 
-    States are (visited mask, last vertex) anchored at vertex 0; layers are
-    processed by subset size with the transition minimization vectorized.
+    The subset path kernel with one group per vertex other than the anchor 0
+    and one exit each: paths start with an edge out of 0, and the tour closes
+    back to 0 from the cheapest last vertex.
     """
     n = space.n
     if n > max_n:
         raise TooLarge(f"n={n} exceeds held-karp ceiling {max_n}")
     if n == 1:
         return OracleResult(Tour((0,)), 0.0, "held_karp", True)
-    if n == 2:
-        w = 2.0 * space.dist(0, 1)
-        return OracleResult(Tour((0, 1)), w, "held_karp", True)
     d = space.pairwise()
-    size = 1 << n
-    dp = np.full((size, n), np.inf)
-    parent = np.full((size, n), -1, dtype=np.int8)
-    dp[1, 0] = 0.0
-    masks_by_count = defaultdict(list)
-    for mask in range(size):
-        if mask & 1:
-            masks_by_count[bin(mask).count("1")].append(mask)
-    for count in range(1, n):
-        for mask in masks_by_count[count]:
-            row = dp[mask]
-            active = np.flatnonzero(np.isfinite(row))
-            if len(active) == 0:
-                continue
-            cand = row[active, None] + d[active, :]
-            pick = np.argmin(cand, axis=0)
-            vals = cand[pick, np.arange(n)]
-            for j in range(n):
-                if mask & (1 << j):
-                    continue
-                nm = mask | (1 << j)
-                if vals[j] < dp[nm, j]:
-                    dp[nm, j] = vals[j]
-                    parent[nm, j] = active[pick[j]]
-    full = size - 1
-    totals = dp[full] + d[:, 0]
-    totals[0] = np.inf
+    hop = d[1:, 1:, None, None]
+    table = subset_path_table(d[0, 1:, None], hop)
+    totals = table[-1, :, 0] + d[1:, 0]
     last = int(np.argmin(totals))
-    weight = float(totals[last])
-    seq = []
-    mask = full
-    cur = last
-    while cur != -1:
-        seq.append(cur)
-        prev = int(parent[mask, cur])
-        mask ^= 1 << cur
-        cur = prev
-    seq.reverse()
-    return OracleResult(Tour(tuple(seq)), weight, "held_karp", True)
+    seq = (0,) + tuple(c + 1 for c, _ in subset_path_trace(table, hop, last, 0))
+    return OracleResult(Tour(seq), float(totals[last]), "held_karp", True)
 
 
 def nearest_neighbor_tsp(space: MetricSpace) -> OracleResult:

@@ -10,7 +10,6 @@ cluster.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,14 +18,6 @@ from .errors import FilterStarvation
 from .metric import REL_TOL, MetricSpace
 from .nets import NetHierarchy
 from .tours import Tour
-
-
-def _thread_count() -> int:
-    """Worker cap from TSP_THREADS; 0 (the default) means sequential."""
-    try:
-        return max(0, int(os.environ.get("TSP_THREADS", "0")))
-    except ValueError:
-        return 0
 
 
 @dataclass(frozen=True)
@@ -68,11 +59,6 @@ def sample_radius(a: float, ddim: float, rng) -> float:
         raise ValueError("need a > 0 and ddim >= 1")
     dist = RadiusDistribution(a=a, ddim=ddim)
     return float(dist.ppf(rng.random()))
-
-
-def sample_radii(a: float, ddim: float, rng, size: int) -> np.ndarray:
-    dist = RadiusDistribution(a=a, ddim=ddim)
-    return dist.ppf(rng.random(size))
 
 
 def _starvation_limit(n: int) -> int:
@@ -257,8 +243,7 @@ def estimate_cut_probability(space: MetricSpace, h: NetHierarchy, u: int, v: int
 
     Vectorized over trials: a point's cluster is the first center in carving
     order whose drawn ball covers it, so only the two distance rows matter.
-    Per-trial generators are split deterministically from ``rng``, making the
-    estimate independent of any worker-level parallelism.
+    Each trial draws from its own generator split deterministically from ``rng``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -268,19 +253,8 @@ def estimate_cut_probability(space: MetricSpace, h: NetHierarchy, u: int, v: int
     a = h.radius(level)
     du = space.pairwise([u], centers)[0]
     dv = space.pairwise([v], centers)[0]
-    streams = rng.spawn(trials)
     dist = RadiusDistribution(a=a, ddim=ddim)
-
-    def draw(g):
-        return dist.ppf(g.random(len(centers)))
-
-    workers = _thread_count()
-    if workers > 0:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            radii = np.stack(list(pool.map(draw, streams)))
-    else:
-        radii = np.stack([draw(g) for g in streams])
+    radii = np.stack([dist.ppf(g.random(len(centers))) for g in rng.spawn(trials)])
     tol = REL_TOL * max(1.0, 2 * a)
     cover_u = radii >= du[None, :] - tol
     cover_v = radii >= dv[None, :] - tol

@@ -250,3 +250,27 @@ def test_cli_error_exit_code(tmp_path):
     rc = main(["run", "--instance", str(bad), "--format", "tsplib_matrix",
                "--mode", "solve"])
     assert rc == 2
+
+
+def test_cli_validate_names_the_failed_check(tmp_path, capsys):
+    bad = tmp_path / "bad.tsp"
+    bad.write_text(MATRIX_BAD)
+    rc = main(["validate", "--instance", str(bad), "--format", "tsplib_matrix"])
+    assert rc == 2
+    assert "triangle inequality fails" in capsys.readouterr().err
+
+
+def test_cli_solves_uniform2d_beyond_the_children_ceiling(tmp_path):
+    # A cluster of this instance has 29 children, more than MAX_CHILDREN.
+    inst = tmp_path / "inst.csv"
+    assert main(["gen", "--kind", "uniform2d", "--n", "80", "--seed", "0",
+                 "--out", str(inst)]) == 0
+    rc = main(["run", "--instance", str(inst), "--format", "points_csv",
+               "--mode", "solve", "--seed", "0", "--out", str(tmp_path / "r.json")])
+    assert rc == 0
+
+
+def test_run_solves_a_random_metric_beyond_the_children_ceiling():
+    space = generate_instance("matrix_random_metric", 40, 1)
+    report = run({"space": space, "mode": "solve", "seed": 1})
+    assert sorted(report["results"]["solve"]["tour"]) == list(range(40))

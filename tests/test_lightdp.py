@@ -12,7 +12,8 @@ from nettsp.lightdp import (DEFAULT_BUDGET, _Engine, _tree_children_options,
                             solve_with_radius_guessing, tree_from_samples)
 from nettsp.metric import REL_TOL, estimate_doubling, from_points, normalize
 from nettsp.nets import build_hierarchy
-from nettsp.oracles import brute_force_tsp, held_karp_tsp
+from nettsp.oracles import (brute_force_tsp, held_karp_tsp, subset_path_step,
+                            subset_path_table, subset_path_trace)
 from nettsp.partition import distinct_carvings, hierarchical_clustering, partition_with_radii
 from nettsp.tours import edges_weight, mst, tour_weight
 
@@ -168,6 +169,76 @@ def test_budget_exceeded_raises():
     tree = hierarchical_clustering(sp, h, 2.5, np.random.default_rng(2))
     with pytest.raises(BudgetExceeded):
         solve_light_tour(sp, h, tree, 6, 2, budget=10)
+
+
+# ------------------------------------------------------ subset path kernel
+
+def random_groups(rng, k, m):
+    """Small-integer entry and hop costs (many ties), exits past each group's
+    own count padded to inf."""
+    exits = rng.integers(1, m + 1, size=k)
+    entry = rng.integers(0, 4, size=(k, m)).astype(float)
+    hop = rng.integers(0, 4, size=(k, k, m, m)).astype(float)
+    for c in range(k):
+        entry[c, exits[c]:] = np.inf
+        hop[c, :, exits[c]:, :] = np.inf
+        hop[:, c, :, exits[c]:] = np.inf
+    return entry, hop
+
+
+def brute_path_costs(entry, hop):
+    """best[mask][c, y] over every group order and exit choice."""
+    k, m = entry.shape
+    best = {}
+    for size in range(1, k + 1):
+        for order in itertools.permutations(range(k), size):
+            for exits in itertools.product(range(m), repeat=size):
+                cost = entry[order[0], exits[0]]
+                for t in range(1, size):
+                    cost += hop[order[t - 1], order[t], exits[t - 1], exits[t]]
+                mask = sum(1 << c for c in order)
+                row = best.setdefault(mask, np.full((k, m), np.inf))
+                row[order[-1], exits[-1]] = min(row[order[-1], exits[-1]], cost)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_subset_path_table_and_step_match_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    k, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    entry, hop = random_groups(rng, k, m)
+    table = subset_path_table(entry, hop)
+    best = brute_path_costs(entry, hop)
+    for mask in range(1, 1 << k):
+        assert np.array_equal(table[mask], best[mask])
+        for c, y in zip(*np.nonzero(np.isfinite(table[mask]))):
+            if mask == 1 << c:
+                continue
+            prev = mask ^ (1 << c)
+            sums = table[prev] + hop[:, c, :, y]
+            # the step is the lowest (group, exit) that attains the table value
+            ties = [(int(p), int(x)) for p, x in zip(*np.nonzero(sums == table[mask, c, y]))]
+            assert subset_path_step(table, hop, mask, int(c), int(y)) == min(ties)
+    full = (1 << k) - 1
+    for c, y in zip(*np.nonzero(np.isfinite(table[full]))):
+        path = subset_path_trace(table, hop, int(c), int(y))
+        assert sorted(g for g, _ in path) == list(range(k))
+        assert path[-1] == (c, y)
+        cost = entry[path[0]] + sum(hop[a, b, x, z] for (a, x), (b, z) in zip(path, path[1:]))
+        assert cost == table[full, c, y]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_traceback_weight_equals_table_cost_on_a_grid(seed):
+    *_, grid = small_spaces()
+    h = build_hierarchy(grid, 6.0)
+    samples = draw_radius_samples(grid, h, 1, 2.5, np.random.default_rng(seed))
+    trees = (tree_from_samples(grid, h, samples),
+             hierarchical_clustering(grid, h, 2.5, np.random.default_rng(seed)))
+    for tree in trees:
+        for m_cap in (2, 6):
+            res = solve_light_tour(grid, h, tree, m_cap, 2)
+            assert tour_weight(grid, res.raw) == pytest.approx(res.cost)
 
 
 # ---------------------------------------------------------- radius guesses

@@ -3,7 +3,7 @@ import pytest
 
 from nettsp.errors import BadScale
 from nettsp.metric import estimate_doubling, from_points, normalize
-from nettsp.nets import NetHierarchy, build_hierarchy, copies_of, verify_nets
+from nettsp.nets import NetHierarchy, build_hierarchy, verify_nets
 
 
 def line(n, spacing=1.0):
@@ -158,16 +158,3 @@ def test_virtual_levels_below_zero():
     assert h.cover_point(7, -2) == 7
     assert h.level_of_value(0.2) == -1
 
-
-def test_copies_exist_iff_in_net():
-    sp = normalize(from_points(np.random.default_rng(6).random((40, 2))))
-    h = build_hierarchy(sp, 6.0)
-    for p in range(sp.n):
-        copies = copies_of(h, p)
-        got_levels = {c.level for c in copies}
-        expected = {i for i in range(h.top + 1) if h.in_net(p, i)}
-        assert got_levels == expected
-        for c in copies:
-            assert c.below == (c.level > 0)
-            if c.level < h.top:
-                assert c.above == h.in_net(p, c.level + 1)

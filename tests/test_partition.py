@@ -8,7 +8,7 @@ from nettsp.metric import estimate_doubling, from_points, normalize
 from nettsp.nets import build_hierarchy
 from nettsp.partition import (RadiusDistribution, draw_level_radii,
                               estimate_cut_probability, hierarchical_clustering,
-                              partition_with_radii, sample_radius, sample_radii,
+                              partition_with_radii, sample_radius,
                               single_scale_partition, valid_radius_set)
 from nettsp.tours import Tour, double_tree_tour, tour_weight
 
