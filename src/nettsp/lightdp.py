@@ -303,10 +303,20 @@ class _Engine:
             self.hk_cache[key] = hit
         return hit
 
-    def _entry_vec(self, A, info):
-        ej = np.asarray(info[1].portals, dtype=np.intp)
-        enter = self.D[A, ej]
-        return np.min(enter[:, None] + info[2], axis=0)
+    def _entry_matrix(self, A, infos, m):
+        """entry[ci, y] = enter child ci from A, exit at portal y (inf past its portals)."""
+        entry = np.full((len(infos), m), np.inf)
+        for ci, (_, ps, mat) in enumerate(infos):
+            enter = self.D[A, np.asarray(ps.portals, dtype=np.intp)]
+            entry[ci, : len(ps.portals)] = np.min(enter[:, None] + mat, axis=0)
+        return entry
+
+    def _close_matrix(self, B, infos, m):
+        """close[ci, x] = D[exit portal x of child ci, B] (inf past its portals)."""
+        close = np.full((len(infos), m), np.inf)
+        for ci, (_, ps, _) in enumerate(infos):
+            close[ci, : len(ps.portals)] = self.D[np.asarray(ps.portals, dtype=np.intp), B]
+        return close
 
     def _path_table(self, level, children, A, infos, hop):
         """Subset path table over (visited children, last child, exit portal), from A.
@@ -319,64 +329,9 @@ class _Engine:
         if hit is None:
             k = len(children)
             self.charge(k * k * (1 << k) // 8 + 1)
-            entry = np.full((k, hop.shape[2]), np.inf)
-            for ci in range(k):
-                vec = self._entry_vec(A, infos[ci])
-                entry[ci, : len(vec)] = vec
-            hit = subset_path_table(entry, hop)
+            hit = subset_path_table(self._entry_matrix(A, infos, hop.shape[2]), hop)
             self.hk_cache[key] = hit
         return hit
-
-    def _chain_forward(self, A, B, infos, hop, order):
-        """Min-plus vectors along a fixed child order, and the costs of closing at B."""
-        vecs = [self._entry_vec(A, infos[order[0]])]
-        for prev, cur in zip(order, order[1:]):
-            vecs.append(np.min(vecs[-1][:, None] + hop[prev, cur][: len(vecs[-1])], axis=0))
-        xs = np.asarray(infos[order[-1]][1].portals, dtype=np.intp)
-        return vecs, vecs[-1][: len(xs)] + self.D[xs, B]
-
-    def _heuristic_order(self, A, B, infos, hop):
-        """Greedy insertion order improved by deterministic 2-opt reversals."""
-        k = len(infos)
-        order = []
-        remaining = set(range(k))
-        pos_vec = None
-        cur = None
-        while remaining:
-            best = None
-            for cj in sorted(remaining):
-                if cur is None:
-                    cost = float(np.min(self._entry_vec(A, infos[cj])))
-                else:
-                    cost = float(np.min(pos_vec[:, None] + hop[cur, cj][: len(pos_vec)]))
-                if best is None or cost < best[0] - 1e-15:
-                    best = (cost, cj)
-            cj = best[1]
-            order.append(cj)
-            remaining.discard(cj)
-            if len(order) == 1:
-                pos_vec = self._entry_vec(A, infos[cj])
-            else:
-                pos_vec = np.min(pos_vec[:, None] + hop[cur, cj][: len(pos_vec)], axis=0)
-            cur = cj
-
-        def score(order):
-            return float(np.min(self._chain_forward(A, B, infos, hop, order)[1]))
-
-        improved = True
-        rounds = 0
-        while improved and rounds < 4:
-            improved = False
-            rounds += 1
-            base = score(order)
-            for i in range(k - 1):
-                for j in range(i + 1, k):
-                    cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
-                    c = score(cand)
-                    if c < base - 1e-12:
-                        order, base = cand, c
-                        improved = True
-        return order
 
     def _combine_path(self, level, members, children, config):
         """One segment threading every child exactly once (two crossings each).
@@ -390,34 +345,29 @@ class _Engine:
         k = len(children)
         infos = self._child_infos(level, children)
         hop = self._hop_matrices(level, children, infos)
+        close = self._close_matrix(B, infos, hop.shape[2])
         if k > self.EXACT_PATH_CHILDREN:
             self.charge(k * k * 50)
-            order = self._heuristic_order(A, B, infos, hop)
-            vecs, tot = self._chain_forward(A, B, infos, hop, order)
+            entry = self._entry_matrix(A, infos, hop.shape[2])
+            order = _heuristic_order(entry, close, hop)
+            vecs, tot = _chain_forward(entry, close, hop, order)
             xi = int(np.argmin(tot))
             cost = float(tot[xi])
             if not math.isfinite(cost):
                 return math.inf, None
             path = [(order[-1], xi)]
             for t in range(k - 2, -1, -1):
-                xi = int(np.argmin(vecs[t] + hop[order[t], order[t + 1], : len(vecs[t]), xi]))
+                xi = int(np.argmin(vecs[t] + hop[order[t], order[t + 1], :, xi]))
                 path.append((order[t], xi))
             return cost, ("combine", [(A, self._walk(A, infos, path[::-1]), B)])
         table = self._path_table(level, children, A, infos, hop)
-        full = (1 << k) - 1
-        best_cost = math.inf
-        best_end = None
-        for ci in range(k):
-            xs = np.asarray(infos[ci][1].portals, dtype=np.intp)
-            tot = table[full, ci, : len(xs)] + self.D[xs, B]
-            xi = int(np.argmin(tot))
-            if tot[xi] < best_cost:
-                best_cost = float(tot[xi])
-                best_end = (ci, xi)
-        if not math.isfinite(best_cost):
+        tot = table[(1 << k) - 1] + close
+        ci, xi = np.unravel_index(np.argmin(tot), tot.shape)   # lowest child, then exit
+        cost = float(tot[ci, xi])
+        if not math.isfinite(cost):
             return math.inf, None
-        path = subset_path_trace(table, hop, *best_end)
-        return best_cost, ("combine", [(A, self._walk(A, infos, path), B)])
+        path = subset_path_trace(table, hop, int(ci), int(xi))
+        return cost, ("combine", [(A, self._walk(A, infos, path), B)])
 
     def _walk(self, A, infos, path):
         """Child segment keys for a path of (child, exit portal index) pairs from A.
@@ -600,6 +550,68 @@ class _Engine:
             raise Infeasible(f"tour misses points {sorted(missing)}")
         return LightTourResult(tour=tour, cost=best_cost, raw=raw, audit=audit,
                                stats={"entries": len(self.memo), "ops": self.ops})
+
+
+def _chain_forward(entry, close, hop, order):
+    """Min-plus vectors along a fixed child order, and the costs of closing after it."""
+    vecs = [entry[order[0]]]
+    for prev, cur in zip(order, order[1:]):
+        vecs.append(np.min(vecs[-1][:, None] + hop[prev, cur], axis=0))
+    return vecs, vecs[-1] + close[order[-1]]
+
+
+def _heuristic_order(entry, close, hop):
+    """Greedy insertion order improved by deterministic 2-opt reversals.
+
+    Greedy appends the child that is cheapest to reach next, ties to the
+    lowest index. 2-opt is first-improvement in lexicographic (i, j) order,
+    for at most four rounds: reversing order[i..j] is taken as soon as it
+    scores more than 1e-12 below the current order, and the scan goes on at
+    (i, j + 1) against the new order. The reversals of one i are scored in a
+    batch: one min-plus pass over their stacked suffixes, from the current
+    order's forward vector at i - 1. Min does not round and every sum is the
+    same float addition, so each batched score equals that reversal's own.
+    """
+    k = len(entry)
+    remaining = list(range(k))
+    order, vec = [], None
+    while remaining:
+        if vec is None:
+            costs = np.min(entry[remaining], axis=1)
+        else:
+            costs = np.min(vec[:, None] + hop[order[-1], remaining], axis=(1, 2))
+        pick = 0
+        for c in range(1, len(remaining)):
+            if costs[c] < costs[pick] - 1e-15:
+                pick = c
+        cj = remaining.pop(pick)
+        vec = entry[cj] if vec is None else np.min(vec[:, None] + hop[order[-1], cj], axis=0)
+        order.append(cj)
+
+    for _ in range(4):
+        vecs, tot = _chain_forward(entry, close, hop, order)
+        base = np.min(tot)
+        improved = False
+        for i in range(k - 1):
+            j = i + 1
+            while j < k:
+                seqs = np.array([order[:i] + order[i:jj + 1][::-1] + order[jj + 1:]
+                                 for jj in range(j, k)])
+                vec = entry[seqs[:, 0]] if i == 0 else vecs[i - 1][None]
+                for t in range(max(i, 1), k):
+                    vec = np.min(vec[:, :, None] + hop[seqs[:, t - 1], seqs[:, t]], axis=1)
+                scores = np.min(vec + close[seqs[:, -1]], axis=1)
+                better = np.flatnonzero(scores < base - 1e-12)
+                if not better.size:
+                    break
+                first = int(better[0])
+                order, base = seqs[first].tolist(), scores[first]
+                vecs = _chain_forward(entry, close, hop, order)[0]
+                improved = True
+                j += first + 1
+        if not improved:
+            break
+    return order
 
 
 def _tree_children_options(tree: ClusterTree):

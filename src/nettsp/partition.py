@@ -281,9 +281,6 @@ class ValidRadiusSet:
         tol = REL_TOL * max(1.0, r)
         return sum(1 for lo, hi in self.spans if lo <= r + tol and r + tol < hi)
 
-    def __call__(self, center: int, r: float) -> bool:
-        return self.cut_count(r) < self.threshold
-
     def accepts(self, r: float) -> bool:
         return self.cut_count(r) < self.threshold
 

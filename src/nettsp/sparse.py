@@ -64,13 +64,18 @@ def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float):
 
     Returns (level, v, q_star) with v the maximizing center (ties to the
     lowest index) and q_star its MST weight over s^i, or None when every ball
-    is sparse.
+    is sparse. A level with 2 w(MST(S)) <= 2 q s^i is skipped unscanned: in a
+    metric, the MST of any subset weighs at most twice its Steiner tree, and
+    MST(S) is one such tree, so no ball can exceed the cap there.
     """
     if q <= 0:
         raise ValueError("q must be positive")
+    whole = edges_weight(space, mst(space, range(space.n)))
     for level in range(h.top + 1):
         radius = 3 * h.radius(level)
         cap = 2 * q * h.radius(level)
+        if 2 * whole <= cap:
+            continue
         best_w, best_v = -1.0, None
         for u in range(space.n):
             pts = ball(space, u, radius)

@@ -6,7 +6,8 @@ import pytest
 
 from nettsp.errors import BudgetExceeded
 from nettsp.io import generate_instance
-from nettsp.lightdp import (DEFAULT_BUDGET, _Engine, _tree_children_options,
+from nettsp import lightdp
+from nettsp.lightdp import (DEFAULT_BUDGET, _Engine, _heuristic_order, _tree_children_options,
                             auto_portals, choose_portals, draw_radius_samples,
                             make_flat_tree, solve_light_tour,
                             solve_with_radius_guessing, tree_from_samples)
@@ -239,6 +240,97 @@ def test_traceback_weight_equals_table_cost_on_a_grid(seed):
         for m_cap in (2, 6):
             res = solve_light_tour(grid, h, tree, m_cap, 2)
             assert tour_weight(grid, res.raw) == pytest.approx(res.cost)
+
+
+def scalar_heuristic_order(entry, close, hop, exits):
+    """Greedy plus 2-opt that scores one reversal at a time over unpadded
+    vectors: the reference for the batched scan. Returns the order and the
+    number of reversals taken."""
+    k = len(entry)
+
+    def entry_vec(c):
+        return entry[c, : exits[c]]
+
+    def score(order):
+        vecs = [entry_vec(order[0])]
+        for prev, cur in zip(order, order[1:]):
+            vecs.append(np.min(vecs[-1][:, None] + hop[prev, cur][: len(vecs[-1])], axis=0))
+        last = order[-1]
+        return float(np.min(vecs[-1][: exits[last]] + close[last, : exits[last]]))
+
+    order = []
+    remaining = set(range(k))
+    pos_vec = None
+    cur = None
+    while remaining:
+        best = None
+        for cj in sorted(remaining):
+            if cur is None:
+                cost = float(np.min(entry_vec(cj)))
+            else:
+                cost = float(np.min(pos_vec[:, None] + hop[cur, cj][: len(pos_vec)]))
+            if best is None or cost < best[0] - 1e-15:
+                best = (cost, cj)
+        cj = best[1]
+        order.append(cj)
+        remaining.discard(cj)
+        if len(order) == 1:
+            pos_vec = entry_vec(cj)
+        else:
+            pos_vec = np.min(pos_vec[:, None] + hop[cur, cj][: len(pos_vec)], axis=0)
+        cur = cj
+
+    moves = 0
+    improved = True
+    rounds = 0
+    while improved and rounds < 4:
+        improved = False
+        rounds += 1
+        base = score(order)
+        for i in range(k - 1):
+            for j in range(i + 1, k):
+                cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
+                c = score(cand)
+                if c < base - 1e-12:
+                    order, base = cand, c
+                    improved = True
+                    moves += 1
+    return order, moves
+
+
+def test_batched_two_opt_matches_one_reversal_at_a_time():
+    moves = 0
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        k, m = 13 + seed % 8, int(rng.integers(2, 5))
+        entry, hop = random_groups(rng, k, m)
+        exits = np.isfinite(entry).sum(axis=1)
+        close = rng.integers(0, 4, size=(k, m)).astype(float)
+        if seed % 2:        # distinct float costs beside the integer ties
+            entry, hop, close = (x * rng.random(x.shape) for x in (entry, hop, close))
+        for c in range(k):
+            close[c, exits[c]:] = np.inf
+        ref, taken = scalar_heuristic_order(entry, close, hop, exits)
+        assert _heuristic_order(entry, close, hop) == ref
+        moves += taken
+    assert moves > 0
+
+
+def test_heuristic_child_order_traceback_on_uniform40(monkeypatch):
+    widths = []
+
+    def counted(entry, close, hop):
+        widths.append(len(entry))
+        return _heuristic_order(entry, close, hop)
+
+    monkeypatch.setattr(lightdp, "_heuristic_order", counted)
+    sp = normalize(generate_instance("uniform2d", 40, seed=0))
+    ddim = estimate_doubling(sp, seed=0).ddim_upper
+    res = solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), 1, 6, 2, ddim,
+                                     np.random.default_rng(0))
+    assert len(widths) >= 1 and max(widths) > _Engine.EXACT_PATH_CHILDREN
+    assert sorted(res.tour.seq) == list(range(40))
+    assert tour_weight(sp, res.raw) == pytest.approx(res.cost)
 
 
 # ---------------------------------------------------------- radius guesses

@@ -213,7 +213,7 @@ def test_valid_radius_set_accepts_all_when_no_short_edges():
     assert pred.rejected_measure() == 0.0
     a = h.radius(lvl)
     for r in np.linspace(a, 2 * a, 9):
-        assert pred(0, float(r))
+        assert pred.accepts(float(r))
 
 
 def test_valid_radius_set_small_cut_counts_accepted():
@@ -256,7 +256,7 @@ def test_expected_resamples_with_filter():
 
     def flt(center, r):
         draws["n"] += 1
-        return preds[center](center, r)
+        return preds[center].accepts(r)
 
     rng = np.random.default_rng(6)
     for _ in range(10):

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from nettsp import runner, sparse
 from nettsp.errors import DegenerateSplit, RecursionLimit
-from nettsp.metric import ball, estimate_doubling, from_points, normalize
+from nettsp.io import generate_instance
+from nettsp.metric import (REL_TOL, ball, estimate_doubling, from_matrix, from_points,
+                           normalize)
 from nettsp.nets import build_hierarchy
 from nettsp.oracles import held_karp_tsp
 from nettsp.sparse import (SolveParams, annulus_edge_weight, ball_mst_weights,
@@ -99,6 +102,104 @@ def test_find_dense_requires_positive_q():
     h = build_hierarchy(sp, 6.0)
     with pytest.raises(ValueError):
         find_dense_region(sp, h, 0.0)
+
+
+def level_maxima(sp, h):
+    """(best MST weight, its center) per level over every ball B(u, 3 s^i)."""
+    out = []
+    for level in range(h.top + 1):
+        best_w, best_v = -1.0, None
+        for u in range(sp.n):
+            pts = ball(sp, u, 3 * h.radius(level))
+            if len(pts) < 2:
+                continue
+            w = edges_weight(sp, mst(sp, pts))
+            if w > best_w + REL_TOL * max(1.0, best_w):
+                best_w, best_v = w, u
+        out.append((best_w, best_v))
+    return out
+
+
+def unskipped_scan(h, maxima, q):
+    """The level-by-level dense scan with no level skipped."""
+    for level, (best_w, best_v) in enumerate(maxima):
+        if best_v is not None and best_w > 2 * q * h.radius(level) * (1 + REL_TOL):
+            return level, best_v, best_w / h.radius(level)
+    return None
+
+
+def hub_metric(leaves=8):
+    """A hub at 1 from leaves 2 apart, and a point u at 3 from every leaf and
+    4 from the hub. B(u, 3) leaves the hub out, so its MST (2 leaves + 1)
+    outweighs the whole MST (leaves + 3); twice the whole is the bound."""
+    n = leaves + 2
+    d = np.full((n, n), 2.0)
+    d[0, 1:] = d[1:, 0] = 1.0       # hub 0
+    d[0, -1] = d[-1, 0] = 4.0
+    d[1:-1, -1] = d[-1, 1:-1] = 3.0  # u = n - 1
+    np.fill_diagonal(d, 0.0)
+    return from_matrix(d)
+
+
+def test_dense_scan_skip_matches_the_unskipped_scan():
+    spaces = [rand_space(seed, n) for seed, n in ((5, 12), (6, 30), (7, 45))]
+    spaces += [dense_fixture(), hub_metric(),
+               normalize(generate_instance("clustered", 60, 0, {"clusters": 4}))]
+    fired = 0
+    for sp in spaces:
+        h = build_hierarchy(sp, 6.0)
+        maxima = level_maxima(sp, h)
+        whole = edges_weight(sp, mst(sp, range(sp.n)))
+        qs = [0.5, 2.0, SolveParams().q]
+        for level, (best_w, _) in enumerate(maxima):
+            at = whole / h.radius(level)      # the skip's boundary at this level
+            fires = best_w / (2 * h.radius(level))
+            qs += [at, np.nextafter(at, 0.0), np.nextafter(at, np.inf),
+                   at * (1 - 1e-6), at * (1 + 1e-6), fires * (1 - 1e-6), fires * (1 + 1e-6)]
+        for q in qs:
+            expected = unskipped_scan(h, maxima, q)
+            assert find_dense_region(sp, h, q) == expected
+            fired += expected is not None
+    assert fired > 0
+
+
+def test_dense_scan_builds_one_mst_when_no_level_can_fire(monkeypatch):
+    calls = []
+
+    def counted(space, subset):
+        calls.append(subset)
+        return mst(space, subset)
+
+    monkeypatch.setattr(sparse, "mst", counted)
+    sp = normalize(generate_instance("clustered", 60, 0, {"clusters": 4}))
+    assert find_dense_region(sp, build_hierarchy(sp, 6.0), SolveParams().q) is None
+    assert len(calls) == 1
+
+
+# Tours at the time of writing. A change that keeps the solver's choices
+# keeps these exactly; one that alters them must say why.
+UNIFORM40_TOUR = [
+    16, 1, 10, 29, 34, 27, 30, 17, 20, 21, 0, 15, 12, 37, 9, 31, 23, 32, 28, 18,
+    3, 11, 14, 25, 7, 5, 6, 26, 19, 39, 8, 2, 13, 38, 35, 4, 36, 22, 33, 24]
+CLUSTERED160_Q2_TOUR = [
+    3, 79, 99, 159, 87, 83, 27, 15, 39, 123, 55, 19, 35, 119, 135, 63, 43, 67, 31, 103,
+    95, 107, 155, 143, 7, 23, 59, 127, 11, 51, 71, 151, 47, 111, 139, 91, 115, 75, 147, 131,
+    1, 113, 45, 141, 73, 57, 21, 53, 117, 109, 33, 29, 17, 81, 153, 5, 89, 41, 93, 101,
+    105, 125, 65, 85, 69, 97, 145, 49, 157, 61, 133, 25, 9, 37, 149, 137, 121, 13, 77, 129,
+    16, 0, 132, 120, 104, 44, 36, 48, 152, 32, 116, 92, 8, 76, 136, 28, 68, 156, 148, 52,
+    144, 12, 128, 24, 56, 64, 80, 20, 112, 100, 108, 40, 84, 140, 88, 124, 4, 72, 96, 60,
+    30, 106, 114, 50, 138, 2, 6, 70, 34, 102, 10, 14, 154, 38, 94, 130, 126, 42, 110, 26,
+    86, 58, 134, 90, 18, 74, 98, 122, 158, 78, 118, 82, 146, 54, 142, 66, 150, 22, 46, 62]
+
+
+@pytest.mark.parametrize("kind, n, params, config, tour", [
+    ("uniform2d", 40, {}, {}, UNIFORM40_TOUR),
+    ("clustered", 160, {"clusters": 4}, {"q": 2.0}, CLUSTERED160_Q2_TOUR),
+])
+def test_solve_tours_are_pinned(kind, n, params, config, tour):
+    sp = normalize(generate_instance(kind, n, 0, params))
+    report = runner.run(dict(config, mode="solve", seed=0, space=sp))
+    assert report["results"]["solve"]["tour"] == tour
 
 
 # ------------------------------------------------------------ split radius
