@@ -136,7 +136,9 @@ class _Engine:
     def charge(self, k=1):
         self.ops += k
         if self.ops > self.budget:
-            raise BudgetExceeded(f"enumeration budget {self.budget} exceeded")
+            raise BudgetExceeded(
+                f"enumeration budget {self.budget} exceeded at m_cap {self.m_cap}: "
+                f"raise the budget, or pass an --m-cap below {self.m_cap}")
 
     def portals(self, level, members):
         key = (level, members)
@@ -256,7 +258,11 @@ class _Engine:
     # ----------------------------------------------------------- combination
 
     def _single_pair_costs(self, level, members):
-        """Matrix of best((a, b)) over the cluster's portal pairs."""
+        """Matrix of best((a, b)) over the cluster's portal pairs.
+
+        Once every pair that starts at portal a is memoized, no combine reads
+        the path tables from a again, so they are dropped there.
+        """
         ps = self.portals(level, members)
         m = len(ps.portals)
         mat = np.full((m, m), np.inf)
@@ -265,6 +271,9 @@ class _Engine:
                 cfg = ((ps.portals[ai], ps.portals[bi]),)
                 c = self.best(level, members, cfg)
                 mat[ai, bi] = mat[bi, ai] = c
+            if level > 0:
+                for children in self.children_options(level, members):
+                    self.hk_cache.pop(("table", level, tuple(children), ps.portals[ai]), None)
         return ps, mat
 
     def _combine(self, level, members, children, config):
@@ -347,7 +356,6 @@ class _Engine:
         hop = self._hop_matrices(level, children, infos)
         close = self._close_matrix(B, infos, hop.shape[2])
         if k > self.EXACT_PATH_CHILDREN:
-            self.charge(k * k * 50)
             entry = self._entry_matrix(A, infos, hop.shape[2])
             order = _heuristic_order(entry, close, hop)
             vecs, tot = _chain_forward(entry, close, hop, order)

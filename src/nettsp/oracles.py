@@ -18,6 +18,7 @@ BRUTE_MAX = 10
 HELD_KARP_MAX = 18
 MATCHING_BRUTE_MAX = 12
 MATCHING_EXACT_MAX = 16
+PULL_BLOCK = 1 << 13     # floats in one block's temporary in subset_path_table
 
 
 @dataclass
@@ -58,37 +59,53 @@ def subset_path_table(entry: np.ndarray, hop: np.ndarray) -> np.ndarray:
     x; ``hop[c, d, x, y]`` is the cost of going from exit x of c through d to
     exit y. ``table[mask, c, y]`` is the least cost of visiting exactly the
     groups in ``mask`` once each, ending at c and leaving by exit y (inf where
-    c is not in ``mask``). Layers run by popcount, so every entry is final
-    before it is extended.
+    c is not in ``mask``).
+
+    Pull form: layers run by popcount, so every entry is final before it is
+    read. For each target group c, the rows of the layer's masks that hold c
+    gather their predecessors ``table[mask ^ 1 << c]`` flattened to
+    ``(previous group, exit)`` and add the contiguous row ``into[c, y]`` of
+    ``hop`` (see :func:`_pull`); the min over that last axis is the entry.
+    That is k numpy steps per layer and k² per table. Rows go in blocks whose
+    temporary holds at most ``PULL_BLOCK`` floats, so the kernel's working
+    memory beside the table stays small. Every candidate is the same float
+    sum under any grouping and min does not round, so the table does not
+    depend on the blocking.
     """
     k, m = entry.shape
     table = np.full((1 << k, k, m), np.inf)
-    for c in range(k):
-        table[1 << c, c] = entry[c]
+    table[1 << np.arange(k), np.arange(k)] = entry
+    flat = table.reshape(1 << k, k * m)
+    into = _pull(hop).reshape(k, m, k * m)
     masks = np.arange(1 << k, dtype=np.int64)
     popcount = sum((masks >> b) & 1 for b in range(k))
-    for count in range(1, k):
+    rows = max(1, PULL_BLOCK // (k * m * m))
+    for count in range(2, k + 1):
         layer = masks[popcount == count]
-        for ci in range(k):
-            sel = layer[(layer >> ci) & 1 == 1]
-            arr = table[sel, ci]
-            for cj in range(k):
-                if cj == ci:
-                    continue
-                sub = (sel >> cj) & 1 == 0
-                cand = np.min(arr[sub][:, :, None] + hop[ci, cj][None, :, :], axis=1)
-                tgt = sel[sub] | (1 << cj)
-                table[tgt, cj] = np.minimum(table[tgt, cj], cand)
+        for c in range(k):
+            tgt = layer[(layer >> c) & 1 == 1]
+            src = tgt ^ (1 << c)
+            for lo in range(0, len(tgt), rows):
+                table[tgt[lo:lo + rows], c] = np.min(
+                    flat[src[lo:lo + rows], None, :] + into[c], axis=2)
     return table
+
+
+def _pull(hop: np.ndarray) -> np.ndarray:
+    """``hop`` as ``[c, y, previous group, exit]``: what reaches exit y of c."""
+    return hop.transpose(1, 3, 0, 2)
 
 
 def subset_path_step(table: np.ndarray, hop: np.ndarray, mask: int, c: int, y: int):
     """(group, exit) before group c left by exit y on the cheapest visit of ``mask``.
 
-    The argmin runs over the very sums the forward pass minimized, so it is the
-    forward pass's own choice: the lowest group, then the lowest exit.
+    The argmin runs over the very sums the forward pass minimized, the
+    flattened predecessor row plus ``into[c, y]``, so it is the forward pass's
+    own choice: the lowest group, then the lowest exit.
     """
-    return divmod(int(np.argmin(table[mask ^ (1 << c)] + hop[:, c, :, y])), table.shape[2])
+    k, m = table.shape[1:]
+    sums = table[mask ^ (1 << c)].reshape(k * m) + _pull(hop)[c, y].reshape(k * m)
+    return divmod(int(np.argmin(sums)), m)
 
 
 def subset_path_trace(table: np.ndarray, hop: np.ndarray, c: int, y: int) -> list:

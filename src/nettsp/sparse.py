@@ -354,9 +354,4 @@ def solve_tsp(space: MetricSpace, params: SolveParams):
         return _splice(space, t1, t2, set(g1) & set(g2))
 
     tour = dedupe_visits(rec(tuple(range(space.n)), 0))
-    report = {
-        "trace": trace,
-        "weight": tour_weight(space, tour),
-        "mst_weight": edges_weight(space, mst(space, range(space.n))) if space.n > 1 else 0.0,
-    }
-    return tour, report
+    return tour, {"trace": trace, "weight": tour_weight(space, tour)}

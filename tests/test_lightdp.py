@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -6,14 +7,14 @@ import pytest
 
 from nettsp.errors import BudgetExceeded
 from nettsp.io import generate_instance
-from nettsp import lightdp
+from nettsp import lightdp, runner
 from nettsp.lightdp import (DEFAULT_BUDGET, _Engine, _heuristic_order, _tree_children_options,
                             auto_portals, choose_portals, draw_radius_samples,
                             make_flat_tree, solve_light_tour,
                             solve_with_radius_guessing, tree_from_samples)
 from nettsp.metric import REL_TOL, estimate_doubling, from_points, normalize
 from nettsp.nets import build_hierarchy
-from nettsp.oracles import (brute_force_tsp, held_karp_tsp, subset_path_step,
+from nettsp.oracles import (PULL_BLOCK, brute_force_tsp, held_karp_tsp, subset_path_step,
                             subset_path_table, subset_path_trace)
 from nettsp.partition import distinct_carvings, hierarchical_clustering, partition_with_radii
 from nettsp.tours import edges_weight, mst, tour_weight
@@ -172,6 +173,32 @@ def test_budget_exceeded_raises():
         solve_light_tour(sp, h, tree, 6, 2, budget=10)
 
 
+def test_budget_message_says_what_to_change():
+    sp = rand_space(62, 14)
+    h = build_hierarchy(sp, 6.0)
+    tree = hierarchical_clustering(sp, h, 2.5, np.random.default_rng(2))
+    with pytest.raises(BudgetExceeded, match=r"budget 10 exceeded at m_cap 6: raise the "
+                                             r"budget, or pass an --m-cap below 6"):
+        solve_light_tour(sp, h, tree, 6, 2, budget=10)
+
+
+def guessing_solve(n, seed, guesses, budget=DEFAULT_BUDGET):
+    sp = normalize(generate_instance("uniform2d", n, seed=seed))
+    ddim = estimate_doubling(sp, seed=seed).ddim_upper
+    return solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), guesses, 6, 2, ddim,
+                                      np.random.default_rng(seed), budget=budget)
+
+
+def test_heuristic_child_order_is_not_charged_to_the_budget():
+    # uniform2d n = 40 seed 0 orders 19 children heuristically 10 times. Its
+    # exponential work (leaf covers and subset path tables) costs 982 ops;
+    # greedy + 2-opt is polynomial and adds nothing, so that budget suffices.
+    res = guessing_solve(40, 0, 1, budget=982)
+    assert res.stats["ops"] == 982
+    with pytest.raises(BudgetExceeded):
+        guessing_solve(40, 0, 1, budget=981)
+
+
 # ------------------------------------------------------ subset path kernel
 
 def random_groups(rng, k, m):
@@ -227,6 +254,52 @@ def test_subset_path_table_and_step_match_brute_force(seed):
         assert path[-1] == (c, y)
         cost = entry[path[0]] + sum(hop[a, b, x, z] for (a, x), (b, z) in zip(path, path[1:]))
         assert cost == table[full, c, y]
+
+
+def push_subset_path_table(entry, hop):
+    """The push-form kernel the pull form replaced: each layer's (mask, ci)
+    rows are extended to every cj outside the mask, with a min over the
+    middle (exit) axis, and folded into the targets by np.minimum."""
+    k, m = entry.shape
+    table = np.full((1 << k, k, m), np.inf)
+    for c in range(k):
+        table[1 << c, c] = entry[c]
+    masks = np.arange(1 << k, dtype=np.int64)
+    popcount = sum((masks >> b) & 1 for b in range(k))
+    for count in range(1, k):
+        layer = masks[popcount == count]
+        for ci in range(k):
+            sel = layer[(layer >> ci) & 1 == 1]
+            arr = table[sel, ci]
+            for cj in range(k):
+                if cj == ci:
+                    continue
+                sub = (sel >> cj) & 1 == 0
+                cand = np.min(arr[sub][:, :, None] + hop[ci, cj][None, :, :], axis=1)
+                tgt = sel[sub] | (1 << cj)
+                table[tgt, cj] = np.minimum(table[tgt, cj], cand)
+    return table
+
+
+@pytest.mark.parametrize("k, m", [(14, 1), (12, 6), (11, 2)])
+def test_pull_kernel_equals_push_form_across_blocks(k, m):
+    rng = np.random.default_rng(100 * k + m)
+    entry, hop = random_groups(rng, k, m)
+    # the widest layer's targets of one group span several row blocks
+    assert math.comb(k - 1, (k - 1) // 2) > PULL_BLOCK // (k * m * m)
+    table = subset_path_table(entry, hop)
+    assert np.array_equal(table, push_subset_path_table(entry, hop))
+    masks = rng.integers(1, 1 << k, size=300)
+    checked = 0
+    for mask in masks.tolist() + [(1 << k) - 1]:
+        for c, y in zip(*np.nonzero(np.isfinite(table[mask]))):
+            if mask == 1 << c:
+                continue
+            sums = table[mask ^ (1 << c)] + hop[:, c, :, y]
+            ties = [(int(p), int(x)) for p, x in zip(*np.nonzero(sums == table[mask, c, y]))]
+            assert subset_path_step(table, hop, mask, int(c), int(y)) == min(ties)
+            checked += len(ties) > 1
+    assert checked > 0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -435,6 +508,58 @@ def test_engine_asks_for_each_clusters_options_once():
     assert set(calls.values()) == {1}
     # several portal configurations per cluster share one options call
     assert sum(1 for key in engine.memo if key[0] > 0) > len(internal)
+
+
+def record_table_builds(monkeypatch):
+    """Patch the engine to log the (level, children, A) key of every path
+    table the kernel builds, and the engines that solve."""
+    calls, built, engines = [], [], []
+    kernel = lightdp.subset_path_table
+    path_table = _Engine._path_table
+    solve_root = _Engine.solve_root
+
+    def counting_kernel(entry, hop):
+        calls.append(None)
+        return kernel(entry, hop)
+
+    def recording(self, level, children, A, infos, hop):
+        before = len(calls)
+        out = path_table(self, level, children, A, infos, hop)
+        if len(calls) > before:
+            built.append((level, children, A))
+        return out
+
+    def keeping(self, level, members):
+        engines.append((self, level))
+        return solve_root(self, level, members)
+
+    monkeypatch.setattr(lightdp, "subset_path_table", counting_kernel)
+    monkeypatch.setattr(_Engine, "_path_table", recording)
+    monkeypatch.setattr(_Engine, "solve_root", keeping)
+    return calls, built, engines
+
+
+@pytest.mark.parametrize("solve, tables, ops, flat, entries", [
+    (lambda: guessing_solve(20, 0, 2), 64, 149_765, 98_000, 127),
+    (lambda: runner.run(dict(mode="solve", seed=3,
+                             space=normalize(generate_instance("uniform2d", 50, 3)))),
+     116, 362_939, 67_500, 221),
+], ids=["uniform2d-n20-two-guesses", "uniform2d-n50-seed3-run"])
+def test_each_path_table_is_built_once_and_dropped_when_dead(monkeypatch, solve, tables,
+                                                              ops, flat, entries):
+    # tables, ops and entries were captured before path tables were dropped,
+    # when the heuristic child order still charged 50·k² ops (flat) each time.
+    calls, built, engines = record_table_builds(monkeypatch)
+    solve()
+    assert len(calls) == len(built) == tables
+    assert len(set(built)) == len(built)
+    (engine, root_level), = engines
+    assert engine.ops + flat == ops
+    assert len(engine.memo) == entries
+    # every table left in the cache is the root's: the others were dropped
+    # once all their configurations were memoized
+    left = [key for key in engine.hk_cache if key[0] == "table"]
+    assert left and {key[1] for key in left} == {root_level}
 
 
 def subset_dp_optimum(d):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nettsp.errors import OddParity, TooLarge
+from nettsp.io import generate_instance
 from nettsp.metric import from_points, normalize
 from nettsp.oracles import (brute_force_matching, brute_force_tsp,
                             christofides, held_karp_tsp, nearest_neighbor_tsp)
@@ -29,6 +30,27 @@ def test_brute_unit_square_perimeter():
 def test_brute_too_large():
     with pytest.raises(TooLarge):
         brute_force_tsp(rand_space(0, 11))
+
+
+# Held-Karp on the benchmark's exact_small instances (generator seed 0,
+# normalized), captured before the kernel's pull-form rewrite: min-plus is
+# exact under any grouping, so the tour and the weight's last bit must hold.
+HELD_KARP_PINNED = [
+    ("uniform2d", 18, [0, 7, 6, 5, 1, 10, 9, 16, 4, 13, 2, 3, 11, 14, 8, 15, 12, 17],
+     "278.9573929473582"),
+    ("clustered", 17, [0, 14, 8, 10, 2, 1, 15, 11, 5, 13, 3, 9, 7, 4, 6, 16, 12],
+     "1652.7784028875838"),
+    ("line", 16, [0] + list(range(15, 0, -1)), "30.0"),
+    ("matrix_random_metric", 18,
+     [0, 13, 14, 17, 7, 8, 16, 4, 9, 11, 12, 6, 5, 10, 2, 15, 3, 1], "35.86028046202596"),
+]
+
+
+@pytest.mark.parametrize("kind, n, tour, weight", HELD_KARP_PINNED)
+def test_held_karp_pinned_on_exact_small(kind, n, tour, weight):
+    res = held_karp_tsp(normalize(generate_instance(kind, n, 0)))
+    assert list(res.tour.seq) == tour
+    assert repr(res.weight) == weight
 
 
 @pytest.mark.parametrize("seed", range(8))
