@@ -572,54 +572,69 @@ def _heuristic_order(entry, close, hop):
     """Greedy insertion order improved by deterministic 2-opt reversals.
 
     Greedy appends the child that is cheapest to reach next, ties to the
-    lowest index. 2-opt is first-improvement in lexicographic (i, j) order,
-    for at most four rounds: reversing order[i..j] is taken as soon as it
-    scores more than 1e-12 below the current order, and the scan goes on at
-    (i, j + 1) against the new order. The reversals of one i are scored in a
-    batch: one min-plus pass over their stacked suffixes, from the current
-    order's forward vector at i - 1. Min does not round and every sum is the
-    same float addition, so each batched score equals that reversal's own.
+    lowest index, and keeps the order's forward min-plus vectors. 2-opt is
+    first-improvement in lexicographic (i, j) order, for at most four rounds:
+    reversing order[i..j] is taken as soon as it scores more than 1e-12 below
+    the current order, and the scan goes on at (i, j + 1) against the new
+    order.
+
+    One pass scores every reversal after the scan position at once. Its rows
+    are the reversals in lexicographic order, so sorted by i; row (i, j) joins
+    at step max(i, 1) from the current order's forward vector at i - 1 (from
+    entry[order[j]] when i = 0), and the rows live at step t are a prefix of
+    the batch, which takes k min-plus steps. The first row that improves is
+    taken and its forward vectors become the order's, for the next pass to
+    start from. Each score is the same prefix vector followed by the same
+    float additions as scoring that reversal alone, and min does not round,
+    so the batched scores, and the moves taken, equal the one-at-a-time scan's.
     """
     k = len(entry)
     remaining = list(range(k))
-    order, vec = [], None
+    order, vecs = [], []
     while remaining:
-        if vec is None:
+        if not vecs:
             costs = np.min(entry[remaining], axis=1)
         else:
-            costs = np.min(vec[:, None] + hop[order[-1], remaining], axis=(1, 2))
+            costs = np.min(vecs[-1][:, None] + hop[order[-1], remaining], axis=(1, 2))
         pick = 0
         for c in range(1, len(remaining)):
             if costs[c] < costs[pick] - 1e-15:
                 pick = c
         cj = remaining.pop(pick)
-        vec = entry[cj] if vec is None else np.min(vec[:, None] + hop[order[-1], cj], axis=0)
+        vecs.append(entry[cj] if not vecs
+                    else np.min(vecs[-1][:, None] + hop[order[-1], cj], axis=0))
         order.append(cj)
 
+    order, vecs = np.array(order), np.array(vecs)
+    base = np.min(vecs[-1] + close[order[-1]])
+    lo, hi = np.triu_indices(k, 1)                  # every reversal, lexicographic
+    steps = np.arange(k)
+    inside = (lo[:, None] <= steps) & (steps <= hi[:, None])
+    perm = np.where(inside, lo[:, None] + hi[:, None] - steps, steps)
+    live = np.searchsorted(lo, steps, side="right")  # rows with i <= t
     for _ in range(4):
-        vecs, tot = _chain_forward(entry, close, hop, order)
-        base = np.min(tot)
-        improved = False
-        for i in range(k - 1):
-            j = i + 1
-            while j < k:
-                seqs = np.array([order[:i] + order[i:jj + 1][::-1] + order[jj + 1:]
-                                 for jj in range(j, k)])
-                vec = entry[seqs[:, 0]] if i == 0 else vecs[i - 1][None]
-                for t in range(max(i, 1), k):
-                    vec = np.min(vec[:, :, None] + hop[seqs[:, t - 1], seqs[:, t]], axis=1)
-                scores = np.min(vec + close[seqs[:, -1]], axis=1)
-                better = np.flatnonzero(scores < base - 1e-12)
-                if not better.size:
-                    break
-                first = int(better[0])
-                order, base = seqs[first].tolist(), scores[first]
-                vecs = _chain_forward(entry, close, hop, order)[0]
-                improved = True
-                j += first + 1
+        start, improved = 0, False
+        while start < len(lo):
+            seqs = order[perm[start:]]
+            fwd = np.repeat(vecs[None], len(seqs), axis=0)
+            live_now = np.maximum(live - start, 0)
+            fwd[:live_now[0], 0] = entry[seqs[:live_now[0], 0]]
+            for t in range(1, k):
+                n = live_now[t]
+                if n:
+                    fwd[:n, t] = np.min(fwd[:n, t - 1, :, None] + hop[seqs[:n, t - 1], seqs[:n, t]],
+                                        axis=1)
+            scores = np.min(fwd[:, -1] + close[seqs[:, -1]], axis=1)
+            better = np.flatnonzero(scores < base - 1e-12)
+            if not better.size:
+                break
+            first = int(better[0])
+            order, vecs, base = seqs[first], fwd[first], scores[first]
+            start += first + 1
+            improved = True
         if not improved:
             break
-    return order
+    return order.tolist()
 
 
 def _tree_children_options(tree: ClusterTree):

@@ -82,29 +82,25 @@ class SingleScalePartition:
 
 def partition_with_radii(space: MetricSpace, subset, h: NetHierarchy, level: int,
                          radii: dict) -> SingleScalePartition:
-    """Carve ``subset`` by the level's centers with fixed radii."""
+    """Carve ``subset`` by the level's centers with fixed radii.
+
+    One (centers x subset) cover matrix marks each center's ball; a point
+    joins the first center in carving order whose ball covers it.
+    """
     subset = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
-    centers = h.net(level)
-    d = space.pairwise(centers, subset)
-    assign_center = {}
-    assign_rank = {}
-    unassigned = np.ones(len(subset), dtype=bool)
-    for rank, c in enumerate(centers):
-        r = radii[int(c)]
-        thr = r + REL_TOL * max(1.0, r)
-        hit = unassigned & (d[rank] <= thr)
-        for t in np.flatnonzero(hit):
-            assign_center[int(subset[t])] = int(c)
-            assign_rank[int(subset[t])] = rank
-        unassigned &= ~hit
-        if not unassigned.any():
-            break
-    if unassigned.any():
-        left = subset[unassigned].tolist()
-        raise AssertionError(f"points {left} not covered at level {level}")
-    return SingleScalePartition(level=level, order=np.asarray(centers),
-                                radii=radii, assign_center=assign_center,
-                                assign_rank=assign_rank)
+    centers = np.asarray(h.net(level))
+    r = np.array([radii[int(c)] for c in centers])
+    cover = space.pairwise(centers, subset) <= (r + REL_TOL * np.maximum(1.0, r))[:, None]
+    covered = cover.any(axis=0)
+    if not covered.all():
+        raise AssertionError(f"points {subset[~covered].tolist()} not covered at level {level}")
+    rank = np.argmax(cover, axis=0)
+    by_rank = np.argsort(rank, kind="stable")       # insertion order of the carving loop
+    points, ranks = subset[by_rank].tolist(), rank[by_rank].tolist()
+    assign_center = dict(zip(points, centers[ranks].tolist()))
+    return SingleScalePartition(level=level, order=centers, radii=radii,
+                                assign_center=assign_center,
+                                assign_rank=dict(zip(points, ranks)))
 
 
 def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
@@ -119,11 +115,11 @@ def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
     """
     subset = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
     centers = [int(c) for c in h.net(level)]
-    reach = []                     # (center, balls) for centers that can claim a point
-    for c, row in zip(centers, space.pairwise(centers, subset)):
-        balls = [row <= r + REL_TOL * max(1.0, r) for r in radius_choices[c]]
-        if any(ball.any() for ball in balls):
-            reach.append((c, balls))
+    r = np.array([radius_choices[c] for c in centers])
+    thr = r + REL_TOL * np.maximum(1.0, r)
+    # balls[c, t, p]: center c's ball at its t-th radius holds point p
+    balls = space.pairwise(centers, subset)[:, None, :] <= thr[:, :, None]
+    reach = [(centers[i], balls[i]) for i in np.flatnonzero(balls.any(axis=(1, 2)))]
     radii = {c: radius_choices[c][0] for c in centers}
     outs = {}                      # distinct outcomes in first-occurrence order
 
@@ -132,9 +128,9 @@ def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
             part = partition_with_radii(space, subset, h, level, dict(radii))
             outs.setdefault(tuple(sorted(tuple(v) for v in part.clusters().values())))
             return
-        c, balls = reach[depth]
+        c, center_balls = reach[depth]
         tried = set()
-        for t, ball in enumerate(balls):
+        for t, ball in enumerate(center_balls):
             claim = unassigned & ball
             if claim.tobytes() not in tried:
                 tried.add(claim.tobytes())

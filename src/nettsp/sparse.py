@@ -89,15 +89,17 @@ def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float):
     return None
 
 
+def _in_annulus(d, r1, r2):
+    """Whether distance d lies in the annulus (r1, r2], both rims widened by
+    REL_TOL; broadcasts over arrays of distances and radii."""
+    return (d > r1 + REL_TOL * np.maximum(1.0, r1)) & (d <= r2 + REL_TOL * np.maximum(1.0, r2))
+
+
 def annulus_edge_weight(space: MetricSpace, edges, v: int, r1: float, r2: float) -> float:
     """Weight of edges with both endpoints in the annulus around v."""
     row = space.row(v)
-
-    def inside(p):
-        d = row[p]
-        return (d > r1 + REL_TOL * max(1.0, r1)) and (d <= r2 + REL_TOL * max(1.0, r2))
-
-    return float(sum(space.dist(a, b) for a, b in edges if inside(a) and inside(b)))
+    return float(sum(space.dist(a, b) for a, b in edges
+                     if _in_annulus(row[a], r1, r2) and _in_annulus(row[b], r1, r2)))
 
 
 def choose_split_radius(space: MetricSpace, v: int, level: int, delta: float,
@@ -106,17 +108,23 @@ def choose_split_radius(space: MetricSpace, v: int, level: int, delta: float,
 
     The spanning tree of the whole space stands in for the unknowable optimal
     tour; the grid argmin is no worse than the grid mean, which is all the
-    averaging argument needs. Ties go to the smallest radius.
+    averaging argument needs. Ties go to the smallest radius. Every candidate
+    is scored as annulus_edge_weight scores it, from edge weights and
+    endpoint distances to v computed once; the selected weights are summed
+    in tree order.
     """
     if delta > 1.0 / 12 + REL_TOL:
         raise ValueError("delta must be at most 1/12")
     si = s ** level
     tree = mst(space, range(space.n))
     width = 6 * delta * si
+    weights = [space.dist(a, b) for a, b in tree]
+    ends = space.row(v)[np.asarray(tree, dtype=np.intp).reshape(-1, 2)]
+    heights = (12 * si + (np.arange(candidates) + 0.5) / candidates * si)[:, None, None]
+    inside = _in_annulus(ends, heights - width, heights + width).all(axis=2)
     best_h, best_c = None, math.inf
-    for t in range(candidates):
-        hcand = 12 * si + (t + 0.5) / candidates * si
-        c = annulus_edge_weight(space, tree, v, hcand - width, hcand + width)
+    for hcand, sel in zip(heights.ravel().tolist(), inside):
+        c = float(sum(weights[e] for e in np.flatnonzero(sel)))
         if best_h is None or c < best_c - REL_TOL * max(1.0, best_c):
             best_h, best_c = hcand, c
     return float(best_h)

@@ -315,10 +315,11 @@ def test_traceback_weight_equals_table_cost_on_a_grid(seed):
             assert tour_weight(grid, res.raw) == pytest.approx(res.cost)
 
 
-def scalar_heuristic_order(entry, close, hop, exits):
+def scalar_heuristic_order(entry, close, hop, exits, log=None):
     """Greedy plus 2-opt that scores one reversal at a time over unpadded
     vectors: the reference for the batched scan. Returns the order and the
-    number of reversals taken."""
+    number of reversals taken; each one taken is appended to ``log`` as
+    (round, i, j) when a list is given."""
     k = len(entry)
 
     def entry_vec(c):
@@ -368,6 +369,8 @@ def scalar_heuristic_order(entry, close, hop, exits):
                     order, base = cand, c
                     improved = True
                     moves += 1
+                    if log is not None:
+                        log.append((rounds, i, j))
     return order, moves
 
 
@@ -387,6 +390,50 @@ def test_batched_two_opt_matches_one_reversal_at_a_time():
         assert _heuristic_order(entry, close, hop) == ref
         moves += taken
     assert moves > 0
+
+
+def plane_groups(rng, k, m):
+    """Children as tight clumps of m portals in the unit square, threaded from
+    A to B: greedy leaves long detours that 2-opt then takes out."""
+    pts = rng.random((k, 1, 2)) + 0.03 * rng.standard_normal((k, m, 2))
+    A, B = rng.random(2), rng.random(2)
+
+    def dist(x, y):
+        return np.sqrt(((x - y) ** 2).sum(-1))
+
+    through = dist(pts[:, :, None], pts[:, None, :])       # through[c, enter, exit]
+    entry = np.min(dist(A, pts)[:, :, None] + through, axis=1)
+    step = dist(pts[:, None, :, None], pts[None, :, None, :])   # step[ci, cj, exit, enter]
+    hop = np.min(step[..., None] + through[None, :, None], axis=3)
+    return entry, hop, dist(pts, B)
+
+
+def test_prefix_shared_two_opt_matches_scalar_scan_at_workload_widths():
+    # k = 21-24 children of up to 5-6 portals: the widest orders the
+    # benchmark workloads thread (sparse_mid reaches k = 24, m = 6)
+    cases = []
+    for seed in range(4, 8):
+        k, m = 21 + seed % 4, 5 + seed % 2
+        cases.append(plane_groups(np.random.default_rng(seed), k, m))
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        k, m = 21 + seed, 5 + seed
+        entry, hop = random_groups(rng, k, m)
+        close = rng.integers(0, 4, size=(k, m)).astype(float)
+        if seed:
+            entry, hop, close = (x * rng.random(x.shape) for x in (entry, hop, close))
+        close[~np.isfinite(entry)] = np.inf
+        cases.append((entry, hop, close))
+    logs = []
+    for entry, hop, close in cases:
+        log = []
+        ref, _ = scalar_heuristic_order(entry, close, hop, np.isfinite(entry).sum(axis=1), log)
+        assert _heuristic_order(entry, close, hop) == ref
+        logs.append(log)
+    # one round takes several moves, and some move reverses a prefix (i = 0)
+    assert any(max(Counter(rnd for rnd, _, _ in log).values(), default=0) > 1 for log in logs)
+    assert any(i == 0 for log in logs for _, i, _ in log)
+    assert {len(entry) for entry, _, _ in cases} == {21, 22, 23, 24}
 
 
 def test_heuristic_child_order_traceback_on_uniform40(monkeypatch):

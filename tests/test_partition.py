@@ -1,10 +1,12 @@
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from nettsp.errors import FilterStarvation
-from nettsp.metric import estimate_doubling, from_points, normalize
+from nettsp.metric import REL_TOL, estimate_doubling, from_points, normalize
 from nettsp.nets import build_hierarchy
 from nettsp.partition import (RadiusDistribution, draw_level_radii,
                               estimate_cut_probability, hierarchical_clustering,
@@ -98,6 +100,60 @@ def test_partition_is_true_partition():
     for c, mem in clusters.items():
         r = part.radii[c]
         assert all(sp.dist(c, p) <= r * (1 + 1e-9) for p in mem)
+
+
+def carving_loop(space, subset, h, level, radii):
+    """The per-center loop the cover matrix replaced: each center in carving
+    order claims its still-unassigned points inside its ball."""
+    subset = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
+    centers = h.net(level)
+    d = space.pairwise(centers, subset)
+    assign_center, assign_rank = {}, {}
+    unassigned = np.ones(len(subset), dtype=bool)
+    for rank, c in enumerate(centers):
+        r = radii[int(c)]
+        hit = unassigned & (d[rank] <= r + REL_TOL * max(1.0, r))
+        for t in np.flatnonzero(hit):
+            assign_center[int(subset[t])] = int(c)
+            assign_rank[int(subset[t])] = rank
+        unassigned &= ~hit
+        if not unassigned.any():
+            break
+    if unassigned.any():
+        raise AssertionError(f"points {subset[unassigned].tolist()} not covered at level {level}")
+    return assign_center, assign_rank
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cover_matrix_carving_matches_the_carving_loop(seed):
+    rng = np.random.default_rng(seed)
+    sp = rand_space(seed + 20, int(rng.integers(15, 60)))
+    h = build_hierarchy(sp, 6.0)
+    seen = Counter()
+    for level in range(h.top + 1):
+        centers = h.net(level)
+        subset = np.sort(rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)), replace=False))
+        d = sp.pairwise(centers, subset)
+        # each center's radius puts one point exactly at r, or at r * (1 + 1e-9)
+        for stretch in (1.0, 1.0 + 1e-9):
+            for _ in range(3):
+                pick = rng.integers(len(subset), size=len(centers))
+                r = d[np.arange(len(centers)), pick] / stretch
+                radii = dict(zip(centers.tolist(), r.tolist()))
+                try:
+                    want = carving_loop(sp, subset, h, level, radii)
+                except AssertionError as err:
+                    with pytest.raises(AssertionError, match=f"^{re.escape(str(err))}$"):
+                        partition_with_radii(sp, subset, h, level, radii)
+                    seen["uncovered"] += 1
+                    continue
+                part = partition_with_radii(sp, subset, h, level, radii)
+                # same assignment, inserted in the same order
+                assert list(part.assign_center.items()) == list(want[0].items())
+                assert list(part.assign_rank.items()) == list(want[1].items())
+                seen["on rim"] += sum(sp.dist(c, p) == radii[c]
+                                      for p, c in part.assign_center.items())
+    assert seen["uncovered"] > 0 and seen["on rim"] > 0
 
 
 def test_filter_starvation():

@@ -236,6 +236,59 @@ def test_split_radius_avoids_shell():
     assert annulus_edge_weight(sp, tree, 0, h - width, h + width) == pytest.approx(0.0)
 
 
+def split_radius_loop(space, v, level, delta, s, candidates=64):
+    """The candidate loop the array masks replaced: each annulus scored on
+    its own by annulus_edge_weight."""
+    si = s ** level
+    tree = mst(space, range(space.n))
+    width = 6 * delta * si
+    best_h, best_c = None, math.inf
+    for t in range(candidates):
+        hcand = 12 * si + (t + 0.5) / candidates * si
+        c = annulus_edge_weight(space, tree, v, hcand - width, hcand + width)
+        if best_h is None or c < best_c - REL_TOL * max(1.0, best_c):
+            best_h, best_c = hcand, c
+    return float(best_h)
+
+
+def test_split_radius_equals_the_candidate_loop():
+    spaces = (dense_fixture(), normalize(generate_instance("clustered", 60, 0, {"clusters": 4})),
+              rand_space(5, 60))
+    moved = 0
+    for space in spaces:
+        h = build_hierarchy(space, 6.0)
+        # above these levels every annulus lies past the diameter and is empty
+        for level in range(h.top + 1):
+            if 12 * h.radius(level) > space.diameter():
+                break
+            first = 12 * 6.0 ** level + 0.5 / 64 * 6.0 ** level
+            for v in range(space.n):
+                want = split_radius_loop(space, v, level, 1.0 / 12, 6.0)
+                assert choose_split_radius(space, v, level, 1.0 / 12, 6.0) == want
+                moved += want != first
+    assert moved > 0        # some first annuli cut tree edges, so the argmin moves
+
+
+
+def test_split_radius_rims_follow_the_annulus_rule():
+    # level 0, delta 1/12: candidate t's annulus is (lo[t], hi[t]] around v = 0
+    heights = [12 + (t + 0.5) / 64 for t in range(64)]
+    lo = [r + REL_TOL * max(1.0, r) for r in (hc - 0.5 for hc in heights)]
+    hi = [r + REL_TOL * max(1.0, r) for r in (hc + 0.5 for hc in heights)]
+    T = 20
+    # a tree edge whose near end sits exactly on lo[T], so candidate T is the
+    # first to leave it out
+    lower = from_points([(0.0, 0.0), (lo[T], 0.0), (lo[T] + 0.25, 0.0)])
+    # an edge that candidate T is the first to leave out, and a heavier one
+    # whose far end sits exactly on hi[T], so candidate T is the first to cut it
+    near = 0.5 * (lo[T - 1] + lo[T])
+    upper = from_points([(0.0, 0.0), (near, 0.0), (near + 0.1, 0.0),
+                         (0.25 - hi[T], 0.0), (-hi[T], 0.0)])
+    assert lower.row(0)[1] == lo[T] and upper.row(0)[4] == hi[T]
+    for space, want in ((lower, heights[T]), (upper, heights[0])):
+        assert choose_split_radius(space, 0, 0, 1.0 / 12, 6.0) == want
+        assert split_radius_loop(space, 0, 0, 1.0 / 12, 6.0) == want
+
 # ----------------------------------------------------------------- splits
 
 def test_split_all_inside_degenerates():
