@@ -79,16 +79,14 @@ def auto_portals(space: MetricSpace, h: NetHierarchy, members, level: int,
     that exceeds the cap.
     """
     members = tuple(sorted(int(p) for p in members))
-    marr = np.asarray(members, dtype=np.intp)
-    acc = set()
+    near = space.pairwise(None, members).min(axis=1)     # every point to its nearest member
+    acc = np.zeros(space.n, dtype=bool)
     family = []
     for j in range(max(level, 0), -1, -1):
         net = h.net(j)
         pitch = h.radius(j)
-        d = space.pairwise(net, marr).min(axis=1)
-        for p in net[d <= pitch + REL_TOL * max(1.0, pitch)]:
-            acc.add(int(p))
-        family.append((j, tuple(sorted(acc))))
+        acc[net[near[net] <= pitch + REL_TOL * max(1.0, pitch)]] = True
+        family.append((j, np.flatnonzero(acc)))
     chosen = family[0]
     for j, pts in reversed(family):
         if len(pts) <= m_cap:
@@ -96,6 +94,7 @@ def auto_portals(space: MetricSpace, h: NetHierarchy, members, level: int,
             break
     mset = set(members)
     j, pts = chosen
+    pts = tuple(pts.tolist())
     return PortalSet(level=level, pitch_level=j, pitch=h.radius(j), portals=pts,
                      mandatory=tuple(p in mset for p in pts))
 
@@ -261,19 +260,23 @@ class _Engine:
         """Matrix of best((a, b)) over the cluster's portal pairs.
 
         Once every pair that starts at portal a is memoized, no combine reads
-        the path tables from a again, so they are dropped there.
+        the path tables from a again, so they are dropped there; once every
+        pair is, the node's child infos, padded record and hop matrices go too.
         """
         ps = self.portals(level, members)
         m = len(ps.portals)
         mat = np.full((m, m), np.inf)
+        options = [tuple(ch) for ch in self.children_options(level, members)] if level > 0 else []
         for ai in range(m):
             for bi in range(ai, m):
                 cfg = ((ps.portals[ai], ps.portals[bi]),)
                 c = self.best(level, members, cfg)
                 mat[ai, bi] = mat[bi, ai] = c
-            if level > 0:
-                for children in self.children_options(level, members):
-                    self.hk_cache.pop(("table", level, tuple(children), ps.portals[ai]), None)
+            for children in options:
+                self.hk_cache.pop(("table", level, children, ps.portals[ai]), None)
+        for children in options:
+            for kind in ("infos", "padded", "hop"):
+                self.hk_cache.pop((kind, level, children), None)
         return ps, mat
 
     def _combine(self, level, members, children, config):
@@ -291,43 +294,60 @@ class _Engine:
             self.hk_cache[key] = hit
         return hit
 
-    def _hop_matrices(self, level, children, infos):
-        """hop[ci, cj, x, y] = leave ci at exit x, enter cj anywhere, exit at y."""
+    def _padded(self, level, children):
+        """The children's portal indices (k x m), which of them are real, and
+        their pair-cost matrices (k x m x m), padded with inf past each child's
+        own portals."""
+        key = ("padded", level, children)
+        hit = self.hk_cache.get(key)
+        if hit is None:
+            infos = self._child_infos(level, children)
+            m = max(len(ps.portals) for _, ps, _ in infos)
+            portals = np.zeros((len(infos), m), dtype=np.intp)
+            valid = np.zeros((len(infos), m), dtype=bool)
+            cost = np.full((len(infos), m, m), np.inf)
+            for ci, (_, ps, mat) in enumerate(infos):
+                c = len(ps.portals)
+                portals[ci, :c] = ps.portals
+                valid[ci, :c] = True
+                cost[ci, :c, :c] = mat
+            hit = (portals, valid, cost)
+            self.hk_cache[key] = hit
+        return hit
+
+    def _hop_matrices(self, level, children):
+        """hop[ci, cj, x, y] = leave ci at exit x, enter cj anywhere, exit at y.
+
+        One gather of step[ci, cj, x, e] = D[exit x of ci, portal e of cj],
+        then a running min over the entry portals e of step + cost[cj, e, y].
+        Padded exits and entries, and hops from a child to itself, are inf.
+        """
         key = ("hop", level, children)
         hit = self.hk_cache.get(key)
         if hit is None:
-            k = len(children)
-            m = max(len(ifo[1].portals) for ifo in infos)
-            hop = np.full((k, k, m, m), np.inf)
-            for ci in range(k):
-                xi = np.asarray(infos[ci][1].portals, dtype=np.intp)
-                for cj in range(k):
-                    if ci == cj:
-                        continue
-                    ej = np.asarray(infos[cj][1].portals, dtype=np.intp)
-                    step = self.D[np.ix_(xi, ej)]
-                    combined = np.min(step[:, :, None] + infos[cj][2][None, :, :], axis=1)
-                    hop[ci, cj, :combined.shape[0], :combined.shape[1]] = combined
+            portals, valid, cost = self._padded(level, children)
+            k, m = portals.shape
+            step = self.D[portals[:, None, :, None], portals[None, :, None, :]]
+            hop = np.add(step[..., 0, None], cost[None, :, None, 0], out=np.empty((k, k, m, m)))
+            for e in range(1, m):
+                np.minimum(hop, step[..., e, None] + cost[None, :, None, e], out=hop)
+            hop.transpose(0, 2, 1, 3)[~valid] = np.inf
+            hop[np.arange(k), np.arange(k)] = np.inf
             hit = hop
             self.hk_cache[key] = hit
         return hit
 
-    def _entry_matrix(self, A, infos, m):
+    def _entry_matrix(self, A, padded):
         """entry[ci, y] = enter child ci from A, exit at portal y (inf past its portals)."""
-        entry = np.full((len(infos), m), np.inf)
-        for ci, (_, ps, mat) in enumerate(infos):
-            enter = self.D[A, np.asarray(ps.portals, dtype=np.intp)]
-            entry[ci, : len(ps.portals)] = np.min(enter[:, None] + mat, axis=0)
-        return entry
+        portals, _, cost = padded
+        return np.min(self.D[A, portals][:, :, None] + cost, axis=1)
 
-    def _close_matrix(self, B, infos, m):
+    def _close_matrix(self, B, padded):
         """close[ci, x] = D[exit portal x of child ci, B] (inf past its portals)."""
-        close = np.full((len(infos), m), np.inf)
-        for ci, (_, ps, _) in enumerate(infos):
-            close[ci, : len(ps.portals)] = self.D[np.asarray(ps.portals, dtype=np.intp), B]
-        return close
+        portals, valid, _ = padded
+        return np.where(valid, self.D[portals, B], np.inf)
 
-    def _path_table(self, level, children, A, infos, hop):
+    def _path_table(self, level, children, A, padded, hop):
         """Subset path table over (visited children, last child, exit portal), from A.
 
         Cached per (children, A) so one table serves every exit point B of the
@@ -338,7 +358,7 @@ class _Engine:
         if hit is None:
             k = len(children)
             self.charge(k * k * (1 << k) // 8 + 1)
-            hit = subset_path_table(self._entry_matrix(A, infos, hop.shape[2]), hop)
+            hit = subset_path_table(self._entry_matrix(A, padded), hop)
             self.hk_cache[key] = hit
         return hit
 
@@ -353,10 +373,11 @@ class _Engine:
         (A, B), = config
         k = len(children)
         infos = self._child_infos(level, children)
-        hop = self._hop_matrices(level, children, infos)
-        close = self._close_matrix(B, infos, hop.shape[2])
+        padded = self._padded(level, children)
+        hop = self._hop_matrices(level, children)
+        close = self._close_matrix(B, padded)
         if k > self.EXACT_PATH_CHILDREN:
-            entry = self._entry_matrix(A, infos, hop.shape[2])
+            entry = self._entry_matrix(A, padded)
             order = _heuristic_order(entry, close, hop)
             vecs, tot = _chain_forward(entry, close, hop, order)
             xi = int(np.argmin(tot))
@@ -368,7 +389,7 @@ class _Engine:
                 xi = int(np.argmin(vecs[t] + hop[order[t], order[t + 1], :, xi]))
                 path.append((order[t], xi))
             return cost, ("combine", [(A, self._walk(A, infos, path[::-1]), B)])
-        table = self._path_table(level, children, A, infos, hop)
+        table = self._path_table(level, children, A, padded, hop)
         tot = table[(1 << k) - 1] + close
         ci, xi = np.unravel_index(np.argmin(tot), tot.shape)   # lowest child, then exit
         cost = float(tot[ci, xi])

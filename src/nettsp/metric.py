@@ -1,13 +1,15 @@
 """Finite metric spaces: validation, normalization, ball queries, doubling estimates.
 
-A space is backed either by a coordinate array (Euclidean, distances computed
-on demand) or by an explicit symmetric matrix. All boundary comparisons against
+A space is backed either by a coordinate array (Euclidean) or by an explicit
+symmetric matrix; either way its n x n distance matrix is built once, on first
+use, and every query reads it. All boundary comparisons against
 a radius resolve toward inclusion at relative tolerance 1e-9, so "on the ball
 boundary" ties are deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -47,46 +49,52 @@ class MetricSpace:
             return float(self.matrix[i, j])
         return float(np.linalg.norm(self.coords[i] - self.coords[j]))
 
-    def pairwise(self, rows=None, cols=None) -> np.ndarray:
-        """Distance submatrix, computed fresh on every call (no caching)."""
-        if rows is None:
-            rows = np.arange(self.n)
-        else:
-            rows = np.asarray(rows, dtype=np.intp)
-        if cols is None:
-            cols = np.arange(self.n)
-        else:
-            cols = np.asarray(cols, dtype=np.intp)
+    @functools.cached_property
+    def _distances(self) -> np.ndarray:
         if self.matrix is not None:
-            return self.matrix[np.ix_(rows, cols)].astype(float)
-        a = self.coords[rows]
-        b = self.coords[cols]
-        diff = a[:, None, :] - b[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=2))
+            d = np.asarray(self.matrix, dtype=float).view()
+        else:
+            with np.errstate(over="ignore"):
+                diff = self.coords[:, None, :] - self.coords[None, :, :]
+                d = np.sqrt(np.sum(diff * diff, axis=2))
+        d.flags.writeable = False
+        return d
+
+    def pairwise(self, rows=None, cols=None) -> np.ndarray:
+        """Distance submatrix read from the space's distance matrix.
+
+        The matrix is built on the first query of any kind, from coordinates
+        as sqrt(sum(diff * diff)) with overflow to inf left silent, and then
+        kept. With neither argument given the result is that matrix itself,
+        read-only and shared by every caller; otherwise it is a fresh copy.
+        On coordinates an entry may differ from ``dist`` (``np.linalg.norm``)
+        in the last bit.
+        """
+        d = self._distances
+        if rows is not None:
+            d = d[np.asarray(rows, dtype=np.intp)]
+        if cols is not None:
+            d = d[:, np.asarray(cols, dtype=np.intp)]
+        return d
 
     def row(self, i: int) -> np.ndarray:
-        """Distances from point i to every point."""
-        if self.matrix is not None:
-            return self.matrix[i].astype(float)
-        diff = self.coords - self.coords[i]
-        return np.sqrt(np.sum(diff * diff, axis=1))
+        """Distances from point i to every point (a read-only view)."""
+        return self._distances[i]
 
     def diameter(self) -> float:
         if self.n < 2:
             return 0.0
-        return float(max(self.row(i).max() for i in range(self.n)))
+        return float(self._distances.max())
 
     def min_gap(self):
-        """Smallest interpoint distance and one pair attaining it."""
-        best = math.inf
-        pair = (0, 0)
-        for i in range(self.n - 1):
-            r = self.row(i)[i + 1:]
-            j = int(np.argmin(r))
-            if r[j] < best:
-                best = float(r[j])
-                pair = (i, i + 1 + j)
-        return best, pair
+        """Smallest interpoint distance and the first pair attaining it in
+        row-major order; (inf, (0, 0)) when no pair is finite."""
+        n = self.n
+        if n < 2:
+            return math.inf, (0, 0)
+        upper = np.where(np.tri(n, dtype=bool), np.inf, self._distances)
+        i, j = divmod(int(np.argmin(upper)), n)
+        return float(upper[i, j]), (i, j)
 
 
 def from_points(points) -> MetricSpace:
@@ -102,8 +110,13 @@ def from_matrix(matrix, scale: float = 1.0) -> MetricSpace:
 
 
 def restrict(space: MetricSpace, indices) -> MetricSpace:
-    """Sub-space induced by ``indices`` (local index k maps to indices[k])."""
+    """Sub-space induced by ``indices`` (local index k maps to indices[k]).
+
+    Every point in order gives back ``space`` itself, distance matrix and all.
+    """
     idx = np.asarray(sorted(indices), dtype=np.intp)
+    if np.array_equal(idx, np.arange(space.n)):
+        return space                     # frozen, so the whole space is shared as is
     if space.coords is not None:
         return MetricSpace(coords=space.coords[idx], scale=space.scale)
     return MetricSpace(matrix=space.matrix[np.ix_(idx, idx)], scale=space.scale)
@@ -135,8 +148,7 @@ def validate_metric(space: MetricSpace, max_listed: int = 100, seed: int = 0) ->
     if space.coords is not None:
         _require(np.isfinite(space.coords), "non-finite coordinate",
                  "replace nan and inf with finite numbers")
-    with np.errstate(over="ignore"):
-        d = space.pairwise()
+    d = space.pairwise()
     _require(np.isfinite(d), "non-finite distance",
              "replace nan and inf with finite numbers, or rescale coordinates this large")
     tol = REL_TOL * max(1.0, float(d.max(initial=0.0)))

@@ -59,18 +59,19 @@ def ball_mst_weights(space: MetricSpace, h: NetHierarchy, level: int) -> dict:
     return out
 
 
-def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float):
+def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float, tree=None):
     """Lowest level holding a point u with w(MST(B(u, 3 s^i))) > 2 q s^i.
 
     Returns (level, v, q_star) with v the maximizing center (ties to the
     lowest index) and q_star its MST weight over s^i, or None when every ball
     is sparse. A level with 2 w(MST(S)) <= 2 q s^i is skipped unscanned: in a
     metric, the MST of any subset weighs at most twice its Steiner tree, and
-    MST(S) is one such tree, so no ball can exceed the cap there.
+    MST(S) is one such tree, so no ball can exceed the cap there. ``tree`` is
+    the space's whole MST when the caller has already built it.
     """
     if q <= 0:
         raise ValueError("q must be positive")
-    whole = edges_weight(space, mst(space, range(space.n)))
+    whole = edges_weight(space, mst(space, range(space.n)) if tree is None else tree)
     for level in range(h.top + 1):
         radius = 3 * h.radius(level)
         cap = 2 * q * h.radius(level)
@@ -103,7 +104,7 @@ def annulus_edge_weight(space: MetricSpace, edges, v: int, r1: float, r2: float)
 
 
 def choose_split_radius(space: MetricSpace, v: int, level: int, delta: float,
-                        s: float, candidates: int = 64) -> float:
+                        s: float, candidates: int = 64, tree=None) -> float:
     """Radius in [12 s^i, 13 s^i] whose widened annulus cuts the least MST weight.
 
     The spanning tree of the whole space stands in for the unknowable optimal
@@ -111,12 +112,14 @@ def choose_split_radius(space: MetricSpace, v: int, level: int, delta: float,
     averaging argument needs. Ties go to the smallest radius. Every candidate
     is scored as annulus_edge_weight scores it, from edge weights and
     endpoint distances to v computed once; the selected weights are summed
-    in tree order.
+    in tree order. ``tree`` is the space's whole MST when the caller has
+    already built it.
     """
     if delta > 1.0 / 12 + REL_TOL:
         raise ValueError("delta must be at most 1/12")
     si = s ** level
-    tree = mst(space, range(space.n))
+    if tree is None:
+        tree = mst(space, range(space.n))
     width = 6 * delta * si
     weights = [space.dist(a, b) for a, b in tree]
     ends = space.row(v)[np.asarray(tree, dtype=np.intp).reshape(-1, 2)]
@@ -338,13 +341,14 @@ def solve_tsp(space: MetricSpace, params: SolveParams):
             return Tour((indices[0],), closed=True)
         sub = restrict(space, indices)
         h = build_hierarchy(sub, params.s)
-        dense = find_dense_region(sub, h, params.q)
+        tree = mst(sub, range(sub.n))
+        dense = find_dense_region(sub, h, params.q, tree)
         if dense is None:
             return solve_sparse(indices, sub, h, note)
         level, v, q_star = dense
         note.update({"mode": "dense", "level": level, "v": int(indices[v]),
                      "q_star": q_star})
-        hsplit = choose_split_radius(sub, v, level, params.delta, params.s)
+        hsplit = choose_split_radius(sub, v, level, params.delta, params.s, tree=tree)
         try:
             sr = split_instance(sub, h, v, level, hsplit, params.delta, params.eps)
         except DegenerateSplit:
@@ -354,6 +358,7 @@ def solve_tsp(space: MetricSpace, params: SolveParams):
                          "overlap": len(set(sr.s1) & set(sr.s2)), "h": sr.h}
         g1 = tuple(indices[p] for p in sr.s1)
         g2 = tuple(indices[p] for p in sr.s2)
+        del sub, h, tree, sr              # dead below; the recursion holds its own
         note1 = {"n": len(g1), "depth": depth, "side": "inside"}
         trace.append(note1)
         sub1 = restrict(space, g1)

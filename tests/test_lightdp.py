@@ -8,9 +8,9 @@ import pytest
 from nettsp.errors import BudgetExceeded
 from nettsp.io import generate_instance
 from nettsp import lightdp, runner
-from nettsp.lightdp import (DEFAULT_BUDGET, _Engine, _heuristic_order, _tree_children_options,
-                            auto_portals, choose_portals, draw_radius_samples,
-                            make_flat_tree, solve_light_tour,
+from nettsp.lightdp import (DEFAULT_BUDGET, PortalSet, _Engine, _heuristic_order,
+                            _tree_children_options, auto_portals, choose_portals,
+                            draw_radius_samples, make_flat_tree, solve_light_tour,
                             solve_with_radius_guessing, tree_from_samples)
 from nettsp.metric import REL_TOL, estimate_doubling, from_points, normalize
 from nettsp.nets import build_hierarchy
@@ -82,6 +82,52 @@ def test_auto_portals_nested_in_cap():
     # every member within the chosen pitch of some portal
     for m in members:
         assert min(sp.dist(m, p) for p in small.portals) <= small.pitch * (1 + 1e-9)
+
+
+def set_auto_portals(space, h, members, level, m_cap):
+    """auto_portals as a per-level pairwise query accumulated into a set,
+    before it read each point's distance to the nearest member off one row."""
+    members = tuple(sorted(int(p) for p in members))
+    marr = np.asarray(members, dtype=np.intp)
+    acc = set()
+    family = []
+    for j in range(max(level, 0), -1, -1):
+        net = h.net(j)
+        pitch = h.radius(j)
+        d = space.pairwise(net, marr).min(axis=1)
+        for p in net[d <= pitch + REL_TOL * max(1.0, pitch)]:
+            acc.add(int(p))
+        family.append((j, tuple(sorted(acc))))
+    chosen = family[0]
+    for j, pts in reversed(family):
+        if len(pts) <= m_cap:
+            chosen = (j, pts)
+            break
+    mset = set(members)
+    j, pts = chosen
+    return PortalSet(level=level, pitch_level=j, pitch=h.radius(j), portals=pts,
+                     mandatory=tuple(p in mset for p in pts))
+
+
+def tree_of(kind, n, seed, params=None):
+    sp = normalize(generate_instance(kind, n, seed, params))
+    h = build_hierarchy(sp, 6.0)
+    ddim = estimate_doubling(sp, seed=seed).ddim_upper
+    return sp, h, hierarchical_clustering(sp, h, ddim, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("kind, n, params", [
+    ("uniform2d", 50, None), ("clustered", 60, {"clusters": 4})])
+def test_auto_portals_equal_the_set_accumulation(kind, n, params):
+    sp, h, tree = tree_of(kind, n, 0, params)
+    fallbacks = 0
+    for node in tree.nodes():
+        for m_cap in (1, 2, 6, 24):
+            got = auto_portals(sp, h, node.members, node.level, m_cap)
+            assert got == set_auto_portals(sp, h, node.members, node.level, m_cap)
+            assert all(type(p) is int for p in got.portals)
+            fallbacks += len(got.portals) > m_cap
+    assert fallbacks > 0          # some cluster took the coarsest set over its cap
 
 
 # --------------------------------------------------------------- solve DP
@@ -637,3 +683,87 @@ def test_guessing_two_guesses_on_the_heavy_uniform_instance():
                                      np.random.default_rng(0))
     assert sorted(res.tour.seq) == list(range(20))
     assert tour_weight(sp, res.tour) >= subset_dp_optimum(sp.pairwise()) * (1 - 1e-9)
+
+
+# The per-child loops that the node's padded record replaced, kept as references.
+def loop_hop_matrices(D, infos):
+    k = len(infos)
+    m = max(len(ifo[1].portals) for ifo in infos)
+    hop = np.full((k, k, m, m), np.inf)
+    for ci in range(k):
+        xi = np.asarray(infos[ci][1].portals, dtype=np.intp)
+        for cj in range(k):
+            if ci == cj:
+                continue
+            ej = np.asarray(infos[cj][1].portals, dtype=np.intp)
+            step = D[np.ix_(xi, ej)]
+            combined = np.min(step[:, :, None] + infos[cj][2][None, :, :], axis=1)
+            hop[ci, cj, :combined.shape[0], :combined.shape[1]] = combined
+    return hop
+
+
+def loop_entry_matrix(D, A, infos, m):
+    entry = np.full((len(infos), m), np.inf)
+    for ci, (_, ps, mat) in enumerate(infos):
+        enter = D[A, np.asarray(ps.portals, dtype=np.intp)]
+        entry[ci, : len(ps.portals)] = np.min(enter[:, None] + mat, axis=0)
+    return entry
+
+
+def loop_close_matrix(D, B, infos, m):
+    close = np.full((len(infos), m), np.inf)
+    for ci, (_, ps, _) in enumerate(infos):
+        close[ci, : len(ps.portals)] = D[np.asarray(ps.portals, dtype=np.intp), B]
+    return close
+
+
+@pytest.mark.parametrize("kind, n, seed, params", [
+    ("uniform2d", 50, 3, None), ("clustered", 60, 1, {"clusters": 4}),
+    ("uniform2d", 40, 0, None)])
+def test_gathered_node_matrices_equal_the_per_child_loops(kind, n, seed, params):
+    sp, h, tree = tree_of(kind, n, seed, params)
+    engine = _Engine(sp, h, 6, 2, DEFAULT_BUDGET, _tree_children_options(tree))
+    engine.solve_root(tree.root.level, tuple(tree.root.members))
+    mixed = 0
+    for node in tree.nodes():
+        if not node.children:
+            continue
+        children = tuple(ch.members for ch in node.children)
+        infos = engine._child_infos(node.level, children)
+        padded = engine._padded(node.level, children)
+        counts = {len(ps.portals) for _, ps, _ in infos}
+        mixed += len(counts) > 1
+        m = max(counts)
+        assert np.array_equal(engine._hop_matrices(node.level, children),
+                              loop_hop_matrices(engine.D, infos))
+        for p in engine.portals(node.level, node.members).portals:
+            assert np.array_equal(engine._entry_matrix(p, padded),
+                                  loop_entry_matrix(engine.D, p, infos, m))
+            assert np.array_equal(engine._close_matrix(p, padded),
+                                  loop_close_matrix(engine.D, p, infos, m))
+    assert mixed > 0              # children with different portal counts were padded
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: guessing_solve(20, 0, 2),
+    lambda: runner.run(dict(mode="solve", seed=3,
+                            space=normalize(generate_instance("uniform2d", 50, 3)))),
+], ids=["uniform2d-n20-two-guesses", "uniform2d-n50-seed3-run"])
+def test_only_the_roots_node_records_outlive_the_solve(monkeypatch, solve):
+    engines = []
+    solve_root = _Engine.solve_root
+
+    def keeping(self, level, members):
+        engines.append((self, level, members))
+        return solve_root(self, level, members)
+
+    monkeypatch.setattr(_Engine, "solve_root", keeping)
+    solve()
+    (engine, level, members), = engines
+    options = {tuple(ch) for ch in engine.children_options(level, members)}
+    kinds = Counter()
+    for kind, key_level, children, *_ in engine.hk_cache:
+        assert key_level == level and children in options
+        kinds[kind] += 1
+    assert kinds["infos"] == kinds["padded"] == kinds["hop"] == len(options)
+    assert kinds["table"] > 0 and set(kinds) == {"infos", "padded", "hop", "table"}

@@ -178,3 +178,125 @@ def test_matrix_space_round_trip():
     for i in range(9):
         for j in range(9):
             assert mat.dist(i, j) == pytest.approx(dense.dist(i, j))
+
+
+# Per-call formulas the distance matrix replaced, kept as references.
+def fresh_pairwise(space, rows, cols):
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    if space.matrix is not None:
+        return space.matrix[np.ix_(rows, cols)].astype(float)
+    diff = space.coords[rows][:, None, :] - space.coords[cols][None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def fresh_row(space, i):
+    if space.matrix is not None:
+        return space.matrix[i].astype(float)
+    diff = space.coords - space.coords[i]
+    return np.sqrt(np.sum(diff * diff, axis=1))
+
+
+def fresh_min_gap(space):
+    best, pair = math.inf, (0, 0)
+    for i in range(space.n - 1):
+        r = fresh_row(space, i)[i + 1:]
+        j = int(np.argmin(r))
+        if r[j] < best:
+            best, pair = float(r[j]), (i, i + 1 + j)
+    return best, pair
+
+
+def cached_spaces():
+    """Fresh spaces (empty caches) in two, one and three dimensions and as a matrix."""
+    rng = np.random.default_rng(11)
+    pts = rng.random((23, 2)) * 1e3
+    return [
+        from_points(pts),
+        from_points(rng.random(17) * 50),
+        from_points(rng.normal(size=(19, 3))),
+        from_matrix(fresh_pairwise(from_points(pts), range(23), range(23)) + 0.25
+                    - 0.25 * np.eye(23)),
+    ]
+
+
+@pytest.mark.parametrize("first", ["pairwise", "row", "diameter", "min_gap"])
+@pytest.mark.parametrize("which", range(4), ids=["2d", "1d", "3d", "matrix"])
+def test_cached_queries_equal_the_per_call_formulas(which, first):
+    sp = cached_spaces()[which]
+    n = sp.n
+    # whichever query fills the matrix, every query then reads the same values
+    {"pairwise": lambda: sp.pairwise([1], [0]), "row": lambda: sp.row(n - 1),
+     "diameter": sp.diameter, "min_gap": sp.min_gap}[first]()
+    rng = np.random.default_rng(which)
+    everything = np.arange(n)
+    for _ in range(5):
+        rows = rng.choice(n, size=int(rng.integers(1, n)), replace=True)
+        cols = rng.permutation(n)[: int(rng.integers(1, n))]
+        assert np.array_equal(sp.pairwise(rows, cols), fresh_pairwise(sp, rows, cols))
+        assert np.array_equal(sp.pairwise(rows), fresh_pairwise(sp, rows, everything))
+        assert np.array_equal(sp.pairwise(None, cols), fresh_pairwise(sp, everything, cols))
+        assert np.array_equal(sp.pairwise(list(rows), tuple(cols)),
+                              fresh_pairwise(sp, rows, cols))
+    assert np.array_equal(sp.pairwise(), fresh_pairwise(sp, everything, everything))
+    for i in range(n):
+        assert np.array_equal(sp.row(i), fresh_row(sp, i))
+    assert sp.diameter() == float(max(fresh_row(sp, i).max() for i in range(n)))
+    assert sp.min_gap() == fresh_min_gap(sp)
+
+
+def test_pairwise_returns_one_read_only_matrix():
+    sp = from_points(np.random.default_rng(2).random((9, 2)))
+    d = sp.pairwise()
+    assert sp.pairwise() is d
+    assert not d.flags.writeable and not sp.row(3).flags.writeable
+    with pytest.raises(ValueError):
+        d[0, 1] = 5.0
+    # a submatrix is the caller's own copy
+    sub = sp.pairwise([0, 1], [2, 3])
+    sub[0, 0] = -1.0
+    assert sp.pairwise([0], [2])[0, 0] == d[0, 2] > 0
+
+
+def test_matrix_space_shares_its_values_without_touching_the_input():
+    m = fresh_pairwise(grid(3), range(9), range(9))
+    sp = from_matrix(m)
+    assert not sp.pairwise().flags.writeable
+    assert np.shares_memory(sp.pairwise(), m) and m.flags.writeable
+
+
+@pytest.mark.parametrize("space, pair", [
+    (from_points([(0.0, 0.0), (3.0, 0.0), (4.0, 0.0), (0.0, 1.0)]), (0, 3)),
+    (from_points([(5.0, 0.0), (0.0, 0.0), (2.0, 0.0), (3.0, 0.0), (1.0, 0.0)]), (1, 4)),
+    (grid(3), (0, 1)),
+    (from_matrix([[0, 2, 1, 2], [2, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]), (0, 2)),
+])
+def test_min_gap_ties_go_to_the_first_pair_in_row_major_order(space, pair):
+    assert space.min_gap() == (1.0, pair) == fresh_min_gap(space)
+
+
+def test_min_gap_without_a_finite_pair():
+    assert from_points([(1.0, 2.0)]).min_gap() == (math.inf, (0, 0))
+    assert from_points([(0.0, 0.0), (1e200, 0.0)]).min_gap() == (math.inf, (0, 0))
+
+
+def test_restrict_to_every_point_is_the_space_itself():
+    sp = from_points(np.random.default_rng(5).random((7, 2)))
+    assert restrict(sp, range(7)) is sp
+    assert restrict(sp, [6, 5, 4, 3, 2, 1, 0]) is sp
+    m = from_matrix(sp.pairwise())
+    assert restrict(m, tuple(range(7))) is m
+    part = restrict(sp, [0, 2, 4, 5, 6, 1])
+    assert part is not sp and part.n == 6
+    assert restrict(sp, [0, 0, 1, 2, 3, 4, 5]).n == 7        # a repeat is not every point
+
+
+def test_validate_after_a_row_query_still_raises_without_warnings():
+    sp = from_points([(0.0, 0.0), (1e200, 0.0)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert sp.row(0)[1] == math.inf
+        with pytest.raises(InvalidMetric) as err:
+            validate_metric(sp)
+    assert str(err.value).startswith("non-finite distance at (0, 1): ")
+    assert not caught

@@ -366,6 +366,35 @@ def test_solve_dense_instance_splices():
     assert "dense" in modes
 
 
+def test_each_dense_level_builds_its_whole_mst_once(monkeypatch):
+    sp = dense_fixture()
+    whole = []
+
+    def counted(space, subset):
+        subset = list(subset)
+        if subset == list(range(space.n)):
+            whole.append(space)
+        return mst(space, subset)
+
+    monkeypatch.setattr(sparse, "mst", counted)
+    _, report = solve_tsp(sp, SolveParams(seed=3, q=2.0))
+    scanned = [t for t in report["trace"] if t.get("side") != "inside" and t["n"] > 1]
+    assert any(t["mode"] == "dense" for t in scanned)
+    # one tree per scanned sub-instance, shared by the skip bound and the split radius
+    assert len(whole) == len(scanned) == len({id(space) for space in whole})
+    assert whole[0] is sp                  # the depth-0 sub-instance is the space itself
+
+
+def test_split_radius_is_the_same_from_a_given_tree():
+    sp = dense_fixture()
+    h = build_hierarchy(sp, 6.0)
+    tree = mst(sp, range(sp.n))
+    level, v, q_star = find_dense_region(sp, h, 2.0)
+    assert find_dense_region(sp, h, 2.0, tree) == (level, v, q_star)
+    assert (choose_split_radius(sp, v, level, 1.0 / 12, 6.0, tree=tree)
+            == choose_split_radius(sp, v, level, 1.0 / 12, 6.0))
+
+
 def test_recursion_limit():
     sp = dense_fixture()
     with pytest.raises(RecursionLimit):
