@@ -6,8 +6,7 @@ from .nets import NetHierarchy, build_hierarchy, verify_nets
 from .partition import (ClusterTree, RadiusDistribution, estimate_cut_probability,
                         hierarchical_clustering, sample_radius,
                         single_scale_partition, valid_radius_set)
-from .lightdp import (choose_portals, make_flat_tree, solve_light_tour,
-                      solve_with_radius_guessing)
+from .lightdp import make_flat_tree, solve_light_tour, solve_with_radius_guessing
 from .oracles import (brute_force_matching, brute_force_tsp, christofides,
                       held_karp_tsp, nearest_neighbor_tsp)
 from .sparse import (SolveParams, SplitResult, check_local_tour_bounds,

@@ -30,7 +30,7 @@ class Infeasible(NetTspError):
 
 
 class BudgetExceeded(NetTspError):
-    """Enumeration ceiling reached; lower m_cap/r or shrink the instance."""
+    """Enumeration ceiling reached; lower m_cap or shrink the instance."""
 
 
 class DegenerateSplit(NetTspError):

@@ -1,17 +1,17 @@
 """Portal selection and the crossing-limited dynamic program over cluster trees.
 
-Tour segments may cross a cluster only at its portals and only a bounded
-number of times. The table is keyed by (level, member set, portal
-configuration), so identical clusters arising from different radius choices
-share entries. Interface graphs joining child segments are restricted to
-degree-valid matchings; connectivity of every parent segment is enforced by
-the path-building construction itself, which cannot close a stray cycle.
+Tour segments may cross a cluster only at its portals. The table is keyed by
+(level, member set, portal configuration), so identical clusters arising from
+different radius choices share entries. Each configuration is one segment
+(one portal pair), so a tour crosses each cluster twice: it enters once,
+visits every member, and leaves. A segment through a bottom cluster and the
+child order of a segment through an internal one are both subset paths on
+the one kernel of :mod:`nettsp.oracles`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +26,6 @@ from .partition import (ClusterNode, ClusterTree, distinct_carvings, partition_w
 from .tours import Tour, _collapse, dedupe_visits
 
 DEFAULT_BUDGET = 5_000_000
-MAX_CHILDREN = 26        # children per combine under multi-pair enumeration (r >= 4)
 
 
 @dataclass(frozen=True)
@@ -43,30 +42,6 @@ class PortalSet:
     pitch: float
     portals: tuple
     mandatory: tuple
-
-
-def choose_portals(space: MetricSpace, h: NetHierarchy, members, level: int, M) -> PortalSet:
-    """Portals at pitch s^level / M for a cluster given by ``members``.
-
-    M must be a power of s with M >= s. When the pitch falls below the minimum
-    interpoint distance the portals are exactly the cluster points.
-    """
-    mu = round(math.log(M) / math.log(h.s))
-    if mu < 1 or abs(h.s ** mu - M) > 1e-6 * max(1.0, M):
-        raise ValueError("M must be a power of s with M >= s")
-    members = tuple(sorted(int(p) for p in members))
-    j = level - mu
-    if j < 0:
-        return PortalSet(level=level, pitch_level=j, pitch=float(h.s) ** j,
-                         portals=members, mandatory=tuple(True for _ in members))
-    net = h.net(j)
-    pitch = h.radius(j)
-    d = space.pairwise(net, members).min(axis=1)
-    keep = net[d <= pitch + REL_TOL * max(1.0, pitch)]
-    mset = set(members)
-    portals = tuple(int(p) for p in keep)
-    return PortalSet(level=level, pitch_level=j, pitch=pitch, portals=portals,
-                     mandatory=tuple(p in mset for p in portals))
 
 
 def auto_portals(space: MetricSpace, h: NetHierarchy, members, level: int,
@@ -108,12 +83,13 @@ class LightTourResult:
     stats: dict
 
 
-def _pairs_of(portals):
-    return [(a, b) for ai, a in enumerate(portals) for b in portals[ai:]]
-
-
 class _Engine:
-    """Memoized solver over (level, members, config) keys."""
+    """Memoized solver over (level, members, config) keys.
+
+    A config is one portal pair: one segment enters the cluster, visits every
+    member and leaves, so the tour crosses the cluster twice. That meets any
+    crossing bound r >= 2, so the engine only checks that r is at least 2.
+    """
 
     def __init__(self, space, h, m_cap, r, budget, children_options, portal_chooser=None):
         if r < 2:
@@ -121,7 +97,6 @@ class _Engine:
         self.space = space
         self.h = h
         self.m_cap = max(1, int(m_cap))
-        self.r = int(r)
         self.budget = int(budget)
         self.children_options = functools.cache(children_options)   # one carving per cluster
         self.portal_chooser = portal_chooser
@@ -167,7 +142,7 @@ class _Engine:
         else:
             cost, tr = math.inf, None
             for children in self.children_options(level, members):
-                c, t = self._combine(level, members, tuple(children), config)
+                c, t = self._combine_path(level, members, tuple(children), config)
                 if c < cost:
                     cost, tr = c, t
         self.memo[key] = cost
@@ -178,81 +153,26 @@ class _Engine:
     # ------------------------------------------------------------------- leaf
 
     def _leaf(self, members, config):
-        """Exact segment cover of a bottom cluster.
+        """Cheapest segment from a to b through every other member of a bottom
+        cluster, for the config's one portal pair (a, b).
 
-        Members not serving as segment endpoints are distributed over the
-        segments by a (pair index, visited mask, last point) DP, minimized
-        over segment orientations.
+        The members between the ends are a subset path on the kernel, one group
+        with one exit per member, entered from a and closed to b. An end need
+        not be a member: a portal outside the cluster is a free copy.
         """
-        D = self.D
-        pairs = list(config)
-        k = len(pairs)
-        covered = set()
-        for a, b in pairs:
-            covered.add(a)
-            covered.add(b)
-        rest = [p for p in members if p not in covered]
+        (a, b), = config
+        rest = [p for p in members if p != a and p != b]
         t = len(rest)
-        full = (1 << t) - 1
-        orient_space = [(0, 1) if a != b else (0,) for a, b in pairs]
-        best_cost = math.inf
-        best_rec = None
-        for ori in itertools.product(*orient_space):
-            self.charge(max(1, k * (1 << t) * (t + 1)))
-            starts = [(a if o == 0 else b) for (a, b), o in zip(pairs, ori)]
-            ends = [(b if o == 0 else a) for (a, b), o in zip(pairs, ori)]
-            dp = {(0, 0, starts[0]): 0.0}
-            par = {}
-            # States expand monotonically in (pair index, mask); plain dict
-            # relaxation with a worklist is enough at leaf sizes.
-            work = list(dp.keys())
-            while work:
-                state = work.pop()
-                base = dp[state]
-                j, mask, last = state
-                # extend current segment
-                for idx in range(t):
-                    if mask & (1 << idx):
-                        continue
-                    nxt = (j, mask | (1 << idx), rest[idx])
-                    w = base + D[last, rest[idx]]
-                    if w < dp.get(nxt, math.inf) - 1e-15:
-                        dp[nxt] = w
-                        par[nxt] = (state, ("move", idx))
-                        work.append(nxt)
-                # close current segment
-                w = base + D[last, ends[j]]
-                if j + 1 < k:
-                    nxt = (j + 1, mask, starts[j + 1])
-                    if w < dp.get(nxt, math.inf) - 1e-15:
-                        dp[nxt] = w
-                        par[nxt] = (state, ("close",))
-                        work.append(nxt)
-                elif mask == full:
-                    nxt = (k, full, -1)
-                    if w < dp.get(nxt, math.inf) - 1e-15:
-                        dp[nxt] = w
-                        par[nxt] = (state, ("close",))
-            final = (k, full, -1)
-            if final in dp and dp[final] < best_cost:
-                best_cost = dp[final]
-                # walk parents to recover per-segment member orders
-                seqs = [[] for _ in range(k)]
-                cur = final
-                while cur in par:
-                    prev, action = par[cur]
-                    if action[0] == "move":
-                        seqs[prev[0]].append(rest[action[1]])
-                    cur = prev
-                segments = []
-                for j in range(k):
-                    inner = list(reversed(seqs[j]))
-                    seg = [starts[j]] + inner + [ends[j]]
-                    if ori[j] == 1:
-                        seg = list(reversed(seg))
-                    segments.append(seg)
-                best_rec = ("leaf", segments)
-        return best_cost, best_rec
+        self.charge((1 if a == b else 2) * max(1, (1 << t) * (t + 1)))
+        D = self.D
+        if not rest:
+            return float(D[a, b]), ("leaf", [[a, b]])
+        hop = D[np.ix_(rest, rest)][:, :, None, None]
+        table = subset_path_table(D[a, rest][:, None], hop)
+        tot = table[-1, :, 0] + D[rest, b]
+        last = int(np.argmin(tot))
+        path = subset_path_trace(table, hop, last, 0)
+        return float(tot[last]), ("leaf", [[a] + [rest[c] for c, _ in path] + [b]])
 
     # ----------------------------------------------------------- combination
 
@@ -278,11 +198,6 @@ class _Engine:
             for kind in ("infos", "padded", "hop"):
                 self.hk_cache.pop((kind, level, children), None)
         return ps, mat
-
-    def _combine(self, level, members, children, config):
-        if len(config) == 1 and self.r == 2:
-            return self._combine_path(level, members, children, config)
-        return self._combine_general(level, members, children, config)
 
     EXACT_PATH_CHILDREN = 12
 
@@ -413,116 +328,6 @@ class _Engine:
             pair = (min(e, prev), max(e, prev))
             walk.append(((ps.level, ch, (pair,)), 0, e != pair[0]))
         return walk
-
-    def _child_config_options(self, level, children):
-        """Finite-cost configs per child, every size up to r // 2 pairs,
-        sorted cheapest first for branch-and-bound pruning."""
-        out = []
-        max_pairs = max(1, self.r // 2)
-        for ch in children:
-            ps = self.portals(level - 1, ch)
-            pair_list = _pairs_of(ps.portals)
-            opts = []
-            for size in range(1, max_pairs + 1):
-                for combo in itertools.combinations_with_replacement(pair_list, size):
-                    cfg = tuple(sorted(combo))
-                    self.charge()
-                    c = self.best(level - 1, ch, cfg)
-                    if math.isfinite(c):
-                        opts.append((cfg, c))
-            if not opts:
-                return None
-            opts.sort(key=lambda t: t[1])
-            out.append(opts)
-        return out
-
-    def _combine_general(self, level, members, children, config):
-        """Branch-and-bound interface enumeration for multi-pair configurations.
-
-        Parent segments are threaded one child segment at a time; a child
-        commits to a config the first time one of its segments is used and
-        must spend all of that config's segments before the node closes.
-        Threading cannot close a stray cycle, so exactly the degree-valid
-        connected decompositions are explored. Uncommitted children are
-        admissibly lower-bounded by their cheapest config.
-        """
-        if len(children) > MAX_CHILDREN:
-            raise BudgetExceeded(f"{len(children)} children exceed the ceiling {MAX_CHILDREN}")
-        options = self._child_config_options(level, children)
-        if options is None:
-            return math.inf, None
-        D = self.D
-        k = len(children)
-        min_cost = [opts[0][1] for opts in options]
-        pairs = list(config)
-        best = {"cost": math.inf, "trace": None}
-        if len(pairs) == 1:
-            # The single-entry-per-child solution is valid for every r >= 2;
-            # it seeds the bound so pruning bites from the start.
-            c0, t0 = self._combine_path(level, members, children, config)
-            best["cost"], best["trace"] = c0, t0
-        committed = [None] * k          # (cfg_index, used_flags) once touched
-        walks_acc = []
-        dominated = {}
-
-        def lower_bound():
-            return sum(min_cost[ci] for ci in range(k) if committed[ci] is None)
-
-        def all_spent():
-            return all(c is not None and all(c[1]) for c in committed)
-
-        def state_sig(pair_idx, pos):
-            sig = tuple((c[0], tuple(c[1])) if c is not None else None for c in committed)
-            return (pair_idx, pos, sig)
-
-        def use_segments(ci, pair_idx, pos, acc_cost, cur_walk):
-            ci_idx, used = committed[ci]
-            cfg = options[ci][ci_idx][0]
-            seen = set()
-            for pidx, (a, b) in enumerate(cfg):
-                if used[pidx] or (a, b) in seen:
-                    continue
-                seen.add((a, b))
-                used[pidx] = True
-                ckey = (level - 1, children[ci], cfg)
-                for e, x in (((a, b), (b, a)) if a != b else ((a, b),)):
-                    cur_walk.append((ckey, pidx, e != a))
-                    thread(pair_idx, x, acc_cost + D[pos, e], cur_walk)
-                    cur_walk.pop()
-                used[pidx] = False
-
-        def thread(pair_idx, pos, acc_cost, cur_walk):
-            self.charge()
-            if acc_cost + lower_bound() >= best["cost"]:
-                return
-            sig = state_sig(pair_idx, pos)
-            prev = dominated.get(sig)
-            if prev is not None and acc_cost >= prev - 1e-12:
-                return
-            dominated[sig] = acc_cost
-            A, B = pairs[pair_idx]
-            close_cost = acc_cost + D[pos, B]
-            if pair_idx + 1 < len(pairs):
-                walks_acc.append((A, list(cur_walk), B))
-                thread(pair_idx + 1, pairs[pair_idx + 1][0], close_cost, [])
-                walks_acc.pop()
-            elif all_spent() and close_cost < best["cost"]:
-                best["cost"] = close_cost
-                best["trace"] = ("combine", walks_acc + [(A, list(cur_walk), B)])
-            for ci in range(k):
-                if committed[ci] is None:
-                    lb_rest = lower_bound() - min_cost[ci]
-                    for oi, (cfg, base) in enumerate(options[ci]):
-                        if acc_cost + base + lb_rest >= best["cost"]:
-                            break
-                        committed[ci] = (oi, [False] * len(cfg))
-                        use_segments(ci, pair_idx, pos, acc_cost + base, cur_walk)
-                        committed[ci] = None
-                else:
-                    use_segments(ci, pair_idx, pos, acc_cost, cur_walk)
-
-        thread(0, pairs[0][0], 0.0, [])
-        return best["cost"], best["trace"]
 
     # ------------------------------------------------------------ extraction
 
@@ -676,9 +481,10 @@ def solve_light_tour(space: MetricSpace, h: NetHierarchy, tree: ClusterTree,
                      portal_chooser=None) -> LightTourResult:
     """Minimum-cost crossing-limited closed tour over a fixed cluster tree.
 
-    Bottom-up over the tree: leaves enumerate exact segment covers, internal
-    nodes stitch child segments through portals. The returned tour is the
-    traceback shortcut to visit each point exactly once.
+    Bottom-up over the tree: a leaf's segment and an internal node's child
+    order are subset paths through portals, one segment per cluster, which
+    meets any crossing bound r >= 2. The returned tour is the traceback
+    shortcut to visit each point exactly once.
     """
     engine = _Engine(space, h, m_cap, r, budget, _tree_children_options(tree),
                      portal_chooser=portal_chooser)
@@ -731,8 +537,7 @@ def tree_from_samples(space: MetricSpace, h: NetHierarchy, samples: dict,
 
 def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int,
                                m_cap: int, r: int, ddim: float, rng,
-                               budget: int = DEFAULT_BUDGET,
-                               portal_chooser=None) -> LightTourResult:
+                               budget: int = DEFAULT_BUDGET) -> LightTourResult:
     """Crossing-limited tour minimized over per-center radius choices.
 
     Fixes ``guesses`` independent radius samples per net point per level, then
@@ -743,6 +548,7 @@ def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int
     by :func:`distinct_carvings`, which drops repeated outcomes while it
     enumerates them and yields the rest in first-occurrence product order.
     Identical member sets reached under different choices share table entries.
+    One segment crosses each cluster, which meets any crossing bound r >= 2.
     """
     if guesses < 1:
         raise ValueError("guesses must be >= 1")
@@ -751,5 +557,5 @@ def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int
     def options(level, members):
         return distinct_carvings(space, members, h, level - 1, samples[level - 1])
 
-    engine = _Engine(space, h, m_cap, r, budget, options, portal_chooser=portal_chooser)
+    engine = _Engine(space, h, m_cap, r, budget, options)
     return engine.solve_root(h.top, tuple(range(space.n)))

@@ -199,8 +199,8 @@ class ClusterTree:
         return max((len(n.children) for n in self.nodes()), default=0)
 
 
-def hierarchical_clustering(space: MetricSpace, h: NetHierarchy, ddim: float, rng,
-                            radius_filters=None) -> ClusterTree:
+def hierarchical_clustering(space: MetricSpace, h: NetHierarchy, ddim: float,
+                            rng) -> ClusterTree:
     """Stack single-scale partitions from the top level down to level 0.
 
     Each node's members are carved by the next level down; the recursion stops
@@ -208,8 +208,7 @@ def hierarchical_clustering(space: MetricSpace, h: NetHierarchy, ddim: float, rn
     necessarily singletons).
     """
     all_points = tuple(range(space.n))
-    filt = (radius_filters or {}).get(h.top)
-    top_part = single_scale_partition(space, all_points, h, h.top, ddim, rng, filt)
+    top_part = single_scale_partition(space, all_points, h, h.top, ddim, rng)
     top_clusters = top_part.clusters()
     if len(top_clusters) != 1:
         raise AssertionError("top-level partition must produce a single cluster")
@@ -221,8 +220,7 @@ def hierarchical_clustering(space: MetricSpace, h: NetHierarchy, ddim: float, rn
         if node.level == 0:
             return
         lvl = node.level - 1
-        f = (radius_filters or {}).get(lvl)
-        part = single_scale_partition(space, node.members, h, lvl, ddim, rng, f)
+        part = single_scale_partition(space, node.members, h, lvl, ddim, rng)
         for c, mem in sorted(part.clusters().items()):
             child = ClusterNode(level=lvl, center=c, radius=part.radii[c],
                                 members=tuple(mem))

@@ -244,6 +244,9 @@ class SolveParams:
             raise ValueError("s must be at least 6")
         if self.delta > 1.0 / 12 + REL_TOL:
             raise ValueError("delta must be at most 1/12")
+        if self.r != 2:
+            raise ValueError(f"r must be 2, got {self.r}: the DP routes one segment, two "
+                             "crossings, through each cluster, so no other bound is used")
         if self.q is None:
             self.q = 64.0 * (self.s / self.eps) ** 2
 

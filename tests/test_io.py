@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 import warnings
 
 import numpy as np
@@ -172,6 +173,8 @@ def test_run_rejects_bad_config():
         run({"space": sp, "mode": "nonsense"})
     with pytest.raises(ConfigError):
         run({"space": sp, "mode": "solve", "eps": 0.3})
+    with pytest.raises(ConfigError, match=r"r must be 2, got 4"):
+        run({"space": sp, "mode": "solve", "r": 4})
     with pytest.raises(ConfigError):
         run({"space": "not a space", "mode": "solve"})
 
@@ -260,8 +263,22 @@ def test_cli_validate_names_the_failed_check(tmp_path, capsys):
     assert "triangle inequality fails" in capsys.readouterr().err
 
 
+def test_cli_rejects_r_4_before_any_work(tmp_path, capsys):
+    inst = tmp_path / "inst.csv"
+    assert main(["gen", "--kind", "uniform2d", "--n", "12", "--seed", "3",
+                 "--out", str(inst)]) == 0
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    rc = main(["run", "--instance", str(inst), "--format", "points_csv",
+               "--mode", "solve", "--r", "4", "--seed", "3"])
+    assert rc == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert "r must be 2" in captured.err and not captured.out
+
+
 def test_cli_solves_uniform2d_beyond_the_children_ceiling(tmp_path):
-    # A cluster of this instance has 29 children, more than MAX_CHILDREN.
+    # A cluster of this instance has 29 children, so its child order is heuristic.
     inst = tmp_path / "inst.csv"
     assert main(["gen", "--kind", "uniform2d", "--n", "80", "--seed", "0",
                  "--out", str(inst)]) == 0

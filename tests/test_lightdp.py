@@ -9,7 +9,7 @@ from nettsp.errors import BudgetExceeded
 from nettsp.io import generate_instance
 from nettsp import lightdp, runner
 from nettsp.lightdp import (DEFAULT_BUDGET, PortalSet, _Engine, _heuristic_order,
-                            _tree_children_options, auto_portals, choose_portals,
+                            _tree_children_options, auto_portals,
                             draw_radius_samples, make_flat_tree, solve_light_tour,
                             solve_with_radius_guessing, tree_from_samples)
 from nettsp.metric import REL_TOL, estimate_doubling, from_points, normalize
@@ -29,48 +29,6 @@ def all_points_chooser(space):
 
 
 # ---------------------------------------------------------------- portals
-
-def test_choose_portals_requires_power_of_s():
-    sp = rand_space(0, 20)
-    h = build_hierarchy(sp, 6.0)
-    with pytest.raises(ValueError):
-        choose_portals(sp, h, range(5), 1, 10.0)
-    with pytest.raises(ValueError):
-        choose_portals(sp, h, range(5), 1, 1.0)
-
-
-def test_choose_portals_fine_pitch_is_members():
-    sp = rand_space(1, 25)
-    h = build_hierarchy(sp, 6.0)
-    members = tuple(range(6))
-    ps = choose_portals(sp, h, members, 0, 36.0)  # pitch 1/36 < min distance
-    assert ps.portals == members
-    assert all(ps.mandatory)
-
-
-def test_choose_portals_singleton_cluster():
-    sp = rand_space(2, 25)
-    h = build_hierarchy(sp, 6.0)
-    ps = choose_portals(sp, h, (4,), min(1, h.top), 6.0)
-    assert len(ps.portals) >= 1
-
-
-def test_choose_portals_level_matches_brute_force():
-    sp = rand_space(3, 150)
-    h = build_hierarchy(sp, 6.0)
-    assert h.top >= 3
-    dd = estimate_doubling(sp, seed=3).ddim_upper
-    center = 0
-    row = sp.row(center)
-    members = tuple(int(p) for p in np.flatnonzero(row <= 6.0 ** 3 / 2))[:50]
-    ps = choose_portals(sp, h, members, 3, 36.0)
-    j = 3 - 2
-    pitch = 6.0 ** j
-    expected = [int(p) for p in h.net(j)
-                if min(sp.dist(int(p), m) for m in members) <= pitch * (1 + 1e-9)]
-    assert list(ps.portals) == expected
-    assert len(ps.portals) <= (8 * 36.0) ** dd
-
 
 def test_auto_portals_nested_in_cap():
     sp = rand_space(4, 80)
@@ -198,19 +156,6 @@ def test_monotone_in_m_cap():
     assert c8 <= c3 + 1e-9
 
 
-@pytest.mark.parametrize("seed", [1, 5])
-def test_monotone_in_r(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(5, 8))
-    sp = rand_space(seed + 70, n)
-    h = build_hierarchy(sp, 6.0)
-    tree = hierarchical_clustering(sp, h, 2.5, np.random.default_rng(seed))
-    res2 = solve_light_tour(sp, h, tree, 3, 2)
-    res4 = solve_light_tour(sp, h, tree, 3, 4, budget=30_000_000)
-    assert res4.cost <= res2.cost + 1e-9
-    assert tour_weight(sp, res4.tour) >= held_karp_tsp(sp).weight - 1e-9
-
-
 def test_budget_exceeded_raises():
     sp = rand_space(62, 14)
     h = build_hierarchy(sp, 6.0)
@@ -226,6 +171,49 @@ def test_budget_message_says_what_to_change():
     with pytest.raises(BudgetExceeded, match=r"budget 10 exceeded at m_cap 6: raise the "
                                              r"budget, or pass an --m-cap below 6"):
         solve_light_tour(sp, h, tree, 6, 2, budget=10)
+
+
+def leaf_cases(rng, n):
+    """(members, config) pairs over 1-7 members: a closed loop at a member,
+    a path between two members, and ends outside the members."""
+    size = int(rng.integers(1, min(7, n) + 1))
+    members = tuple(sorted(int(p) for p in rng.choice(n, size, replace=False)))
+    outside = [p for p in range(n) if p not in members]
+    a, b = members[0], members[-1]
+    cases = [(members, ((a, a),))]
+    if a != b:
+        cases.append((members, ((a, b),)))
+    if outside:
+        o = outside[int(rng.integers(len(outside)))]
+        cases += [(members, ((o, o),)), (members, (tuple(sorted((a, o))),))]
+        if len(outside) > 1:
+            cases.append((members, ((outside[0], outside[-1]),)))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_leaf_equals_the_best_order_by_permutation_search(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    # even seeds: random points; odd seeds: a unit grid, whose costs tie often
+    sp = (rand_space(seed + 90, n) if seed % 2 == 0
+          else from_points([(float(i % 3), float(i // 3)) for i in range(n)]))
+    D = sp.pairwise()
+    engine = _Engine(sp, build_hierarchy(sp, 6.0), 6, 2, DEFAULT_BUDGET, lambda *_: [])
+    for members, config in leaf_cases(rng, n):
+        (a, b), = config
+        rest = [p for p in members if p not in (a, b)]
+        best = min(sum(D[u, v] for u, v in zip((a,) + order, order + (b,)))
+                   for order in itertools.permutations(rest))
+        before = engine.ops
+        cost, (kind, (seg,)) = engine._leaf(members, config)
+        assert kind == "leaf"
+        assert cost == best
+        assert seg[0] == a and seg[-1] == b
+        assert sorted(seg[1:-1]) == sorted(rest)
+        assert sum(D[u, v] for u, v in zip(seg, seg[1:])) == cost
+        t = len(rest)
+        assert engine.ops - before == (1 if a == b else 2) * max(1, (1 << t) * (t + 1))
 
 
 def guessing_solve(n, seed, guesses, budget=DEFAULT_BUDGET):
@@ -605,10 +593,12 @@ def test_engine_asks_for_each_clusters_options_once():
 
 def record_table_builds(monkeypatch):
     """Patch the engine to log the (level, children, A) key of every path
-    table the kernel builds, and the engines that solve."""
-    calls, built, engines = [], [], []
+    table the kernel builds for a child order, the kernel calls that leaves
+    make, and the engines that solve."""
+    calls, built, leaf_calls, engines = [], [], [], []
     kernel = lightdp.subset_path_table
     path_table = _Engine._path_table
+    leaf = _Engine._leaf
     solve_root = _Engine.solve_root
 
     def counting_kernel(entry, hop):
@@ -622,14 +612,21 @@ def record_table_builds(monkeypatch):
             built.append((level, children, A))
         return out
 
+    def leaf_recording(self, members, config):
+        before = len(calls)
+        out = leaf(self, members, config)
+        leaf_calls.extend([None] * (len(calls) - before))
+        return out
+
     def keeping(self, level, members):
         engines.append((self, level))
         return solve_root(self, level, members)
 
     monkeypatch.setattr(lightdp, "subset_path_table", counting_kernel)
     monkeypatch.setattr(_Engine, "_path_table", recording)
+    monkeypatch.setattr(_Engine, "_leaf", leaf_recording)
     monkeypatch.setattr(_Engine, "solve_root", keeping)
-    return calls, built, engines
+    return calls, built, leaf_calls, engines
 
 
 @pytest.mark.parametrize("solve, tables, ops, flat, entries", [
@@ -642,9 +639,10 @@ def test_each_path_table_is_built_once_and_dropped_when_dead(monkeypatch, solve,
                                                               ops, flat, entries):
     # tables, ops and entries were captured before path tables were dropped,
     # when the heuristic child order still charged 50·k² ops (flat) each time.
-    calls, built, engines = record_table_builds(monkeypatch)
+    calls, built, leaf_calls, engines = record_table_builds(monkeypatch)
     solve()
-    assert len(calls) == len(built) == tables
+    assert len(built) == tables
+    assert len(calls) == len(built) + len(leaf_calls)
     assert len(set(built)) == len(built)
     (engine, root_level), = engines
     assert engine.ops + flat == ops

@@ -453,6 +453,8 @@ def test_params_validation():
         SolveParams(s=4.0)
     with pytest.raises(ValueError):
         SolveParams(delta=0.5)
+    with pytest.raises(ValueError, match=r"r must be 2, got 4"):
+        SolveParams(r=4)
     p = SolveParams()
     assert p.q == pytest.approx(64 * (6.0 / 0.05) ** 2)
     note = p.theoretical_note(100, 2.0)
