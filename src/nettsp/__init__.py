@@ -4,9 +4,9 @@ from .metric import (MetricSpace, annulus, ball, estimate_doubling, from_matrix,
                      from_points, normalize, restrict, validate_metric)
 from .nets import NetHierarchy, build_hierarchy, verify_nets
 from .partition import (ClusterTree, RadiusDistribution, estimate_cut_probability,
-                        hierarchical_clustering, sample_radius,
-                        single_scale_partition, valid_radius_set)
-from .lightdp import make_flat_tree, solve_light_tour, solve_with_radius_guessing
+                        sample_radius, valid_radius_set)
+from .lightdp import (draw_radius_samples, make_flat_tree, solve_light_tour,
+                      solve_with_radius_guessing, tree_from_samples)
 from .oracles import (brute_force_matching, brute_force_tsp, christofides,
                       held_karp_tsp, nearest_neighbor_tsp)
 from .sparse import (SolveParams, SplitResult, check_local_tour_bounds,

@@ -21,10 +21,6 @@ class Disconnected(NetTspError):
     """Multigraph assembled for an Euler tour is not connected."""
 
 
-class FilterStarvation(NetTspError):
-    """A radius filter rejected too many consecutive samples for one center."""
-
-
 class Infeasible(NetTspError):
     """The dynamic program found no valid completion at the root."""
 

@@ -469,11 +469,11 @@ def _tree_children_options(tree: ClusterTree):
     return lambda level, members: mapping[level, members]
 
 
-def make_flat_tree(space: MetricSpace, s: float = 6.0) -> ClusterTree:
+def make_flat_tree(space: MetricSpace) -> ClusterTree:
     """Single-cluster tree: the whole space as one bottom-level node."""
     root = ClusterNode(level=0, center=0, radius=space.diameter(),
                        members=tuple(range(space.n)))
-    return ClusterTree(root=root, s=s)
+    return ClusterTree(root=root)
 
 
 def solve_light_tour(space: MetricSpace, h: NetHierarchy, tree: ClusterTree,
@@ -491,8 +491,7 @@ def solve_light_tour(space: MetricSpace, h: NetHierarchy, tree: ClusterTree,
     return engine.solve_root(tree.root.level, tuple(tree.root.members))
 
 
-def draw_radius_samples(space: MetricSpace, h: NetHierarchy, guesses: int,
-                        ddim: float, rng) -> dict:
+def draw_radius_samples(h: NetHierarchy, guesses: int, ddim: float, rng) -> dict:
     """guesses radii per (level, center), drawn in deterministic order."""
     samples = {}
     for level in range(h.top + 1):
@@ -504,35 +503,39 @@ def draw_radius_samples(space: MetricSpace, h: NetHierarchy, guesses: int,
     return samples
 
 
-def tree_from_samples(space: MetricSpace, h: NetHierarchy, samples: dict,
-                      pick=None) -> ClusterTree:
-    """Cluster tree induced by choosing sample ``pick[(level, center)]`` (default 0)."""
-    pick = pick or {}
+def tree_from_samples(space: MetricSpace, h: NetHierarchy, samples: dict) -> ClusterTree:
+    """Cluster tree carved with each center's first sampled radius.
 
-    def radii_at(level):
-        return {c: vals[pick.get((level, c), 0)] for c, vals in samples[level].items()}
-
-    all_points = tuple(range(space.n))
-    top = partition_with_radii(space, all_points, h, h.top, radii_at(h.top))
-    clusters = top.clusters()
-    if len(clusters) != 1:
+    Every level is carved once over all points. A point's cluster is the first
+    center in carving order whose ball holds it, whatever subset is carved, so
+    a node's children are its members grouped by their owner one level down,
+    in center order.
+    """
+    levels = [partition_with_radii(space, range(space.n), h, level,
+                                   {c: vals[0] for c, vals in samples[level].items()})
+              for level in range(h.top + 1)]
+    top = levels[h.top].clusters()
+    if len(top) != 1:
         raise AssertionError("top-level carve must yield one cluster")
-    center, mem = next(iter(clusters.items()))
-    root = ClusterNode(level=h.top, center=center, radius=top.radii[center],
-                       members=tuple(mem))
+    (center, members), = top.items()
+    root = ClusterNode(level=h.top, center=center, radius=levels[h.top].radii[center],
+                       members=tuple(members))
 
     def subdivide(node):
         if node.level == 0:
             return
-        lvl = node.level - 1
-        part = partition_with_radii(space, node.members, h, lvl, radii_at(lvl))
-        for c, mm in sorted(part.clusters().items()):
-            child = ClusterNode(level=lvl, center=c, radius=part.radii[c], members=tuple(mm))
+        part = levels[node.level - 1]
+        groups = {}
+        for p in node.members:
+            groups.setdefault(part.assign_center[p], []).append(p)
+        for c in sorted(groups):
+            child = ClusterNode(level=part.level, center=c, radius=part.radii[c],
+                                members=tuple(groups[c]))
             node.children.append(child)
             subdivide(child)
 
     subdivide(root)
-    return ClusterTree(root=root, s=h.s)
+    return ClusterTree(root=root)
 
 
 def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int,
@@ -552,7 +555,7 @@ def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int
     """
     if guesses < 1:
         raise ValueError("guesses must be >= 1")
-    samples = draw_radius_samples(space, h, guesses, ddim, rng)
+    samples = draw_radius_samples(h, guesses, ddim, rng)
 
     def options(level, members):
         return distinct_carvings(space, members, h, level - 1, samples[level - 1])

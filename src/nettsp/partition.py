@@ -1,10 +1,11 @@
-"""Random-radius ball carving: single-scale partitions and their hierarchy.
+"""Random-radius ball carving and the cluster-tree types.
 
 Cluster centers are the net points of one level, processed in ascending index
 order. Each center draws a radius from a truncated exponential on
 [scale, 2*scale] whose density decays by a factor controlled by the dimension
 parameter; every still-unassigned point inside the ball joins that center's
-cluster.
+cluster. :func:`nettsp.lightdp.tree_from_samples` stacks the carvings into a
+:class:`ClusterTree`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FilterStarvation
 from .metric import REL_TOL, MetricSpace
 from .nets import NetHierarchy
 from .tours import Tour
@@ -61,17 +61,12 @@ def sample_radius(a: float, ddim: float, rng) -> float:
     return float(dist.ppf(rng.random()))
 
 
-def _starvation_limit(n: int) -> int:
-    return max(8, int(math.ceil(64 * math.log(max(n, 2)))))
-
-
 @dataclass
 class SingleScalePartition:
     level: int
-    order: np.ndarray              # centers in carving order (ascending index)
     radii: dict                    # center -> drawn radius in [s^i, 2 s^i]
     assign_center: dict            # point -> assigned center
-    assign_rank: dict              # point -> rank of that center in the order
+    assign_rank: dict              # point -> rank of that center in carving order
 
     def clusters(self) -> dict:
         out = {}
@@ -98,7 +93,7 @@ def partition_with_radii(space: MetricSpace, subset, h: NetHierarchy, level: int
     by_rank = np.argsort(rank, kind="stable")       # insertion order of the carving loop
     points, ranks = subset[by_rank].tolist(), rank[by_rank].tolist()
     assign_center = dict(zip(points, centers[ranks].tolist()))
-    return SingleScalePartition(level=level, order=centers, radii=radii,
+    return SingleScalePartition(level=level, radii=radii,
                                 assign_center=assign_center,
                                 assign_rank=dict(zip(points, ranks)))
 
@@ -142,37 +137,6 @@ def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
     return list(outs)
 
 
-def draw_level_radii(space: MetricSpace, h: NetHierarchy, level: int, ddim: float,
-                     rng, radius_filter=None) -> dict:
-    """One radius per center in carving order, resampling while the filter rejects."""
-    a = h.radius(level)
-    limit = _starvation_limit(space.n)
-    radii = {}
-    for c in h.net(level):
-        c = int(c)
-        for attempt in range(limit + 1):
-            r = sample_radius(a, ddim, rng)
-            if radius_filter is None or radius_filter(c, r):
-                radii[c] = r
-                break
-        else:
-            raise FilterStarvation(
-                f"filter rejected {limit} consecutive radii for center {c} at level {level}")
-    return radii
-
-
-def single_scale_partition(space: MetricSpace, subset, h: NetHierarchy, level: int,
-                           ddim: float, rng, radius_filter=None) -> SingleScalePartition:
-    """Partition ``subset`` with freshly drawn radii at one level.
-
-    radius_filter, when given, is a predicate (center, radius) -> bool; draws
-    are repeated until accepted, bailing out after 64*log(n) consecutive
-    rejections for one center.
-    """
-    radii = draw_level_radii(space, h, level, ddim, rng, radius_filter)
-    return partition_with_radii(space, subset, h, level, radii)
-
-
 @dataclass
 class ClusterNode:
     level: int
@@ -190,7 +154,6 @@ class ClusterNode:
 @dataclass
 class ClusterTree:
     root: ClusterNode
-    s: float
 
     def nodes(self):
         return list(self.root.walk())
@@ -199,45 +162,13 @@ class ClusterTree:
         return max((len(n.children) for n in self.nodes()), default=0)
 
 
-def hierarchical_clustering(space: MetricSpace, h: NetHierarchy, ddim: float,
-                            rng) -> ClusterTree:
-    """Stack single-scale partitions from the top level down to level 0.
-
-    Each node's members are carved by the next level down; the recursion stops
-    at level 0, so leaves are bottom-level clusters (small by packing, but not
-    necessarily singletons).
-    """
-    all_points = tuple(range(space.n))
-    top_part = single_scale_partition(space, all_points, h, h.top, ddim, rng)
-    top_clusters = top_part.clusters()
-    if len(top_clusters) != 1:
-        raise AssertionError("top-level partition must produce a single cluster")
-    center, members = next(iter(top_clusters.items()))
-    root = ClusterNode(level=h.top, center=center, radius=top_part.radii[center],
-                       members=tuple(members))
-
-    def subdivide(node):
-        if node.level == 0:
-            return
-        lvl = node.level - 1
-        part = single_scale_partition(space, node.members, h, lvl, ddim, rng)
-        for c, mem in sorted(part.clusters().items()):
-            child = ClusterNode(level=lvl, center=c, radius=part.radii[c],
-                                members=tuple(mem))
-            node.children.append(child)
-            subdivide(child)
-
-    subdivide(root)
-    return ClusterTree(root=root, s=h.s)
-
-
 def estimate_cut_probability(space: MetricSpace, h: NetHierarchy, u: int, v: int,
                              level: int, trials: int, ddim: float, rng) -> float:
     """Fraction of independent level partitions assigning u and v to different centers.
 
     Vectorized over trials: a point's cluster is the first center in carving
     order whose drawn ball covers it, so only the two distance rows matter.
-    Each trial draws from its own generator split deterministically from ``rng``.
+    All radii come from one ``(trials x centers)`` draw of ``rng``, a row per trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -248,7 +179,7 @@ def estimate_cut_probability(space: MetricSpace, h: NetHierarchy, u: int, v: int
     du = space.pairwise([u], centers)[0]
     dv = space.pairwise([v], centers)[0]
     dist = RadiusDistribution(a=a, ddim=ddim)
-    radii = np.stack([dist.ppf(g.random(len(centers))) for g in rng.spawn(trials)])
+    radii = dist.ppf(rng.random((trials, len(centers))))
     tol = REL_TOL * max(1.0, 2 * a)
     cover_u = radii >= du[None, :] - tol
     cover_v = radii >= dv[None, :] - tol

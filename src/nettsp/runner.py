@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import ConfigError, TooLarge
 from .io import instance_digest
-from .lightdp import solve_with_radius_guessing
+from .lightdp import draw_radius_samples, solve_with_radius_guessing, tree_from_samples
 from .metric import MetricSpace, estimate_doubling, normalize
 from .nets import build_hierarchy, verify_nets
 from .oracles import (HELD_KARP_MAX, brute_force_tsp, christofides,
                       held_karp_tsp, nearest_neighbor_tsp)
-from .partition import estimate_cut_probability, hierarchical_clustering
+from .partition import estimate_cut_probability
 from .sparse import SolveParams, check_local_tour_bounds, find_dense_region, solve_tsp
 from .tours import (double_tree_tour, edges_weight, make_net_respecting,
                     is_net_respecting, mst, tour_weight)
@@ -172,7 +172,7 @@ def run(config: dict) -> dict:
 
     if mode == "partition_stats":
         net_report = verify_nets(h, ddim_upper=params.ddim, seed=seed)
-        tree = hierarchical_clustering(space, h, params.ddim, rng)
+        tree = tree_from_samples(space, h, draw_radius_samples(h, 1, params.ddim, rng))
         results["nets"] = {"ok": net_report.ok, "level_sizes": net_report.level_sizes}
         results["clustering"] = {
             "nodes": len(tree.nodes()),

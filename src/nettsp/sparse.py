@@ -49,16 +49,6 @@ def is_q_sparse(space: MetricSpace, tour: Tour, h: NetHierarchy, q: float) -> Sp
     return SparsityReport(q=q, passed=True)
 
 
-def ball_mst_weights(space: MetricSpace, h: NetHierarchy, level: int) -> dict:
-    """MST weight of B(u, 3*s^level) for every net point u of the level."""
-    radius = 3 * h.radius(level)
-    out = {}
-    for u in h.net(level):
-        pts = ball(space, int(u), radius)
-        out[int(u)] = edges_weight(space, mst(space, pts)) if len(pts) > 1 else 0.0
-    return out
-
-
 def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float, tree=None):
     """Lowest level holding a point u with w(MST(B(u, 3 s^i))) > 2 q s^i.
 

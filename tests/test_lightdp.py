@@ -16,7 +16,7 @@ from nettsp.metric import REL_TOL, estimate_doubling, from_points, normalize
 from nettsp.nets import build_hierarchy
 from nettsp.oracles import (PULL_BLOCK, brute_force_tsp, held_karp_tsp, subset_path_step,
                             subset_path_table, subset_path_trace)
-from nettsp.partition import distinct_carvings, hierarchical_clustering, partition_with_radii
+from nettsp.partition import ClusterNode, distinct_carvings, partition_with_radii
 from nettsp.tours import edges_weight, mst, tour_weight
 
 
@@ -71,7 +71,8 @@ def tree_of(kind, n, seed, params=None):
     sp = normalize(generate_instance(kind, n, seed, params))
     h = build_hierarchy(sp, 6.0)
     ddim = estimate_doubling(sp, seed=seed).ddim_upper
-    return sp, h, hierarchical_clustering(sp, h, ddim, np.random.default_rng(seed))
+    return sp, h, tree_from_samples(sp, h, draw_radius_samples(h, 1, ddim,
+                                                               np.random.default_rng(seed)))
 
 
 @pytest.mark.parametrize("kind, n, params", [
@@ -126,7 +127,7 @@ def test_hierarchical_solve_valid_and_bounded(seed):
     n = int(rng.integers(8, 17))
     sp = rand_space(seed + 50, n)
     h = build_hierarchy(sp, 6.0)
-    tree = hierarchical_clustering(sp, h, 2.5, np.random.default_rng(seed))
+    tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(seed)))
     res = solve_light_tour(sp, h, tree, 6, 2)
     w = tour_weight(sp, res.tour)
     assert res.tour.closed
@@ -139,7 +140,7 @@ def test_hierarchical_solve_valid_and_bounded(seed):
 def test_audit_instances_within_r_and_portals():
     sp = rand_space(60, 14)
     h = build_hierarchy(sp, 6.0)
-    tree = hierarchical_clustering(sp, h, 2.5, np.random.default_rng(0))
+    tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(0)))
     res = solve_light_tour(sp, h, tree, 6, 2)
     assert res.audit
     for level, size, instances, within in res.audit:
@@ -150,7 +151,7 @@ def test_audit_instances_within_r_and_portals():
 def test_monotone_in_m_cap():
     sp = rand_space(61, 12)
     h = build_hierarchy(sp, 6.0)
-    tree = hierarchical_clustering(sp, h, 2.5, np.random.default_rng(1))
+    tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(1)))
     c3 = solve_light_tour(sp, h, tree, 3, 2).cost
     c8 = solve_light_tour(sp, h, tree, 8, 2).cost
     assert c8 <= c3 + 1e-9
@@ -159,7 +160,7 @@ def test_monotone_in_m_cap():
 def test_budget_exceeded_raises():
     sp = rand_space(62, 14)
     h = build_hierarchy(sp, 6.0)
-    tree = hierarchical_clustering(sp, h, 2.5, np.random.default_rng(2))
+    tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(2)))
     with pytest.raises(BudgetExceeded):
         solve_light_tour(sp, h, tree, 6, 2, budget=10)
 
@@ -167,7 +168,7 @@ def test_budget_exceeded_raises():
 def test_budget_message_says_what_to_change():
     sp = rand_space(62, 14)
     h = build_hierarchy(sp, 6.0)
-    tree = hierarchical_clustering(sp, h, 2.5, np.random.default_rng(2))
+    tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(2)))
     with pytest.raises(BudgetExceeded, match=r"budget 10 exceeded at m_cap 6: raise the "
                                              r"budget, or pass an --m-cap below 6"):
         solve_light_tour(sp, h, tree, 6, 2, budget=10)
@@ -340,9 +341,8 @@ def test_pull_kernel_equals_push_form_across_blocks(k, m):
 def test_traceback_weight_equals_table_cost_on_a_grid(seed):
     *_, grid = small_spaces()
     h = build_hierarchy(grid, 6.0)
-    samples = draw_radius_samples(grid, h, 1, 2.5, np.random.default_rng(seed))
-    trees = (tree_from_samples(grid, h, samples),
-             hierarchical_clustering(grid, h, 2.5, np.random.default_rng(seed)))
+    trees = [tree_from_samples(grid, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(s)))
+             for s in (seed, seed + 4)]
     for tree in trees:
         for m_cap in (2, 6):
             res = solve_light_tour(grid, h, tree, m_cap, 2)
@@ -497,7 +497,7 @@ def test_guessing_g1_matches_induced_tree():
         h = build_hierarchy(sp, 6.0)
         res_g = solve_with_radius_guessing(sp, h, 1, 6, 2, 2.5,
                                            np.random.default_rng(seed + 5))
-        samples = draw_radius_samples(sp, h, 1, 2.5, np.random.default_rng(seed + 5))
+        samples = draw_radius_samples(h, 1, 2.5, np.random.default_rng(seed + 5))
         tree = tree_from_samples(sp, h, samples)
         res_t = solve_light_tour(sp, h, tree, 6, 2)
         assert res_g.cost == pytest.approx(res_t.cost, abs=1e-9)
@@ -517,7 +517,7 @@ def test_guessing_more_options_never_hurt(seed):
     n = int(rng.integers(5, 11))
     sp = rand_space(seed + 90, n)
     h = build_hierarchy(sp, 6.0)
-    samples3 = draw_radius_samples(sp, h, 3, 2.5, np.random.default_rng(seed + 77))
+    samples3 = draw_radius_samples(h, 3, 2.5, np.random.default_rng(seed + 77))
     base = solve_light_tour(sp, h, tree_from_samples(sp, h, samples3), 6, 2)
     res3 = solve_with_radius_guessing(sp, h, 3, 6, 2, 2.5,
                                       np.random.default_rng(seed + 77))
@@ -558,7 +558,7 @@ def test_distinct_carvings_match_product_enumeration(guesses):
     checked, several = 0, 0
     for i, sp in enumerate(small_spaces()):
         h = build_hierarchy(sp, 6.0)
-        samples = draw_radius_samples(sp, h, guesses, 2.5, np.random.default_rng(i))
+        samples = draw_radius_samples(h, guesses, 2.5, np.random.default_rng(i))
         for node in tree_from_samples(sp, h, samples).nodes():
             if node.level == 0:
                 continue
@@ -571,10 +571,57 @@ def test_distinct_carvings_match_product_enumeration(guesses):
     assert (several > 0) == (guesses > 1)
 
 
+def carved_tree(space, h, samples):
+    """Reference builder: carve each node's members afresh with the next
+    level's centers at their first radius, node by node from the top."""
+    def radii_at(level):
+        return {c: vals[0] for c, vals in samples[level].items()}
+
+    top = partition_with_radii(space, range(space.n), h, h.top, radii_at(h.top))
+    (center, members), = top.clusters().items()
+    root = ClusterNode(level=h.top, center=center, radius=top.radii[center],
+                       members=tuple(members))
+
+    def subdivide(node):
+        if node.level == 0:
+            return
+        lvl = node.level - 1
+        part = partition_with_radii(space, node.members, h, lvl, radii_at(lvl))
+        for c, mm in sorted(part.clusters().items()):
+            child = ClusterNode(level=lvl, center=c, radius=part.radii[c], members=tuple(mm))
+            node.children.append(child)
+            subdivide(child)
+
+    subdivide(root)
+    return root
+
+
+@pytest.mark.parametrize("kind", ["uniform2d", "clustered", "line", "matrix_random_metric"])
+def test_owner_map_tree_equals_the_node_by_node_carve(kind):
+    wide = 0
+    for n in (20, 60, 160):
+        for seed in range(3):
+            sp = normalize(generate_instance(kind, n, seed))
+            h = build_hierarchy(sp, 6.0)
+            ddim = estimate_doubling(sp, seed=seed).ddim_upper
+            samples = draw_radius_samples(h, 1, ddim, np.random.default_rng(seed))
+            root = tree_from_samples(sp, h, samples).root
+            # level, center, radius, members and child order, node for node
+            assert root == carved_tree(sp, h, samples)
+            for node in root.walk():
+                if node.level == 0:
+                    continue
+                lvl = node.level - 1
+                children = tuple(sorted(ch.members for ch in node.children))
+                assert distinct_carvings(sp, node.members, h, lvl, samples[lvl]) == [children]
+                wide += len(children) > 1
+    assert wide > 0
+
+
 def test_engine_asks_for_each_clusters_options_once():
     sp = rand_space(7, 14)
     h = build_hierarchy(sp, 6.0)
-    tree = hierarchical_clustering(sp, h, 2.5, np.random.default_rng(7))
+    tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(7)))
     inner = _tree_children_options(tree)
     calls = Counter()
 

@@ -5,13 +5,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nettsp.errors import FilterStarvation
+from nettsp.lightdp import draw_radius_samples, tree_from_samples
 from nettsp.metric import REL_TOL, estimate_doubling, from_points, normalize
 from nettsp.nets import build_hierarchy
-from nettsp.partition import (RadiusDistribution, draw_level_radii,
-                              estimate_cut_probability, hierarchical_clustering,
-                              partition_with_radii, sample_radius,
-                              single_scale_partition, valid_radius_set)
+from nettsp.partition import (RadiusDistribution, estimate_cut_probability,
+                              partition_with_radii, sample_radius, valid_radius_set)
 from nettsp.tours import Tour, double_tree_tour, tour_weight
 
 
@@ -60,19 +58,24 @@ def test_median_below_midpoint():
 
 # -------------------------------------------------------------- partition
 
+def drawn_carving(space, subset, h, level, seed):
+    """Carve ``subset`` with each level center's first radius drawn from ``seed``."""
+    samples = draw_radius_samples(h, 1, 2.0, np.random.default_rng(seed))
+    radii = {c: vals[0] for c, vals in samples[level].items()}
+    return partition_with_radii(space, subset, h, level, radii)
+
+
 def test_single_point_single_cluster():
     sp = rand_space(3, 30)
     h = build_hierarchy(sp, 6.0)
-    part = single_scale_partition(sp, [7], h, min(1, h.top), 2.0,
-                                  np.random.default_rng(0))
+    part = drawn_carving(sp, [7], h, min(1, h.top), 0)
     assert part.clusters() == {part.assign_center[7]: [7]}
 
 
 def test_top_level_single_cluster():
     sp = rand_space(4, 50)
     h = build_hierarchy(sp, 6.0)
-    part = single_scale_partition(sp, range(sp.n), h, h.top, 2.0,
-                                  np.random.default_rng(1))
+    part = drawn_carving(sp, range(sp.n), h, h.top, 1)
     assert len(part.clusters()) == 1
 
 
@@ -80,20 +83,19 @@ def test_partition_deterministic_given_seed():
     sp = rand_space(5, 100)
     h = build_hierarchy(sp, 6.0)
     lvl = min(2, h.top)
-    p1 = single_scale_partition(sp, range(sp.n), h, lvl, 2.0, np.random.default_rng(7))
-    p2 = single_scale_partition(sp, range(sp.n), h, lvl, 2.0, np.random.default_rng(7))
+    p1 = drawn_carving(sp, range(sp.n), h, lvl, 7)
+    p2 = drawn_carving(sp, range(sp.n), h, lvl, 7)
     assert p1.assign_center == p2.assign_center
     assert p1.radii == p2.radii
     # and re-simulating from captured radii reproduces the assignment
-    p3 = partition_with_radii(sp, range(sp.n), h, lvl, p1.radii)
+    p3 = partition_with_radii(sp, range(sp.n), h, lvl, dict(p1.radii))
     assert p3.assign_center == p1.assign_center
 
 
 def test_partition_is_true_partition():
     sp = rand_space(6, 120)
     h = build_hierarchy(sp, 6.0)
-    part = single_scale_partition(sp, range(sp.n), h, min(1, h.top), 2.0,
-                                  np.random.default_rng(3))
+    part = drawn_carving(sp, range(sp.n), h, min(1, h.top), 3)
     clusters = part.clusters()
     seen = sorted(p for mem in clusters.values() for p in mem)
     assert seen == list(range(sp.n))
@@ -156,21 +158,14 @@ def test_cover_matrix_carving_matches_the_carving_loop(seed):
     assert seen["uncovered"] > 0 and seen["on rim"] > 0
 
 
-def test_filter_starvation():
-    sp = rand_space(7, 20)
-    h = build_hierarchy(sp, 6.0)
-    with pytest.raises(FilterStarvation):
-        draw_level_radii(sp, h, min(1, h.top), 2.0, np.random.default_rng(0),
-                         radius_filter=lambda c, r: False)
-
-
 # ------------------------------------------------------------- clustering
 
 def test_two_point_hierarchy_outcomes():
     sp = from_points([(0.0, 0.0), (1.0, 0.0)])
     h = build_hierarchy(sp, 6.0)
     for seed in range(10):
-        tree = hierarchical_clustering(sp, h, 1.0, np.random.default_rng(seed))
+        tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 1.0,
+                                                            np.random.default_rng(seed)))
         root = tree.root
         assert sorted(root.members) == [0, 1]
         for node in tree.nodes():
@@ -181,7 +176,7 @@ def test_two_point_hierarchy_outcomes():
 def test_tree_every_point_once_per_level():
     sp = rand_space(8, 200)
     h = build_hierarchy(sp, 6.0)
-    tree = hierarchical_clustering(sp, h, 2.5, np.random.default_rng(4))
+    tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(4)))
     by_level = {}
     for node in tree.nodes():
         by_level.setdefault(node.level, []).extend(node.members)
@@ -230,14 +225,12 @@ def test_cut_probability_matches_partition_semantics():
     h = build_hierarchy(sp, 6.0)
     lvl = min(1, h.top)
     u, v = 3, 17
-    master = np.random.default_rng(5)
     fast = estimate_cut_probability(sp, h, u, v, lvl, 64, 2.0,
                                     np.random.default_rng(5))
     dist = RadiusDistribution(a=h.radius(lvl), ddim=2.0)
     centers = h.net(lvl)
     cut = 0
-    for g in np.random.default_rng(5).spawn(64):
-        radii_vals = dist.ppf(g.random(len(centers)))
+    for radii_vals in dist.ppf(np.random.default_rng(5).random((64, len(centers)))):
         radii = {int(c): float(r) for c, r in zip(centers, radii_vals)}
         part = partition_with_radii(sp, range(sp.n), h, lvl, radii)
         cut += part.assign_center[u] != part.assign_center[v]
@@ -308,13 +301,11 @@ def test_expected_resamples_with_filter():
     q = tour_weight(sp, tour) / h.radius(lvl)  # generous: every ball is q-sparse
     centers = [int(c) for c in h.net(lvl)]
     preds = {c: valid_radius_set(sp, h, c, lvl, tour, q=q, ddim=ddim) for c in centers}
-    draws = {"n": 0}
-
-    def flt(center, r):
-        draws["n"] += 1
-        return preds[center].accepts(r)
-
+    draws = 0
     rng = np.random.default_rng(6)
     for _ in range(10):
-        draw_level_radii(sp, h, lvl, ddim, rng, radius_filter=flt)
-    assert draws["n"] / (10 * len(centers)) <= 2.0
+        for c in centers:
+            draws += 1
+            while not preds[c].accepts(sample_radius(h.radius(lvl), ddim, rng)):
+                draws += 1
+    assert draws / (10 * len(centers)) <= 2.0

@@ -10,7 +10,7 @@ from nettsp.metric import (REL_TOL, ball, estimate_doubling, from_matrix, from_p
                            normalize)
 from nettsp.nets import build_hierarchy
 from nettsp.oracles import held_karp_tsp
-from nettsp.sparse import (SolveParams, annulus_edge_weight, ball_mst_weights,
+from nettsp.sparse import (SolveParams, annulus_edge_weight,
                            check_local_tour_bounds, choose_split_radius,
                            find_dense_region, is_q_sparse, solve_tsp,
                            split_instance)
@@ -57,17 +57,6 @@ def test_witness_matches_brute_force():
                 if x in inside and y in inside)
     assert w["weight"] == pytest.approx(brute)
     assert brute > w["threshold"]
-
-
-def test_ball_mst_weights():
-    sp = rand_space(2, 40)
-    h = build_hierarchy(sp, 6.0)
-    lvl = min(1, h.top)
-    weights = ball_mst_weights(sp, h, lvl)
-    for u, w in weights.items():
-        pts = ball(sp, u, 3 * h.radius(lvl))
-        expected = edges_weight(sp, mst(sp, pts)) if len(pts) > 1 else 0.0
-        assert w == pytest.approx(expected)
 
 
 # ------------------------------------------------------------ dense areas
