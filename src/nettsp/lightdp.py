@@ -413,8 +413,11 @@ def _heuristic_order(entry, close, hop):
     start from. Each score is the same prefix vector followed by the same
     float additions as scoring that reversal alone, and min does not round,
     so the batched scores, and the moves taken, equal the one-at-a-time scan's.
+    A step gathers its hops as ``[x, row, y]`` from ``hop`` laid out
+    ``[x, (from, to), y]``, adds the rows' vectors and takes the min over that
+    leading exit axis, not over a short middle axis of ``[row, x, y]``.
     """
-    k = len(entry)
+    k, m = entry.shape
     remaining = list(range(k))
     order, vecs = [], []
     while remaining:
@@ -438,18 +441,21 @@ def _heuristic_order(entry, close, hop):
     inside = (lo[:, None] <= steps) & (steps <= hi[:, None])
     perm = np.where(inside, lo[:, None] + hi[:, None] - steps, steps)
     live = np.searchsorted(lo, steps, side="right")  # rows with i <= t
+    into = np.ascontiguousarray(hop.transpose(2, 0, 1, 3)).reshape(m, k * k, m)
     for _ in range(4):
         start, improved = 0, False
         while start < len(lo):
             seqs = order[perm[start:]]
+            pairs = seqs[:, :-1] * k + seqs[:, 1:]
             fwd = np.repeat(vecs[None], len(seqs), axis=0)
             live_now = np.maximum(live - start, 0)
             fwd[:live_now[0], 0] = entry[seqs[:live_now[0], 0]]
             for t in range(1, k):
                 n = live_now[t]
                 if n:
-                    fwd[:n, t] = np.min(fwd[:n, t - 1, :, None] + hop[seqs[:n, t - 1], seqs[:n, t]],
-                                        axis=1)
+                    step = into.take(pairs[:n, t - 1], axis=1)
+                    np.add(fwd[:n, t - 1].T[:, :, None], step, out=step)
+                    np.minimum.reduce(step, axis=0, out=fwd[:n, t])
             scores = np.min(fwd[:, -1] + close[seqs[:, -1]], axis=1)
             better = np.flatnonzero(scores < base - 1e-12)
             if not better.size:

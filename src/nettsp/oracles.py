@@ -18,7 +18,7 @@ BRUTE_MAX = 10
 HELD_KARP_MAX = 18
 MATCHING_BRUTE_MAX = 12
 MATCHING_EXACT_MAX = 16
-PULL_BLOCK = 1 << 13     # floats in one block's temporary in subset_path_table
+PULL_BLOCK = 1 << 13     # floats in subset_path_table's candidate buffer
 
 
 @dataclass
@@ -62,49 +62,79 @@ def subset_path_table(entry: np.ndarray, hop: np.ndarray) -> np.ndarray:
     c is not in ``mask``).
 
     Pull form: layers run by popcount, so every entry is final before it is
-    read. For each target group c, the rows of the layer's masks that hold c
-    gather their predecessors ``table[mask ^ 1 << c]`` flattened to
-    ``(previous group, exit)`` and add the contiguous row ``into[c, y]`` of
-    ``hop`` (see :func:`_pull`); the min over that last axis is the entry.
-    That is k numpy steps per layer and k² per table. Rows go in blocks whose
-    temporary holds at most ``PULL_BLOCK`` floats, so the kernel's working
-    memory beside the table stays small. Every candidate is the same float
-    sum under any grouping and min does not round, so the table does not
-    depend on the blocking.
+    read. For each target group c, a block of the layer's masks that hold c
+    gathers its predecessor rows ``table[mask ^ 1 << c]``, flattened to
+    ``(previous group, exit)``, and adds ``into[c]`` (see :func:`_into`) into
+    one preallocated buffer laid out ``((previous group, exit), exit y, row)``;
+    the min over that leading axis is ``table[mask, c, y]``. That is k numpy
+    steps per layer and k² per table. The buffer holds at most ``PULL_BLOCK``
+    floats (or one row, if larger), so the kernel's working memory beside the
+    table stays small. Every candidate is the same float sum under any layout or blocking and
+    min does not round, so the table depends on neither.
     """
     k, m = entry.shape
     table = np.full((1 << k, k, m), np.inf)
     table[1 << np.arange(k), np.arange(k)] = entry
     flat = table.reshape(1 << k, k * m)
-    into = _pull(hop).reshape(k, m, k * m)
-    masks = np.arange(1 << k, dtype=np.int64)
-    popcount = sum((masks >> b) & 1 for b in range(k))
+    into = _into(hop).reshape(k, k * m, m)
     rows = max(1, PULL_BLOCK // (k * m * m))
-    for count in range(2, k + 1):
-        layer = masks[popcount == count]
-        for c in range(k):
-            tgt = layer[(layer >> c) & 1 == 1]
-            src = tgt ^ (1 << c)
+    buf = np.empty(k * m * m * rows)
+    res = np.empty(m * rows)
+    for layer in _layers(k):
+        for c, (tgt, src) in enumerate(layer):
             for lo in range(0, len(tgt), rows):
-                table[tgt[lo:lo + rows], c] = np.min(
-                    flat[src[lo:lo + rows], None, :] + into[c], axis=2)
+                prev = flat.take(src[lo:lo + rows], axis=0).T
+                n = prev.shape[1]
+                cand = buf[:k * m * m * n].reshape(k * m, m, n)
+                best = res[:m * n].reshape(m, n)
+                np.add(prev[:, None], into[c, :, :, None], out=cand)
+                np.minimum.reduce(cand, axis=0, out=best)
+                table[tgt[lo:lo + rows], c] = best.T
     return table
 
 
-def _pull(hop: np.ndarray) -> np.ndarray:
-    """``hop`` as ``[c, y, previous group, exit]``: what reaches exit y of c."""
-    return hop.transpose(1, 3, 0, 2)
+def _into(hop: np.ndarray) -> np.ndarray:
+    """``hop`` as ``[c, previous group, exit, y]``: what reaches exit y of c."""
+    return hop.transpose(1, 0, 2, 3)
+
+
+def _layers(k: int):
+    """Each popcount layer 2..k, in order, as its (targets, sources) per group.
+
+    Built afresh on every call, one layer at a time: all layers of k groups
+    hold k·2^k indices (18 MB at k = 17), and the kernel holds one layer's
+    bit matrix and one group's index arrays at a time.
+    """
+    masks = np.arange(1 << k, dtype=np.int64)
+    popcount = sum((masks >> b) & 1 for b in range(k))
+    for count in range(2, k + 1):
+        yield _group_targets(masks[popcount == count], k)
+
+
+def _group_targets(layer: np.ndarray, k: int):
+    """For each group c: the layer's masks that hold c, ascending, and those masks without c.
+
+    One bit matrix for the whole layer, one byte per bit: row c of ``held``
+    is bit c of every mask, unpacked from the masks' little-endian bytes, so
+    no k-by-layer array of 8-byte masks is ever made.
+    """
+    octets = layer.astype("<u4").view(np.uint8).reshape(-1, 4)
+    held = np.unpackbits(octets, axis=1, count=k, bitorder="little").T.view(bool)
+    for c in range(k):
+        tgt = layer[held[c]]
+        yield tgt, tgt ^ (1 << c)
 
 
 def subset_path_step(table: np.ndarray, hop: np.ndarray, mask: int, c: int, y: int):
     """(group, exit) before group c left by exit y on the cheapest visit of ``mask``.
 
     The argmin runs over the very sums the forward pass minimized, the
-    flattened predecessor row plus ``into[c, y]``, so it is the forward pass's
-    own choice: the lowest group, then the lowest exit.
+    flattened predecessor row plus ``into[c, :, :, y]`` in the same
+    ``(previous group, exit)`` order, so it is the forward pass's own choice:
+    the lowest group, then the lowest exit.
     """
     k, m = table.shape[1:]
-    sums = table[mask ^ (1 << c)].reshape(k * m) + _pull(hop)[c, y].reshape(k * m)
+    sums = table[mask ^ (1 << c)].reshape(k * m) + _into(hop)[c, :, :, y].reshape(k * m)
     return divmod(int(np.argmin(sums)), m)
 
 

@@ -115,7 +115,8 @@ def run(config: dict) -> dict:
         "timings": {},
     }
     results = report["results"]
-    lower = edges_weight(space, mst(space, range(space.n))) if space.n > 1 else 0.0
+    whole = mst(space, range(space.n)) if space.n > 1 else []
+    lower = edges_weight(space, whole)
     report["lower_bounds"] = {"mst": lower}
     exact = None
     if space.n <= HELD_KARP_MAX and mode in ("solve", "sparse_only", "baseline", "oracle"):
@@ -138,7 +139,7 @@ def run(config: dict) -> dict:
         return report
 
     if mode == "solve":
-        (tour, solve_report), dt = _timed(solve_tsp, space, params)
+        (tour, solve_report), dt = _timed(solve_tsp, space, params, whole)
         report["timings"]["solve_seconds"] = dt
         results["solve"] = _tour_entry(space, tour, tour_weight(space, tour), bound)
         report["recursion_trace"] = solve_report["trace"]

@@ -298,13 +298,15 @@ def _splice(space: MetricSpace, t1: Tour, t2: Tour, shared) -> Tour:
     return dedupe_visits(Tour(tuple(rot1 + rot2), closed=True))
 
 
-def solve_tsp(space: MetricSpace, params: SolveParams):
+def solve_tsp(space: MetricSpace, params: SolveParams, tree=None):
     """Sparse/dense recursive solver over a normalized space.
 
     Sparse instances go straight to the radius-guessing crossing-limited
     program. A dense region is split off, solved by the sparse path, and the
     remainder is solved recursively; the two tours are spliced at a shared
-    point at no extra transition cost beyond the reconnection.
+    point at no extra transition cost beyond the reconnection. ``tree`` is
+    the space's whole MST when the caller has already built it; the top level
+    reuses it.
     """
     rng = np.random.default_rng(params.seed)
     trace = []
@@ -323,7 +325,7 @@ def solve_tsp(space: MetricSpace, params: SolveParams):
         note["cost"] = res.cost
         return Tour(tuple(indices[p] for p in res.tour.seq), closed=True)
 
-    def rec(indices, depth):
+    def rec(indices, depth, tree=None):
         if depth > params.max_recursion_depth:
             raise RecursionLimit(f"depth {depth} exceeded")
         indices = tuple(sorted(indices))
@@ -334,7 +336,8 @@ def solve_tsp(space: MetricSpace, params: SolveParams):
             return Tour((indices[0],), closed=True)
         sub = restrict(space, indices)
         h = build_hierarchy(sub, params.s)
-        tree = mst(sub, range(sub.n))
+        if tree is None:
+            tree = mst(sub, range(sub.n))
         dense = find_dense_region(sub, h, params.q, tree)
         if dense is None:
             return solve_sparse(indices, sub, h, note)
@@ -359,5 +362,5 @@ def solve_tsp(space: MetricSpace, params: SolveParams):
         t2 = rec(g2, depth + 1)
         return _splice(space, t1, t2, set(g1) & set(g2))
 
-    tour = dedupe_visits(rec(tuple(range(space.n)), 0))
+    tour = dedupe_visits(rec(tuple(range(space.n)), 0, tree))
     return tour, {"trace": trace, "weight": tour_weight(space, tour)}

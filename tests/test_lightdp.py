@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from nettsp.errors import BudgetExceeded
 from nettsp.io import generate_instance
-from nettsp import lightdp, runner
+from nettsp import lightdp, oracles, runner
 from nettsp.lightdp import (DEFAULT_BUDGET, PortalSet, _Engine, _heuristic_order,
                             _tree_children_options, auto_portals,
                             draw_radius_samples, make_flat_tree, solve_light_tour,
@@ -335,6 +336,37 @@ def test_pull_kernel_equals_push_form_across_blocks(k, m):
             assert subset_path_step(table, hop, mask, int(c), int(y)) == min(ties)
             checked += len(ties) > 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+@pytest.mark.parametrize("k, m", [(1, 1), (1, 3), (4, 1), (7, 3), (9, 2)])
+def test_pull_kernel_equals_push_form_at_any_block_size(monkeypatch, rows, k, m):
+    rng = np.random.default_rng(10 * k + m)
+    entry, hop = random_groups(rng, k, m)
+    hop[np.arange(k), np.arange(k)] = np.inf          # as _hop_matrices pads a self-hop
+    # PULL_BLOCK = 1 is below one row's k·m·m floats and still gives 1-row blocks
+    monkeypatch.setattr(oracles, "PULL_BLOCK", 1 if rows == 1 else rows * k * m * m)
+    sizes = [math.comb(k - 1, j) for j in range(1, k)]  # each run layer's targets of one group
+    if rows > 1 and max(sizes, default=0) > rows:      # some layer spans blocks, the last one short
+        assert any(n > rows and n % rows for n in sizes)
+    assert np.array_equal(subset_path_table(entry, hop), push_subset_path_table(entry, hop))
+
+
+def test_pull_kernel_working_memory_stays_near_the_table():
+    k, m = 14, 1
+    entry, hop = random_groups(np.random.default_rng(14), k, m)
+    table_bytes = (1 << k) * k * m * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = subset_path_table(entry, hop)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == table_bytes
+    assert peak - before <= 1.75 * table_bytes
+    # nothing kept past the call beyond the table, such as every layer's index arrays
+    assert after - before <= 1.01 * table_bytes
 
 
 @pytest.mark.parametrize("seed", range(4))

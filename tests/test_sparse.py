@@ -374,6 +374,24 @@ def test_each_dense_level_builds_its_whole_mst_once(monkeypatch):
     assert whole[0] is sp                  # the depth-0 sub-instance is the space itself
 
 
+def test_run_builds_the_whole_space_mst_once(monkeypatch):
+    sp = normalize(generate_instance("uniform2d", 40, 0))
+    whole = []
+
+    def counted(space, subset):
+        subset = list(subset)
+        if space.n == sp.n and subset == list(range(space.n)):
+            whole.append(space)
+        return mst(space, subset)
+
+    for module in (runner, sparse):
+        monkeypatch.setattr(module, "mst", counted)
+    report = runner.run({"mode": "solve", "space": sp, "seed": 0})
+    assert sorted(report["results"]["solve"]["tour"]) == list(range(sp.n))
+    # the lower bound's tree is the one the top level's dense scan reads
+    assert len(whole) == 1
+
+
 def test_split_radius_is_the_same_from_a_given_tree():
     sp = dense_fixture()
     h = build_hierarchy(sp, 6.0)
