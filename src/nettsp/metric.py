@@ -45,9 +45,8 @@ class MetricSpace:
         return self.matrix.shape[0]
 
     def dist(self, i: int, j: int) -> float:
-        if self.matrix is not None:
-            return float(self.matrix[i, j])
-        return float(np.linalg.norm(self.coords[i] - self.coords[j]))
+        """Entry (i, j) of the distance matrix that every query reads."""
+        return float(self._distances[i, j])
 
     @functools.cached_property
     def _distances(self) -> np.ndarray:
@@ -67,8 +66,6 @@ class MetricSpace:
         as sqrt(sum(diff * diff)) with overflow to inf left silent, and then
         kept. With neither argument given the result is that matrix itself,
         read-only and shared by every caller; otherwise it is a fresh copy.
-        On coordinates an entry may differ from ``dist`` (``np.linalg.norm``)
-        in the last bit.
         """
         d = self._distances
         if rows is not None:
@@ -212,15 +209,6 @@ def ball(space: MetricSpace, center: int, radius: float) -> np.ndarray:
         raise ValueError("radius must be nonnegative")
     row = space.row(center)
     return np.flatnonzero(row <= radius + REL_TOL * max(1.0, radius))
-
-
-def annulus(space: MetricSpace, center: int, r1: float, r2: float) -> np.ndarray:
-    """ball(center, r2) minus ball(center, r1)."""
-    if not 0 <= r1 <= r2:
-        raise ValueError("need 0 <= r1 <= r2")
-    outer = ball(space, center, r2)
-    inner = set(ball(space, center, r1).tolist())
-    return np.array([p for p in outer if p not in inner], dtype=np.intp)
 
 
 @dataclass

@@ -17,7 +17,6 @@ import numpy as np
 
 from .metric import REL_TOL, MetricSpace
 from .nets import NetHierarchy
-from .tours import Tour
 
 
 @dataclass(frozen=True)
@@ -188,68 +187,3 @@ def estimate_cut_probability(space: MetricSpace, h: NetHierarchy, u: int, v: int
     # Covering at radius >= a guarantees some ball covers each point.
     cut = int(np.sum(first_u != first_v))
     return cut / trials
-
-
-@dataclass
-class ValidRadiusSet:
-    """Radii in [a, 2a] that cut few nearby short tour edges around one center.
-
-    Cut counting is piecewise constant between the sorted endpoint distances,
-    so membership, rejected length, and rejected probability mass are exact.
-    """
-
-    a: float
-    threshold: float
-    spans: list                    # (d_near, d_far) per relevant edge
-
-    def cut_count(self, r: float) -> int:
-        tol = REL_TOL * max(1.0, r)
-        return sum(1 for lo, hi in self.spans if lo <= r + tol and r + tol < hi)
-
-    def accepts(self, r: float) -> bool:
-        return self.cut_count(r) < self.threshold
-
-    def rejected_intervals(self) -> list:
-        lo, hi = self.a, 2 * self.a
-        points = sorted({lo, hi} | {x for s in self.spans for x in s if lo < x < hi})
-        out = []
-        for left, right in zip(points, points[1:]):
-            mid = 0.5 * (left + right)
-            if not self.accepts(mid):
-                out.append((left, right))
-        return out
-
-    def rejected_measure(self) -> float:
-        return sum(r - l for l, r in self.rejected_intervals())
-
-    def rejected_mass(self, ddim: float) -> float:
-        dist = RadiusDistribution(a=self.a, ddim=ddim)
-        return float(sum(dist.cdf(r) - dist.cdf(l) for l, r in self.rejected_intervals()))
-
-
-def valid_radius_set(space: MetricSpace, h: NetHierarchy, u: int, level: int,
-                     tour: Tour, q: float, ddim: float) -> ValidRadiusSet:
-    """Predicate over [s^level, 2 s^level] accepting radii that cut fewer than
-    9*q*2^(3 ddim)*ddim of the tour's short edges near ``u``.
-
-    Short edges are transitions of length at most s^level with an endpoint
-    within 2 s^level of u; a radius cuts an edge when the ball around u
-    separates its endpoints.
-    """
-    a = h.radius(level)
-    threshold = 9.0 * q * (2.0 ** (3 * ddim)) * ddim
-    tol_len = a + REL_TOL * max(1.0, a)
-    near = 2 * a + REL_TOL * max(1.0, 2 * a)
-    row = space.row(u)
-    spans = []
-    for x, y in tour.transitions():
-        if x == y:
-            continue
-        if space.dist(x, y) > tol_len:
-            continue
-        if row[x] > near and row[y] > near:
-            continue
-        lo, hi = sorted((float(row[x]), float(row[y])))
-        if lo != hi:
-            spans.append((lo, hi))
-    return ValidRadiusSet(a=a, threshold=threshold, spans=spans)

@@ -1,10 +1,11 @@
-"""Sparsity testing, dense-region splitting, and the top-level recursive solver.
+"""Dense-region detection and splitting, and the top-level recursive solver.
 
-A tour is q-sparse when no ball of radius 3*s^i around a net point holds tour
-edges of total weight above q*s^i. Regions violating the analogous MST
-condition get split off: the dense ball plus a boundary layer of net points
-is solved by the crossing-limited program directly, the rest is solved
-recursively, and the two closed tours are spliced at a shared point.
+A ball B(u, 3 s^i) is dense when the MST of its points weighs more than
+2 q s^i, the spanning-tree analogue of the paper's q-sparsity condition (at
+most q s^i of tour weight in each such ball). Dense regions get split off:
+the dense ball plus a boundary layer of net points is solved by the
+crossing-limited program directly, the rest is solved recursively, and the
+two closed tours are spliced at a shared point.
 """
 
 from __future__ import annotations
@@ -21,32 +22,11 @@ from .nets import NetHierarchy, build_hierarchy
 from .tours import Tour, dedupe_visits, edges_weight, mst, tour_weight
 
 
-@dataclass
-class SparsityReport:
-    q: float
-    passed: bool
-    witness: dict = None
-
-
 def restricted_tour_weight(space: MetricSpace, tour: Tour, inside) -> float:
     """Total weight of tour transitions with both endpoints in ``inside``."""
     iset = set(int(p) for p in inside)
     return float(sum(space.dist(x, y) for x, y in tour.transitions()
                      if x in iset and y in iset))
-
-
-def is_q_sparse(space: MetricSpace, tour: Tour, h: NetHierarchy, q: float) -> SparsityReport:
-    """Check every level and net point; first failure becomes the witness."""
-    for level in range(h.top + 1):
-        radius = 3 * h.radius(level)
-        cap = q * h.radius(level)
-        for u in h.net(level):
-            inside = ball(space, int(u), radius)
-            w = restricted_tour_weight(space, tour, inside)
-            if w > cap * (1 + REL_TOL):
-                return SparsityReport(q=q, passed=False, witness={
-                    "level": level, "center": int(u), "weight": w, "threshold": cap})
-    return SparsityReport(q=q, passed=True)
 
 
 def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float, tree=None):
@@ -86,24 +66,18 @@ def _in_annulus(d, r1, r2):
     return (d > r1 + REL_TOL * np.maximum(1.0, r1)) & (d <= r2 + REL_TOL * np.maximum(1.0, r2))
 
 
-def annulus_edge_weight(space: MetricSpace, edges, v: int, r1: float, r2: float) -> float:
-    """Weight of edges with both endpoints in the annulus around v."""
-    row = space.row(v)
-    return float(sum(space.dist(a, b) for a, b in edges
-                     if _in_annulus(row[a], r1, r2) and _in_annulus(row[b], r1, r2)))
-
-
 def choose_split_radius(space: MetricSpace, v: int, level: int, delta: float,
                         s: float, candidates: int = 64, tree=None) -> float:
     """Radius in [12 s^i, 13 s^i] whose widened annulus cuts the least MST weight.
 
     The spanning tree of the whole space stands in for the unknowable optimal
     tour; the grid argmin is no worse than the grid mean, which is all the
-    averaging argument needs. Ties go to the smallest radius. Every candidate
-    is scored as annulus_edge_weight scores it, from edge weights and
-    endpoint distances to v computed once; the selected weights are summed
-    in tree order. ``tree`` is the space's whole MST when the caller has
-    already built it.
+    averaging argument needs. Ties go to the smallest radius. A candidate's
+    score is the weight of the tree edges with both ends in its annulus, as
+    the per-candidate loop in tests/test_sparse.py scores it: edge weights
+    and endpoint distances to v are read once, and the selected weights are
+    summed in tree order. ``tree`` is the space's whole MST when the caller
+    has already built it.
     """
     if delta > 1.0 / 12 + REL_TOL:
         raise ValueError("delta must be at most 1/12")
@@ -182,8 +156,11 @@ def split_instance(space: MetricSpace, hier: NetHierarchy, v: int, level: int,
     s1 = inner | n_h | near_nh | j_cover_inner
 
     j_of_inner = {p for p in inner if hier.in_net(p, j_level)}
-    k_boundary = {p for p in inner if hier.in_net(p, k_level) and k_level >= 1
-                  and any(space.dist(p, q) <= sk + REL_TOL * max(1.0, sk) for q in outer)}
+    k_net = [p for p in sorted(inner) if hier.in_net(p, k_level)] if k_level >= 1 else []
+    k_boundary = set()
+    if k_net:
+        d = space.pairwise(k_net, sorted(outer)).min(axis=1)
+        k_boundary = {k_net[t] for t in np.flatnonzero(d <= sk + REL_TOL * max(1.0, sk))}
     k_boundary_balls = set()
     if k_boundary:
         d = space.pairwise(sorted(k_boundary), np.arange(space.n)).min(axis=0)

@@ -52,40 +52,6 @@ def _collapse(points):
     return out
 
 
-def shortcut_repeated_edges(space: MetricSpace, tour: Tour) -> Tour:
-    """Remove transitions traversed twice in the same direction.
-
-    Each rewrite reverses the stretch between the two traversals and drops
-    both copies, so the weight strictly decreases while the visit set, the
-    endpoints, and the (undirected) edge support are preserved.
-    """
-    if len(tour.seq) < 2:
-        return tour
-    pts = list(tour.seq)
-    if tour.closed:
-        pts = pts + [pts[0]]
-    pts = _collapse(pts)
-    while True:
-        seen = {}
-        hit = None
-        for j in range(len(pts) - 1):
-            key = (pts[j], pts[j + 1])
-            if key in seen:
-                hit = (seen[key], j)
-                break
-            seen[key] = j
-        if hit is None:
-            break
-        a, b = hit
-        pts = pts[: a + 1] + list(reversed(pts[a + 1: b])) + pts[b + 1:]
-        pts = _collapse(pts)
-    if tour.closed:
-        if len(pts) > 1 and pts[-1] == pts[0]:
-            pts = pts[:-1]
-        return Tour(tuple(pts), closed=True)
-    return Tour(tuple(pts), closed=False)
-
-
 def dedupe_visits(tour: Tour) -> Tour:
     """Shortcut a closed tour so every point is visited exactly once."""
     assert tour.closed

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from nettsp.errors import DegenerateInstance, InvalidMetric
-from nettsp.metric import (MetricSpace, annulus, ball, estimate_doubling,
+from nettsp.metric import (MetricSpace, ball, estimate_doubling,
                            from_matrix, from_points, normalize, restrict,
                            validate_metric)
+from nettsp.sparse import SolveParams, solve_tsp
+from nettsp.tours import tour_weight
 
 
 def grid(k):
@@ -110,26 +112,6 @@ def test_ball_grid_plus_shape():
     assert got == expected
 
 
-def test_annulus_empty_when_equal_radii():
-    sp = grid(4)
-    assert len(annulus(sp, 0, 1.0, 1.0)) == 0
-
-
-def test_annulus_all_but_center():
-    sp = grid(4)
-    got = annulus(sp, 0, 0.0, sp.diameter())
-    assert sorted(got.tolist()) == list(range(1, sp.n))
-
-
-def test_annulus_matches_brute_force():
-    sp = grid(6)
-    r1, r2 = 1.0, 2.0
-    got = set(annulus(sp, 0, r1, r2).tolist())
-    row = sp.row(0)
-    expected = {p for p in range(sp.n) if row[p] > r1 + 1e-12 and row[p] <= r2 * (1 + 1e-9)}
-    assert got == expected
-
-
 def test_ball_and_annulus_brute_force_n500():
     sp = from_points(np.random.default_rng(11).random((500, 2)))
     rng = np.random.default_rng(12)
@@ -220,14 +202,15 @@ def cached_spaces():
     ]
 
 
-@pytest.mark.parametrize("first", ["pairwise", "row", "diameter", "min_gap"])
+@pytest.mark.parametrize("first", ["pairwise", "row", "diameter", "min_gap", "dist"])
 @pytest.mark.parametrize("which", range(4), ids=["2d", "1d", "3d", "matrix"])
 def test_cached_queries_equal_the_per_call_formulas(which, first):
     sp = cached_spaces()[which]
     n = sp.n
     # whichever query fills the matrix, every query then reads the same values
     {"pairwise": lambda: sp.pairwise([1], [0]), "row": lambda: sp.row(n - 1),
-     "diameter": sp.diameter, "min_gap": sp.min_gap}[first]()
+     "diameter": sp.diameter, "min_gap": sp.min_gap,
+     "dist": lambda: sp.dist(n - 1, 0)}[first]()
     rng = np.random.default_rng(which)
     everything = np.arange(n)
     for _ in range(5):
@@ -243,6 +226,18 @@ def test_cached_queries_equal_the_per_call_formulas(which, first):
         assert np.array_equal(sp.row(i), fresh_row(sp, i))
     assert sp.diameter() == float(max(fresh_row(sp, i).max() for i in range(n)))
     assert sp.min_gap() == fresh_min_gap(sp)
+    d = sp.pairwise()
+    assert all(sp.dist(i, j) == d[i, j] for i in range(n) for j in range(n))
+
+
+def test_solve_tour_weight_sums_the_matrix_entries():
+    # a per-pair np.linalg.norm would move this tour's weight in the last bit
+    sp = normalize(from_points(np.random.default_rng(0).random((30, 2))))
+    tour, info = solve_tsp(sp, SolveParams())
+    d = sp.pairwise()
+    # Python's sum over the entries in tour order, as tour_weight sums them
+    want = sum(float(d[x, y]) for x, y in tour.transitions())
+    assert tour_weight(sp, tour) == info["weight"] == want
 
 
 def test_pairwise_returns_one_read_only_matrix():

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from nettsp.lightdp import draw_radius_samples, tree_from_samples
-from nettsp.metric import REL_TOL, estimate_doubling, from_points, normalize
+from nettsp.metric import REL_TOL, from_points, normalize
 from nettsp.nets import build_hierarchy
 from nettsp.partition import (RadiusDistribution, estimate_cut_probability,
-                              partition_with_radii, sample_radius, valid_radius_set)
-from nettsp.tours import Tour, double_tree_tour, tour_weight
+                              partition_with_radii, sample_radius)
 
 
 def rand_space(seed, n):
@@ -249,63 +248,3 @@ def test_cut_frequency_monotone_in_level():
                                               np.random.default_rng(lvl)))
     sig = [math.sqrt(max(f * (1 - f), 1e-4) / trials) for f in freqs]
     assert freqs[1] <= freqs[0] + 2 * math.hypot(sig[0], sig[1]) + 1e-12
-
-
-# ------------------------------------------------------------ radius sets
-
-def test_valid_radius_set_accepts_all_when_no_short_edges():
-    sp = rand_space(13, 30)
-    h = build_hierarchy(sp, 6.0)
-    lvl = min(1, h.top)
-    far_tour = Tour((0,), closed=True)
-    pred = valid_radius_set(sp, h, 0, lvl, far_tour, q=1.0, ddim=2.0)
-    assert pred.rejected_measure() == 0.0
-    a = h.radius(lvl)
-    for r in np.linspace(a, 2 * a, 9):
-        assert pred.accepts(float(r))
-
-
-def test_valid_radius_set_small_cut_counts_accepted():
-    sp = from_points([(0.0, 0.0), (3.0, 0.0), (8.0, 0.0), (20.0, 0.0)])
-    h = build_hierarchy(sp, 6.0)
-    tour = Tour((0, 1, 2, 3), closed=True)
-    pred = valid_radius_set(sp, h, 0, 1, tour, q=1.0, ddim=1.0)
-    # threshold 9*q*2^3*1 = 72 edges; nothing close, everything accepted
-    assert pred.rejected_measure() == 0.0
-
-
-def test_valid_radius_set_rejection_bounds():
-    sp = rand_space(14, 60)
-    h = build_hierarchy(sp, 6.0)
-    lvl = min(1, h.top)
-    ddim = estimate_doubling(sp, seed=14).ddim_upper
-    tour = double_tree_tour(sp, range(sp.n))
-    a = h.radius(lvl)
-    for u in range(0, sp.n, 7):
-        # q that makes the ball around u genuinely q-sparse at this level
-        local = sum(sp.dist(x, y) for x, y in tour.transitions()
-                    if sp.dist(x, y) <= a and min(sp.dist(u, x), sp.dist(u, y)) <= 2 * a)
-        q = max(local / a, 1e-6)
-        pred = valid_radius_set(sp, h, u, lvl, tour, q=q, ddim=ddim)
-        frac = pred.rejected_measure() / a
-        assert frac < 1.0 / (9 * 2 ** (3 * ddim) * ddim) + 1e-12
-        assert pred.rejected_mass(ddim) < 2 ** (-3 * ddim) * math.log(2) + 1e-12
-
-
-def test_expected_resamples_with_filter():
-    sp = rand_space(15, 80)
-    h = build_hierarchy(sp, 6.0)
-    lvl = min(1, h.top)
-    ddim = estimate_doubling(sp, seed=15).ddim_upper
-    tour = double_tree_tour(sp, range(sp.n))
-    q = tour_weight(sp, tour) / h.radius(lvl)  # generous: every ball is q-sparse
-    centers = [int(c) for c in h.net(lvl)]
-    preds = {c: valid_radius_set(sp, h, c, lvl, tour, q=q, ddim=ddim) for c in centers}
-    draws = 0
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        for c in centers:
-            draws += 1
-            while not preds[c].accepts(sample_radius(h.radius(lvl), ddim, rng)):
-                draws += 1
-    assert draws / (10 * len(centers)) <= 2.0

@@ -10,9 +10,8 @@ from nettsp.metric import (REL_TOL, ball, estimate_doubling, from_matrix, from_p
                            normalize)
 from nettsp.nets import build_hierarchy
 from nettsp.oracles import held_karp_tsp
-from nettsp.sparse import (SolveParams, annulus_edge_weight,
-                           check_local_tour_bounds, choose_split_radius,
-                           find_dense_region, is_q_sparse, solve_tsp,
+from nettsp.sparse import (SolveParams, _in_annulus, check_local_tour_bounds,
+                           choose_split_radius, find_dense_region, solve_tsp,
                            split_instance)
 from nettsp.tours import (Tour, double_tree_tour, edges_weight,
                           make_net_respecting, mst, tour_weight)
@@ -28,35 +27,6 @@ def dense_fixture(seed=42, clump=25, field=12):
     a = rng.random((clump, 2)) * 6.0
     b = rng.random((field, 2)) * 200.0 + 60.0
     return normalize(from_points(np.vstack([a, b])))
-
-
-# --------------------------------------------------------------- sparsity
-
-def test_singleton_tour_sparse():
-    sp = rand_space(0, 20)
-    h = build_hierarchy(sp, 6.0)
-    assert is_q_sparse(sp, Tour((0,), closed=True), h, 0.5).passed
-
-
-def test_total_weight_q_passes():
-    sp = rand_space(1, 30)
-    h = build_hierarchy(sp, 6.0)
-    t = double_tree_tour(sp, range(sp.n))
-    assert is_q_sparse(sp, t, h, tour_weight(sp, t) + 1.0).passed
-
-
-def test_witness_matches_brute_force():
-    sp = dense_fixture()
-    h = build_hierarchy(sp, 6.0)
-    t = double_tree_tour(sp, range(sp.n))
-    report = is_q_sparse(sp, t, h, 1.0)
-    assert not report.passed
-    w = report.witness
-    inside = set(ball(sp, w["center"], 3 * 6.0 ** w["level"]).tolist())
-    brute = sum(sp.dist(x, y) for x, y in t.transitions()
-                if x in inside and y in inside)
-    assert w["weight"] == pytest.approx(brute)
-    assert brute > w["threshold"]
 
 
 # ------------------------------------------------------------ dense areas
@@ -192,6 +162,13 @@ def test_solve_tours_are_pinned(kind, n, params, config, tour):
 
 
 # ------------------------------------------------------------ split radius
+
+def annulus_edge_weight(space, edges, v, r1, r2):
+    """Weight of edges with both endpoints in the annulus around v."""
+    row = space.row(v)
+    return float(sum(space.dist(a, b) for a, b in edges
+                     if _in_annulus(row[a], r1, r2) and _in_annulus(row[b], r1, r2)))
+
 
 def test_split_radius_empty_zone():
     sp = dense_fixture()

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nettsp.errors import Disconnected, OddParity
 from nettsp.metric import from_points, normalize
@@ -15,7 +13,7 @@ from nettsp.tours import (Tour, cross_points, crossing_transitions,
                           dedupe_visits, double_tree_tour, edges_weight,
                           is_net_respecting, make_net_respecting, mst,
                           odd_matching_by_tree, patch_crossings,
-                          shortcut_repeated_edges, stitch_subtours, tour_weight)
+                          stitch_subtours, tour_weight)
 
 
 def rand_space(seed, n):
@@ -43,49 +41,6 @@ def test_weight_matches_independent_sum():
     t = Tour(tuple(perm), closed=True)
     expected = sum(sp.dist(perm[i], perm[(i + 1) % 10]) for i in range(10))
     assert tour_weight(sp, t) == pytest.approx(expected)
-
-
-# --------------------------------------------------------------- shortcut
-
-def test_shortcut_no_repeats_is_identity():
-    sp = rand_space(3, 6)
-    t = Tour((0, 1, 2, 3, 4, 5), closed=True)
-    assert shortcut_repeated_edges(sp, t).seq == t.seq
-
-
-def test_shortcut_abab():
-    sp = rand_space(4, 4)
-    out = shortcut_repeated_edges(sp, Tour((0, 1, 0, 1), closed=False))
-    assert out.seq[0] == 0 and out.seq[-1] == 1
-    assert out.visits() == {0, 1}
-    assert tour_weight(sp, out) == pytest.approx(sp.dist(0, 1))
-
-
-def _directed_repeats(t):
-    seen = set()
-    for pair in t.transitions():
-        if pair in seen:
-            return True
-        seen.add(pair)
-    return False
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.booleans())
-def test_shortcut_properties(seed, closed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 9))
-    sp = rand_space(seed % 17, n)
-    seq = [int(rng.integers(0, n)) for _ in range(int(rng.integers(2, 14)))]
-    t = Tour(tuple(seq), closed=closed)
-    out = shortcut_repeated_edges(sp, t)
-    assert out.visits() == t.visits()
-    assert tour_weight(sp, out) <= tour_weight(sp, t) + 1e-9
-    assert not _directed_repeats(out)
-    in_edges = {tuple(sorted(e)) for e in t.transitions()}
-    assert {tuple(sorted(e)) for e in out.transitions() if e[0] != e[1]} <= in_edges
-    if not closed:
-        assert out.endpoints == t.endpoints
 
 
 # -------------------------------------------------------------------- mst
