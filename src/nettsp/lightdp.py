@@ -1,17 +1,18 @@
 """Portal selection and the crossing-limited dynamic program over cluster trees.
 
-Tour segments may cross a cluster only at its portals. The table is keyed by
-(level, member set, portal configuration), so identical clusters arising from
-different radius choices share entries. Each configuration is one segment
-(one portal pair), so a tour crosses each cluster twice: it enters once,
-visits every member, and leaves. A segment through a bottom cluster and the
-child order of a segment through an internal one are both subset paths on
-the one kernel of :mod:`nettsp.oracles`.
+Tour segments may cross a cluster only at its portals. Each cluster, keyed by
+(level, member set), is solved once, in one pass that fills its matrix of
+segment costs over all of its portal pairs, so identical clusters arising from
+different radius choices share it. Each portal pair is one segment, so a tour
+crosses each cluster twice: it enters once, visits every member, and leaves.
+A segment through a bottom cluster and the child order of a segment through
+an internal one are both subset paths on the one kernel of
+:mod:`nettsp.oracles`.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import BudgetExceeded, Infeasible
 from .metric import REL_TOL, MetricSpace
 from .nets import NetHierarchy
-from .oracles import subset_path_table, subset_path_trace
+from .oracles import PULL_BLOCK, subset_path_table, subset_path_trace
 from .partition import (ClusterNode, ClusterTree, distinct_carvings, partition_with_radii,
                         sample_radius)
 from .tours import Tour, _collapse, dedupe_visits
@@ -84,12 +85,20 @@ class LightTourResult:
 
 
 class _Engine:
-    """Memoized solver over (level, members, config) keys.
+    """Solver over clusters, one pass per cluster.
 
-    A config is one portal pair: one segment enters the cluster, visits every
-    member and leaves, so the tour crosses the cluster twice. That meets any
+    A cluster's pass fills its matrix of segment costs over all of its portal
+    pairs (a, b): the cheapest segment that enters at a, visits every member
+    and leaves at b, so the tour crosses the cluster twice. That meets any
     crossing bound r >= 2, so the engine only checks that r is at least 2.
+    An internal cluster's pass first solves each child, once per child, then
+    combines every children option over every pair and keeps, per pair, the
+    first cheapest option. The pass's node tensors (padded record, hop tensor,
+    path tables) are locals, gone when it returns; the matrix, its traces and
+    the cluster's PortalSet are kept.
     """
+
+    EXACT_PATH_CHILDREN = 12
 
     def __init__(self, space, h, m_cap, r, budget, children_options, portal_chooser=None):
         if r < 2:
@@ -98,14 +107,14 @@ class _Engine:
         self.h = h
         self.m_cap = max(1, int(m_cap))
         self.budget = int(budget)
-        self.children_options = functools.cache(children_options)   # one carving per cluster
+        self.children_options = children_options
         self.portal_chooser = portal_chooser
         self.D = space.pairwise()
         self.ops = 0
-        self.memo = {}
-        self.trace = {}
+        self.memo = {}             # (level, members, config) -> cost
+        self.trace = {}            # (level, members, config) -> how the cost is reached
+        self.nodes = {}            # (level, members) -> (PortalSet, pair-cost matrix)
         self.portal_cache = {}
-        self.hk_cache = {}
 
     def charge(self, k=1):
         self.ops += k
@@ -133,22 +142,43 @@ class _Engine:
 
     # ------------------------------------------------------------------ table
 
-    def best(self, level, members, config):
-        key = (level, members, config)
-        if key in self.memo:
-            return self.memo[key]
+    def pair_costs(self, level, members, diagonal=False):
+        """The cluster's PortalSet and its symmetric (m x m) segment-cost matrix.
+
+        Computed by one pass on the first call and kept. Only the pairs a <= b
+        are solved (only a == b when ``diagonal``, as for the root); each gets
+        a memo entry, and a trace when its cost is finite.
+        """
+        key = (level, members)
+        hit = self.nodes.get(key)
+        if hit is not None:
+            return hit
+        ps = self.portals(level, members)
+        P = ps.portals
+        m = len(P)
+        cells = [(ai, ai) for ai in range(m)] if diagonal else [
+            (ai, bi) for ai in range(m) for bi in range(ai, m)]
+        mat = np.full((m, m), np.inf)
+        traces = {}
         if level <= 0:
-            cost, tr = self._leaf(members, config)
+            for ai, bi in cells:
+                mat[ai, bi], traces[ai, bi] = self._leaf(members, ((P[ai], P[bi]),))
         else:
-            cost, tr = math.inf, None
             for children in self.children_options(level, members):
-                c, t = self._combine_path(level, members, tuple(children), config)
-                if c < cost:
-                    cost, tr = c, t
-        self.memo[key] = cost
-        if tr is not None:
-            self.trace[key] = tr
-        return cost
+                infos = [(ch,) + self.pair_costs(level - 1, ch) for ch in children]
+                cost, found = self._combine(P, infos, cells)
+                better = cost < mat                 # strict: the first option keeps ties
+                mat[better] = cost[better]
+                for ai, bi in np.argwhere(better).tolist():
+                    traces[ai, bi] = found[ai, bi]
+        for ai, bi in cells:
+            ckey = (level, members, ((P[ai], P[bi]),))
+            self.memo[ckey] = float(mat[ai, bi])
+            mat[bi, ai] = mat[ai, bi]
+            if (ai, bi) in traces:
+                self.trace[ckey] = traces[ai, bi]
+        self.nodes[key] = (ps, mat)
+        return ps, mat
 
     # ------------------------------------------------------------------- leaf
 
@@ -176,148 +206,107 @@ class _Engine:
 
     # ----------------------------------------------------------- combination
 
-    def _single_pair_costs(self, level, members):
-        """Matrix of best((a, b)) over the cluster's portal pairs.
+    def _combine(self, P, infos, cells):
+        """One children option's segment costs over the parent's portal pairs.
 
-        Once every pair that starts at portal a is memoized, no combine reads
-        the path tables from a again, so they are dropped there; once every
-        pair is, the node's child infos, padded record and hop matrices go too.
+        ``cells`` are the (a, b) index pairs to solve, grouped by a. Returns
+        the (m x m) cost matrix, inf off the cells, and a trace per finite
+        cell. Each segment threads every child exactly once
+        (two crossings each). Up to EXACT_PATH_CHILDREN children, one subset
+        path table per entry portal A closes every exit B >= A at once, ties to
+        the lowest child, then the lowest exit; the table is dropped before
+        the next A's is built. Beyond that, the child order of every pair
+        comes from one batched greedy plus 2-opt search, with exact portal
+        assignment per order (the tour stays valid; only the table optimality
+        narrows to the explored orders).
         """
-        ps = self.portals(level, members)
-        m = len(ps.portals)
-        mat = np.full((m, m), np.inf)
-        options = [tuple(ch) for ch in self.children_options(level, members)] if level > 0 else []
-        for ai in range(m):
-            for bi in range(ai, m):
-                cfg = ((ps.portals[ai], ps.portals[bi]),)
-                c = self.best(level, members, cfg)
-                mat[ai, bi] = mat[bi, ai] = c
-            for children in options:
-                self.hk_cache.pop(("table", level, children, ps.portals[ai]), None)
-        for children in options:
-            for kind in ("infos", "padded", "hop"):
-                self.hk_cache.pop((kind, level, children), None)
-        return ps, mat
+        k = len(infos)
+        padded = self._padded(infos)
+        hop = self._hop_matrices(padded)
+        close = self._close_matrices(P, padded)
+        m = close.shape[2]
+        cost = np.full((len(P), len(P)), np.inf)
+        found = {}
+        if k > self.EXACT_PATH_CHILDREN:
+            entries = [self._entry_matrix(A, padded) for A in P]
+            orders = _heuristic_orders(hop, [entries[ai] for ai, _ in cells],
+                                       [close[bi] for _, bi in cells])
+            for (ai, bi), (order, vecs) in zip(cells, orders):
+                tot = vecs[-1] + close[bi, order[-1]]
+                xi = int(np.argmin(tot))
+                if math.isfinite(tot[xi]):
+                    cost[ai, bi] = tot[xi]
+                    path = [(order[-1], xi)]
+                    for t in range(k - 2, -1, -1):
+                        xi = int(np.argmin(vecs[t] + hop[order[t], order[t + 1], :, xi]))
+                        path.append((order[t], xi))
+                    found[ai, bi] = ("combine", P[ai], infos, path[::-1], P[bi])
+            return cost, found
+        full = (1 << k) - 1
+        for ai, group in itertools.groupby(cells, key=lambda cell: cell[0]):
+            bs = [bi for _, bi in group]
+            self.charge(k * k * (1 << k) // 8 + 1)
+            table = subset_path_table(self._entry_matrix(P[ai], padded), hop)
+            tot = (table[full][None] + close[bs]).reshape(len(bs), k * m)
+            for bi, row, flat in zip(bs, tot, np.argmin(tot, axis=1).tolist()):
+                if math.isfinite(row[flat]):
+                    cost[ai, bi] = row[flat]
+                    path = subset_path_trace(table, hop, *divmod(flat, m))
+                    found[ai, bi] = ("combine", P[ai], infos, path, P[bi])
+            del table
+        return cost, found
 
-    EXACT_PATH_CHILDREN = 12
-
-    def _child_infos(self, level, children):
-        key = ("infos", level, children)
-        hit = self.hk_cache.get(key)
-        if hit is None:
-            hit = [(ch,) + self._single_pair_costs(level - 1, ch) for ch in children]
-            self.hk_cache[key] = hit
-        return hit
-
-    def _padded(self, level, children):
+    @staticmethod
+    def _padded(infos):
         """The children's portal indices (k x m), which of them are real, and
         their pair-cost matrices (k x m x m), padded with inf past each child's
         own portals."""
-        key = ("padded", level, children)
-        hit = self.hk_cache.get(key)
-        if hit is None:
-            infos = self._child_infos(level, children)
-            m = max(len(ps.portals) for _, ps, _ in infos)
-            portals = np.zeros((len(infos), m), dtype=np.intp)
-            valid = np.zeros((len(infos), m), dtype=bool)
-            cost = np.full((len(infos), m, m), np.inf)
-            for ci, (_, ps, mat) in enumerate(infos):
-                c = len(ps.portals)
-                portals[ci, :c] = ps.portals
-                valid[ci, :c] = True
-                cost[ci, :c, :c] = mat
-            hit = (portals, valid, cost)
-            self.hk_cache[key] = hit
-        return hit
+        m = max(len(ps.portals) for _, ps, _ in infos)
+        portals = np.zeros((len(infos), m), dtype=np.intp)
+        valid = np.zeros((len(infos), m), dtype=bool)
+        cost = np.full((len(infos), m, m), np.inf)
+        for ci, (_, ps, mat) in enumerate(infos):
+            c = len(ps.portals)
+            portals[ci, :c] = ps.portals
+            valid[ci, :c] = True
+            cost[ci, :c, :c] = mat
+        return portals, valid, cost
 
-    def _hop_matrices(self, level, children):
+    def _hop_matrices(self, padded):
         """hop[ci, cj, x, y] = leave ci at exit x, enter cj anywhere, exit at y.
 
         One gather of step[ci, cj, x, e] = D[exit x of ci, portal e of cj],
         then a running min over the entry portals e of step + cost[cj, e, y].
         Padded exits and entries, and hops from a child to itself, are inf.
         """
-        key = ("hop", level, children)
-        hit = self.hk_cache.get(key)
-        if hit is None:
-            portals, valid, cost = self._padded(level, children)
-            k, m = portals.shape
-            step = self.D[portals[:, None, :, None], portals[None, :, None, :]]
-            hop = np.add(step[..., 0, None], cost[None, :, None, 0], out=np.empty((k, k, m, m)))
-            for e in range(1, m):
-                np.minimum(hop, step[..., e, None] + cost[None, :, None, e], out=hop)
-            hop.transpose(0, 2, 1, 3)[~valid] = np.inf
-            hop[np.arange(k), np.arange(k)] = np.inf
-            hit = hop
-            self.hk_cache[key] = hit
-        return hit
+        portals, valid, cost = padded
+        k, m = portals.shape
+        step = self.D[portals[:, None, :, None], portals[None, :, None, :]]
+        hop = np.add(step[..., 0, None], cost[None, :, None, 0], out=np.empty((k, k, m, m)))
+        for e in range(1, m):
+            np.minimum(hop, step[..., e, None] + cost[None, :, None, e], out=hop)
+        hop.transpose(0, 2, 1, 3)[~valid] = np.inf
+        hop[np.arange(k), np.arange(k)] = np.inf
+        return hop
 
     def _entry_matrix(self, A, padded):
         """entry[ci, y] = enter child ci from A, exit at portal y (inf past its portals)."""
         portals, _, cost = padded
         return np.min(self.D[A, portals][:, :, None] + cost, axis=1)
 
-    def _close_matrix(self, B, padded):
-        """close[ci, x] = D[exit portal x of child ci, B] (inf past its portals)."""
+    def _close_matrices(self, P, padded):
+        """close[b, ci, x] = D[exit portal x of child ci, P[b]] (inf past its portals)."""
         portals, valid, _ = padded
-        return np.where(valid, self.D[portals, B], np.inf)
-
-    def _path_table(self, level, children, A, padded, hop):
-        """Subset path table over (visited children, last child, exit portal), from A.
-
-        Cached per (children, A) so one table serves every exit point B of the
-        parent pair.
-        """
-        key = ("table", level, children, A)
-        hit = self.hk_cache.get(key)
-        if hit is None:
-            k = len(children)
-            self.charge(k * k * (1 << k) // 8 + 1)
-            hit = subset_path_table(self._entry_matrix(A, padded), hop)
-            self.hk_cache[key] = hit
-        return hit
-
-    def _combine_path(self, level, members, children, config):
-        """One segment threading every child exactly once (two crossings each).
-
-        Exact subset DP up to EXACT_PATH_CHILDREN children; beyond that the
-        child order comes from a deterministic greedy plus 2-opt search with
-        exact portal assignment per order (the tour stays valid; only the
-        table optimality narrows to the explored orders).
-        """
-        (A, B), = config
-        k = len(children)
-        infos = self._child_infos(level, children)
-        padded = self._padded(level, children)
-        hop = self._hop_matrices(level, children)
-        close = self._close_matrix(B, padded)
-        if k > self.EXACT_PATH_CHILDREN:
-            entry = self._entry_matrix(A, padded)
-            order = _heuristic_order(entry, close, hop)
-            vecs, tot = _chain_forward(entry, close, hop, order)
-            xi = int(np.argmin(tot))
-            cost = float(tot[xi])
-            if not math.isfinite(cost):
-                return math.inf, None
-            path = [(order[-1], xi)]
-            for t in range(k - 2, -1, -1):
-                xi = int(np.argmin(vecs[t] + hop[order[t], order[t + 1], :, xi]))
-                path.append((order[t], xi))
-            return cost, ("combine", [(A, self._walk(A, infos, path[::-1]), B)])
-        table = self._path_table(level, children, A, padded, hop)
-        tot = table[(1 << k) - 1] + close
-        ci, xi = np.unravel_index(np.argmin(tot), tot.shape)   # lowest child, then exit
-        cost = float(tot[ci, xi])
-        if not math.isfinite(cost):
-            return math.inf, None
-        path = subset_path_trace(table, hop, int(ci), int(xi))
-        return cost, ("combine", [(A, self._walk(A, infos, path), B)])
+        return np.where(valid, self.D[portals, np.asarray(P, dtype=np.intp)[:, None, None]],
+                        np.inf)
 
     def _walk(self, A, infos, path):
-        """Child segment keys for a path of (child, exit portal index) pairs from A.
+        """(child key, reversed) for a path of (child, exit portal index) pairs from A.
 
         Each child is entered at the portal that realizes the hop from the
         previous exit (from A for the first child), ties to the lowest index.
+        A child key names its segment in canonical pair orientation, so the
+        segment runs backwards when it was entered at its higher portal.
         """
         walk = []
         prev = A
@@ -326,53 +315,44 @@ class _Engine:
             ei = int(np.argmin(self.D[prev, np.asarray(ps.portals, dtype=np.intp)] + mat[:, xi]))
             e, prev = ps.portals[ei], ps.portals[xi]
             pair = (min(e, prev), max(e, prev))
-            walk.append(((ps.level, ch, (pair,)), 0, e != pair[0]))
+            walk.append(((ps.level, ch, (pair,)), e != pair[0]))
         return walk
 
     # ------------------------------------------------------------ extraction
 
     def expand(self, key):
-        """Segments (point sequences) realizing the keyed config, in canonical
-        pair orientation (segment i runs config[i][0] -> config[i][1])."""
-        kind, data = self.trace[key]
-        if kind == "leaf":
-            return data
-        out = []
-        for A, walk, B in data:
-            seq = [A]
-            for ckey, pidx, flip in walk:
-                seg = self.expand(ckey)[pidx]
-                seg = list(reversed(seg)) if flip else list(seg)
-                seq.extend(seg)
-            seq.append(B)
-            out.append(seq)
-        return out
+        """The point sequence realizing the keyed config, running config[0][0] -> config[0][1]."""
+        trace = self.trace[key]
+        if trace[0] == "leaf":
+            return trace[1][0]
+        _, A, infos, path, B = trace
+        seq = [A]
+        for ckey, flip in self._walk(A, infos, path):
+            seg = self.expand(ckey)
+            seq.extend(reversed(seg) if flip else seg)
+        seq.append(B)
+        return seq
 
     def audit_trace(self, key, out):
         level, members, config = key
         ps = self.portals(level, members)
-        instances = sum(2 for _ in config)
         within = all(a in ps.portals and b in ps.portals for a, b in config)
-        out.append((level, len(members), instances, within))
-        if key in self.trace:
-            kind, data = self.trace[key]
-            if kind == "combine":
-                for _, walk, _ in data:
-                    for ckey, _, _ in walk:
-                        self.audit_trace(ckey, out)
+        out.append((level, len(members), 2 * len(config), within))
+        trace = self.trace.get(key)
+        if trace is not None and trace[0] == "combine":
+            _, A, infos, path, _ = trace
+            for ckey, _ in self._walk(A, infos, path):
+                self.audit_trace(ckey, out)
 
     def solve_root(self, level, members):
-        ps = self.portals(level, members)
-        best_cost, best_key = math.inf, None
-        for p in ps.portals:
-            cfg = ((p, p),)
-            c = self.best(level, members, cfg)
-            if c < best_cost:
-                best_cost, best_key = c, (level, members, cfg)
-        if not math.isfinite(best_cost):
+        ps, mat = self.pair_costs(level, members, diagonal=True)
+        costs = np.diag(mat)
+        if not np.isfinite(costs).any():
             raise Infeasible("no valid closed tour through the root portals")
-        segs = self.expand(best_key)
-        seq = _collapse(segs[0])
+        ai = int(np.argmin(costs))                  # the first cheapest portal
+        best_cost = float(costs[ai])
+        best_key = (level, members, ((ps.portals[ai], ps.portals[ai]),))
+        seq = _collapse(self.expand(best_key))
         if len(seq) > 1 and seq[-1] == seq[0]:
             seq = seq[:-1]
         raw = Tour(tuple(seq), closed=True)
@@ -386,91 +366,130 @@ class _Engine:
                                stats={"entries": len(self.memo), "ops": self.ops})
 
 
-def _chain_forward(entry, close, hop, order):
-    """Min-plus vectors along a fixed child order, and the costs of closing after it."""
-    vecs = [entry[order[0]]]
-    for prev, cur in zip(order, order[1:]):
-        vecs.append(np.min(vecs[-1][:, None] + hop[prev, cur], axis=0))
-    return vecs, vecs[-1] + close[order[-1]]
+def _heuristic_orders(hop, entries, closes):
+    """Greedy insertion orders improved by deterministic 2-opt, for every
+    (entries[p], closes[p]) pair of one node; returns each pair's order and
+    its forward min-plus vectors (k x m).
 
-
-def _heuristic_order(entry, close, hop):
-    """Greedy insertion order improved by deterministic 2-opt reversals.
-
-    Greedy appends the child that is cheapest to reach next, ties to the
-    lowest index, and keeps the order's forward min-plus vectors. 2-opt is
+    Greedy depends only on the entry matrix, so it runs once per distinct
+    one. It appends the child that is cheapest to reach next, ties to the
+    lowest index, and keeps the order's forward vectors. 2-opt is, per pair,
     first-improvement in lexicographic (i, j) order, for at most four rounds:
     reversing order[i..j] is taken as soon as it scores more than 1e-12 below
     the current order, and the scan goes on at (i, j + 1) against the new
     order.
 
-    One pass scores every reversal after the scan position at once. Its rows
-    are the reversals in lexicographic order, so sorted by i; row (i, j) joins
-    at step max(i, 1) from the current order's forward vector at i - 1 (from
-    entry[order[j]] when i = 0), and the rows live at step t are a prefix of
-    the batch, which takes k min-plus steps. The first row that improves is
-    taken and its forward vectors become the order's, for the next pass to
-    start from. Each score is the same prefix vector followed by the same
-    float additions as scoring that reversal alone, and min does not round,
-    so the batched scores, and the moves taken, equal the one-at-a-time scan's.
-    A step gathers its hops as ``[x, row, y]`` from ``hop`` laid out
-    ``[x, (from, to), y]``, adds the rows' vectors and takes the min over that
-    leading exit axis, not over a short middle axis of ``[row, x, y]``.
+    The pairs run their passes in lockstep. One pass stacks every remaining
+    reversal of every active pair, merged by i with a stable sort, so the
+    rows live at step t (those with i <= t) are a prefix; row (i, j) joins at
+    step max(i, 1) from its pair's forward vector at i - 1 (from
+    entry[order[j]] when i = 0). Each row rolls one (m,) vector through the k
+    min-plus steps, in blocks of at most PULL_BLOCK floats: a step gathers
+    the rows' hops as ``[x, row, y]`` from ``hop`` laid out
+    ``[x, (from, to), y]``, adds the rows' vectors and takes the min over the
+    leading exit axis x. Each pair then takes its own first improving row and
+    restarts after it; only the winners' forward vectors are rebuilt, in a
+    second batched pass along their new orders. Every score is the same
+    prefix vector followed by the same float additions as scoring that
+    reversal alone, and min does not round, so the orders equal the
+    one-reversal-at-a-time scan's.
     """
-    k, m = entry.shape
-    remaining = list(range(k))
-    order, vecs = [], []
-    while remaining:
-        if not vecs:
-            costs = np.min(entry[remaining], axis=1)
-        else:
-            costs = np.min(vecs[-1][:, None] + hop[order[-1], remaining], axis=(1, 2))
-        pick = 0
-        for c in range(1, len(remaining)):
-            if costs[c] < costs[pick] - 1e-15:
-                pick = c
-        cj = remaining.pop(pick)
-        vecs.append(entry[cj] if not vecs
-                    else np.min(vecs[-1][:, None] + hop[order[-1], cj], axis=0))
-        order.append(cj)
-
-    order, vecs = np.array(order), np.array(vecs)
-    base = np.min(vecs[-1] + close[order[-1]])
-    lo, hi = np.triu_indices(k, 1)                  # every reversal, lexicographic
-    steps = np.arange(k)
-    inside = (lo[:, None] <= steps) & (steps <= hi[:, None])
-    perm = np.where(inside, lo[:, None] + hi[:, None] - steps, steps)
-    live = np.searchsorted(lo, steps, side="right")  # rows with i <= t
+    k, m = entries[0].shape
     into = np.ascontiguousarray(hop.transpose(2, 0, 1, 3)).reshape(m, k * k, m)
-    for _ in range(4):
-        start, improved = 0, False
-        while start < len(lo):
-            seqs = order[perm[start:]]
-            pairs = seqs[:, :-1] * k + seqs[:, 1:]
-            fwd = np.repeat(vecs[None], len(seqs), axis=0)
-            live_now = np.maximum(live - start, 0)
-            fwd[:live_now[0], 0] = entry[seqs[:live_now[0], 0]]
+    rows_per_block = max(1, PULL_BLOCK // (m * m))
+    buf = np.empty(m * m * rows_per_block)
+
+    greedy = {}
+    for entry in entries:
+        key = entry.tobytes()
+        if key in greedy:
+            continue
+        remaining = list(range(k))
+        order, fwd = [], []
+        while remaining:
+            if not fwd:
+                costs = np.min(entry[remaining], axis=1)
+            else:
+                costs = np.min(fwd[-1][:, None] + hop[order[-1], remaining], axis=(1, 2))
+            pick = 0
+            for c in range(1, len(remaining)):
+                if costs[c] < costs[pick] - 1e-15:
+                    pick = c
+            cj = remaining.pop(pick)
+            fwd.append(entry[cj] if not fwd
+                       else np.min(fwd[-1][:, None] + hop[order[-1], cj], axis=0))
+            order.append(cj)
+        greedy[key] = (order, np.array(fwd))
+
+    npairs = len(entries)
+    E, C = np.array(entries), np.array(closes)
+    initial = [greedy[entry.tobytes()] for entry in entries]
+    orders = np.array([order for order, _ in initial], dtype=np.int32)
+    vecs = np.array([fwd for _, fwd in initial])
+    base = np.min(vecs[:, -1] + C[np.arange(npairs), orders[:, -1]], axis=1)
+
+    lo, hi = np.triu_indices(k, 1)                  # every reversal, lexicographic
+    t_all = np.arange(k)
+    inside = (lo[:, None] <= t_all) & (t_all <= hi[:, None])
+    perm = np.where(inside, lo[:, None] + hi[:, None] - t_all, t_all).astype(np.int32)
+    start = np.zeros(npairs, dtype=np.int32)
+    rounds = np.zeros(npairs, dtype=np.int32)
+    improved = np.zeros(npairs, dtype=bool)
+    active = np.ones(npairs, dtype=bool)
+
+    def advance(cur, seqs, t, n):
+        """cur[:n] one min-plus step from seqs[:, t - 1] to seqs[:, t], blocked."""
+        idx = seqs[:n, t - 1] * k + seqs[:n, t]
+        for b0 in range(0, n, rows_per_block):
+            b1 = min(n, b0 + rows_per_block)
+            step = buf[:m * m * (b1 - b0)].reshape(m, b1 - b0, m)
+            into.take(idx[b0:b1], axis=1, out=step)
+            np.add(cur[b0:b1].T[:, :, None], step, out=step)
+            np.minimum.reduce(step, axis=0, out=cur[b0:b1])
+
+    while active.any():
+        act = np.flatnonzero(active)
+        owner = np.repeat(act, len(lo) - start[act]).astype(np.int32)
+        rev = np.concatenate([np.arange(start[p], len(lo), dtype=np.int32) for p in act])
+        merged = np.argsort(lo[rev], kind="stable")
+        owner, rev = owner[merged], rev[merged]
+        seqs = orders[owner[:, None], perm[rev]]
+        live = np.searchsorted(lo[rev], t_all, side="right")    # rows with i <= t
+        cur = np.empty((len(rev), m))
+        cur[:live[0]] = E[owner[:live[0]], seqs[:live[0], 0]]
+        for t in range(1, k):
+            cur[live[t - 1]:live[t]] = vecs[owner[live[t - 1]:live[t]], t - 1]
+            advance(cur, seqs, t, live[t])
+        scores = np.min(cur + C[owner, seqs[:, -1]], axis=1)
+        better = np.flatnonzero(scores < base[owner] - 1e-12)
+        won, first = np.unique(owner[better], return_index=True)
+        rows = better[first]
+        orders[won] = seqs[rows]
+        base[won] = scores[rows]
+        start[won] = rev[rows] + 1
+        improved[won] = True
+        del seqs, cur
+        if len(won):                        # the winners' forward vectors, rebuilt
+            won_orders = orders[won]
+            fwd = E[won, won_orders[:, 0]]
+            vecs[won, 0] = fwd
             for t in range(1, k):
-                n = live_now[t]
-                if n:
-                    step = into.take(pairs[:n, t - 1], axis=1)
-                    np.add(fwd[:n, t - 1].T[:, :, None], step, out=step)
-                    np.minimum.reduce(step, axis=0, out=fwd[:n, t])
-            scores = np.min(fwd[:, -1] + close[seqs[:, -1]], axis=1)
-            better = np.flatnonzero(scores < base - 1e-12)
-            if not better.size:
-                break
-            first = int(better[0])
-            order, vecs, base = seqs[first], fwd[first], scores[first]
-            start += first + 1
-            improved = True
-        if not improved:
-            break
-    return order.tolist()
+                advance(fwd, won_orders, t, len(won))
+                vecs[won, t] = fwd
+        ended = active.copy()
+        ended[won] = start[won] >= len(lo)
+        again = ended & improved & (rounds < 3)     # at most four rounds
+        active[ended & ~again] = False
+        rounds[again] += 1
+        start[again] = 0
+        improved[again] = False
+    return [(order, vecs[p]) for p, order in enumerate(orders.tolist())]
 
 
 def _tree_children_options(tree: ClusterTree):
-    mapping = {(n.level, n.members): [tuple(ch.members for ch in n.children)]
+    """Each node's one children option, as sorted member tuples: the order
+    :func:`distinct_carvings` lists a carving in, so ties break alike."""
+    mapping = {(n.level, n.members): [tuple(sorted(ch.members for ch in n.children))]
                for n in tree.nodes()}
     return lambda level, members: mapping[level, members]
 
@@ -556,15 +575,19 @@ def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int
     agree on shared centers. Each cluster's subdivisions are enumerated once
     by :func:`distinct_carvings`, which drops repeated outcomes while it
     enumerates them and yields the rest in first-occurrence product order.
+    With one guess there is one subdivision per cluster, and
+    :func:`tree_from_samples` finds them all with one carve per level.
     Identical member sets reached under different choices share table entries.
     One segment crosses each cluster, which meets any crossing bound r >= 2.
     """
     if guesses < 1:
         raise ValueError("guesses must be >= 1")
     samples = draw_radius_samples(h, guesses, ddim, rng)
-
-    def options(level, members):
-        return distinct_carvings(space, members, h, level - 1, samples[level - 1])
+    if guesses == 1:
+        options = _tree_children_options(tree_from_samples(space, h, samples))
+    else:
+        def options(level, members):
+            return distinct_carvings(space, members, h, level - 1, samples[level - 1])
 
     engine = _Engine(space, h, m_cap, r, budget, options)
     return engine.solve_root(h.top, tuple(range(space.n)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -193,6 +194,25 @@ def test_run_solve_deterministic_across_repeats_and_threads():
         else:
             os.environ["TSP_THREADS"] = old
     assert r1 == r2
+
+
+@pytest.mark.parametrize("family, n, params, config, digest", [
+    # 19 children at the root: the greedy + 2-opt child order
+    ("uniform2d", 40, None, {},
+     "c75f7d3cb558280fab3014232a9fc72e6ec76b30c2aa0386ccc31b13cd7fb4ce"),
+    # the dense scan fires: splits, splices and many small sub-solves
+    ("clustered", 160, {"clusters": 4}, {"q": 2.0},
+     "b4d832c6716e5b76ed9ab61baa15ecbabdb80b3460dc0915a53e3c683206e578"),
+    # several children options per cluster
+    ("uniform2d", 20, None, {"guesses": 2},
+     "08983bb6b7aea89de75d3db245ce7c74b12c167b8fdc2031e3010177f4ecb848"),
+], ids=["uniform2d-40", "clustered-160-q2", "uniform2d-20-two-guesses"])
+def test_solve_reports_are_pinned(family, n, params, config, digest):
+    from nettsp.metric import normalize
+    space = normalize(generate_instance(family, n, 0, params))
+    report = run(dict(config, mode="solve", seed=0, space=space))
+    text = strip_timing(render_report(report)) + repr(report["results"]["solve"]["weight"])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_report_tour_reevaluates_to_weight():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from nettsp.errors import BudgetExceeded
 from nettsp.io import generate_instance
 from nettsp import lightdp, oracles, runner
-from nettsp.lightdp import (DEFAULT_BUDGET, PortalSet, _Engine, _heuristic_order,
+from nettsp.lightdp import (DEFAULT_BUDGET, PortalSet, _Engine, _heuristic_orders,
                             _tree_children_options, auto_portals,
                             draw_radius_samples, make_flat_tree, solve_light_tour,
                             solve_with_radius_guessing, tree_from_samples)
@@ -453,7 +454,8 @@ def test_batched_two_opt_matches_one_reversal_at_a_time():
         for c in range(k):
             close[c, exits[c]:] = np.inf
         ref, taken = scalar_heuristic_order(entry, close, hop, exits)
-        assert _heuristic_order(entry, close, hop) == ref
+        (order, _), = _heuristic_orders(hop, [entry], [close])
+        assert order == ref
         moves += taken
     assert moves > 0
 
@@ -494,7 +496,8 @@ def test_prefix_shared_two_opt_matches_scalar_scan_at_workload_widths():
     for entry, hop, close in cases:
         log = []
         ref, _ = scalar_heuristic_order(entry, close, hop, np.isfinite(entry).sum(axis=1), log)
-        assert _heuristic_order(entry, close, hop) == ref
+        (order, _), = _heuristic_orders(hop, [entry], [close])
+        assert order == ref
         logs.append(log)
     # one round takes several moves, and some move reverses a prefix (i = 0)
     assert any(max(Counter(rnd for rnd, _, _ in log).values(), default=0) > 1 for log in logs)
@@ -502,14 +505,180 @@ def test_prefix_shared_two_opt_matches_scalar_scan_at_workload_widths():
     assert {len(entry) for entry, _, _ in cases} == {21, 22, 23, 24}
 
 
+def chain_forward(entry, hop, order):
+    """Forward min-plus vectors along a fixed child order, one step at a time."""
+    vecs = [entry[order[0]]]
+    for prev, cur in zip(order, order[1:]):
+        vecs.append(np.min(vecs[-1][:, None] + hop[prev, cur], axis=0))
+    return np.array(vecs)
+
+
+def multi_pair_node(rng, k, m, portals, plane):
+    """One node's hop tensor and its (entry, close) pair for each parent portal
+    pair a <= b, so pairs with the same a share an entry matrix. Plane nodes
+    are clumps of m portals threaded between parent portals in the unit
+    square; the others are small-integer costs (many ties) with exits past
+    each child's own count padded to inf."""
+    if plane:
+        pts = rng.random((k, 1, 2)) + 0.03 * rng.standard_normal((k, m, 2))
+        ends = rng.random((portals, 2))
+
+        def dist(x, y):
+            return np.sqrt(((x - y) ** 2).sum(-1))
+
+        through = dist(pts[:, :, None], pts[:, None, :])
+        step = dist(pts[:, None, :, None], pts[None, :, None, :])
+        hop = np.min(step[..., None] + through[None, :, None], axis=3)
+        entries = [np.min(dist(e, pts)[:, :, None] + through, axis=1) for e in ends]
+        closes = [dist(pts, e) for e in ends]
+    else:
+        entry, hop = random_groups(rng, k, m)
+
+        def padded_ints():
+            x = rng.integers(0, 4, size=(k, m)).astype(float)
+            x[~np.isfinite(entry)] = np.inf
+            return x
+
+        entries = [entry] + [padded_ints() for _ in range(portals - 1)]
+        closes = [padded_ints() for _ in range(portals)]
+    pairs = [(a, b) for a in range(portals) for b in range(a, portals)]
+    return hop, [entries[a] for a, _ in pairs], [closes[b] for _, b in pairs]
+
+
+def test_heuristic_orders_equal_the_scalar_scan_for_every_pair_of_a_node():
+    spread, padded = 0, 0
+    for seed, k in enumerate((13, 15, 17, 19, 21, 24)):
+        rng = np.random.default_rng(seed)
+        m, portals = 2 + seed % 3, 2 + seed % 2
+        hop, entries, closes = multi_pair_node(rng, k, m, portals, plane=seed % 2 == 1)
+        got = _heuristic_orders(hop, entries, closes)
+        assert len(got) == len(entries) > len({id(e) for e in entries})   # entries shared
+        stops = set()
+        for entry, close, (order, vecs) in zip(entries, closes, got):
+            log = []
+            exits = np.isfinite(entry).sum(axis=1)
+            ref, _ = scalar_heuristic_order(entry, close, hop, exits, log)
+            assert order == ref
+            assert np.array_equal(vecs, chain_forward(entry, hop, order))
+            stops.add(min(4, max((rnd for rnd, _, _ in log), default=0) + 1))
+            padded += bool((exits < m).any())
+        spread += len(stops) > 1           # pairs of this node ran different round counts
+    assert spread > 0 and padded > 0
+
+
+def test_heuristic_orders_working_memory_on_a_ten_pair_node(monkeypatch):
+    # uniform2d n = 60 seed 0 orders one node of 24 children with 6 portals
+    # for the 10 portal pairs of its parent
+    captured = []
+
+    def capturing(hop, entries, closes):
+        captured.append((hop, entries, closes))
+        return _heuristic_orders(hop, entries, closes)
+
+    monkeypatch.setattr(lightdp, "_heuristic_orders", capturing)
+    runner.run(dict(mode="solve", seed=0, space=normalize(generate_instance("uniform2d", 60, 0))))
+    (hop, entries, closes), = captured
+    assert len(entries) == 10 and entries[0].shape == (24, 6)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _heuristic_orders(hop, entries, closes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.5e6
+
+
+def reference_pair(D, infos, A, B):
+    """One option's cost and (child, exit) path for one portal pair (A, B), by
+    the per-pair logic that the batched pass replaced: per-child loop
+    matrices, then one subset path table for this pair alone, or, above
+    EXACT_PATH_CHILDREN children, the scalar greedy + 2-opt order, its forward
+    vectors and a traceback through them."""
+    k = len(infos)
+    m = max(len(ps.portals) for _, ps, _ in infos)
+    hop = loop_hop_matrices(D, infos)
+    entry = loop_entry_matrix(D, A, infos, m)
+    close = loop_close_matrix(D, B, infos, m)
+    if k > _Engine.EXACT_PATH_CHILDREN:
+        exits = np.array([len(ps.portals) for _, ps, _ in infos])
+        order, _ = scalar_heuristic_order(entry, close, hop, exits)
+        vecs = chain_forward(entry, hop, order)
+        tot = vecs[-1] + close[order[-1]]
+        xi = int(np.argmin(tot))
+        cost = float(tot[xi])
+        path = [(order[-1], xi)]
+        for t in range(k - 2, -1, -1):
+            xi = int(np.argmin(vecs[t] + hop[order[t], order[t + 1], :, xi]))
+            path.append((order[t], xi))
+        path = path[::-1]
+    else:
+        table = subset_path_table(entry, hop)
+        tot = table[-1] + close
+        ci, xi = np.unravel_index(np.argmin(tot), tot.shape)
+        cost = float(tot[ci, xi])
+        path = subset_path_trace(table, hop, int(ci), int(xi))
+    return (cost, path) if math.isfinite(cost) else (math.inf, None)
+
+
+@pytest.mark.parametrize("kind, n, guesses, params", [
+    ("uniform2d", 40, 1, None), ("clustered", 60, 1, {"clusters": 4}),
+    ("uniform2d", 20, 2, None)])
+def test_node_pair_matrices_and_traces_equal_the_per_pair_reference(monkeypatch, kind, n,
+                                                                    guesses, params):
+    engines = []
+    solve_root = _Engine.solve_root
+
+    def keeping(self, level, members):
+        engines.append((self, level, members))
+        return solve_root(self, level, members)
+
+    monkeypatch.setattr(_Engine, "solve_root", keeping)
+    sp = normalize(generate_instance(kind, n, 0, params))
+    ddim = estimate_doubling(sp, seed=0).ddim_upper
+    solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), guesses, 6, 2, ddim,
+                               np.random.default_rng(0))
+    (engine, root_level, root_members), = engines
+    wide = several = 0
+    for (level, members), (ps, mat) in engine.nodes.items():
+        if level == 0:
+            continue
+        P = ps.portals
+        root = (level, members) == (root_level, root_members)
+        options = engine.children_options(level, members)
+        several += len(options) > 1
+        for ai, bi in itertools.combinations_with_replacement(range(len(P)), 2):
+            if root and ai != bi:
+                assert mat[ai, bi] == math.inf
+                continue
+            cost, ref = math.inf, None
+            for children in options:
+                infos = [(ch,) + engine.nodes[level - 1, ch] for ch in children]
+                c, path = reference_pair(engine.D, infos, P[ai], P[bi])
+                if c < cost:
+                    cost, ref = c, (tuple(children), path)
+                wide += len(children) > _Engine.EXACT_PATH_CHILDREN
+            key = (level, members, ((P[ai], P[bi]),))
+            assert engine.memo[key] == mat[ai, bi] == mat[bi, ai] == cost
+            trace = engine.trace.get(key)
+            if ref is None:
+                assert trace is None
+                continue
+            kind_, A, infos, path, B = trace
+            assert (kind_, A, B) == ("combine", P[ai], P[bi])
+            assert (tuple(ch for ch, _, _ in infos), path) == ref
+    assert wide > 0 or guesses > 1
+    assert several > 0 or guesses == 1
+
+
 def test_heuristic_child_order_traceback_on_uniform40(monkeypatch):
     widths = []
 
-    def counted(entry, close, hop):
-        widths.append(len(entry))
-        return _heuristic_order(entry, close, hop)
+    def counted(hop, entries, closes):
+        widths.extend(len(entry) for entry in entries)
+        return _heuristic_orders(hop, entries, closes)
 
-    monkeypatch.setattr(lightdp, "_heuristic_order", counted)
+    monkeypatch.setattr(lightdp, "_heuristic_orders", counted)
     sp = normalize(generate_instance("uniform2d", 40, seed=0))
     ddim = estimate_doubling(sp, seed=0).ddim_upper
     res = solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), 1, 6, 2, ddim,
@@ -650,6 +819,36 @@ def test_owner_map_tree_equals_the_node_by_node_carve(kind):
     assert wide > 0
 
 
+@pytest.mark.parametrize("kind, params", [("uniform2d", None), ("clustered", {"clusters": 4})])
+def test_one_guess_carves_each_level_once_and_lists_children_as_distinct_carvings(
+        monkeypatch, kind, params):
+    engines, carved = [], []
+    solve_root = _Engine.solve_root
+
+    def keeping(self, level, members):
+        engines.append(self)
+        return solve_root(self, level, members)
+
+    def counting(space, subset, h, level, radii):
+        carved.append(level)
+        return partition_with_radii(space, subset, h, level, radii)
+
+    monkeypatch.setattr(_Engine, "solve_root", keeping)
+    monkeypatch.setattr(lightdp, "partition_with_radii", counting)
+    sp = normalize(generate_instance(kind, 60, 0, params))
+    h = build_hierarchy(sp, 6.0)
+    ddim = estimate_doubling(sp, seed=0).ddim_upper
+    solve_with_radius_guessing(sp, h, 1, 6, 2, ddim, np.random.default_rng(0))
+    assert sorted(carved) == list(range(h.top + 1))
+    samples = draw_radius_samples(h, 1, ddim, np.random.default_rng(0))
+    (engine,) = engines
+    internal = [key for key in engine.nodes if key[0] > 0]
+    assert len(internal) > 1
+    for level, members in internal:
+        assert engine.children_options(level, members) == distinct_carvings(
+            sp, members, h, level - 1, samples[level - 1])
+
+
 def test_engine_asks_for_each_clusters_options_once():
     sp = rand_space(7, 14)
     h = build_hierarchy(sp, 6.0)
@@ -671,24 +870,28 @@ def test_engine_asks_for_each_clusters_options_once():
 
 
 def record_table_builds(monkeypatch):
-    """Patch the engine to log the (level, children, A) key of every path
-    table the kernel builds for a child order, the kernel calls that leaves
-    make, and the engines that solve."""
-    calls, built, leaf_calls, engines = [], [], [], []
+    """Patch the engine to log, for every children option it combines, its
+    level and children, its parent's portal count and the number of path tables the
+    kernel builds for it; a weak reference to every table the kernel builds,
+    for child orders and leaves alike; the kernel calls that leaves make; and
+    the engines that solve."""
+    calls, combines, leaf_calls, engines = [], [], [], []
     kernel = lightdp.subset_path_table
-    path_table = _Engine._path_table
+    combine = _Engine._combine
     leaf = _Engine._leaf
     solve_root = _Engine.solve_root
 
     def counting_kernel(entry, hop):
-        calls.append(None)
-        return kernel(entry, hop)
+        table = kernel(entry, hop)
+        calls.append(weakref.ref(table))
+        return table
 
-    def recording(self, level, children, A, infos, hop):
+    def recording(self, P, infos, cells):
         before = len(calls)
-        out = path_table(self, level, children, A, infos, hop)
-        if len(calls) > before:
-            built.append((level, children, A))
+        out = combine(self, P, infos, cells)
+        level = infos[0][1].level + 1
+        combines.append(((level, tuple(ch for ch, _, _ in infos)), len(P),
+                         len(calls) - before))
         return out
 
     def leaf_recording(self, members, config):
@@ -702,10 +905,10 @@ def record_table_builds(monkeypatch):
         return solve_root(self, level, members)
 
     monkeypatch.setattr(lightdp, "subset_path_table", counting_kernel)
-    monkeypatch.setattr(_Engine, "_path_table", recording)
+    monkeypatch.setattr(_Engine, "_combine", recording)
     monkeypatch.setattr(_Engine, "_leaf", leaf_recording)
     monkeypatch.setattr(_Engine, "solve_root", keeping)
-    return calls, built, leaf_calls, engines
+    return calls, combines, leaf_calls, engines
 
 
 @pytest.mark.parametrize("solve, tables, ops, flat, entries", [
@@ -718,18 +921,20 @@ def test_each_path_table_is_built_once_and_dropped_when_dead(monkeypatch, solve,
                                                               ops, flat, entries):
     # tables, ops and entries were captured before path tables were dropped,
     # when the heuristic child order still charged 50·k² ops (flat) each time.
-    calls, built, leaf_calls, engines = record_table_builds(monkeypatch)
+    calls, combines, leaf_calls, engines = record_table_builds(monkeypatch)
     solve()
-    assert len(built) == tables
-    assert len(calls) == len(built) + len(leaf_calls)
-    assert len(set(built)) == len(built)
+    built = sum(n for _, _, n in combines)
+    assert built == tables
+    assert len(calls) == built + len(leaf_calls)
+    # each option is combined once, with one table per entry portal when exact
+    assert len({children for children, _, _ in combines}) == len(combines)
+    for (_, children), portals, n in combines:
+        assert n == (portals if len(children) <= _Engine.EXACT_PATH_CHILDREN else 0)
     (engine, root_level), = engines
     assert engine.ops + flat == ops
     assert len(engine.memo) == entries
-    # every table left in the cache is the root's: the others were dropped
-    # once all their configurations were memoized
-    left = [key for key in engine.hk_cache if key[0] == "table"]
-    assert left and {key[1] for key in left} == {root_level}
+    # every table, the root's included, was dropped once its pass was done
+    assert all(ref() is None for ref in calls)
 
 
 def subset_dp_optimum(d):
@@ -805,19 +1010,20 @@ def test_gathered_node_matrices_equal_the_per_child_loops(kind, n, seed, params)
     for node in tree.nodes():
         if not node.children:
             continue
-        children = tuple(ch.members for ch in node.children)
-        infos = engine._child_infos(node.level, children)
-        padded = engine._padded(node.level, children)
+        (children,) = engine.children_options(node.level, node.members)
+        infos = [(ch,) + engine.nodes[node.level - 1, ch] for ch in children]
+        padded = engine._padded(infos)
         counts = {len(ps.portals) for _, ps, _ in infos}
         mixed += len(counts) > 1
         m = max(counts)
-        assert np.array_equal(engine._hop_matrices(node.level, children),
-                              loop_hop_matrices(engine.D, infos))
-        for p in engine.portals(node.level, node.members).portals:
+        assert np.array_equal(engine._hop_matrices(padded), loop_hop_matrices(engine.D, infos))
+        P = engine.portals(node.level, node.members).portals
+        close = engine._close_matrices(P, padded)
+        assert close.shape == (len(P), len(infos), m)
+        for b, p in enumerate(P):
             assert np.array_equal(engine._entry_matrix(p, padded),
                                   loop_entry_matrix(engine.D, p, infos, m))
-            assert np.array_equal(engine._close_matrix(p, padded),
-                                  loop_close_matrix(engine.D, p, infos, m))
+            assert np.array_equal(close[b], loop_close_matrix(engine.D, p, infos, m))
     assert mixed > 0              # children with different portal counts were padded
 
 
@@ -826,21 +1032,44 @@ def test_gathered_node_matrices_equal_the_per_child_loops(kind, n, seed, params)
     lambda: runner.run(dict(mode="solve", seed=3,
                             space=normalize(generate_instance("uniform2d", 50, 3)))),
 ], ids=["uniform2d-n20-two-guesses", "uniform2d-n50-seed3-run"])
-def test_only_the_roots_node_records_outlive_the_solve(monkeypatch, solve):
-    engines = []
-    solve_root = _Engine.solve_root
+def test_no_node_tensor_outlives_its_pass(monkeypatch, solve):
+    # weak references to every padded record, hop tensor, close tensor and
+    # path table; when a cluster's pass returns, those made in it are gone
+    made, passes, kinds = [], [], Counter()
+    originals = {name: getattr(_Engine, name)
+                 for name in ("_padded", "_hop_matrices", "_close_matrices", "pair_costs")}
+    kernel = lightdp.subset_path_table
 
-    def keeping(self, level, members):
-        engines.append((self, level, members))
-        return solve_root(self, level, members)
+    def watching(name):
+        def wrapped(*args):
+            out = originals[name](*args)
+            for arr in out if isinstance(out, tuple) else (out,):
+                made.append(weakref.ref(arr))
+                kinds[name] += 1
+            return out
+        return wrapped
 
-    monkeypatch.setattr(_Engine, "solve_root", keeping)
+    def counting_kernel(entry, hop):
+        table = kernel(entry, hop)
+        made.append(weakref.ref(table))
+        kinds["table"] += 1
+        return table
+
+    def checked_pass(self, level, members, diagonal=False):
+        fresh = (level, members) not in self.nodes
+        before = len(made)
+        out = originals["pair_costs"](self, level, members, diagonal)
+        if fresh:
+            passes.append(level)
+            assert all(ref() is None for ref in made[before:])
+        return out
+
+    for name in ("_padded", "_hop_matrices", "_close_matrices"):
+        monkeypatch.setattr(_Engine, name, staticmethod(watching(name)) if name == "_padded"
+                            else watching(name))
+    monkeypatch.setattr(_Engine, "pair_costs", checked_pass)
+    monkeypatch.setattr(lightdp, "subset_path_table", counting_kernel)
     solve()
-    (engine, level, members), = engines
-    options = {tuple(ch) for ch in engine.children_options(level, members)}
-    kinds = Counter()
-    for kind, key_level, children, *_ in engine.hk_cache:
-        assert key_level == level and children in options
-        kinds[kind] += 1
-    assert kinds["infos"] == kinds["padded"] == kinds["hop"] == len(options)
-    assert kinds["table"] > 0 and set(kinds) == {"infos", "padded", "hop", "table"}
+    assert kinds["_padded"] == 3 * kinds["_hop_matrices"] == 3 * kinds["_close_matrices"] > 0
+    assert kinds["table"] > 0 and max(passes) > 0
+    assert all(ref() is None for ref in made)

@@ -164,10 +164,10 @@ def test_solve_tours_are_pinned(kind, n, params, config, tour):
 # ------------------------------------------------------------ split radius
 
 def annulus_edge_weight(space, edges, v, r1, r2):
-    """Weight of edges with both endpoints in the annulus around v."""
-    row = space.row(v)
-    return float(sum(space.dist(a, b) for a, b in edges
-                     if _in_annulus(row[a], r1, r2) and _in_annulus(row[b], r1, r2)))
+    """Weight of edges with both endpoints in the annulus around v, summed in
+    edge order; the annulus rule runs once over v's distance row."""
+    inside = _in_annulus(space.row(v), r1, r2)
+    return float(sum(space.dist(a, b) for a, b in edges if inside[a] and inside[b]))
 
 
 def test_split_radius_empty_zone():
@@ -202,11 +202,12 @@ def test_split_radius_avoids_shell():
     assert annulus_edge_weight(sp, tree, 0, h - width, h + width) == pytest.approx(0.0)
 
 
-def split_radius_loop(space, v, level, delta, s, candidates=64):
+def split_radius_loop(space, v, level, delta, s, candidates=64, tree=None):
     """The candidate loop the array masks replaced: each annulus scored on
-    its own by annulus_edge_weight."""
+    its own by annulus_edge_weight, over ``tree`` (the whole MST if None)."""
     si = s ** level
-    tree = mst(space, range(space.n))
+    if tree is None:
+        tree = mst(space, range(space.n))
     width = 6 * delta * si
     best_h, best_c = None, math.inf
     for t in range(candidates):
@@ -223,13 +224,14 @@ def test_split_radius_equals_the_candidate_loop():
     moved = 0
     for space in spaces:
         h = build_hierarchy(space, 6.0)
+        tree = mst(space, range(space.n))
         # above these levels every annulus lies past the diameter and is empty
         for level in range(h.top + 1):
             if 12 * h.radius(level) > space.diameter():
                 break
             first = 12 * 6.0 ** level + 0.5 / 64 * 6.0 ** level
             for v in range(space.n):
-                want = split_radius_loop(space, v, level, 1.0 / 12, 6.0)
+                want = split_radius_loop(space, v, level, 1.0 / 12, 6.0, tree=tree)
                 assert choose_split_radius(space, v, level, 1.0 / 12, 6.0) == want
                 moved += want != first
     assert moved > 0        # some first annuli cut tree edges, so the argmin moves
