@@ -19,6 +19,10 @@ import numpy as np
 from .errors import DegenerateInstance, InvalidMetric
 
 REL_TOL = 1e-9
+# validate_metric checks every triangle up to this many points and samples above it.
+EXHAUSTIVE_MAX = 200
+# Sampled triangle checks draw and test this many (i, j, k) triples at a time.
+SAMPLE_BLOCK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,16 @@ def validate_metric(space: MetricSpace, max_listed: int = 100, seed: int = 0) ->
 
     The first four raise InvalidMetric naming the failed check and its first
     offending entry, so the triangle scan only ever sees finite distances.
-    Triangles are checked exhaustively for n <= 200 and on 10*n^2 sampled
-    triples above that; their failures are reported, never raised.
+    Triangle failures are reported, never raised; at most ``max_listed`` of
+    them are listed, as (i, j, k, slack) with slack = d[i, j] - (d[i, k] + d[k, j]).
+
+    Up to EXHAUSTIVE_MAX points every triple is checked: a running min-plus
+    closure over all pivots k, in O(n^2) memory, gives the verdict, and only a
+    failing matrix is scanned again pivot by pivot, in (k, i, j) order, until
+    enough violations are listed. Subtraction is monotone in what it subtracts,
+    so d - min_k(d[:, k] + d[k]) exceeds the tolerance exactly where some single
+    pivot's slack does. Above EXHAUSTIVE_MAX, 10 * n^2 random triples are
+    checked in blocks of SAMPLE_BLOCK, each block drawing its own (i, j, k).
     """
     n = space.n
     report = ValidationReport(passed=True)
@@ -155,26 +167,34 @@ def validate_metric(space: MetricSpace, max_listed: int = 100, seed: int = 0) ->
     _require(np.abs(d - d.T) <= tol, "asymmetric distance",
              "make entry (i, j) equal to entry (j, i)")
 
-    if n <= 200:
+    listed = report.violations
+    if n <= EXHAUSTIVE_MAX:
         exhaustive = True
+        closure = d.copy()
+        via = np.empty_like(d)
         for k in range(n):
-            slack = d - (d[:, k][:, None] + d[k][None, :])
-            bad = np.argwhere(slack > tol)
-            for i, j in bad:
-                report.violations.append((int(i), int(j), int(k), float(slack[i, j])))
+            np.add(d[:, k, None], d[k], out=via)
+            np.minimum(closure, via, out=closure)
+        if (d - closure > tol).any():
+            for k in range(n):
+                slack = d - (d[:, k, None] + d[k])
+                for i, j in np.argwhere(slack > tol)[:max_listed - len(listed)]:
+                    listed.append((int(i), int(j), int(k), float(slack[i, j])))
+                if len(listed) >= max_listed:
+                    break
     else:
         exhaustive = False
         rng = np.random.default_rng(seed)
-        m = 10 * n * n
-        ii = rng.integers(0, n, size=m)
-        jj = rng.integers(0, n, size=m)
-        kk = rng.integers(0, n, size=m)
-        slack = d[ii, jj] - (d[ii, kk] + d[kk, jj])
-        for t in np.flatnonzero(slack > tol):
-            report.violations.append((int(ii[t]), int(jj[t]), int(kk[t]), float(slack[t])))
+        flat = d.ravel()
+        for start in range(0, 10 * n * n, SAMPLE_BLOCK):
+            ii, jj, kk = rng.integers(0, n, size=(3, min(SAMPLE_BLOCK, 10 * n * n - start)))
+            slack = flat[ii * n + jj] - (flat[ii * n + kk] + flat[kk * n + jj])
+            for t in np.flatnonzero(slack > tol)[:max_listed - len(listed)]:
+                listed.append((int(ii[t]), int(jj[t]), int(kk[t]), float(slack[t])))
+            if len(listed) >= max_listed:
+                break
     report.checks["triangle_exhaustive"] = exhaustive
-    report.violations = report.violations[:max_listed]
-    report.passed = not report.violations
+    report.passed = not listed
     return report
 
 
@@ -225,27 +245,15 @@ class DoublingEstimate:
     audited: int
 
 
-def greedy_half_cover(space: MetricSpace, center: int, radius: float) -> int:
-    """Number of radius/2 balls the farthest-point greedy uses to cover B(center, radius)."""
-    pts = ball(space, center, radius)
-    if len(pts) == 0:
-        return 1
-    sub = space.pairwise(pts, pts)
-    half = radius / 2.0
-    thr = half + REL_TOL * max(1.0, half)
-    start = int(np.flatnonzero(pts == center)[0]) if center in pts else 0
-    mind = sub[start].copy()
-    count = 1
-    while True:
-        far = int(np.argmax(mind))
-        if mind[far] <= thr:
-            return count
-        mind = np.minimum(mind, sub[far])
-        count += 1
-
-
 def estimate_doubling(space: MetricSpace, audit_balls: int = 64, seed: int = 0) -> DoublingEstimate:
     """Audit sampled balls with greedy half-radius covers; report the worst count.
+
+    Each ball B(c, r) is covered by the farthest-point greedy: start at c,
+    repeatedly add the first point (lowest index) farthest from the chosen
+    ones, and stop once every point of the ball lies within r/2 of one. The
+    balls are drawn first; then all their greedy covers run in one loop over a
+    (balls x n) array of distances to the chosen points, -inf outside each
+    ball, stepping only the balls not yet covered.
 
     The result upper-bounds the cover number of every audited ball, which is
     the only guarantee downstream packing checks rely on.
@@ -255,21 +263,32 @@ def estimate_doubling(space: MetricSpace, audit_balls: int = 64, seed: int = 0) 
         return DoublingEstimate(lambda_upper=1, ddim_upper=1.0, audited=0)
     rng = np.random.default_rng(seed)
     diam = space.diameter()
-    lam = 1
-    audited = 0
     # Always audit the whole space a few times from distinct centers.
-    fixed_centers = list(range(min(n, 4)))
-    for c in fixed_centers:
-        for r in (diam, diam / 2.0):
-            if r > 0:
-                lam = max(lam, greedy_half_cover(space, c, r))
-                audited += 1
-    while audited < audit_balls:
+    drawn = [(c, r) for c in range(min(n, 4)) for r in (diam, diam / 2.0) if r > 0]
+    while len(drawn) < audit_balls:
         c = int(rng.integers(0, n))
         anchor = int(rng.integers(0, n))
         r = space.dist(c, anchor) * float(rng.uniform(0.5, 1.5))
         if r <= 0:
             r = diam
-        lam = max(lam, greedy_half_cover(space, c, min(r, diam)))
-        audited += 1
-    return DoublingEstimate(lambda_upper=lam, ddim_upper=max(1.0, math.log2(lam)), audited=audited)
+        drawn.append((c, min(r, diam)))
+
+    d = space.pairwise()
+    centers = np.array([c for c, _ in drawn], dtype=np.intp)
+    radii = np.array([r for _, r in drawn], dtype=float)
+    inside = d[centers] <= (radii + REL_TOL * np.maximum(1.0, radii))[:, None]
+    half = radii / 2.0
+    covered_within = half + REL_TOL * np.maximum(1.0, half)
+    open_balls = np.arange(len(drawn))
+    start = np.where(inside[open_balls, centers], centers, np.argmax(inside, axis=1))
+    mind = np.where(inside, d[start], -np.inf)
+    counts = np.ones(len(drawn), dtype=int)
+    while open_balls.size:
+        far = np.argmax(mind[open_balls], axis=1)
+        still_open = ~(mind[open_balls, far] <= covered_within[open_balls])
+        open_balls, far = open_balls[still_open], far[still_open]
+        mind[open_balls] = np.minimum(mind[open_balls], d[far])
+        counts[open_balls] += 1
+    lam = int(counts.max(initial=1))
+    return DoublingEstimate(lambda_upper=lam, ddim_upper=max(1.0, math.log2(lam)),
+                            audited=len(drawn))

@@ -283,6 +283,22 @@ def test_cli_validate_names_the_failed_check(tmp_path, capsys):
     assert "triangle inequality fails" in capsys.readouterr().err
 
 
+def test_cli_validate_names_the_first_violating_triple_of_a_large_matrix(tmp_path, capsys):
+    raw = np.random.default_rng(0).uniform(1.0, 10.0, size=(200, 200))
+    raw = (raw + raw.T) / 2.0
+    np.fill_diagonal(raw, 0.0)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"matrix": raw.tolist()}))
+    rc = main(["validate", "--instance", str(bad), "--format", "points_json"])
+    assert rc == 2
+    # the first triple in (k, i, j) order: pivot 0, then the first (i, j) row-major
+    tol = 1e-9 * float(raw.max())
+    slack = raw - (raw[:, 0][:, None] + raw[0][None, :])
+    i, j = np.argwhere(slack > tol)[0]
+    first = (int(i), int(j), 0, float(slack[i, j]))
+    assert f"(i, j, k, slack): {first};" in capsys.readouterr().err
+
+
 def test_cli_rejects_r_4_before_any_work(tmp_path, capsys):
     inst = tmp_path / "inst.csv"
     assert main(["gen", "--kind", "uniform2d", "--n", "12", "--seed", "3",

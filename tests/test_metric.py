@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from nettsp.errors import DegenerateInstance, InvalidMetric
-from nettsp.metric import (MetricSpace, ball, estimate_doubling,
-                           from_matrix, from_points, normalize, restrict,
+from nettsp.io import generate_instance
+from nettsp.metric import (REL_TOL, DoublingEstimate, MetricSpace, ValidationReport, ball,
+                           estimate_doubling, from_matrix, from_points, normalize, restrict,
                            validate_metric)
 from nettsp.sparse import SolveParams, solve_tsp
 from nettsp.tours import tour_weight
@@ -295,3 +297,199 @@ def test_validate_after_a_row_query_still_raises_without_warnings():
             validate_metric(sp)
     assert str(err.value).startswith("non-finite distance at (0, 1): ")
     assert not caught
+
+
+# The per-pivot triangle loop validate_metric ran before its min-plus closure,
+# kept as the reference. It stops once it holds max_listed violations, which
+# leaves the first max_listed of the full (k, i, j) listing as they were.
+def pivot_loop_triangles(space, max_listed=100):
+    d = space.pairwise()
+    tol = REL_TOL * max(1.0, float(d.max(initial=0.0)))
+    violations = []
+    for k in range(space.n):
+        slack = d - (d[:, k][:, None] + d[k][None, :])
+        for i, j in np.argwhere(slack > tol):
+            violations.append((int(i), int(j), int(k), float(slack[i, j])))
+        if len(violations) >= max_listed:
+            break
+    violations = violations[:max_listed]
+    return ValidationReport(passed=not violations, violations=violations,
+                            checks={"triangle_exhaustive": True})
+
+
+FAMILIES = ("uniform2d", "clustered", "line", "matrix_random_metric")
+
+
+def non_metric(n, seed=0):
+    """Random symmetric weights in [1, 10): most triangles fail."""
+    raw = np.random.default_rng(seed).uniform(1.0, 10.0, size=(n, n))
+    raw = (raw + raw.T) / 2.0
+    np.fill_diagonal(raw, 0.0)
+    return raw
+
+
+def planted_slack(extra_ulps):
+    """Points 0, 1, 2 close together and 17 points on a line beyond them.
+
+    Every triangle holds except 0-2 via 1, whose slack is exactly the
+    validation tolerance (17e-9, as the largest distance is 17), plus
+    extra_ulps steps of d[0, 2].
+    """
+    m = 17
+    tol = REL_TOL * m
+    n = 3 + m
+    d = np.zeros((n, n))
+    line = np.arange(1, m + 1, dtype=float)
+    d[3:, 3:] = np.abs(line[:, None] - line[None, :])
+    d[:3, 3:] = line
+    d[3:, :3] = line[:, None]
+    d[0, 1] = d[1, 0] = d[1, 2] = d[2, 1] = tol / 2
+    far = 2 * tol
+    for _ in range(extra_ulps):
+        far = np.nextafter(far, np.inf)
+    d[0, 2] = d[2, 0] = far
+    return from_matrix(d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 60, 200])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_triangle_closure_equals_the_pivot_loop_on_generated_metrics(family, n):
+    sp = generate_instance(family, n, seed=n)
+    report = validate_metric(sp)
+    assert report == pivot_loop_triangles(sp)
+    assert report.passed and report.checks == {"triangle_exhaustive": True}
+
+
+def test_triangle_slack_of_exactly_the_tolerance_passes_and_one_ulp_more_fails():
+    exact = planted_slack(0)
+    d = exact.pairwise()
+    assert d[0, 2] - (d[0, 1] + d[1, 2]) == REL_TOL * max(1.0, float(d.max()))
+    assert validate_metric(exact) == pivot_loop_triangles(exact)
+    assert validate_metric(exact).passed
+
+    above = planted_slack(1)
+    report = validate_metric(above)
+    assert report == pivot_loop_triangles(above)
+    assert not report.passed
+    assert [v[:3] for v in report.violations] == [(0, 2, 1), (2, 0, 1)]
+
+    # a real violation later in the listing leaves the exact-tolerance triple unlisted
+    d = exact.pairwise().copy()
+    d[3, 5] = d[5, 3] = 3.0
+    both = from_matrix(d)
+    report = validate_metric(both)
+    assert report == pivot_loop_triangles(both)
+    assert [v[:3] for v in report.violations] == [(3, 5, 4), (5, 3, 4)]
+
+
+@pytest.mark.parametrize("n, max_listed", [(30, 100), (30, 1), (30, 10 ** 6), (200, 100)])
+def test_triangle_listing_equals_the_pivot_loop_on_non_metric_matrices(n, max_listed):
+    sp = from_matrix(non_metric(n))
+    report = validate_metric(sp, max_listed=max_listed)
+    assert report == pivot_loop_triangles(sp, max_listed=max_listed)
+    assert not report.passed
+
+
+def test_rejecting_a_200_point_non_metric_matrix_lists_100_in_little_memory():
+    sp = from_matrix(non_metric(200))
+    matrix_bytes = sp.pairwise().nbytes
+    tracemalloc.start()
+    try:
+        report = validate_metric(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.violations == pivot_loop_triangles(sp).violations
+    assert len(report.violations) == 100
+    # the closure and one pivot's slack, not every violating triple
+    assert peak <= matrix_bytes + 3 * 2 ** 20
+
+
+def test_sampled_triangle_check_works_in_blocks_of_bounded_memory():
+    sp = from_points(np.random.default_rng(3).random((400, 2)))
+    matrix_bytes = sp.pairwise().nbytes
+    tracemalloc.start()
+    try:
+        report = validate_metric(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and not report.checks["triangle_exhaustive"]
+    assert peak <= matrix_bytes + 4 * 2 ** 20
+
+
+def test_sampled_triangle_check_lists_at_most_max_listed():
+    sp = from_matrix(non_metric(210))
+    report = validate_metric(sp, max_listed=7)
+    assert not report.passed and not report.checks["triangle_exhaustive"]
+    assert len(report.violations) == 7
+    d = sp.pairwise()
+    tol = REL_TOL * float(d.max())
+    for i, j, k, slack in report.violations:
+        assert slack == d[i, j] - (d[i, k] + d[k, j]) > tol
+
+
+# The per-ball greedy estimate_doubling ran before its covers were batched,
+# kept as the reference.
+def greedy_half_cover(space, center, radius):
+    """Number of radius/2 balls the farthest-point greedy uses to cover B(center, radius)."""
+    pts = ball(space, center, radius)
+    if len(pts) == 0:
+        return 1
+    sub = space.pairwise(pts, pts)
+    half = radius / 2.0
+    thr = half + REL_TOL * max(1.0, half)
+    start = int(np.flatnonzero(pts == center)[0]) if center in pts else 0
+    mind = sub[start].copy()
+    count = 1
+    while True:
+        far = int(np.argmax(mind))
+        if mind[far] <= thr:
+            return count
+        mind = np.minimum(mind, sub[far])
+        count += 1
+
+
+def per_ball_doubling(space, audit_balls=64, seed=0):
+    n = space.n
+    if n < 2:
+        return DoublingEstimate(lambda_upper=1, ddim_upper=1.0, audited=0)
+    rng = np.random.default_rng(seed)
+    diam = space.diameter()
+    lam = 1
+    audited = 0
+    for c in range(min(n, 4)):
+        for r in (diam, diam / 2.0):
+            if r > 0:
+                lam = max(lam, greedy_half_cover(space, c, r))
+                audited += 1
+    while audited < audit_balls:
+        c = int(rng.integers(0, n))
+        anchor = int(rng.integers(0, n))
+        r = space.dist(c, anchor) * float(rng.uniform(0.5, 1.5))
+        if r <= 0:
+            r = diam
+        lam = max(lam, greedy_half_cover(space, c, min(r, diam)))
+        audited += 1
+    return DoublingEstimate(lambda_upper=lam, ddim_upper=max(1.0, math.log2(lam)),
+                            audited=audited)
+
+
+@pytest.mark.parametrize("n", [2, 20, 120, 200])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batched_doubling_estimate_equals_the_per_ball_greedy(family, n):
+    for seed in range(3):
+        sp = generate_instance(family, n, seed=seed)
+        for audit_balls in (24, 64, 96):
+            assert (estimate_doubling(sp, audit_balls=audit_balls, seed=seed)
+                    == per_ball_doubling(sp, audit_balls=audit_balls, seed=seed))
+
+
+@pytest.mark.parametrize("space", [grid(7), grid(12), from_matrix(np.ones((9, 9)) - np.eye(9)),
+                                   from_points(np.zeros((5, 2)))],
+                         ids=["grid-7", "grid-12", "equidistant-9", "coincident-5"])
+def test_batched_doubling_estimate_takes_the_first_of_tied_farthest_points(space):
+    for seed in range(3):
+        for audit_balls in (0, 8, 24, 64):
+            assert (estimate_doubling(space, audit_balls=audit_balls, seed=seed)
+                    == per_ball_doubling(space, audit_balls=audit_balls, seed=seed))
