@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -89,7 +90,12 @@ class MetricSpace:
 
     def min_gap(self):
         """Smallest interpoint distance and the first pair attaining it in
-        row-major order; (inf, (0, 0)) when no pair is finite."""
+        row-major order; (inf, (0, 0)) when no pair is finite. Found once per
+        space, on the first call, and then kept."""
+        return self._min_gap
+
+    @functools.cached_property
+    def _min_gap(self):
         n = self.n
         if n < 2:
             return math.inf, (0, 0)
@@ -136,13 +142,47 @@ def _require(ok: np.ndarray, problem: str, fix: str):
         raise InvalidMetric(f"{problem} at {tuple(int(x) for x in np.argwhere(~ok)[0])}: {fix}")
 
 
+def _metric_by_construction(space: MetricSpace) -> bool:
+    """Whether the distance formula alone makes ``space`` pass every check but finiteness.
+
+    Only a space built from coordinates qualifies. Its matrix is
+    d = sqrt(sum(diff * diff)), which settles the sign, zero-diagonal and
+    symmetry checks: a square root is >= 0, x - x is exactly 0, and
+    (x - y)^2 equals (y - x)^2 bit for bit, summed in the same order.
+
+    Rounding settles the triangle check. With unit roundoff u = eps / 2, each
+    difference and square is off by a factor of at most 1 +- u, a sum of D
+    nonnegative terms adds (D - 1) u, and the square root halves the relative
+    error and adds u: |d - e| <= (D + 4) u e / 2 for the exact distance e, to
+    first order. The exact distances obey the triangle inequality, so the
+    computed slack d[i, j] - (d[i, k] + d[k, j]), with the rounding of its own
+    sum, is at most (3 (D + 4) / 2 + 2) u max d. Squares that underflow add
+    at most sqrt(D 2^-1074), about 2.2e-162 sqrt(D), to a distance: nothing
+    beside a tolerance of at least REL_TOL. The bound used here,
+    4 (D + 3) u max d = 2 (D + 3) eps max d, is above that count for every D,
+    which leaves room for second-order terms. It stays below the tolerance
+    REL_TOL * max(1, max d) while D + 3 < REL_TOL / (2 eps), about 2.25e6 at
+    REL_TOL = 1e-9. Above that dimension the matrix is checked like any other.
+    """
+    if space.coords is None:
+        return False
+    return 2 * (space.coords.shape[1] + 3) * sys.float_info.epsilon < REL_TOL
+
+
 def validate_metric(space: MetricSpace, max_listed: int = 100, seed: int = 0) -> ValidationReport:
     """Check finiteness, nonnegativity, zero diagonal, symmetry and the triangle inequality.
 
     The first four raise InvalidMetric naming the failed check and its first
     offending entry, so the triangle scan only ever sees finite distances.
     Triangle failures are reported, never raised; at most ``max_listed`` of
-    them are listed, as (i, j, k, slack) with slack = d[i, j] - (d[i, k] + d[k, j]).
+    them are listed, as (i, j, k, slack) with slack = d[i, j] - (d[i, k] + d[k, j]),
+    and ``passed`` is the verdict whatever the listing holds.
+
+    Coordinates are a metric by construction (see _metric_by_construction),
+    so they get only the finiteness checks, on the coordinates and on their
+    distances, which overflow to inf if too large; their report is the one a
+    scan would give. A matrix gets every check. ``checks["triangle_exhaustive"]``
+    is n <= EXHAUSTIVE_MAX for either kind of space.
 
     Up to EXHAUSTIVE_MAX points every triple is checked: a running min-plus
     closure over all pivots k, in O(n^2) memory, gives the verdict, and only a
@@ -150,32 +190,38 @@ def validate_metric(space: MetricSpace, max_listed: int = 100, seed: int = 0) ->
     enough violations are listed. Subtraction is monotone in what it subtracts,
     so d - min_k(d[:, k] + d[k]) exceeds the tolerance exactly where some single
     pivot's slack does. Above EXHAUSTIVE_MAX, 10 * n^2 random triples are
-    checked in blocks of SAMPLE_BLOCK, each block drawing its own (i, j, k).
+    checked in blocks of SAMPLE_BLOCK, each block drawing its own (i, j, k),
+    until a failure is seen and enough are listed.
     """
     n = space.n
-    report = ValidationReport(passed=True)
+    exhaustive = n <= EXHAUSTIVE_MAX
+    report = ValidationReport(passed=True, checks={"triangle_exhaustive": exhaustive})
     if space.coords is not None:
         _require(np.isfinite(space.coords), "non-finite coordinate",
                  "replace nan and inf with finite numbers")
     d = space.pairwise()
     _require(np.isfinite(d), "non-finite distance",
              "replace nan and inf with finite numbers, or rescale coordinates this large")
+    if _metric_by_construction(space):
+        return report
     tol = REL_TOL * max(1.0, float(d.max(initial=0.0)))
     _require(d >= -REL_TOL, "negative distance", "make every distance at least 0")
-    _require((np.abs(d) <= REL_TOL) | ~np.eye(n, dtype=bool), "non-zero diagonal distance",
-             "set each point's distance to itself to 0")
-    _require(np.abs(d - d.T) <= tol, "asymmetric distance",
-             "make entry (i, j) equal to entry (j, i)")
+    _require(np.diag(np.abs(np.diagonal(d)) <= REL_TOL) | ~np.eye(n, dtype=bool),
+             "non-zero diagonal distance", "set each point's distance to itself to 0")
+    asymmetry = np.subtract(d, d.T)
+    np.abs(asymmetry, out=asymmetry)
+    _require(asymmetry <= tol, "asymmetric distance", "make entry (i, j) equal to entry (j, i)")
+    del asymmetry
 
     listed = report.violations
-    if n <= EXHAUSTIVE_MAX:
-        exhaustive = True
+    if exhaustive:
         closure = d.copy()
         via = np.empty_like(d)
         for k in range(n):
             np.add(d[:, k, None], d[k], out=via)
             np.minimum(closure, via, out=closure)
-        if (d - closure > tol).any():
+        failed = bool((d - closure > tol).any())
+        if failed:
             for k in range(n):
                 slack = d - (d[:, k, None] + d[k])
                 for i, j in np.argwhere(slack > tol)[:max_listed - len(listed)]:
@@ -183,18 +229,19 @@ def validate_metric(space: MetricSpace, max_listed: int = 100, seed: int = 0) ->
                 if len(listed) >= max_listed:
                     break
     else:
-        exhaustive = False
+        failed = False
         rng = np.random.default_rng(seed)
         flat = d.ravel()
         for start in range(0, 10 * n * n, SAMPLE_BLOCK):
             ii, jj, kk = rng.integers(0, n, size=(3, min(SAMPLE_BLOCK, 10 * n * n - start)))
             slack = flat[ii * n + jj] - (flat[ii * n + kk] + flat[kk * n + jj])
-            for t in np.flatnonzero(slack > tol)[:max_listed - len(listed)]:
+            bad = np.flatnonzero(slack > tol)
+            failed = failed or bad.size > 0
+            for t in bad[:max_listed - len(listed)]:
                 listed.append((int(ii[t]), int(jj[t]), int(kk[t]), float(slack[t])))
-            if len(listed) >= max_listed:
+            if failed and len(listed) >= max_listed:
                 break
-    report.checks["triangle_exhaustive"] = exhaustive
-    report.passed = not listed
+    report.passed = not failed
     return report
 
 

@@ -179,13 +179,18 @@ def run(config: dict) -> dict:
             "nodes": len(tree.nodes()),
             "max_branching": tree.max_branching(),
         }
+        # Points 0, 2 and 4, each paired with its nearest neighbour (the first
+        # at the least distance): far-apart pairs are cut by every carving.
         pairs = []
         level = min(1, h.top)
         take = min(space.n, 6)
         for u in range(0, take - 1, 2):
-            freq = estimate_cut_probability(space, h, u, u + 1, level, 400,
+            row = np.where(np.arange(space.n) == u, np.inf, space.row(u))
+            v = int(np.argmin(row))
+            freq = estimate_cut_probability(space, h, u, v, level, 400,
                                             params.ddim, np.random.default_rng(seed + u))
-            pairs.append({"u": u, "v": u + 1, "level": level, "cut_frequency": freq})
+            pairs.append({"u": u, "v": v, "level": level, "distance": float(row[v]),
+                          "cut_frequency": freq})
         results["cut_samples"] = pairs
         return report
 

@@ -11,7 +11,7 @@ import pytest
 from nettsp.errors import (ConfigError, DegenerateInstance, InvalidMetric, ParseError,
                            TriangleViolation)
 from nettsp.io import generate_instance, instance_digest, load_instance, save_points_csv
-from nettsp.metric import from_points, validate_metric
+from nettsp.metric import from_points, normalize, validate_metric
 from nettsp.nets import build_hierarchy
 from nettsp.runner import render_report, run, strip_timing
 from nettsp.sparse import find_dense_region
@@ -244,6 +244,19 @@ def test_run_partition_stats_mode():
     report = run({"space": sp, "mode": "partition_stats", "seed": 1})
     assert report["results"]["nets"]["ok"]
     assert report["results"]["clustering"]["nodes"] >= 1
+
+
+def test_partition_stats_samples_nearest_neighbours():
+    sp = generate_instance("uniform2d", 320, seed=0)
+    report = run({"space": sp, "mode": "partition_stats", "seed": 0})
+    samples = report["results"]["cut_samples"]
+    d = normalize(sp).pairwise()
+    assert [s["u"] for s in samples] == [0, 2, 4]
+    for s in samples:
+        others = np.delete(d[s["u"]], s["u"])
+        assert s["distance"] == d[s["u"], s["v"]] == others.min()
+    # pairs of unrelated points are all cut at level 1; nearest neighbours are not
+    assert {s["cut_frequency"] for s in samples} != {1.0}
 
 
 # -------------------------------------------------------------------- cli

@@ -493,3 +493,97 @@ def test_batched_doubling_estimate_takes_the_first_of_tied_farthest_points(space
         for audit_balls in (0, 8, 24, 64):
             assert (estimate_doubling(space, audit_balls=audit_balls, seed=seed)
                     == per_ball_doubling(space, audit_balls=audit_balls, seed=seed))
+
+
+def planted_long_edge():
+    """A 210-point metric matrix but for one long edge, (2, 4), which the
+    seed-0 sampler first draws in its third block of SAMPLE_BLOCK triples."""
+    d = from_points(np.random.default_rng(4).random((210, 2))).pairwise().copy()
+    d[2, 4] = d[4, 2] = 10.0
+    return from_matrix(d)
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+def test_a_failing_matrix_fails_with_nothing_listed(sampled):
+    sp = planted_long_edge() if sampled else from_matrix([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+    first = validate_metric(sp, max_listed=1).violations
+    assert [v[:2] for v in first] in (([(2, 4)], [(4, 2)]) if sampled else ([(0, 2)],))
+    report = validate_metric(sp, max_listed=0)
+    assert not report.passed and report.violations == []
+    assert report.checks == {"triangle_exhaustive": not sampled}
+
+
+@pytest.mark.parametrize("n", [400, 800])
+def test_sampled_triangle_check_of_a_matrix_works_in_blocks_of_bounded_memory(n):
+    # the matrix twin of the coordinate test above, which no longer samples;
+    # at n = 800 two n x n temporaries in the symmetry check would exceed the bound
+    sp = from_matrix(from_points(np.random.default_rng(3).random((n, 2))).pairwise())
+    matrix_bytes = sp.pairwise().nbytes
+    tracemalloc.start()
+    try:
+        report = validate_metric(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and not report.checks["triangle_exhaustive"]
+    assert peak <= matrix_bytes + 4 * 2 ** 20
+
+
+def min_plus_closure(d):
+    closure = d.copy()
+    for k in range(d.shape[0]):
+        np.minimum(closure, d[:, k, None] + d[k], out=closure)
+    return closure
+
+
+def adversarial_points(kind, n, dim, scale, seed=0):
+    """Coordinate sets where rounding hurts the triangle inequality most."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        pts = rng.random((n, dim))
+    elif kind == "near_coincident":
+        # pairs a relative 1e-12 apart, far from each other
+        base = rng.random((n - n // 2, dim))
+        pts = np.concatenate([base, base[: n // 2] * (1 + 1e-12 * rng.random((n // 2, dim)))])
+    else:
+        # collinear, exact in the reals, on a line far from the origin
+        direction = rng.normal(size=dim)
+        pts = 1e6 + rng.random((n, 1)) * direction[None, :]
+    return from_points(pts * scale)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 50, 500])
+@pytest.mark.parametrize("kind", ["uniform", "near_coincident", "collinear_far"])
+def test_coordinate_reports_equal_the_triangle_scan_they_skip(kind, dim):
+    n = 200 if dim <= 3 else (60 if dim == 50 else 20)
+    for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+        sp = adversarial_points(kind, n, dim, scale)
+        d = sp.pairwise()
+        assert np.array_equal(d, d.T) and not np.diagonal(d).any() and (d >= 0).all()
+        report = validate_metric(sp)
+        assert report == pivot_loop_triangles(sp)
+        assert report.passed and report.checks == {"triangle_exhaustive": True}
+        # the closure slack stays inside the rounding bound the skip rests on:
+        # relative rounding, plus what squares that underflow lose
+        worst = float((d - min_plus_closure(d)).max())
+        bound = (2 * (dim + 3) * np.finfo(float).eps * float(d.max())
+                 + 3 * math.sqrt(dim * 2.0 ** -1074))
+        assert worst <= bound < REL_TOL * max(1.0, float(d.max()))
+
+
+def test_coordinates_skip_the_triangle_scan_up_to_the_derived_dimension():
+    eps = np.finfo(float).eps
+    limit = math.ceil(REL_TOL / (2 * eps)) - 4       # largest D with 2 (D + 3) eps < REL_TOL
+    for dim, skips in ((1, True), (10 ** 6, True), (limit, True), (limit + 1, False)):
+        # three coincident points in a stride-0 view (the shape without the
+        # memory), with a triangle-violating matrix planted in the distance
+        # cache: only a space that is scanned fails
+        sp = MetricSpace(coords=np.broadcast_to(0.0, (3, dim)))
+        sp.__dict__["_distances"] = np.array([[0.0, 1, 5], [1, 0, 1], [5, 1, 0]])
+        assert validate_metric(sp).passed is skips
+
+
+def test_a_coordinate_space_finds_its_min_gap_once():
+    sp = from_points(np.random.default_rng(6).random((30, 2)))
+    assert sp.min_gap() is sp.min_gap()
+    assert sp.min_gap() == fresh_min_gap(sp)
