@@ -25,10 +25,6 @@ class Infeasible(NetTspError):
     """The dynamic program found no valid completion at the root."""
 
 
-class BudgetExceeded(NetTspError):
-    """Enumeration ceiling reached; lower m_cap or shrink the instance."""
-
-
 class DegenerateSplit(NetTspError):
     """Instance split produced S2 = S; treat the region as sparse instead."""
 

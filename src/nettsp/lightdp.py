@@ -5,9 +5,10 @@ Tour segments may cross a cluster only at its portals. Each cluster, keyed by
 segment costs over all of its portal pairs, so identical clusters arising from
 different radius choices share it. Each portal pair is one segment, so a tour
 crosses each cluster twice: it enters once, visits every member, and leaves.
-A segment through a bottom cluster and the child order of a segment through
-an internal one are both subset paths on the one kernel of
-:mod:`nettsp.oracles`.
+A bottom cluster's children are its points, each its own one portal at cost
+0, so every segment is a child order: a subset path on the one kernel of
+:mod:`nettsp.oracles` up to EXACT_PATH_CHILDREN children, a greedy plus 2-opt
+order above.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, Infeasible
+from .errors import Infeasible
 from .metric import REL_TOL, MetricSpace
 from .nets import NetHierarchy
 from .oracles import PULL_BLOCK, subset_path_table, subset_path_trace
@@ -26,7 +27,9 @@ from .partition import (ClusterNode, ClusterTree, distinct_carvings, partition_w
                         sample_radius)
 from .tours import Tour, _collapse, dedupe_visits
 
-DEFAULT_BUDGET = 5_000_000
+# int32 entries of the reversal rows that one _heuristic_orders call stacks:
+# each pair of a k-child node adds k(k - 1)/2 rows of k entries (64 MB).
+HEURISTIC_ROW_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,8 @@ class PortalSet:
 
     Portals are net points whose covering balls touch the cluster; they need
     not be cluster members (non-members act as free copies that a tour may
-    use without owing them a visit).
+    use without owing them a visit). A point, the child of a bottom cluster at
+    level -1, is its own one portal.
     """
 
     level: int
@@ -80,7 +84,6 @@ class LightTourResult:
     tour: Tour                     # shortcut closed tour visiting every point once
     cost: float                    # table cost of the raw segment structure
     raw: Tour                      # traceback tour before shortcutting
-    audit: list                    # (level, cluster size, portal instances, within portals)
     stats: dict
 
 
@@ -91,37 +94,30 @@ class _Engine:
     pairs (a, b): the cheapest segment that enters at a, visits every member
     and leaves at b, so the tour crosses the cluster twice. That meets any
     crossing bound r >= 2, so the engine only checks that r is at least 2.
-    An internal cluster's pass first solves each child, once per child, then
-    combines every children option over every pair and keeps, per pair, the
-    first cheapest option. The pass's node tensors (padded record, hop tensor,
-    path tables) are locals, gone when it returns; the matrix, its traces and
-    the cluster's PortalSet are kept.
+    A cluster's pass first solves each child, once per child, then combines
+    every children option over every pair and keeps, per pair, the first
+    cheapest option; a bottom cluster's one option is its points. The pass's
+    node tensors (padded record, hop tensor, path tables) are locals, gone
+    when it returns; the matrix, its traces and the cluster's PortalSet are
+    kept.
     """
 
     EXACT_PATH_CHILDREN = 12
 
-    def __init__(self, space, h, m_cap, r, budget, children_options, portal_chooser=None):
+    def __init__(self, space, h, m_cap, r, children_options, portal_chooser=None):
         if r < 2:
             raise ValueError("r must be at least 2")
         self.space = space
         self.h = h
         self.m_cap = max(1, int(m_cap))
-        self.budget = int(budget)
         self.children_options = children_options
         self.portal_chooser = portal_chooser
         self.D = space.pairwise()
-        self.ops = 0
+        self.ops = 0               # path table work, k·k·2^k / 8 + 1 per table
         self.memo = {}             # (level, members, config) -> cost
         self.trace = {}            # (level, members, config) -> how the cost is reached
         self.nodes = {}            # (level, members) -> (PortalSet, pair-cost matrix)
         self.portal_cache = {}
-
-    def charge(self, k=1):
-        self.ops += k
-        if self.ops > self.budget:
-            raise BudgetExceeded(
-                f"enumeration budget {self.budget} exceeded at m_cap {self.m_cap}: "
-                f"raise the budget, or pass an --m-cap below {self.m_cap}")
 
     def portals(self, level, members):
         key = (level, members)
@@ -145,14 +141,24 @@ class _Engine:
     def pair_costs(self, level, members, diagonal=False):
         """The cluster's PortalSet and its symmetric (m x m) segment-cost matrix.
 
-        Computed by one pass on the first call and kept. Only the pairs a <= b
-        are solved (only a == b when ``diagonal``, as for the root); each gets
-        a memo entry, and a trace when its cost is finite.
+        Computed by one pass on the first call and kept. A point (level -1) is
+        its own one portal, with a segment of cost 0. A bottom cluster's one
+        children option is its points; ``children_options`` gives the others.
+        Only the pairs a <= b are solved (only a == b when ``diagonal``, as for
+        the root); each gets a memo entry, and a trace when its cost is finite.
         """
         key = (level, members)
         hit = self.nodes.get(key)
         if hit is not None:
             return hit
+        if level < 0:
+            (p,) = members
+            self.memo[level, members, ((p, p),)] = 0.0
+            self.trace[level, members, ((p, p),)] = ("point", [p])
+            self.nodes[key] = (PortalSet(level=level, pitch_level=level, pitch=0.0,
+                                         portals=members, mandatory=(True,)),
+                               np.zeros((1, 1)))
+            return self.nodes[key]
         ps = self.portals(level, members)
         P = ps.portals
         m = len(P)
@@ -160,17 +166,14 @@ class _Engine:
             (ai, bi) for ai in range(m) for bi in range(ai, m)]
         mat = np.full((m, m), np.inf)
         traces = {}
-        if level <= 0:
-            for ai, bi in cells:
-                mat[ai, bi], traces[ai, bi] = self._leaf(members, ((P[ai], P[bi]),))
-        else:
-            for children in self.children_options(level, members):
-                infos = [(ch,) + self.pair_costs(level - 1, ch) for ch in children]
-                cost, found = self._combine(P, infos, cells)
-                better = cost < mat                 # strict: the first option keeps ties
-                mat[better] = cost[better]
-                for ai, bi in np.argwhere(better).tolist():
-                    traces[ai, bi] = found[ai, bi]
+        options = (self.children_options(level, members) if level > 0
+                   else [tuple((p,) for p in members)])
+        for children in options:
+            infos = [(ch,) + self.pair_costs(level - 1, ch) for ch in children]
+            cost, found = self._combine(P, infos, cells)
+            better = cost < mat                     # strict: the first option keeps ties
+            mat[better] = cost[better]
+            traces.update((cell, trace) for cell, trace in found.items() if better[cell])
         for ai, bi in cells:
             ckey = (level, members, ((P[ai], P[bi]),))
             self.memo[ckey] = float(mat[ai, bi])
@@ -179,30 +182,6 @@ class _Engine:
                 self.trace[ckey] = traces[ai, bi]
         self.nodes[key] = (ps, mat)
         return ps, mat
-
-    # ------------------------------------------------------------------- leaf
-
-    def _leaf(self, members, config):
-        """Cheapest segment from a to b through every other member of a bottom
-        cluster, for the config's one portal pair (a, b).
-
-        The members between the ends are a subset path on the kernel, one group
-        with one exit per member, entered from a and closed to b. An end need
-        not be a member: a portal outside the cluster is a free copy.
-        """
-        (a, b), = config
-        rest = [p for p in members if p != a and p != b]
-        t = len(rest)
-        self.charge((1 if a == b else 2) * max(1, (1 << t) * (t + 1)))
-        D = self.D
-        if not rest:
-            return float(D[a, b]), ("leaf", [[a, b]])
-        hop = D[np.ix_(rest, rest)][:, :, None, None]
-        table = subset_path_table(D[a, rest][:, None], hop)
-        tot = table[-1, :, 0] + D[rest, b]
-        last = int(np.argmin(tot))
-        path = subset_path_trace(table, hop, last, 0)
-        return float(tot[last]), ("leaf", [[a] + [rest[c] for c, _ in path] + [b]])
 
     # ----------------------------------------------------------- combination
 
@@ -218,7 +197,9 @@ class _Engine:
         the next A's is built. Beyond that, the child order of every pair
         comes from one batched greedy plus 2-opt search, with exact portal
         assignment per order (the tour stays valid; only the table optimality
-        narrows to the explored orders).
+        narrows to the explored orders). The pairs are independent, so they go
+        to the search in chunks whose reversal rows stay within
+        HEURISTIC_ROW_ENTRIES.
         """
         k = len(infos)
         padded = self._padded(infos)
@@ -229,8 +210,12 @@ class _Engine:
         found = {}
         if k > self.EXACT_PATH_CHILDREN:
             entries = [self._entry_matrix(A, padded) for A in P]
-            orders = _heuristic_orders(hop, [entries[ai] for ai, _ in cells],
-                                       [close[bi] for _, bi in cells])
+            chunk = max(1, HEURISTIC_ROW_ENTRIES // (k * (k - 1) // 2 * k))
+            orders = []
+            for c0 in range(0, len(cells), chunk):
+                part = cells[c0:c0 + chunk]
+                orders += _heuristic_orders(hop, [entries[ai] for ai, _ in part],
+                                            [close[bi] for _, bi in part])
             for (ai, bi), (order, vecs) in zip(cells, orders):
                 tot = vecs[-1] + close[bi, order[-1]]
                 xi = int(np.argmin(tot))
@@ -245,7 +230,7 @@ class _Engine:
         full = (1 << k) - 1
         for ai, group in itertools.groupby(cells, key=lambda cell: cell[0]):
             bs = [bi for _, bi in group]
-            self.charge(k * k * (1 << k) // 8 + 1)
+            self.ops += k * k * (1 << k) // 8 + 1
             table = subset_path_table(self._entry_matrix(P[ai], padded), hop)
             tot = (table[full][None] + close[bs]).reshape(len(bs), k * m)
             for bi, row, flat in zip(bs, tot, np.argmin(tot, axis=1).tolist()):
@@ -292,7 +277,7 @@ class _Engine:
     def _entry_matrix(self, A, padded):
         """entry[ci, y] = enter child ci from A, exit at portal y (inf past its portals)."""
         portals, _, cost = padded
-        return np.min(self.D[A, portals][:, :, None] + cost, axis=1)
+        return (self.D[A, portals][:, :, None] + cost).min(axis=1)
 
     def _close_matrices(self, P, padded):
         """close[b, ci, x] = D[exit portal x of child ci, P[b]] (inf past its portals)."""
@@ -323,8 +308,8 @@ class _Engine:
     def expand(self, key):
         """The point sequence realizing the keyed config, running config[0][0] -> config[0][1]."""
         trace = self.trace[key]
-        if trace[0] == "leaf":
-            return trace[1][0]
+        if trace[0] == "point":
+            return trace[1]
         _, A, infos, path, B = trace
         seq = [A]
         for ckey, flip in self._walk(A, infos, path):
@@ -332,17 +317,6 @@ class _Engine:
             seq.extend(reversed(seg) if flip else seg)
         seq.append(B)
         return seq
-
-    def audit_trace(self, key, out):
-        level, members, config = key
-        ps = self.portals(level, members)
-        within = all(a in ps.portals and b in ps.portals for a, b in config)
-        out.append((level, len(members), 2 * len(config), within))
-        trace = self.trace.get(key)
-        if trace is not None and trace[0] == "combine":
-            _, A, infos, path, _ = trace
-            for ckey, _ in self._walk(A, infos, path):
-                self.audit_trace(ckey, out)
 
     def solve_root(self, level, members):
         ps, mat = self.pair_costs(level, members, diagonal=True)
@@ -356,13 +330,11 @@ class _Engine:
         if len(seq) > 1 and seq[-1] == seq[0]:
             seq = seq[:-1]
         raw = Tour(tuple(seq), closed=True)
-        audit = []
-        self.audit_trace(best_key, audit)
         tour = dedupe_visits(raw)
         missing = set(members) - tour.visits()
         if missing:
             raise Infeasible(f"tour misses points {sorted(missing)}")
-        return LightTourResult(tour=tour, cost=best_cost, raw=raw, audit=audit,
+        return LightTourResult(tour=tour, cost=best_cost, raw=raw,
                                stats={"entries": len(self.memo), "ops": self.ops})
 
 
@@ -502,16 +474,15 @@ def make_flat_tree(space: MetricSpace) -> ClusterTree:
 
 
 def solve_light_tour(space: MetricSpace, h: NetHierarchy, tree: ClusterTree,
-                     m_cap: int, r: int, budget: int = DEFAULT_BUDGET,
-                     portal_chooser=None) -> LightTourResult:
+                     m_cap: int, r: int, portal_chooser=None) -> LightTourResult:
     """Minimum-cost crossing-limited closed tour over a fixed cluster tree.
 
-    Bottom-up over the tree: a leaf's segment and an internal node's child
-    order are subset paths through portals, one segment per cluster, which
-    meets any crossing bound r >= 2. The returned tour is the traceback
-    shortcut to visit each point exactly once.
+    Bottom-up over the tree, one segment per cluster, which meets any crossing
+    bound r >= 2: each segment is an order of the cluster's children through
+    their portals, and a leaf's children are its points. The returned tour is
+    the traceback shortcut to visit each point exactly once.
     """
-    engine = _Engine(space, h, m_cap, r, budget, _tree_children_options(tree),
+    engine = _Engine(space, h, m_cap, r, _tree_children_options(tree),
                      portal_chooser=portal_chooser)
     return engine.solve_root(tree.root.level, tuple(tree.root.members))
 
@@ -564,8 +535,7 @@ def tree_from_samples(space: MetricSpace, h: NetHierarchy, samples: dict) -> Clu
 
 
 def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int,
-                               m_cap: int, r: int, ddim: float, rng,
-                               budget: int = DEFAULT_BUDGET) -> LightTourResult:
+                               m_cap: int, r: int, ddim: float, rng) -> LightTourResult:
     """Crossing-limited tour minimized over per-center radius choices.
 
     Fixes ``guesses`` independent radius samples per net point per level, then
@@ -589,5 +559,5 @@ def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int
         def options(level, members):
             return distinct_carvings(space, members, h, level - 1, samples[level - 1])
 
-    engine = _Engine(space, h, m_cap, r, budget, options)
+    engine = _Engine(space, h, m_cap, r, options)
     return engine.solve_root(h.top, tuple(range(space.n)))

@@ -62,34 +62,44 @@ def subset_path_table(entry: np.ndarray, hop: np.ndarray) -> np.ndarray:
     c is not in ``mask``).
 
     Pull form: layers run by popcount, so every entry is final before it is
-    read. For each target group c, a block of the layer's masks that hold c
-    gathers its predecessor rows ``table[mask ^ 1 << c]``, flattened to
+    read. Every group c is in the same number of a layer's masks, so one step
+    takes a block of groups and the same block of each one's masks: it
+    gathers their predecessor rows ``table[mask ^ 1 << c]``, flattened to
     ``(previous group, exit)``, and adds ``into[c]`` (see :func:`_into`) into
-    one preallocated buffer laid out ``((previous group, exit), exit y, row)``;
-    the min over that leading axis is ``table[mask, c, y]``. That is k numpy
-    steps per layer and k² per table. The buffer holds at most ``PULL_BLOCK``
-    floats (or one row, if larger), so the kernel's working memory beside the
-    table stays small. Every candidate is the same float sum under any layout or blocking and
-    min does not round, so the table depends on neither.
+    one preallocated buffer laid out ``((previous group, exit), c, exit y,
+    row)``; the min over that leading axis is ``table[mask, c, y]``. A block
+    holds as many masks of one group as fit in the buffer, then as many
+    groups as fit beside them, so a small layer is one step. The buffer holds
+    at most ``PULL_BLOCK`` floats (or one row, if larger), so the kernel's
+    working memory beside the table stays small. Every candidate is the same
+    float sum under any layout or blocking and min does not round, so the
+    table depends on neither.
     """
     k, m = entry.shape
     table = np.full((1 << k, k, m), np.inf)
     table[1 << np.arange(k), np.arange(k)] = entry
-    flat = table.reshape(1 << k, k * m)
-    into = _into(hop).reshape(k, k * m, m)
-    rows = max(1, PULL_BLOCK // (k * m * m))
-    buf = np.empty(k * m * m * rows)
-    res = np.empty(m * rows)
-    for layer in _layers(k):
-        for c, (tgt, src) in enumerate(layer):
-            for lo in range(0, len(tgt), rows):
-                prev = flat.take(src[lo:lo + rows], axis=0).T
-                n = prev.shape[1]
-                cand = buf[:k * m * m * n].reshape(k * m, m, n)
-                best = res[:m * n].reshape(m, n)
-                np.add(prev[:, None], into[c, :, :, None], out=cand)
-                np.minimum.reduce(cand, axis=0, out=best)
-                table[tgt[lo:lo + rows], c] = best.T
+    flat = table.reshape(1 << k, k * m)           # row mask: (group, exit)
+    by_cell = table.reshape((1 << k) * k, m)       # row mask * k + group: exit
+    into = np.ascontiguousarray(_into(hop).reshape(k, k * m, m).transpose(1, 0, 2))[..., None]
+    row = k * m * m
+    buf = np.empty(max(PULL_BLOCK, row))
+    res = np.empty(max(PULL_BLOCK // (k * m), m))
+    for cells, src in _layers(k):
+        per_group = src.shape[1]
+        rows = min(per_group, max(1, PULL_BLOCK // row))
+        groups = max(1, PULL_BLOCK // (row * rows))
+        for c0 in range(0, k, groups):
+            c1 = min(k, c0 + groups)
+            for lo in range(0, per_group, rows):
+                block = src[c0:c1, lo:lo + rows]
+                g, n = block.shape
+                prev = flat.take(block, axis=0).transpose(2, 0, 1)
+                cand = buf[:g * row * n].reshape(k * m, g, m, n)
+                best = res[:g * m * n].reshape(g, m, n)
+                np.add(prev[:, :, None], into[:, c0:c1], out=cand)
+                np.minimum.reduce(cand.reshape(k * m, -1), axis=0, out=best.reshape(-1))
+                by_cell[cells[c0:c1, lo:lo + rows]] = best.transpose(0, 2, 1)
+        del cells, src, block                   # before the next layer's are built
     return table
 
 
@@ -99,30 +109,37 @@ def _into(hop: np.ndarray) -> np.ndarray:
 
 
 def _layers(k: int):
-    """Each popcount layer 2..k, in order, as its (targets, sources) per group.
+    """Each popcount layer 2..k, in order, as its (cells, sources) (see
+    :func:`_group_targets`).
 
     Built afresh on every call, one layer at a time: all layers of k groups
-    hold k·2^k indices (18 MB at k = 17), and the kernel holds one layer's
-    bit matrix and one group's index arrays at a time.
+    hold 2·k·2^k indices, 4 bytes each below k = 27.
     """
-    masks = np.arange(1 << k, dtype=np.int64)
-    popcount = sum((masks >> b) & 1 for b in range(k))
+    masks = np.arange(1 << k, dtype=np.int32 if k << k < 2 ** 31 else np.int64)
+    popcount = np.bitwise_count(masks)
     for count in range(2, k + 1):
         yield _group_targets(masks[popcount == count], k)
 
 
 def _group_targets(layer: np.ndarray, k: int):
-    """For each group c: the layer's masks that hold c, ascending, and those masks without c.
+    """Row c: the cell ``mask * k + c`` of each of the layer's masks that hold
+    c, ascending, and each such mask without c. Every group is in the same
+    number of the layer's masks.
 
     One bit matrix for the whole layer, one byte per bit: row c of ``held``
-    is bit c of every mask, unpacked from the masks' little-endian bytes, so
-    no k-by-layer array of 8-byte masks is ever made.
+    is bit c of every mask, unpacked from the masks' little-endian bytes.
     """
     octets = layer.astype("<u4").view(np.uint8).reshape(-1, 4)
     held = np.unpackbits(octets, axis=1, count=k, bitorder="little").T.view(bool)
-    for c in range(k):
-        tgt = layer[held[c]]
-        yield tgt, tgt ^ (1 << c)
+    cells = np.empty((k, np.count_nonzero(held[0])), layer.dtype)
+    for c, bits in enumerate(held):
+        cells[c] = layer[bits]
+    del octets, held                            # before the sources are built
+    c = np.arange(k, dtype=layer.dtype)[:, None]
+    src = cells ^ (1 << c)
+    cells *= k
+    cells += c
+    return cells, src
 
 
 def subset_path_step(table: np.ndarray, hop: np.ndarray, mask: int, c: int, y: int):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, TooLarge
 from .io import instance_digest
-from .lightdp import draw_radius_samples, solve_with_radius_guessing, tree_from_samples
+from .lightdp import draw_radius_samples, tree_from_samples
 from .metric import MetricSpace, estimate_doubling, normalize
 from .nets import build_hierarchy, verify_nets
 from .oracles import (HELD_KARP_MAX, brute_force_tsp, christofides,
@@ -26,7 +26,7 @@ from .sparse import SolveParams, check_local_tour_bounds, find_dense_region, sol
 from .tours import (double_tree_tour, edges_weight, make_net_respecting,
                     is_net_respecting, mst, tour_weight)
 
-MODES = ("solve", "sparse_only", "baseline", "oracle", "partition_stats", "lemma_checks")
+MODES = ("solve", "baseline", "oracle", "partition_stats", "lemma_checks")
 
 
 def _round12(obj):
@@ -119,7 +119,7 @@ def run(config: dict) -> dict:
     lower = edges_weight(space, whole)
     report["lower_bounds"] = {"mst": lower}
     exact = None
-    if space.n <= HELD_KARP_MAX and mode in ("solve", "sparse_only", "baseline", "oracle"):
+    if space.n <= HELD_KARP_MAX and mode in ("solve", "baseline", "oracle"):
         oracle, dt = _timed(held_karp_tsp, space)
         report["lower_bounds"]["exact"] = oracle.weight
         report["timings"]["oracle_seconds"] = dt
@@ -143,18 +143,6 @@ def run(config: dict) -> dict:
         report["timings"]["solve_seconds"] = dt
         results["solve"] = _tour_entry(space, tour, tour_weight(space, tour), bound)
         report["recursion_trace"] = solve_report["trace"]
-        return report
-
-    if mode == "sparse_only":
-        h = build_hierarchy(space, params.s)
-        rng = np.random.default_rng(seed)
-        res, dt = _timed(solve_with_radius_guessing, space, h, params.guesses,
-                         params.m_cap, params.r, params.ddim, rng, params.budget)
-        report["timings"]["solve_seconds"] = dt
-        results["sparse_only"] = _tour_entry(space, res.tour,
-                                             tour_weight(space, res.tour), bound)
-        results["sparse_only"]["table_cost"] = res.cost
-        results["sparse_only"]["table_entries"] = res.stats["entries"]
         return report
 
     if mode == "baseline":

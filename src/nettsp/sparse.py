@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSplit, RecursionLimit
-from .lightdp import DEFAULT_BUDGET, solve_with_radius_guessing
+from .lightdp import solve_with_radius_guessing
 from .metric import REL_TOL, MetricSpace, ball, estimate_doubling, restrict
 from .nets import NetHierarchy, build_hierarchy
 from .tours import Tour, dedupe_visits, edges_weight, mst, tour_weight
@@ -201,7 +201,6 @@ class SolveParams:
     guesses: int = 1
     max_recursion_depth: int = 64
     seed: int = 0
-    budget: int = DEFAULT_BUDGET
     ddim: float = None             # filled from a doubling estimate when absent
 
     def __post_init__(self):
@@ -295,9 +294,8 @@ def solve_tsp(space: MetricSpace, params: SolveParams, tree=None):
 
     def solve_sparse(indices, sub, h, note):
         """Solve the induced sub-instance with its hierarchy; returns a global tour."""
-        res = solve_with_radius_guessing(
-            sub, h, params.guesses, params.m_cap, params.r,
-            ddim_for(sub), rng, budget=params.budget)
+        res = solve_with_radius_guessing(sub, h, params.guesses, params.m_cap, params.r,
+                                         ddim_for(sub), rng)
         note["mode"] = note.get("mode", "sparse")
         note["cost"] = res.cost
         return Tour(tuple(indices[p] for p in res.tour.seq), closed=True)

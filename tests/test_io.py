@@ -340,3 +340,36 @@ def test_run_solves_a_random_metric_beyond_the_children_ceiling():
     space = generate_instance("matrix_random_metric", 40, 1)
     report = run({"space": space, "mode": "solve", "seed": 1})
     assert sorted(report["results"]["solve"]["tour"]) == list(range(40))
+
+
+def equilateral(n):
+    m = np.ones((n, n))
+    np.fill_diagonal(m, 0.0)
+    return {"matrix": m.tolist()}
+
+
+def weights_10_to_13(n):
+    # a metric, because no weight is more than twice another
+    m = np.triu(np.random.default_rng(0).uniform(10.0, 13.0, size=(n, n)), 1)
+    return {"matrix": (m + m.T).tolist()}
+
+
+def uniform_200d(n):
+    return {"points": np.random.default_rng(0).random((n, 200)).tolist()}
+
+
+@pytest.mark.parametrize("make, n", [
+    (equilateral, 19), (equilateral, 60), (weights_10_to_13, 60), (uniform_200d, 60)],
+    ids=["equilateral-19", "equilateral-60", "weights-10-13-60", "uniform-200d-60"])
+def test_cli_solves_instances_whose_bottom_cluster_holds_most_points(tmp_path, make, n):
+    # The level-0 carve puts most or all of the points into one bottom cluster;
+    # its points are then one node's children, ordered heuristically above 12.
+    inst, out = tmp_path / "inst.json", tmp_path / "r.json"
+    inst.write_text(json.dumps(make(n)))
+    rc = main(["run", "--instance", str(inst), "--format", "points_json",
+               "--mode", "solve", "--out", str(out)])
+    assert rc == 0
+    solve = json.loads(out.read_text())["results"]["solve"]
+    assert sorted(solve["tour"]) == list(range(n))
+    if make is equilateral:
+        assert solve["weight_denormalized"] == n

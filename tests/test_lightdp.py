@@ -7,19 +7,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nettsp.errors import BudgetExceeded
 from nettsp.io import generate_instance
 from nettsp import lightdp, oracles, runner
-from nettsp.lightdp import (DEFAULT_BUDGET, PortalSet, _Engine, _heuristic_orders,
+from nettsp.lightdp import (PortalSet, _Engine, _heuristic_orders,
                             _tree_children_options, auto_portals,
                             draw_radius_samples, make_flat_tree, solve_light_tour,
                             solve_with_radius_guessing, tree_from_samples)
-from nettsp.metric import REL_TOL, estimate_doubling, from_points, normalize
+from nettsp.metric import REL_TOL, estimate_doubling, from_matrix, from_points, normalize
 from nettsp.nets import build_hierarchy
 from nettsp.oracles import (PULL_BLOCK, brute_force_tsp, held_karp_tsp, subset_path_step,
                             subset_path_table, subset_path_trace)
 from nettsp.partition import ClusterNode, distinct_carvings, partition_with_radii
-from nettsp.tours import edges_weight, mst, tour_weight
+from nettsp.tours import _collapse, edges_weight, mst, tour_weight
 
 
 def rand_space(seed, n):
@@ -139,17 +138,6 @@ def test_hierarchical_solve_valid_and_bounded(seed):
     assert w <= 2 * edges_weight(sp, mst(sp, range(n))) + 1e-9
 
 
-def test_audit_instances_within_r_and_portals():
-    sp = rand_space(60, 14)
-    h = build_hierarchy(sp, 6.0)
-    tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(0)))
-    res = solve_light_tour(sp, h, tree, 6, 2)
-    assert res.audit
-    for level, size, instances, within in res.audit:
-        assert instances <= 2
-        assert within
-
-
 def test_monotone_in_m_cap():
     sp = rand_space(61, 12)
     h = build_hierarchy(sp, 6.0)
@@ -157,23 +145,6 @@ def test_monotone_in_m_cap():
     c3 = solve_light_tour(sp, h, tree, 3, 2).cost
     c8 = solve_light_tour(sp, h, tree, 8, 2).cost
     assert c8 <= c3 + 1e-9
-
-
-def test_budget_exceeded_raises():
-    sp = rand_space(62, 14)
-    h = build_hierarchy(sp, 6.0)
-    tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(2)))
-    with pytest.raises(BudgetExceeded):
-        solve_light_tour(sp, h, tree, 6, 2, budget=10)
-
-
-def test_budget_message_says_what_to_change():
-    sp = rand_space(62, 14)
-    h = build_hierarchy(sp, 6.0)
-    tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(2)))
-    with pytest.raises(BudgetExceeded, match=r"budget 10 exceeded at m_cap 6: raise the "
-                                             r"budget, or pass an --m-cap below 6"):
-        solve_light_tour(sp, h, tree, 6, 2, budget=10)
 
 
 def leaf_cases(rng, n):
@@ -202,38 +173,58 @@ def test_leaf_equals_the_best_order_by_permutation_search(seed):
     sp = (rand_space(seed + 90, n) if seed % 2 == 0
           else from_points([(float(i % 3), float(i // 3)) for i in range(n)]))
     D = sp.pairwise()
-    engine = _Engine(sp, build_hierarchy(sp, 6.0), 6, 2, DEFAULT_BUDGET, lambda *_: [])
+    h = build_hierarchy(sp, 6.0)
     for members, config in leaf_cases(rng, n):
         (a, b), = config
         rest = [p for p in members if p not in (a, b)]
         best = min(sum(D[u, v] for u, v in zip((a,) + order, order + (b,)))
                    for order in itertools.permutations(rest))
-        before = engine.ops
-        cost, (kind, (seg,)) = engine._leaf(members, config)
-        assert kind == "leaf"
+        # a bottom cluster whose portals are the case's ends, solved as a node of
+        # singleton children; children_options is never asked at level 0
+        engine = _Engine(sp, h, 6, 2, None, portal_chooser=lambda members, level: (a, b))
+        ps, mat = engine.pair_costs(0, members)
+        ai, bi = ps.portals.index(a), ps.portals.index(b)
+        cost = mat[ai, bi]
         assert cost == best
+        key = (0, members, ((ps.portals[min(ai, bi)], ps.portals[max(ai, bi)]),))
+        assert engine.memo[key] == cost
+        seg = _collapse(engine.expand(key))
+        if a != ps.portals[min(ai, bi)]:
+            seg = seg[::-1]
         assert seg[0] == a and seg[-1] == b
         assert sorted(seg[1:-1]) == sorted(rest)
         assert sum(D[u, v] for u, v in zip(seg, seg[1:])) == cost
-        t = len(rest)
-        assert engine.ops - before == (1 if a == b else 2) * max(1, (1 << t) * (t + 1))
+        k = len(members)
+        assert engine.ops == len(ps.portals) * (k * k * (1 << k) // 8 + 1)
 
 
-def guessing_solve(n, seed, guesses, budget=DEFAULT_BUDGET):
+def guessing_solve(n, seed, guesses):
     sp = normalize(generate_instance("uniform2d", n, seed=seed))
     ddim = estimate_doubling(sp, seed=seed).ddim_upper
     return solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), guesses, 6, 2, ddim,
-                                      np.random.default_rng(seed), budget=budget)
+                                      np.random.default_rng(seed))
 
 
-def test_heuristic_child_order_is_not_charged_to_the_budget():
-    # uniform2d n = 40 seed 0 orders 19 children heuristically 10 times. Its
-    # exponential work (leaf covers and subset path tables) costs 982 ops;
-    # greedy + 2-opt is polynomial and adds nothing, so that budget suffices.
-    res = guessing_solve(40, 0, 1, budget=982)
-    assert res.stats["ops"] == 982
-    with pytest.raises(BudgetExceeded):
-        guessing_solve(40, 0, 1, budget=981)
+def test_heuristic_child_order_adds_no_ops(monkeypatch):
+    # uniform2d n = 40 seed 0 orders 19 children heuristically 10 times. ops
+    # counts path table work alone, k·k·2^k / 8 + 1 per table over k children;
+    # greedy + 2-opt is polynomial and adds nothing.
+    widths, tables = [], []
+    kernel, heuristic = lightdp.subset_path_table, lightdp._heuristic_orders
+
+    def counting_kernel(entry, hop):
+        tables.append(len(entry))
+        return kernel(entry, hop)
+
+    def counting_heuristic(hop, entries, closes):
+        widths.extend(len(entry) for entry in entries)
+        return heuristic(hop, entries, closes)
+
+    monkeypatch.setattr(lightdp, "subset_path_table", counting_kernel)
+    monkeypatch.setattr(lightdp, "_heuristic_orders", counting_heuristic)
+    res = guessing_solve(40, 0, 1)
+    assert widths == [19] * 10
+    assert res.stats["ops"] == sum(k * k * (1 << k) // 8 + 1 for k in tables) == 978
 
 
 # ------------------------------------------------------ subset path kernel
@@ -589,6 +580,41 @@ def test_heuristic_orders_working_memory_on_a_ten_pair_node(monkeypatch):
     assert peak - before <= 1.5e6
 
 
+def flat_equilateral(n):
+    """The one-leaf tree of an equilateral matrix: its root is a bottom cluster
+    whose n points are its children and, over the cap, its portals."""
+    d = np.ones((n, n))
+    np.fill_diagonal(d, 0.0)
+    sp = from_matrix(d)
+    return solve_light_tour(sp, build_hierarchy(sp, 6.0), make_flat_tree(sp), 6, 2)
+
+
+@pytest.mark.parametrize("solve, k, pairs", [
+    (lambda: guessing_solve(40, 0, 1), 19, 10), (lambda: flat_equilateral(30), 30, 30)],
+    ids=["uniform2d-n40", "equilateral-n30"])
+def test_wide_node_pairs_go_to_the_heuristic_in_chunks_of_bounded_rows(monkeypatch, solve,
+                                                                        k, pairs):
+    calls = []
+    heuristic = lightdp._heuristic_orders
+
+    def recording(hop, entries, closes):
+        calls.append((len(hop), len(entries)))
+        return heuristic(hop, entries, closes)
+
+    monkeypatch.setattr(lightdp, "_heuristic_orders", recording)
+    whole = solve()
+    assert {w for w, _ in calls} == {k} and sum(p for _, p in calls) == pairs
+    assert max(p for _, p in calls) > 3
+    calls.clear()
+    # room for the reversal rows of three pairs: each pair stacks k(k-1)/2 rows of k
+    monkeypatch.setattr(lightdp, "HEURISTIC_ROW_ENTRIES", 3 * (k * (k - 1) // 2 * k) + 1)
+    chunked = solve()
+    assert {w for w, _ in calls} == {k} and sum(p for _, p in calls) == pairs
+    assert max(p for _, p in calls) == 3
+    assert (chunked.cost, chunked.raw, chunked.tour, chunked.stats) == (
+        whole.cost, whole.raw, whole.tour, whole.stats)
+
+
 def reference_pair(D, infos, A, B):
     """One option's cost and (child, exit) path for one portal pair (A, B), by
     the per-pair logic that the batched pass replaced: per-child loop
@@ -639,14 +665,17 @@ def test_node_pair_matrices_and_traces_equal_the_per_pair_reference(monkeypatch,
     solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), guesses, 6, 2, ddim,
                                np.random.default_rng(0))
     (engine, root_level, root_members), = engines
-    wide = several = 0
+    wide = several = leaves = 0
     for (level, members), (ps, mat) in engine.nodes.items():
-        if level == 0:
+        if level < 0:                   # a point: its own one portal, at cost 0
+            assert ps.portals == members and mat.tolist() == [[0.0]]
             continue
         P = ps.portals
         root = (level, members) == (root_level, root_members)
-        options = engine.children_options(level, members)
+        options = (engine.children_options(level, members) if level > 0
+                   else [tuple((p,) for p in members)])
         several += len(options) > 1
+        leaves += level == 0
         for ai, bi in itertools.combinations_with_replacement(range(len(P)), 2):
             if root and ai != bi:
                 assert mat[ai, bi] == math.inf
@@ -669,6 +698,7 @@ def test_node_pair_matrices_and_traces_equal_the_per_pair_reference(monkeypatch,
             assert (tuple(ch for ch, _, _ in infos), path) == ref
     assert wide > 0 or guesses > 1
     assert several > 0 or guesses == 1
+    assert leaves > 0
 
 
 def test_heuristic_child_order_traceback_on_uniform40(monkeypatch):
@@ -860,7 +890,7 @@ def test_engine_asks_for_each_clusters_options_once():
         calls[(level, members)] += 1
         return inner(level, members)
 
-    engine = _Engine(sp, h, 6, 2, DEFAULT_BUDGET, counting)
+    engine = _Engine(sp, h, 6, 2, counting)
     engine.solve_root(tree.root.level, tuple(tree.root.members))
     internal = {(n.level, n.members) for n in tree.nodes() if n.level > 0}
     assert set(calls) == internal
@@ -872,13 +902,11 @@ def test_engine_asks_for_each_clusters_options_once():
 def record_table_builds(monkeypatch):
     """Patch the engine to log, for every children option it combines, its
     level and children, its parent's portal count and the number of path tables the
-    kernel builds for it; a weak reference to every table the kernel builds,
-    for child orders and leaves alike; the kernel calls that leaves make; and
-    the engines that solve."""
-    calls, combines, leaf_calls, engines = [], [], [], []
+    kernel builds for it; a weak reference to every table the kernel builds;
+    and the engines that solve."""
+    calls, combines, engines = [], [], []
     kernel = lightdp.subset_path_table
     combine = _Engine._combine
-    leaf = _Engine._leaf
     solve_root = _Engine.solve_root
 
     def counting_kernel(entry, hop):
@@ -894,44 +922,37 @@ def record_table_builds(monkeypatch):
                          len(calls) - before))
         return out
 
-    def leaf_recording(self, members, config):
-        before = len(calls)
-        out = leaf(self, members, config)
-        leaf_calls.extend([None] * (len(calls) - before))
-        return out
-
     def keeping(self, level, members):
         engines.append((self, level))
         return solve_root(self, level, members)
 
     monkeypatch.setattr(lightdp, "subset_path_table", counting_kernel)
     monkeypatch.setattr(_Engine, "_combine", recording)
-    monkeypatch.setattr(_Engine, "_leaf", leaf_recording)
     monkeypatch.setattr(_Engine, "solve_root", keeping)
-    return calls, combines, leaf_calls, engines
+    return calls, combines, engines
 
 
-@pytest.mark.parametrize("solve, tables, ops, flat, entries", [
-    (lambda: guessing_solve(20, 0, 2), 64, 149_765, 98_000, 127),
+@pytest.mark.parametrize("solve, tables, ops, entries", [
+    (lambda: guessing_solve(20, 0, 2), 84, 51_761, 147),
     (lambda: runner.run(dict(mode="solve", seed=3,
                              space=normalize(generate_instance("uniform2d", 50, 3)))),
-     116, 362_939, 67_500, 221),
+     166, 295_435, 271),
 ], ids=["uniform2d-n20-two-guesses", "uniform2d-n50-seed3-run"])
 def test_each_path_table_is_built_once_and_dropped_when_dead(monkeypatch, solve, tables,
-                                                              ops, flat, entries):
-    # tables, ops and entries were captured before path tables were dropped,
-    # when the heuristic child order still charged 50·k² ops (flat) each time.
-    calls, combines, leaf_calls, engines = record_table_builds(monkeypatch)
+                                                              ops, entries):
+    # tables, ops and entries include the bottom clusters' passes over their
+    # points, and entries the points' own (n of them).
+    calls, combines, engines = record_table_builds(monkeypatch)
     solve()
     built = sum(n for _, _, n in combines)
     assert built == tables
-    assert len(calls) == built + len(leaf_calls)
+    assert len(calls) == built
     # each option is combined once, with one table per entry portal when exact
     assert len({children for children, _, _ in combines}) == len(combines)
     for (_, children), portals, n in combines:
         assert n == (portals if len(children) <= _Engine.EXACT_PATH_CHILDREN else 0)
     (engine, root_level), = engines
-    assert engine.ops + flat == ops
+    assert engine.ops == ops
     assert len(engine.memo) == entries
     # every table, the root's included, was dropped once its pass was done
     assert all(ref() is None for ref in calls)
@@ -1004,7 +1025,7 @@ def loop_close_matrix(D, B, infos, m):
     ("uniform2d", 40, 0, None)])
 def test_gathered_node_matrices_equal_the_per_child_loops(kind, n, seed, params):
     sp, h, tree = tree_of(kind, n, seed, params)
-    engine = _Engine(sp, h, 6, 2, DEFAULT_BUDGET, _tree_children_options(tree))
+    engine = _Engine(sp, h, 6, 2, _tree_children_options(tree))
     engine.solve_root(tree.root.level, tuple(tree.root.members))
     mixed = 0
     for node in tree.nodes():
