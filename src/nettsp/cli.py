@@ -8,7 +8,7 @@ import sys
 
 from .errors import NetTspError
 from .io import FORMATS, generate_instance, load_instance, save_points_csv
-from .runner import MODES, render_report, run
+from .runner import MODES, SOLVER_KEYS, render_report, run
 
 
 def _add_solver_args(p):
@@ -17,7 +17,6 @@ def _add_solver_args(p):
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--delta", type=float, default=1.0 / 12)
     p.add_argument("--m-cap", dest="m_cap", type=int, default=6)
-    p.add_argument("--r", type=int, default=2)
     p.add_argument("--guesses", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
 
@@ -83,7 +82,7 @@ def main(argv=None) -> int:
             config["mode"] = "oracle"
         else:
             config["mode"] = args.mode
-            for key in ("eps", "s", "q", "delta", "m_cap", "r", "guesses"):
+            for key in SOLVER_KEYS:
                 val = getattr(args, key)
                 if val is not None:
                     config[key] = val

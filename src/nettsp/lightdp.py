@@ -43,10 +43,8 @@ class PortalSet:
     """
 
     level: int
-    pitch_level: int
     pitch: float
     portals: tuple
-    mandatory: tuple
 
 
 def auto_portals(space: MetricSpace, h: NetHierarchy, members, level: int,
@@ -72,11 +70,8 @@ def auto_portals(space: MetricSpace, h: NetHierarchy, members, level: int,
         if len(pts) <= m_cap:
             chosen = (j, pts)
             break
-    mset = set(members)
     j, pts = chosen
-    pts = tuple(pts.tolist())
-    return PortalSet(level=level, pitch_level=j, pitch=h.radius(j), portals=pts,
-                     mandatory=tuple(p in mset for p in pts))
+    return PortalSet(level=level, pitch=h.radius(j), portals=tuple(pts.tolist()))
 
 
 @dataclass
@@ -92,21 +87,18 @@ class _Engine:
 
     A cluster's pass fills its matrix of segment costs over all of its portal
     pairs (a, b): the cheapest segment that enters at a, visits every member
-    and leaves at b, so the tour crosses the cluster twice. That meets any
-    crossing bound r >= 2, so the engine only checks that r is at least 2.
-    A cluster's pass first solves each child, once per child, then combines
-    every children option over every pair and keeps, per pair, the first
-    cheapest option; a bottom cluster's one option is its points. The pass's
-    node tensors (padded record, hop tensor, path tables) are locals, gone
-    when it returns; the matrix, its traces and the cluster's PortalSet are
-    kept.
+    and leaves at b, so the tour crosses the cluster twice. A cluster's pass
+    first solves each child, once per child, then combines every children
+    option over every pair and keeps, per pair, the first cheapest option; a
+    bottom cluster's one option is its points. The pass's node tensors
+    (padded record, hop tensor, path tables) are locals, gone when it
+    returns. The engine keeps one record per cluster, its PortalSet and
+    matrix, plus a trace per finite cell, keyed (level, members, a, b).
     """
 
     EXACT_PATH_CHILDREN = 12
 
-    def __init__(self, space, h, m_cap, r, children_options, portal_chooser=None):
-        if r < 2:
-            raise ValueError("r must be at least 2")
+    def __init__(self, space, h, m_cap, children_options, portal_chooser=None):
         self.space = space
         self.h = h
         self.m_cap = max(1, int(m_cap))
@@ -114,49 +106,38 @@ class _Engine:
         self.portal_chooser = portal_chooser
         self.D = space.pairwise()
         self.ops = 0               # path table work, k·k·2^k / 8 + 1 per table
-        self.memo = {}             # (level, members, config) -> cost
-        self.trace = {}            # (level, members, config) -> how the cost is reached
+        self.entries = 0           # solved cells, plus one per point
+        self.trace = {}            # (level, members, a, b) -> (child infos, path) of its cost
         self.nodes = {}            # (level, members) -> (PortalSet, pair-cost matrix)
-        self.portal_cache = {}
 
     def portals(self, level, members):
-        key = (level, members)
-        ps = self.portal_cache.get(key)
-        if ps is None:
-            override = None
-            if self.portal_chooser is not None:
-                override = self.portal_chooser(members, level)
-            if override is not None:
-                portals = tuple(sorted(int(p) for p in override))
-                mset = set(members)
-                ps = PortalSet(level=level, pitch_level=-1, pitch=0.0, portals=portals,
-                               mandatory=tuple(p in mset for p in portals))
-            else:
-                ps = auto_portals(self.space, self.h, members, level, self.m_cap)
-            self.portal_cache[key] = ps
-        return ps
+        override = None
+        if self.portal_chooser is not None:
+            override = self.portal_chooser(members, level)
+        if override is None:
+            return auto_portals(self.space, self.h, members, level, self.m_cap)
+        return PortalSet(level=level, pitch=0.0,
+                         portals=tuple(sorted(int(p) for p in override)))
 
     # ------------------------------------------------------------------ table
 
     def pair_costs(self, level, members, diagonal=False):
         """The cluster's PortalSet and its symmetric (m x m) segment-cost matrix.
 
-        Computed by one pass on the first call and kept. A point (level -1) is
-        its own one portal, with a segment of cost 0. A bottom cluster's one
-        children option is its points; ``children_options`` gives the others.
-        Only the pairs a <= b are solved (only a == b when ``diagonal``, as for
-        the root); each gets a memo entry, and a trace when its cost is finite.
+        Computed by one pass on the first call and kept, so the portals too
+        are chosen once per cluster. A point (level -1) is its own one portal,
+        with a segment of cost 0. A bottom cluster's one children option is
+        its points; ``children_options`` gives the others. Only the pairs
+        a <= b are solved (only a == b when ``diagonal``, as for the root);
+        each counts as one entry, and gets a trace when its cost is finite.
         """
         key = (level, members)
         hit = self.nodes.get(key)
         if hit is not None:
             return hit
         if level < 0:
-            (p,) = members
-            self.memo[level, members, ((p, p),)] = 0.0
-            self.trace[level, members, ((p, p),)] = ("point", [p])
-            self.nodes[key] = (PortalSet(level=level, pitch_level=level, pitch=0.0,
-                                         portals=members, mandatory=(True,)),
+            self.entries += 1
+            self.nodes[key] = (PortalSet(level=level, pitch=0.0, portals=members),
                                np.zeros((1, 1)))
             return self.nodes[key]
         ps = self.portals(level, members)
@@ -174,12 +155,11 @@ class _Engine:
             better = cost < mat                     # strict: the first option keeps ties
             mat[better] = cost[better]
             traces.update((cell, trace) for cell, trace in found.items() if better[cell])
+        self.entries += len(cells)
         for ai, bi in cells:
-            ckey = (level, members, ((P[ai], P[bi]),))
-            self.memo[ckey] = float(mat[ai, bi])
             mat[bi, ai] = mat[ai, bi]
-            if (ai, bi) in traces:
-                self.trace[ckey] = traces[ai, bi]
+        for (ai, bi), trace in traces.items():
+            self.trace[level, members, P[ai], P[bi]] = trace
         self.nodes[key] = (ps, mat)
         return ps, mat
 
@@ -225,7 +205,7 @@ class _Engine:
                     for t in range(k - 2, -1, -1):
                         xi = int(np.argmin(vecs[t] + hop[order[t], order[t + 1], :, xi]))
                         path.append((order[t], xi))
-                    found[ai, bi] = ("combine", P[ai], infos, path[::-1], P[bi])
+                    found[ai, bi] = (infos, path[::-1])
             return cost, found
         full = (1 << k) - 1
         for ai, group in itertools.groupby(cells, key=lambda cell: cell[0]):
@@ -237,7 +217,7 @@ class _Engine:
                 if math.isfinite(row[flat]):
                     cost[ai, bi] = row[flat]
                     path = subset_path_trace(table, hop, *divmod(flat, m))
-                    found[ai, bi] = ("combine", P[ai], infos, path, P[bi])
+                    found[ai, bi] = (infos, path)
             del table
         return cost, found
 
@@ -300,17 +280,17 @@ class _Engine:
             ei = int(np.argmin(self.D[prev, np.asarray(ps.portals, dtype=np.intp)] + mat[:, xi]))
             e, prev = ps.portals[ei], ps.portals[xi]
             pair = (min(e, prev), max(e, prev))
-            walk.append(((ps.level, ch, (pair,)), e != pair[0]))
+            walk.append(((ps.level, ch) + pair, e != pair[0]))
         return walk
 
     # ------------------------------------------------------------ extraction
 
     def expand(self, key):
-        """The point sequence realizing the keyed config, running config[0][0] -> config[0][1]."""
-        trace = self.trace[key]
-        if trace[0] == "point":
-            return trace[1]
-        _, A, infos, path, B = trace
+        """The point sequence realizing the keyed segment (level, members, A, B), A to B."""
+        level, _, A, B = key
+        if level < 0:
+            return [A]
+        infos, path = self.trace[key]
         seq = [A]
         for ckey, flip in self._walk(A, infos, path):
             seg = self.expand(ckey)
@@ -325,8 +305,7 @@ class _Engine:
             raise Infeasible("no valid closed tour through the root portals")
         ai = int(np.argmin(costs))                  # the first cheapest portal
         best_cost = float(costs[ai])
-        best_key = (level, members, ((ps.portals[ai], ps.portals[ai]),))
-        seq = _collapse(self.expand(best_key))
+        seq = _collapse(self.expand((level, members, ps.portals[ai], ps.portals[ai])))
         if len(seq) > 1 and seq[-1] == seq[0]:
             seq = seq[:-1]
         raw = Tour(tuple(seq), closed=True)
@@ -335,7 +314,7 @@ class _Engine:
         if missing:
             raise Infeasible(f"tour misses points {sorted(missing)}")
         return LightTourResult(tour=tour, cost=best_cost, raw=raw,
-                               stats={"entries": len(self.memo), "ops": self.ops})
+                               stats={"entries": self.entries, "ops": self.ops})
 
 
 def _heuristic_orders(hop, entries, closes):
@@ -383,11 +362,7 @@ def _heuristic_orders(hop, entries, closes):
                 costs = np.min(entry[remaining], axis=1)
             else:
                 costs = np.min(fwd[-1][:, None] + hop[order[-1], remaining], axis=(1, 2))
-            pick = 0
-            for c in range(1, len(remaining)):
-                if costs[c] < costs[pick] - 1e-15:
-                    pick = c
-            cj = remaining.pop(pick)
+            cj = remaining.pop(int(np.argmin(costs)))
             fwd.append(entry[cj] if not fwd
                        else np.min(fwd[-1][:, None] + hop[order[-1], cj], axis=0))
             order.append(cj)
@@ -474,15 +449,15 @@ def make_flat_tree(space: MetricSpace) -> ClusterTree:
 
 
 def solve_light_tour(space: MetricSpace, h: NetHierarchy, tree: ClusterTree,
-                     m_cap: int, r: int, portal_chooser=None) -> LightTourResult:
+                     m_cap: int, portal_chooser=None) -> LightTourResult:
     """Minimum-cost crossing-limited closed tour over a fixed cluster tree.
 
-    Bottom-up over the tree, one segment per cluster, which meets any crossing
-    bound r >= 2: each segment is an order of the cluster's children through
-    their portals, and a leaf's children are its points. The returned tour is
-    the traceback shortcut to visit each point exactly once.
+    Bottom-up over the tree, one segment, two crossings, per cluster: each
+    segment is an order of the cluster's children through their portals, and
+    a leaf's children are its points. The returned tour is the traceback
+    shortcut to visit each point exactly once.
     """
-    engine = _Engine(space, h, m_cap, r, _tree_children_options(tree),
+    engine = _Engine(space, h, m_cap, _tree_children_options(tree),
                      portal_chooser=portal_chooser)
     return engine.solve_root(tree.root.level, tuple(tree.root.members))
 
@@ -535,7 +510,7 @@ def tree_from_samples(space: MetricSpace, h: NetHierarchy, samples: dict) -> Clu
 
 
 def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int,
-                               m_cap: int, r: int, ddim: float, rng) -> LightTourResult:
+                               m_cap: int, ddim: float, rng) -> LightTourResult:
     """Crossing-limited tour minimized over per-center radius choices.
 
     Fixes ``guesses`` independent radius samples per net point per level, then
@@ -548,7 +523,6 @@ def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int
     With one guess there is one subdivision per cluster, and
     :func:`tree_from_samples` finds them all with one carve per level.
     Identical member sets reached under different choices share table entries.
-    One segment crosses each cluster, which meets any crossing bound r >= 2.
     """
     if guesses < 1:
         raise ValueError("guesses must be >= 1")
@@ -559,5 +533,5 @@ def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int
         def options(level, members):
             return distinct_carvings(space, members, h, level - 1, samples[level - 1])
 
-    engine = _Engine(space, h, m_cap, r, options)
+    engine = _Engine(space, h, m_cap, options)
     return engine.solve_root(h.top, tuple(range(space.n)))

@@ -245,22 +245,13 @@ def validate_metric(space: MetricSpace, max_listed: int = 100, seed: int = 0) ->
     return report
 
 
-def normalize(space: MetricSpace, eps: float = 0.05, snap: bool = False) -> MetricSpace:
+def normalize(space: MetricSpace) -> MetricSpace:
     """Rescale so the minimum interpoint distance is exactly 1.
 
-    With ``snap=True`` and coordinates present, points are first moved onto a
-    grid of pitch eps*diam/n, which bounds the diameter relative to n at the
-    cost of perturbing the optimum by an eps fraction. Raises
-    DegenerateInstance if two points coincide (before or after snapping).
+    Raises DegenerateInstance if two points coincide.
     """
     if space.n < 2:
         raise ValueError("normalize requires at least 2 points")
-    if snap and space.coords is not None:
-        diam = space.diameter()
-        pitch = eps * diam / space.n
-        if pitch > 0:
-            snapped = np.round(space.coords / pitch) * pitch
-            space = MetricSpace(coords=snapped, scale=space.scale)
     gap, pair = space.min_gap()
     if gap <= 0:
         raise DegenerateInstance(f"points {pair[0]} and {pair[1]} coincide")

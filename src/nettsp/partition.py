@@ -64,8 +64,7 @@ def sample_radius(a: float, ddim: float, rng) -> float:
 class SingleScalePartition:
     level: int
     radii: dict                    # center -> drawn radius in [s^i, 2 s^i]
-    assign_center: dict            # point -> assigned center
-    assign_rank: dict              # point -> rank of that center in carving order
+    assign_center: dict            # point -> assigned center, in carving order
 
     def clusters(self) -> dict:
         out = {}
@@ -90,11 +89,8 @@ def partition_with_radii(space: MetricSpace, subset, h: NetHierarchy, level: int
         raise AssertionError(f"points {subset[~covered].tolist()} not covered at level {level}")
     rank = np.argmax(cover, axis=0)
     by_rank = np.argsort(rank, kind="stable")       # insertion order of the carving loop
-    points, ranks = subset[by_rank].tolist(), rank[by_rank].tolist()
-    assign_center = dict(zip(points, centers[ranks].tolist()))
-    return SingleScalePartition(level=level, radii=radii,
-                                assign_center=assign_center,
-                                assign_rank=dict(zip(points, ranks)))
+    assign_center = dict(zip(subset[by_rank].tolist(), centers[rank[by_rank]].tolist()))
+    return SingleScalePartition(level=level, radii=radii, assign_center=assign_center)
 
 
 def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,

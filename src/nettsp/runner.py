@@ -27,6 +27,8 @@ from .tours import (double_tree_tour, edges_weight, make_net_respecting,
                     is_net_respecting, mst, tour_weight)
 
 MODES = ("solve", "baseline", "oracle", "partition_stats", "lemma_checks")
+SOLVER_KEYS = ("eps", "s", "q", "delta", "m_cap", "guesses")
+CONFIG_KEYS = ("space", "mode", "seed") + SOLVER_KEYS
 
 
 def _round12(obj):
@@ -72,6 +74,10 @@ def _tour_entry(space, tour, weight, lower):
 
 def run(config: dict) -> dict:
     """Execute one pipeline mode and assemble the report dict."""
+    unknown = [key for key in config if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}; accepted keys: "
+                          f"{', '.join(CONFIG_KEYS)}")
     mode = config.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -80,8 +86,7 @@ def run(config: dict) -> dict:
         raise ConfigError("config['space'] must be a MetricSpace")
     seed = int(config.get("seed", 0))
 
-    raw_params = {k: config[k] for k in
-                  ("eps", "s", "q", "delta", "m_cap", "r", "guesses") if k in config}
+    raw_params = {k: config[k] for k in SOLVER_KEYS if k in config}
     try:
         params = SolveParams(seed=seed, **raw_params)
     except ValueError as exc:
@@ -107,7 +112,7 @@ def run(config: dict) -> dict:
         "seed": seed,
         "params": {
             "eps": params.eps, "s": params.s, "q": params.q, "delta": params.delta,
-            "m_cap": params.m_cap, "r": params.r, "guesses": params.guesses,
+            "m_cap": params.m_cap, "guesses": params.guesses,
             "ddim": params.ddim,
         },
         "theory": params.theoretical_note(space.n, params.ddim),

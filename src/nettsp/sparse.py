@@ -66,17 +66,21 @@ def _in_annulus(d, r1, r2):
     return (d > r1 + REL_TOL * np.maximum(1.0, r1)) & (d <= r2 + REL_TOL * np.maximum(1.0, r2))
 
 
+# Candidate split radii, evenly spaced over [12 s^i, 13 s^i].
+SPLIT_CANDIDATES = 64
+
+
 def choose_split_radius(space: MetricSpace, v: int, level: int, delta: float,
-                        s: float, candidates: int = 64, tree=None) -> float:
+                        s: float, tree=None) -> float:
     """Radius in [12 s^i, 13 s^i] whose widened annulus cuts the least MST weight.
 
     The spanning tree of the whole space stands in for the unknowable optimal
-    tour; the grid argmin is no worse than the grid mean, which is all the
-    averaging argument needs. Ties go to the smallest radius. A candidate's
-    score is the weight of the tree edges with both ends in its annulus, as
-    the per-candidate loop in tests/test_sparse.py scores it: edge weights
-    and endpoint distances to v are read once, and the selected weights are
-    summed in tree order. ``tree`` is the space's whole MST when the caller
+    tour; the argmin over the SPLIT_CANDIDATES grid is no worse than the grid
+    mean, which is all the averaging argument needs. Ties go to the smallest
+    radius. A candidate's score is the weight of the tree edges with both ends
+    in its annulus, as the per-candidate loop in tests/test_sparse.py scores
+    it: edge weights and endpoint distances to v are read once, and the
+    selected weights are summed in tree order. ``tree`` is the space's whole MST when the caller
     has already built it.
     """
     if delta > 1.0 / 12 + REL_TOL:
@@ -87,7 +91,8 @@ def choose_split_radius(space: MetricSpace, v: int, level: int, delta: float,
     width = 6 * delta * si
     weights = [space.dist(a, b) for a, b in tree]
     ends = space.row(v)[np.asarray(tree, dtype=np.intp).reshape(-1, 2)]
-    heights = (12 * si + (np.arange(candidates) + 0.5) / candidates * si)[:, None, None]
+    heights = (12 * si + (np.arange(SPLIT_CANDIDATES) + 0.5) / SPLIT_CANDIDATES * si)
+    heights = heights[:, None, None]
     inside = _in_annulus(ends, heights - width, heights + width).all(axis=2)
     best_h, best_c = None, math.inf
     for hcand, sel in zip(heights.ravel().tolist(), inside):
@@ -101,10 +106,7 @@ def choose_split_radius(space: MetricSpace, v: int, level: int, delta: float,
 class SplitResult:
     s1: tuple
     s2: tuple
-    v: int
-    level: int
     h: float
-    q_star: float
 
 
 def _net_points_covering(space, h, level, targets):
@@ -176,11 +178,7 @@ def split_instance(space: MetricSpace, hier: NetHierarchy, v: int, level: int,
         s1 = s1 | j_of_inner
     if not s1 & s2:
         raise DegenerateSplit("no overlap between the split sides")
-
-    pts = ball(space, v, 3 * si)
-    q_star = edges_weight(space, mst(space, pts)) / si if len(pts) > 1 else 0.0
-    return SplitResult(s1=tuple(sorted(s1)), s2=tuple(sorted(s2)), v=v,
-                       level=level, h=split_radius, q_star=q_star)
+    return SplitResult(s1=tuple(sorted(s1)), s2=tuple(sorted(s2)), h=split_radius)
 
 
 @dataclass
@@ -197,7 +195,6 @@ class SolveParams:
     q: float = None
     delta: float = 1.0 / 12
     m_cap: int = 6
-    r: int = 2
     guesses: int = 1
     max_recursion_depth: int = 64
     seed: int = 0
@@ -210,9 +207,6 @@ class SolveParams:
             raise ValueError("s must be at least 6")
         if self.delta > 1.0 / 12 + REL_TOL:
             raise ValueError("delta must be at most 1/12")
-        if self.r != 2:
-            raise ValueError(f"r must be 2, got {self.r}: the DP routes one segment, two "
-                             "crossings, through each cluster, so no other bound is used")
         if self.q is None:
             self.q = 64.0 * (self.s / self.eps) ** 2
 
@@ -282,20 +276,19 @@ def solve_tsp(space: MetricSpace, params: SolveParams, tree=None):
     remainder is solved recursively; the two tours are spliced at a shared
     point at no extra transition cost beyond the reconnection. ``tree`` is
     the space's whole MST when the caller has already built it; the top level
-    reuses it.
+    reuses it. Every sub-instance draws its radii with one doubling dimension:
+    ``params.ddim``, or when it is None the whole space's estimate, as
+    :func:`nettsp.runner.run` sets it.
     """
     rng = np.random.default_rng(params.seed)
     trace = []
-
-    def ddim_for(sub):
-        if params.ddim is not None:
-            return params.ddim
-        return estimate_doubling(sub, audit_balls=24, seed=params.seed).ddim_upper
+    ddim = params.ddim
+    if ddim is None:
+        ddim = estimate_doubling(space, seed=params.seed).ddim_upper
 
     def solve_sparse(indices, sub, h, note):
         """Solve the induced sub-instance with its hierarchy; returns a global tour."""
-        res = solve_with_radius_guessing(sub, h, params.guesses, params.m_cap, params.r,
-                                         ddim_for(sub), rng)
+        res = solve_with_radius_guessing(sub, h, params.guesses, params.m_cap, ddim, rng)
         note["mode"] = note.get("mode", "sparse")
         note["cost"] = res.cost
         return Tour(tuple(indices[p] for p in res.tour.seq), closed=True)

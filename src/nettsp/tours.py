@@ -336,8 +336,7 @@ def _shortcut_outside(points, cset):
     return out
 
 
-def patch_crossings(space: MetricSpace, tour: Tour, cluster,
-                    use_full_cluster_mst: bool = False) -> Tour:
+def patch_crossings(space: MetricSpace, tour: Tour, cluster) -> Tour:
     """Reroute a tour so it crosses ``cluster`` at most twice.
 
     The tour's edges are split into the part inside the cluster and the rest
@@ -346,8 +345,7 @@ def patch_crossings(space: MetricSpace, tour: Tour, cluster,
     matching, walked between two retained boundary points (the cluster-side
     endpoints of the first and last crossings), and the outside walk is
     shortcut around cluster-interior detours. Weight grows by at most four
-    tree weights. With ``use_full_cluster_mst`` the tree spans the whole
-    cluster instead of just the crossing points.
+    tree weights.
 
     Open tours keep their two endpoints; each endpoint anchors the walk on
     its own side of the boundary.
@@ -361,9 +359,7 @@ def patch_crossings(space: MetricSpace, tour: Tour, cluster,
         return tour
     crossings = sorted(crossing_set)
 
-    chat = cross_points(tour, cluster)
-    tree_vertices = sorted(cset) if use_full_cluster_mst else chat
-    tree = mst(space, tree_vertices)
+    tree = mst(space, cross_points(tour, cluster))
 
     def c_side(j):
         x, y = trans[j]

@@ -214,7 +214,7 @@ def test_criterion_06_dp_oracle_equivalence():
         space = rand_space(8_000 + i, n)
         h = build_hierarchy(space, 6.0)
         tree = make_flat_tree(space)
-        res = solve_light_tour(space, h, tree, m_cap=n, r=2 * n,
+        res = solve_light_tour(space, h, tree, m_cap=n,
                                portal_chooser=lambda members, level: list(range(space.n)))
         oracle = brute_force_tsp(space)
         assert abs(res.cost - oracle.weight) <= 1e-9, (i, res.cost, oracle.weight)

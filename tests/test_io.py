@@ -174,8 +174,11 @@ def test_run_rejects_bad_config():
         run({"space": sp, "mode": "nonsense"})
     with pytest.raises(ConfigError):
         run({"space": sp, "mode": "solve", "eps": 0.3})
-    with pytest.raises(ConfigError, match=r"r must be 2, got 4"):
+    with pytest.raises(ConfigError, match=r"unknown config key 'r'; accepted keys: space, "
+                       r"mode, seed, eps, s, q, delta, m_cap, guesses"):
         run({"space": sp, "mode": "solve", "r": 4})
+    with pytest.raises(ConfigError, match=r"unknown config key 'm-cap'"):
+        run({"space": sp, "mode": "solve", "m-cap": 4})
     with pytest.raises(ConfigError):
         run({"space": "not a space", "mode": "solve"})
 
@@ -199,13 +202,13 @@ def test_run_solve_deterministic_across_repeats_and_threads():
 @pytest.mark.parametrize("family, n, params, config, digest", [
     # 19 children at the root: the greedy + 2-opt child order
     ("uniform2d", 40, None, {},
-     "c75f7d3cb558280fab3014232a9fc72e6ec76b30c2aa0386ccc31b13cd7fb4ce"),
+     "3c562652601bda6d1314eec6e49b6960c3e10e423874239804b22eacb8d25af7"),
     # the dense scan fires: splits, splices and many small sub-solves
     ("clustered", 160, {"clusters": 4}, {"q": 2.0},
-     "b4d832c6716e5b76ed9ab61baa15ecbabdb80b3460dc0915a53e3c683206e578"),
+     "a11ebdd137278ad828bb8b81388effbcf02609b668c8abcb805856b5f150a01c"),
     # several children options per cluster
     ("uniform2d", 20, None, {"guesses": 2},
-     "08983bb6b7aea89de75d3db245ce7c74b12c167b8fdc2031e3010177f4ecb848"),
+     "5eed531394960723ce3a9840d445d76c44be1e49268e422053f41bd1d83f3a24"),
 ], ids=["uniform2d-40", "clustered-160-q2", "uniform2d-20-two-guesses"])
 def test_solve_reports_are_pinned(family, n, params, config, digest):
     from nettsp.metric import normalize
@@ -318,12 +321,13 @@ def test_cli_rejects_r_4_before_any_work(tmp_path, capsys):
                  "--out", str(inst)]) == 0
     capsys.readouterr()
     t0 = time.perf_counter()
-    rc = main(["run", "--instance", str(inst), "--format", "points_csv",
-               "--mode", "solve", "--r", "4", "--seed", "3"])
-    assert rc == 2
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--instance", str(inst), "--format", "points_csv",
+              "--mode", "solve", "--r", "4", "--seed", "3"])
+    assert exit_.value.code == 2
     assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
-    assert "r must be 2" in captured.err and not captured.out
+    assert "unrecognized arguments: --r" in captured.err and not captured.out
 
 
 def test_cli_solves_uniform2d_beyond_the_children_ceiling(tmp_path):

@@ -62,10 +62,8 @@ def set_auto_portals(space, h, members, level, m_cap):
         if len(pts) <= m_cap:
             chosen = (j, pts)
             break
-    mset = set(members)
     j, pts = chosen
-    return PortalSet(level=level, pitch_level=j, pitch=h.radius(j), portals=pts,
-                     mandatory=tuple(p in mset for p in pts))
+    return PortalSet(level=level, pitch=h.radius(j), portals=pts)
 
 
 def tree_of(kind, n, seed, params=None):
@@ -96,7 +94,7 @@ def test_solve_single_point():
     sp = from_points([(0.0, 0.0)])
     tree = make_flat_tree(sp)
     h = build_hierarchy(sp, 6.0)
-    res = solve_light_tour(sp, h, tree, 2, 2)
+    res = solve_light_tour(sp, h, tree, 2)
     assert res.tour.seq == (0,)
     assert res.cost == pytest.approx(0.0)
 
@@ -105,7 +103,7 @@ def test_solve_two_points_exact():
     sp = normalize(from_points([(0.0, 0.0), (0.7, 0.0)]))
     h = build_hierarchy(sp, 6.0)
     tree = make_flat_tree(sp)
-    res = solve_light_tour(sp, h, tree, 2, 4)
+    res = solve_light_tour(sp, h, tree, 2)
     assert res.cost == pytest.approx(2.0)
 
 
@@ -116,7 +114,7 @@ def test_flat_tree_equals_brute_force(seed):
     sp = rand_space(seed + 10, n)
     h = build_hierarchy(sp, 6.0)
     tree = make_flat_tree(sp)
-    res = solve_light_tour(sp, h, tree, n, 2 * n,
+    res = solve_light_tour(sp, h, tree, n,
                            portal_chooser=all_points_chooser(sp))
     assert res.cost == pytest.approx(brute_force_tsp(sp).weight, abs=1e-9)
     assert tour_weight(sp, res.tour) <= res.cost + 1e-9
@@ -129,7 +127,7 @@ def test_hierarchical_solve_valid_and_bounded(seed):
     sp = rand_space(seed + 50, n)
     h = build_hierarchy(sp, 6.0)
     tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(seed)))
-    res = solve_light_tour(sp, h, tree, 6, 2)
+    res = solve_light_tour(sp, h, tree, 6)
     w = tour_weight(sp, res.tour)
     assert res.tour.closed
     assert res.tour.visits() == set(range(n)) and len(res.tour.seq) == n
@@ -142,8 +140,8 @@ def test_monotone_in_m_cap():
     sp = rand_space(61, 12)
     h = build_hierarchy(sp, 6.0)
     tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(1)))
-    c3 = solve_light_tour(sp, h, tree, 3, 2).cost
-    c8 = solve_light_tour(sp, h, tree, 8, 2).cost
+    c3 = solve_light_tour(sp, h, tree, 3).cost
+    c8 = solve_light_tour(sp, h, tree, 8).cost
     assert c8 <= c3 + 1e-9
 
 
@@ -181,13 +179,13 @@ def test_leaf_equals_the_best_order_by_permutation_search(seed):
                    for order in itertools.permutations(rest))
         # a bottom cluster whose portals are the case's ends, solved as a node of
         # singleton children; children_options is never asked at level 0
-        engine = _Engine(sp, h, 6, 2, None, portal_chooser=lambda members, level: (a, b))
+        engine = _Engine(sp, h, 6, None, portal_chooser=lambda members, level: (a, b))
         ps, mat = engine.pair_costs(0, members)
         ai, bi = ps.portals.index(a), ps.portals.index(b)
         cost = mat[ai, bi]
         assert cost == best
-        key = (0, members, ((ps.portals[min(ai, bi)], ps.portals[max(ai, bi)]),))
-        assert engine.memo[key] == cost
+        key = (0, members, ps.portals[min(ai, bi)], ps.portals[max(ai, bi)])
+        assert engine.entries == len(members) + len(ps.portals) * (len(ps.portals) + 1) // 2
         seg = _collapse(engine.expand(key))
         if a != ps.portals[min(ai, bi)]:
             seg = seg[::-1]
@@ -201,7 +199,7 @@ def test_leaf_equals_the_best_order_by_permutation_search(seed):
 def guessing_solve(n, seed, guesses):
     sp = normalize(generate_instance("uniform2d", n, seed=seed))
     ddim = estimate_doubling(sp, seed=seed).ddim_upper
-    return solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), guesses, 6, 2, ddim,
+    return solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), guesses, 6, ddim,
                                       np.random.default_rng(seed))
 
 
@@ -369,7 +367,7 @@ def test_traceback_weight_equals_table_cost_on_a_grid(seed):
              for s in (seed, seed + 4)]
     for tree in trees:
         for m_cap in (2, 6):
-            res = solve_light_tour(grid, h, tree, m_cap, 2)
+            res = solve_light_tour(grid, h, tree, m_cap)
             assert tour_weight(grid, res.raw) == pytest.approx(res.cost)
 
 
@@ -586,7 +584,7 @@ def flat_equilateral(n):
     d = np.ones((n, n))
     np.fill_diagonal(d, 0.0)
     sp = from_matrix(d)
-    return solve_light_tour(sp, build_hierarchy(sp, 6.0), make_flat_tree(sp), 6, 2)
+    return solve_light_tour(sp, build_hierarchy(sp, 6.0), make_flat_tree(sp), 6)
 
 
 @pytest.mark.parametrize("solve, k, pairs", [
@@ -662,7 +660,7 @@ def test_node_pair_matrices_and_traces_equal_the_per_pair_reference(monkeypatch,
     monkeypatch.setattr(_Engine, "solve_root", keeping)
     sp = normalize(generate_instance(kind, n, 0, params))
     ddim = estimate_doubling(sp, seed=0).ddim_upper
-    solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), guesses, 6, 2, ddim,
+    solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), guesses, 6, ddim,
                                np.random.default_rng(0))
     (engine, root_level, root_members), = engines
     wide = several = leaves = 0
@@ -687,14 +685,13 @@ def test_node_pair_matrices_and_traces_equal_the_per_pair_reference(monkeypatch,
                 if c < cost:
                     cost, ref = c, (tuple(children), path)
                 wide += len(children) > _Engine.EXACT_PATH_CHILDREN
-            key = (level, members, ((P[ai], P[bi]),))
-            assert engine.memo[key] == mat[ai, bi] == mat[bi, ai] == cost
+            key = (level, members, P[ai], P[bi])
+            assert mat[ai, bi] == mat[bi, ai] == cost
             trace = engine.trace.get(key)
             if ref is None:
                 assert trace is None
                 continue
-            kind_, A, infos, path, B = trace
-            assert (kind_, A, B) == ("combine", P[ai], P[bi])
+            infos, path = trace
             assert (tuple(ch for ch, _, _ in infos), path) == ref
     assert wide > 0 or guesses > 1
     assert several > 0 or guesses == 1
@@ -711,7 +708,7 @@ def test_heuristic_child_order_traceback_on_uniform40(monkeypatch):
     monkeypatch.setattr(lightdp, "_heuristic_orders", counted)
     sp = normalize(generate_instance("uniform2d", 40, seed=0))
     ddim = estimate_doubling(sp, seed=0).ddim_upper
-    res = solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), 1, 6, 2, ddim,
+    res = solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), 1, 6, ddim,
                                      np.random.default_rng(0))
     assert len(widths) >= 1 and max(widths) > _Engine.EXACT_PATH_CHILDREN
     assert sorted(res.tour.seq) == list(range(40))
@@ -726,11 +723,11 @@ def test_guessing_g1_matches_induced_tree():
         n = int(rng.integers(5, 13))
         sp = rand_space(seed + 80, n)
         h = build_hierarchy(sp, 6.0)
-        res_g = solve_with_radius_guessing(sp, h, 1, 6, 2, 2.5,
+        res_g = solve_with_radius_guessing(sp, h, 1, 6, 2.5,
                                            np.random.default_rng(seed + 5))
         samples = draw_radius_samples(h, 1, 2.5, np.random.default_rng(seed + 5))
         tree = tree_from_samples(sp, h, samples)
-        res_t = solve_light_tour(sp, h, tree, 6, 2)
+        res_t = solve_light_tour(sp, h, tree, 6)
         assert res_g.cost == pytest.approx(res_t.cost, abs=1e-9)
         assert res_g.tour.seq == res_t.tour.seq
 
@@ -738,7 +735,7 @@ def test_guessing_g1_matches_induced_tree():
 def test_guessing_two_points_exact():
     sp = normalize(from_points([(0.0, 0.0), (0.4, 0.3)]))
     h = build_hierarchy(sp, 6.0)
-    res = solve_with_radius_guessing(sp, h, 3, 4, 2, 1.0, np.random.default_rng(0))
+    res = solve_with_radius_guessing(sp, h, 3, 4, 1.0, np.random.default_rng(0))
     assert res.cost == pytest.approx(2.0 * sp.dist(0, 1))
 
 
@@ -749,8 +746,8 @@ def test_guessing_more_options_never_hurt(seed):
     sp = rand_space(seed + 90, n)
     h = build_hierarchy(sp, 6.0)
     samples3 = draw_radius_samples(h, 3, 2.5, np.random.default_rng(seed + 77))
-    base = solve_light_tour(sp, h, tree_from_samples(sp, h, samples3), 6, 2)
-    res3 = solve_with_radius_guessing(sp, h, 3, 6, 2, 2.5,
+    base = solve_light_tour(sp, h, tree_from_samples(sp, h, samples3), 6)
+    res3 = solve_with_radius_guessing(sp, h, 3, 6, 2.5,
                                       np.random.default_rng(seed + 77))
     assert res3.cost <= base.cost + 1e-9
     assert tour_weight(sp, res3.tour) >= held_karp_tsp(sp).weight - 1e-9
@@ -868,7 +865,7 @@ def test_one_guess_carves_each_level_once_and_lists_children_as_distinct_carving
     sp = normalize(generate_instance(kind, 60, 0, params))
     h = build_hierarchy(sp, 6.0)
     ddim = estimate_doubling(sp, seed=0).ddim_upper
-    solve_with_radius_guessing(sp, h, 1, 6, 2, ddim, np.random.default_rng(0))
+    solve_with_radius_guessing(sp, h, 1, 6, ddim, np.random.default_rng(0))
     assert sorted(carved) == list(range(h.top + 1))
     samples = draw_radius_samples(h, 1, ddim, np.random.default_rng(0))
     (engine,) = engines
@@ -890,13 +887,14 @@ def test_engine_asks_for_each_clusters_options_once():
         calls[(level, members)] += 1
         return inner(level, members)
 
-    engine = _Engine(sp, h, 6, 2, counting)
+    engine = _Engine(sp, h, 6, counting)
     engine.solve_root(tree.root.level, tuple(tree.root.members))
     internal = {(n.level, n.members) for n in tree.nodes() if n.level > 0}
     assert set(calls) == internal
     assert set(calls.values()) == {1}
     # several portal configurations per cluster share one options call
-    assert sum(1 for key in engine.memo if key[0] > 0) > len(internal)
+    assert sum(len(mat) for (level, _), (_, mat) in engine.nodes.items()
+               if level > 0) > len(internal)
 
 
 def record_table_builds(monkeypatch):
@@ -953,7 +951,7 @@ def test_each_path_table_is_built_once_and_dropped_when_dead(monkeypatch, solve,
         assert n == (portals if len(children) <= _Engine.EXACT_PATH_CHILDREN else 0)
     (engine, root_level), = engines
     assert engine.ops == ops
-    assert len(engine.memo) == entries
+    assert engine.entries == entries
     # every table, the root's included, was dropped once its pass was done
     assert all(ref() is None for ref in calls)
 
@@ -982,7 +980,7 @@ def test_subset_dp_optimum_matches_held_karp():
 def test_guessing_two_guesses_on_the_heavy_uniform_instance():
     sp = normalize(generate_instance("uniform2d", 20, seed=0))
     ddim = estimate_doubling(sp, seed=0).ddim_upper
-    res = solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), 2, 6, 2, ddim,
+    res = solve_with_radius_guessing(sp, build_hierarchy(sp, 6.0), 2, 6, ddim,
                                      np.random.default_rng(0))
     assert sorted(res.tour.seq) == list(range(20))
     assert tour_weight(sp, res.tour) >= subset_dp_optimum(sp.pairwise()) * (1 - 1e-9)
@@ -1025,7 +1023,7 @@ def loop_close_matrix(D, B, infos, m):
     ("uniform2d", 40, 0, None)])
 def test_gathered_node_matrices_equal_the_per_child_loops(kind, n, seed, params):
     sp, h, tree = tree_of(kind, n, seed, params)
-    engine = _Engine(sp, h, 6, 2, _tree_children_options(tree))
+    engine = _Engine(sp, h, 6, _tree_children_options(tree))
     engine.solve_root(tree.root.level, tuple(tree.root.members))
     mixed = 0
     for node in tree.nodes():

@@ -90,12 +90,6 @@ def test_normalize_rejects_duplicates():
         normalize(from_points([(0.0, 0.0), (0.0, 0.0), (1.0, 1.0)]))
 
 
-def test_normalize_snap_grid():
-    pts = np.random.default_rng(5).random((30, 2)) * 100
-    sp = normalize(from_points(pts), eps=0.04, snap=True)
-    assert sp.min_gap()[0] == pytest.approx(1.0)
-
-
 def test_ball_zero_radius():
     sp = grid(4)
     assert ball(sp, 5, 0.0).tolist() == [5]

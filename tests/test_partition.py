@@ -109,20 +109,19 @@ def carving_loop(space, subset, h, level, radii):
     subset = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
     centers = h.net(level)
     d = space.pairwise(centers, subset)
-    assign_center, assign_rank = {}, {}
+    assign_center = {}
     unassigned = np.ones(len(subset), dtype=bool)
     for rank, c in enumerate(centers):
         r = radii[int(c)]
         hit = unassigned & (d[rank] <= r + REL_TOL * max(1.0, r))
         for t in np.flatnonzero(hit):
             assign_center[int(subset[t])] = int(c)
-            assign_rank[int(subset[t])] = rank
         unassigned &= ~hit
         if not unassigned.any():
             break
     if unassigned.any():
         raise AssertionError(f"points {subset[unassigned].tolist()} not covered at level {level}")
-    return assign_center, assign_rank
+    return assign_center
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -149,9 +148,8 @@ def test_cover_matrix_carving_matches_the_carving_loop(seed):
                     seen["uncovered"] += 1
                     continue
                 part = partition_with_radii(sp, subset, h, level, radii)
-                # same assignment, inserted in the same order
-                assert list(part.assign_center.items()) == list(want[0].items())
-                assert list(part.assign_rank.items()) == list(want[1].items())
+                # same assignment, inserted in the same (carving) order
+                assert list(part.assign_center.items()) == list(want.items())
                 seen["on rim"] += sum(sp.dist(c, p) == radii[c]
                                       for p, c in part.assign_center.items())
     assert seen["uncovered"] > 0 and seen["on rim"] > 0

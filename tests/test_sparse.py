@@ -270,7 +270,8 @@ def test_split_all_inside_degenerates():
 def test_split_two_cluster_fixture():
     sp = dense_fixture()
     h = build_hierarchy(sp, 6.0)
-    level, v, _ = find_dense_region(sp, h, 2.0)
+    level, v, q_star = find_dense_region(sp, h, 2.0)
+    assert q_star > 0
     radius = choose_split_radius(sp, v, level, 1.0 / 12, 6.0)
     sr = split_instance(sp, h, v, level, radius, 1.0 / 12, 0.05)
     s1, s2, allp = set(sr.s1), set(sr.s2), set(range(sp.n))
@@ -278,7 +279,6 @@ def test_split_two_cluster_fixture():
     assert s1 & s2
     assert s2 < allp
     assert s1 >= set(int(p) for p in ball(sp, v, sr.h))
-    assert sr.q_star > 0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -371,6 +371,17 @@ def test_run_builds_the_whole_space_mst_once(monkeypatch):
     assert len(whole) == 1
 
 
+@pytest.mark.parametrize("kind, n, params", [
+    ("uniform2d", 40, None), ("clustered", 80, {"clusters": 4})])
+def test_solve_tsp_draws_radii_with_the_runners_doubling_estimate(kind, n, params):
+    # a separate doubling estimate per sub-instance gives these two a
+    # different tour from the runner's whole-space one
+    sp = normalize(generate_instance(kind, n, 0, params))
+    tour, _ = solve_tsp(sp, SolveParams(seed=0))
+    report = runner.run({"mode": "solve", "space": sp, "seed": 0})
+    assert list(tour.seq) == report["results"]["solve"]["tour"]
+
+
 def test_split_radius_is_the_same_from_a_given_tree():
     sp = dense_fixture()
     h = build_hierarchy(sp, 6.0)
@@ -439,7 +450,7 @@ def test_params_validation():
         SolveParams(s=4.0)
     with pytest.raises(ValueError):
         SolveParams(delta=0.5)
-    with pytest.raises(ValueError, match=r"r must be 2, got 4"):
+    with pytest.raises(TypeError, match=r"unexpected keyword argument 'r'"):
         SolveParams(r=4)
     p = SolveParams()
     assert p.q == pytest.approx(64 * (6.0 / 0.05) ** 2)

@@ -257,10 +257,8 @@ def test_patch_random_sweep(seed):
     w0 = tour_weight(sp, t)
     chat = cross_points(t, cluster)
     tree_w = edges_weight(sp, mst(sp, chat)) if chat else 0.0
-    full = bool(rng.integers(0, 2))
-    tree_w_full = edges_weight(sp, mst(sp, cluster))
-    out = patch_crossings(sp, t, cluster, use_full_cluster_mst=full)
-    bound = w0 + 4 * (tree_w_full if full else tree_w)
+    out = patch_crossings(sp, t, cluster)
+    bound = w0 + 4 * tree_w
     if len(crossing_transitions(t, cluster)) <= 2:
         assert out.seq == t.seq
         return
