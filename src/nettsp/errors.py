@@ -30,7 +30,7 @@ class DegenerateSplit(NetTspError):
 
 
 class RecursionLimit(NetTspError):
-    """Dense-region recursion exceeded the configured depth guard."""
+    """Dense-region recursion exceeded its depth guard (sparse.MAX_RECURSION_DEPTH)."""
 
 
 class TooLarge(NetTspError):

@@ -15,22 +15,10 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInstance, ParseError, TriangleViolation
+from .errors import ParseError
 from .metric import MetricSpace, from_matrix, from_points, validate_metric
 
 FORMATS = ("tsplib_euc2d", "tsplib_matrix", "points_csv", "points_json")
-
-
-def _check(space: MetricSpace) -> MetricSpace:
-    report = validate_metric(space)
-    gap, pair = space.min_gap()
-    if space.n >= 2 and gap <= 0:
-        raise DegenerateInstance(
-            f"points {pair[0]} and {pair[1]} coincide; deduplicate first")
-    if not report.passed:
-        raise TriangleViolation("triangle inequality fails, first violating (i, j, k, slack): "
-                                f"{report.violations[0]}; close the matrix under shortest paths")
-    return space
 
 
 def _parse_tsplib(text: str):
@@ -99,21 +87,20 @@ def load_instance(path: str, fmt: str) -> MetricSpace:
                 raise ParseError("missing NODE_COORD_SECTION")
             if dimension is not None and dimension != len(coords):
                 raise ParseError(f"DIMENSION {dimension} != {len(coords)} coordinates")
-            return _check(from_points(coords))
-        if wtype and wtype != "EXPLICIT":
-            raise ParseError(f"EDGE_WEIGHT_TYPE {wtype!r} is not EXPLICIT")
-        wfmt = header.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX").upper()
-        if wfmt != "FULL_MATRIX":
-            raise ParseError(f"EDGE_WEIGHT_FORMAT {wfmt!r} unsupported (FULL_MATRIX only)")
-        if dimension is None:
-            dimension = int(round(math.sqrt(len(weights))))
-        if dimension * dimension != len(weights):
-            raise ParseError(
-                f"EDGE_WEIGHT_SECTION holds {len(weights)} values, expected {dimension}^2")
-        mat = np.asarray(weights, dtype=float).reshape(dimension, dimension)
-        return _check(from_matrix(mat))
-
-    if fmt == "points_csv":
+            space = from_points(coords)
+        else:
+            if wtype and wtype != "EXPLICIT":
+                raise ParseError(f"EDGE_WEIGHT_TYPE {wtype!r} is not EXPLICIT")
+            wfmt = header.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX").upper()
+            if wfmt != "FULL_MATRIX":
+                raise ParseError(f"EDGE_WEIGHT_FORMAT {wfmt!r} unsupported (FULL_MATRIX only)")
+            if dimension is None:
+                dimension = int(round(math.sqrt(len(weights))))
+            if dimension * dimension != len(weights):
+                raise ParseError(
+                    f"EDGE_WEIGHT_SECTION holds {len(weights)} values, expected {dimension}^2")
+            space = from_matrix(np.asarray(weights, dtype=float).reshape(dimension, dimension))
+    elif fmt == "points_csv":
         pts = []
         for ln, row in enumerate(csv.reader(text.splitlines()), start=1):
             if not row or all(not c.strip() for c in row):
@@ -126,17 +113,20 @@ def load_instance(path: str, fmt: str) -> MetricSpace:
                 raise ParseError(f"bad number in {row!r}", line=ln)
         if not pts:
             raise ParseError("empty CSV instance")
-        return _check(from_points(pts))
-
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}", line=exc.lineno)
-    if "points" in payload:
-        return _check(from_points(np.asarray(payload["points"], dtype=float)))
-    if "matrix" in payload:
-        return _check(from_matrix(np.asarray(payload["matrix"], dtype=float)))
-    raise ParseError("JSON must contain 'points' or 'matrix'")
+        space = from_points(pts)
+    else:
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON: {exc}", line=exc.lineno)
+        if "points" in payload:
+            space = from_points(np.asarray(payload["points"], dtype=float))
+        elif "matrix" in payload:
+            space = from_matrix(np.asarray(payload["matrix"], dtype=float))
+        else:
+            raise ParseError("JSON must contain 'points' or 'matrix'")
+    validate_metric(space)
+    return space
 
 
 def save_points_csv(space: MetricSpace, path: str):

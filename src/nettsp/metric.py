@@ -12,17 +12,18 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateInstance, InvalidMetric
+from .errors import DegenerateInstance, InvalidMetric, TriangleViolation
 
 REL_TOL = 1e-9
 # validate_metric checks every triangle up to this many points and samples above it.
 EXHAUSTIVE_MAX = 200
-# Sampled triangle checks draw and test this many (i, j, k) triples at a time.
+# Triangle checks test about this many (i, j, k) triples per pass: a block of
+# random draws, or as many whole pivots as fit (at least one).
 SAMPLE_BLOCK = 2 ** 15
 
 
@@ -111,9 +112,9 @@ def from_points(points) -> MetricSpace:
     return MetricSpace(coords=arr)
 
 
-def from_matrix(matrix, scale: float = 1.0) -> MetricSpace:
+def from_matrix(matrix) -> MetricSpace:
     arr = np.asarray(matrix, dtype=float)
-    return MetricSpace(matrix=arr, scale=scale)
+    return MetricSpace(matrix=arr)
 
 
 def restrict(space: MetricSpace, indices) -> MetricSpace:
@@ -127,13 +128,6 @@ def restrict(space: MetricSpace, indices) -> MetricSpace:
     if space.coords is not None:
         return MetricSpace(coords=space.coords[idx], scale=space.scale)
     return MetricSpace(matrix=space.matrix[np.ix_(idx, idx)], scale=space.scale)
-
-
-@dataclass
-class ValidationReport:
-    passed: bool
-    violations: list = field(default_factory=list)
-    checks: dict = field(default_factory=dict)
 
 
 def _require(ok: np.ndarray, problem: str, fix: str):
@@ -169,80 +163,81 @@ def _metric_by_construction(space: MetricSpace) -> bool:
     return 2 * (space.coords.shape[1] + 3) * sys.float_info.epsilon < REL_TOL
 
 
-def validate_metric(space: MetricSpace, max_listed: int = 100, seed: int = 0) -> ValidationReport:
-    """Check finiteness, nonnegativity, zero diagonal, symmetry and the triangle inequality.
+def validate_metric(space: MetricSpace) -> None:
+    """Raise at the first failed check of ``space``; return nothing if it passes.
 
-    The first four raise InvalidMetric naming the failed check and its first
-    offending entry, so the triangle scan only ever sees finite distances.
-    Triangle failures are reported, never raised; at most ``max_listed`` of
-    them are listed, as (i, j, k, slack) with slack = d[i, j] - (d[i, k] + d[k, j]),
-    and ``passed`` is the verdict whatever the listing holds.
+    The checks run in this order, each raising a NetTspError that names what
+    failed and what to change:
+
+    - InvalidMetric: a non-finite coordinate, then a non-finite distance
+      (coordinates this large overflow), then, for a matrix only, a negative
+      entry, a non-zero diagonal entry and an asymmetric pair, each at its
+      first offending entry in row-major order;
+    - DegenerateInstance: the first pair of coincident points (min_gap);
+    - TriangleViolation: the first violating (i, j, k, slack), with
+      slack = d[i, j] - (d[i, k] + d[k, j]) above REL_TOL * max(1, max d).
 
     Coordinates are a metric by construction (see _metric_by_construction),
-    so they get only the finiteness checks, on the coordinates and on their
-    distances, which overflow to inf if too large; their report is the one a
-    scan would give. A matrix gets every check. ``checks["triangle_exhaustive"]``
-    is n <= EXHAUSTIVE_MAX for either kind of space.
-
-    Up to EXHAUSTIVE_MAX points every triple is checked: a running min-plus
-    closure over all pivots k, in O(n^2) memory, gives the verdict, and only a
-    failing matrix is scanned again pivot by pivot, in (k, i, j) order, until
-    enough violations are listed. Subtraction is monotone in what it subtracts,
-    so d - min_k(d[:, k] + d[k]) exceeds the tolerance exactly where some single
-    pivot's slack does. Above EXHAUSTIVE_MAX, 10 * n^2 random triples are
-    checked in blocks of SAMPLE_BLOCK, each block drawing its own (i, j, k),
-    until a failure is seen and enough are listed.
+    so they skip the sign, diagonal, symmetry and triangle checks. A matrix of
+    up to EXHAUSTIVE_MAX points is checked on every triple in (k, i, j) order,
+    in one reused buffer that holds the n x n slack of as many pivots as fit
+    in SAMPLE_BLOCK entries (at least one), up to the first pivot with a
+    violation. Above EXHAUSTIVE_MAX, 10 * n^2 random triples drawn from
+    default_rng(0) are checked in blocks of SAMPLE_BLOCK, up to the first
+    block with a violation.
     """
     n = space.n
-    exhaustive = n <= EXHAUSTIVE_MAX
-    report = ValidationReport(passed=True, checks={"triangle_exhaustive": exhaustive})
     if space.coords is not None:
         _require(np.isfinite(space.coords), "non-finite coordinate",
                  "replace nan and inf with finite numbers")
     d = space.pairwise()
     _require(np.isfinite(d), "non-finite distance",
              "replace nan and inf with finite numbers, or rescale coordinates this large")
-    if _metric_by_construction(space):
-        return report
-    tol = REL_TOL * max(1.0, float(d.max(initial=0.0)))
-    _require(d >= -REL_TOL, "negative distance", "make every distance at least 0")
-    _require(np.diag(np.abs(np.diagonal(d)) <= REL_TOL) | ~np.eye(n, dtype=bool),
-             "non-zero diagonal distance", "set each point's distance to itself to 0")
-    asymmetry = np.subtract(d, d.T)
-    np.abs(asymmetry, out=asymmetry)
-    _require(asymmetry <= tol, "asymmetric distance", "make entry (i, j) equal to entry (j, i)")
-    del asymmetry
+    by_construction = _metric_by_construction(space)
+    if not by_construction:
+        tol = REL_TOL * max(1.0, float(d.max(initial=0.0)))
+        _require(d >= -REL_TOL, "negative distance", "make every distance at least 0")
+        _require(np.diag(np.abs(np.diagonal(d)) <= REL_TOL) | ~np.eye(n, dtype=bool),
+                 "non-zero diagonal distance", "set each point's distance to itself to 0")
+        asymmetry = np.subtract(d, d.T)
+        np.abs(asymmetry, out=asymmetry)
+        _require(asymmetry <= tol, "asymmetric distance", "make entry (i, j) equal to entry (j, i)")
+        del asymmetry
+    gap, (i, j) = space.min_gap()
+    if gap <= 0:
+        raise DegenerateInstance(f"points {i} and {j} coincide; deduplicate first")
+    if by_construction:
+        return
+    violation = _first_triangle_violation(d, tol)
+    if violation is not None:
+        raise TriangleViolation("triangle inequality fails, first violating (i, j, k, slack): "
+                                f"{violation}; close the matrix under shortest paths")
 
-    listed = report.violations
-    if exhaustive:
-        closure = d.copy()
-        via = np.empty_like(d)
-        for k in range(n):
-            np.add(d[:, k, None], d[k], out=via)
-            np.minimum(closure, via, out=closure)
-        failed = bool((d - closure > tol).any())
-        if failed:
-            for k in range(n):
-                slack = d - (d[:, k, None] + d[k])
-                for i, j in np.argwhere(slack > tol)[:max_listed - len(listed)]:
-                    listed.append((int(i), int(j), int(k), float(slack[i, j])))
-                if len(listed) >= max_listed:
-                    break
-    else:
-        failed = False
-        rng = np.random.default_rng(seed)
-        flat = d.ravel()
-        for start in range(0, 10 * n * n, SAMPLE_BLOCK):
-            ii, jj, kk = rng.integers(0, n, size=(3, min(SAMPLE_BLOCK, 10 * n * n - start)))
-            slack = flat[ii * n + jj] - (flat[ii * n + kk] + flat[kk * n + jj])
-            bad = np.flatnonzero(slack > tol)
-            failed = failed or bad.size > 0
-            for t in bad[:max_listed - len(listed)]:
-                listed.append((int(ii[t]), int(jj[t]), int(kk[t]), float(slack[t])))
-            if failed and len(listed) >= max_listed:
-                break
-    report.passed = not failed
-    return report
+
+def _first_triangle_violation(d: np.ndarray, tol: float):
+    """The first (i, j, k, slack) whose slack exceeds ``tol``, or None (see validate_metric)."""
+    n = d.shape[0]
+    if n <= EXHAUSTIVE_MAX:
+        step = min(n, max(1, SAMPLE_BLOCK // (n * n)))      # pivots per pass
+        buffer = np.empty((step, n, n))
+        for k in range(0, n, step):
+            slack = buffer[:min(step, n - k)]              # slack[t, i, j] for pivot k + t
+            np.add(d.T[k:k + len(slack), :, None], d[k:k + len(slack), None, :], out=slack)
+            np.subtract(d, slack, out=slack)
+            if slack.max() > tol:
+                t, i, j = np.argwhere(slack > tol)[0]
+                return int(i), int(j), k + int(t), float(slack[t, i, j])
+        return None
+    rng = np.random.default_rng(0)
+    flat = d.ravel()
+    for start in range(0, 10 * n * n, SAMPLE_BLOCK):
+        ii, jj, kk = rng.integers(0, n, size=(3, min(SAMPLE_BLOCK, 10 * n * n - start)))
+        slack = flat[ii * n + jj] - (flat[ii * n + kk] + flat[kk * n + jj])
+        bad = np.flatnonzero(slack > tol)
+        if bad.size:
+            t = bad[0]
+            return int(ii[t]), int(jj[t]), int(kk[t]), float(slack[t])
+    return None
 
 
 def normalize(space: MetricSpace) -> MetricSpace:
@@ -280,7 +275,6 @@ class DoublingEstimate:
 
     lambda_upper: int
     ddim_upper: float
-    audited: int
 
 
 def estimate_doubling(space: MetricSpace, audit_balls: int = 64, seed: int = 0) -> DoublingEstimate:
@@ -298,7 +292,7 @@ def estimate_doubling(space: MetricSpace, audit_balls: int = 64, seed: int = 0) 
     """
     n = space.n
     if n < 2:
-        return DoublingEstimate(lambda_upper=1, ddim_upper=1.0, audited=0)
+        return DoublingEstimate(lambda_upper=1, ddim_upper=1.0)
     rng = np.random.default_rng(seed)
     diam = space.diameter()
     # Always audit the whole space a few times from distinct centers.
@@ -328,5 +322,4 @@ def estimate_doubling(space: MetricSpace, audit_balls: int = 64, seed: int = 0) 
         mind[open_balls] = np.minimum(mind[open_balls], d[far])
         counts[open_balls] += 1
     lam = int(counts.max(initial=1))
-    return DoublingEstimate(lambda_upper=lam, ddim_upper=max(1.0, math.log2(lam)),
-                            audited=len(drawn))
+    return DoublingEstimate(lambda_upper=lam, ddim_upper=max(1.0, math.log2(lam)))

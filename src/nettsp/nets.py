@@ -117,7 +117,6 @@ class NetReport:
     ok: bool
     violations: list = field(default_factory=list)
     level_sizes: list = field(default_factory=list)
-    ball_audits: int = 0
 
 
 def verify_nets(h: NetHierarchy, ddim_upper: float = None, audit_balls: int = 32,
@@ -175,7 +174,6 @@ def verify_nets(h: NetHierarchy, ddim_upper: float = None, audit_balls: int = 32
                 bound = (2 * (2 * radius + si) / si) ** ddim_upper
                 if inside > bound + REL_TOL:
                     report.violations.append(("count_bound", i, x, radius, inside, bound))
-            report.ball_audits += 1
 
     report.ok = not report.violations
     return report

@@ -98,10 +98,13 @@ def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
     """Distinct carvings of ``subset`` over each center's candidate radii, in
     first-occurrence itertools.product order, deduplicated while enumerated.
 
-    Centers are walked depth first in carving order; a radius whose ball
-    claims the same unassigned points as an earlier radius of the same center
-    is skipped, as its subtree only repeats earlier outcomes. Each surviving
-    walk is carved by partition_with_radii into sorted member tuples.
+    Centers are walked depth first in carving order, each claiming the still
+    unassigned points inside its ball; a radius whose ball claims the same
+    points as an earlier radius of the same center is skipped, as its subtree
+    only repeats earlier outcomes. A walk ends once every point is claimed, and
+    its outcome is the sorted tuple of the non-empty claims' member tuples: the
+    clusters partition_with_radii carves with the walk's radii. A walk that
+    runs out of centers with points unclaimed raises AssertionError.
     """
     subset = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
     centers = [int(c) for c in h.net(level)]
@@ -109,24 +112,25 @@ def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
     thr = r + REL_TOL * np.maximum(1.0, r)
     # balls[c, t, p]: center c's ball at its t-th radius holds point p
     balls = space.pairwise(centers, subset)[:, None, :] <= thr[:, :, None]
-    reach = [(centers[i], balls[i]) for i in np.flatnonzero(balls.any(axis=(1, 2)))]
-    radii = {c: radius_choices[c][0] for c in centers}
+    reach = [balls[i] for i in np.flatnonzero(balls.any(axis=(1, 2)))]
+    claims = []                    # the walk's claims so far, in carving order
     outs = {}                      # distinct outcomes in first-occurrence order
 
     def walk(depth, unassigned):
-        if depth == len(reach) or not unassigned.any():
-            part = partition_with_radii(space, subset, h, level, dict(radii))
-            outs.setdefault(tuple(sorted(tuple(v) for v in part.clusters().values())))
+        if not unassigned.any():
+            outs.setdefault(tuple(sorted(tuple(subset[c].tolist()) for c in claims if c.any())))
             return
-        c, center_balls = reach[depth]
+        if depth == len(reach):
+            raise AssertionError(
+                f"points {subset[unassigned].tolist()} not covered at level {level}")
         tried = set()
-        for t, ball in enumerate(center_balls):
+        for ball in reach[depth]:
             claim = unassigned & ball
             if claim.tobytes() not in tried:
                 tried.add(claim.tobytes())
-                radii[c] = radius_choices[c][t]
+                claims.append(claim)
                 walk(depth + 1, unassigned & ~claim)
-        radii[c] = radius_choices[c][0]
+                claims.pop()
 
     walk(0, np.ones(len(subset), dtype=bool))
     return list(outs)

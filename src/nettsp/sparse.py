@@ -181,6 +181,10 @@ def split_instance(space: MetricSpace, hier: NetHierarchy, v: int, level: int,
     return SplitResult(s1=tuple(sorted(s1)), s2=tuple(sorted(s2)), h=split_radius)
 
 
+# solve_tsp raises RecursionLimit when dense splits nest deeper than this.
+MAX_RECURSION_DEPTH = 64
+
+
 @dataclass
 class SolveParams:
     """Knobs for the end-to-end solver.
@@ -196,7 +200,6 @@ class SolveParams:
     delta: float = 1.0 / 12
     m_cap: int = 6
     guesses: int = 1
-    max_recursion_depth: int = 64
     seed: int = 0
     ddim: float = None             # filled from a doubling estimate when absent
 
@@ -294,7 +297,7 @@ def solve_tsp(space: MetricSpace, params: SolveParams, tree=None):
         return Tour(tuple(indices[p] for p in res.tour.seq), closed=True)
 
     def rec(indices, depth, tree=None):
-        if depth > params.max_recursion_depth:
+        if depth > MAX_RECURSION_DEPTH:
             raise RecursionLimit(f"depth {depth} exceeded")
         indices = tuple(sorted(indices))
         note = {"n": len(indices), "depth": depth}

@@ -134,16 +134,18 @@ def is_net_respecting(tour: Tour, h: NetHierarchy, eps: float):
     (x, y)). Transitions shorter than 1/eps need only bottom-level points and
     always pass.
     """
-    space = h.space
     for idx, (x, y) in enumerate(tour.transitions()):
-        if x == y:
-            continue
-        level = h.level_of_value(eps * space.dist(x, y))
-        if level < 0:
-            continue
-        if not (h.in_net(x, level) and h.in_net(y, level)):
+        if _off_net(h.space, h, eps, x, y):
             return False, (idx, (x, y))
     return True, None
+
+
+def _off_net(space: MetricSpace, h: NetHierarchy, eps: float, x: int, y: int) -> bool:
+    """Whether transition (x, y) has an endpoint outside the net at scale ~ eps*d(x, y)."""
+    if x == y:
+        return False
+    level = h.level_of_value(eps * space.dist(x, y))
+    return level >= 0 and not (h.in_net(x, level) and h.in_net(y, level))
 
 
 def make_net_respecting(space: MetricSpace, tour: Tour, h: NetHierarchy, eps: float) -> Tour:
@@ -157,18 +159,10 @@ def make_net_respecting(space: MetricSpace, tour: Tour, h: NetHierarchy, eps: fl
     if not 0 < eps <= 0.125 + REL_TOL:
         raise ValueError("eps must lie in (0, 1/8]")
 
-    def violates(x, y):
-        if x == y:
-            return False
-        level = h.level_of_value(eps * space.dist(x, y))
-        if level < 0:
-            return False
-        return not (h.in_net(x, level) and h.in_net(y, level))
-
     def expand(x, y, depth=0):
         if x == y:
             return [x]
-        if depth > 64 or not violates(x, y):
+        if depth > 64 or not _off_net(space, h, eps, x, y):
             return [x, y]
         level = h.level_of_value(2 * eps * space.dist(x, y))
         xc = h.cover_point(x, level)

@@ -1,15 +1,16 @@
+import ast
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from nettsp.errors import DegenerateInstance, InvalidMetric
+from nettsp.errors import DegenerateInstance, InvalidMetric, TriangleViolation
 from nettsp.io import generate_instance
-from nettsp.metric import (REL_TOL, DoublingEstimate, MetricSpace, ValidationReport, ball,
-                           estimate_doubling, from_matrix, from_points, normalize, restrict,
-                           validate_metric)
+from nettsp.metric import (REL_TOL, DoublingEstimate, MetricSpace, ball, estimate_doubling,
+                           from_matrix, from_points, normalize, restrict, validate_metric)
 from nettsp.sparse import SolveParams, solve_tsp
 from nettsp.tours import tour_weight
 
@@ -18,31 +19,39 @@ def grid(k):
     return from_points([(x, y) for x in range(k) for y in range(k)])
 
 
+def triangle_verdict(space):
+    """None when validate_metric passes ``space``, else the (i, j, k, slack)
+    its TriangleViolation names, read back from the message."""
+    try:
+        validate_metric(space)
+    except TriangleViolation as err:
+        named = re.search(r"\(i, j, k, slack\): (\(.*?\));", str(err)).group(1)
+        return ast.literal_eval(named)
+    return None
+
+
 def test_validate_collinear_passes():
     sp = from_points([(0.0,), (1.0,), (2.0,)])
-    assert validate_metric(sp).passed
+    assert validate_metric(sp) is None
 
 
 def test_validate_matrix_triangle_violation():
-    mat = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
-    report = validate_metric(from_matrix(mat))
-    assert not report.passed
-    triples = {v[:3] for v in report.violations}
-    assert (0, 2, 1) in triples
-    slack = [v[3] for v in report.violations if v[:3] == (0, 2, 1)][0]
-    assert slack == pytest.approx(3.0)
+    sp = from_matrix([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+    with pytest.raises(TriangleViolation) as err:
+        validate_metric(sp)
+    assert str(err.value) == ("triangle inequality fails, first violating (i, j, k, slack): "
+                              "(0, 2, 1, 3.0); close the matrix under shortest paths")
+    assert triangle_verdict(sp) == first_pivot_violation(sp) == (0, 2, 1, 3.0)
 
 
 def test_validate_uniform_random_exhaustive():
     sp = from_points(np.random.default_rng(0).random((50, 2)))
-    report = validate_metric(sp)
-    assert report.passed and report.checks["triangle_exhaustive"]
+    assert validate_metric(sp) is None
 
 
 def test_validate_sampled_path_large_instance():
     sp = from_points(np.random.default_rng(1).random((210, 2)))
-    report = validate_metric(sp)
-    assert report.passed and not report.checks["triangle_exhaustive"]
+    assert validate_metric(sp) is None
 
 
 @pytest.mark.parametrize("space, message", [
@@ -63,6 +72,19 @@ def test_validate_raises_named_check_without_warnings(space, message):
             validate_metric(space)
     assert str(err.value).startswith(message + ": ")
     assert not caught
+
+
+def test_validate_raises_the_first_failed_check_in_order():
+    # a coincident pair (2, 3) is reported before the violated triangle 0-2 via 1
+    d = np.array([[0, 1, 5, 1], [1, 0, 1, 1], [5, 1, 0, 0], [1, 1, 0, 0]], dtype=float)
+    with pytest.raises(DegenerateInstance, match=r"^points 2 and 3 coincide; deduplicate first$"):
+        validate_metric(from_matrix(d))
+    # and an asymmetric entry before both
+    d[0, 1] = 2.0
+    with pytest.raises(InvalidMetric, match=r"^asymmetric distance at \(0, 1\): "):
+        validate_metric(from_matrix(d))
+    with pytest.raises(DegenerateInstance, match=r"^points 0 and 2 coincide; deduplicate first$"):
+        validate_metric(from_points([(0.0, 0.0), (1.0, 1.0), (0.0, 0.0)]))
 
 
 def test_normalize_two_points_scale():
@@ -293,22 +315,16 @@ def test_validate_after_a_row_query_still_raises_without_warnings():
     assert not caught
 
 
-# The per-pivot triangle loop validate_metric ran before its min-plus closure,
-# kept as the reference. It stops once it holds max_listed violations, which
-# leaves the first max_listed of the full (k, i, j) listing as they were.
-def pivot_loop_triangles(space, max_listed=100):
+# The per-pivot triangle loop, one fresh slack matrix per pivot, kept as the
+# reference: the first (i, j, k, slack) in (k, i, j) order, or None.
+def first_pivot_violation(space):
     d = space.pairwise()
     tol = REL_TOL * max(1.0, float(d.max(initial=0.0)))
-    violations = []
     for k in range(space.n):
         slack = d - (d[:, k][:, None] + d[k][None, :])
         for i, j in np.argwhere(slack > tol):
-            violations.append((int(i), int(j), int(k), float(slack[i, j])))
-        if len(violations) >= max_listed:
-            break
-    violations = violations[:max_listed]
-    return ValidationReport(passed=not violations, violations=violations,
-                            checks={"triangle_exhaustive": True})
+            return int(i), int(j), int(k), float(slack[i, j])
+    return None
 
 
 FAMILIES = ("uniform2d", "clustered", "line", "matrix_random_metric")
@@ -349,53 +365,57 @@ def planted_slack(extra_ulps):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_triangle_closure_equals_the_pivot_loop_on_generated_metrics(family, n):
     sp = generate_instance(family, n, seed=n)
-    report = validate_metric(sp)
-    assert report == pivot_loop_triangles(sp)
-    assert report.passed and report.checks == {"triangle_exhaustive": True}
+    assert triangle_verdict(sp) is None
+    assert first_pivot_violation(sp) is None
 
 
 def test_triangle_slack_of_exactly_the_tolerance_passes_and_one_ulp_more_fails():
     exact = planted_slack(0)
     d = exact.pairwise()
     assert d[0, 2] - (d[0, 1] + d[1, 2]) == REL_TOL * max(1.0, float(d.max()))
-    assert validate_metric(exact) == pivot_loop_triangles(exact)
-    assert validate_metric(exact).passed
+    assert triangle_verdict(exact) is None
+    assert first_pivot_violation(exact) is None
 
     above = planted_slack(1)
-    report = validate_metric(above)
-    assert report == pivot_loop_triangles(above)
-    assert not report.passed
-    assert [v[:3] for v in report.violations] == [(0, 2, 1), (2, 0, 1)]
+    assert triangle_verdict(above) == first_pivot_violation(above)
+    assert triangle_verdict(above)[:3] == (0, 2, 1)
 
-    # a real violation later in the listing leaves the exact-tolerance triple unlisted
+    # a real violation at an earlier pivot is raised instead of the planted one
     d = exact.pairwise().copy()
     d[3, 5] = d[5, 3] = 3.0
     both = from_matrix(d)
-    report = validate_metric(both)
-    assert report == pivot_loop_triangles(both)
-    assert [v[:3] for v in report.violations] == [(3, 5, 4), (5, 3, 4)]
+    assert triangle_verdict(both) == first_pivot_violation(both)
+    assert triangle_verdict(both)[:3] == (3, 5, 4)
 
 
-@pytest.mark.parametrize("n, max_listed", [(30, 100), (30, 1), (30, 10 ** 6), (200, 100)])
-def test_triangle_listing_equals_the_pivot_loop_on_non_metric_matrices(n, max_listed):
+@pytest.mark.parametrize("n", [30, 200])
+def test_first_triangle_violation_equals_the_pivot_loop_on_non_metric_matrices(n):
     sp = from_matrix(non_metric(n))
-    report = validate_metric(sp, max_listed=max_listed)
-    assert report == pivot_loop_triangles(sp, max_listed=max_listed)
-    assert not report.passed
+    assert triangle_verdict(sp) == first_pivot_violation(sp) is not None
 
 
-def test_rejecting_a_200_point_non_metric_matrix_lists_100_in_little_memory():
+@pytest.mark.parametrize("n", [17, 60, 100, 200])
+def test_a_violation_only_at_the_next_to_last_pivot_is_found(n):
+    # a line with its last edge shortened: only the path through point n - 2
+    # is too short, and the pivots pass in blocks of several up to n = 181
+    d = np.abs(np.arange(n, dtype=float)[:, None] - np.arange(n))
+    d[n - 2, n - 1] = d[n - 1, n - 2] = 0.5
+    sp = from_matrix(d)
+    assert triangle_verdict(sp) == first_pivot_violation(sp) == (0, n - 1, n - 2, 0.5)
+
+
+def test_rejecting_a_200_point_non_metric_matrix_takes_little_memory():
     sp = from_matrix(non_metric(200))
     matrix_bytes = sp.pairwise().nbytes
     tracemalloc.start()
     try:
-        report = validate_metric(sp)
+        with pytest.raises(TriangleViolation):
+            validate_metric(sp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.violations == pivot_loop_triangles(sp).violations
-    assert len(report.violations) == 100
-    # the closure and one pivot's slack, not every violating triple
+    assert triangle_verdict(sp) == first_pivot_violation(sp)
+    # one pivot's slack, not every violating triple
     assert peak <= matrix_bytes + 3 * 2 ** 20
 
 
@@ -404,23 +424,29 @@ def test_sampled_triangle_check_works_in_blocks_of_bounded_memory():
     matrix_bytes = sp.pairwise().nbytes
     tracemalloc.start()
     try:
-        report = validate_metric(sp)
+        assert validate_metric(sp) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.passed and not report.checks["triangle_exhaustive"]
     assert peak <= matrix_bytes + 4 * 2 ** 20
 
 
-def test_sampled_triangle_check_lists_at_most_max_listed():
-    sp = from_matrix(non_metric(210))
-    report = validate_metric(sp, max_listed=7)
-    assert not report.passed and not report.checks["triangle_exhaustive"]
-    assert len(report.violations) == 7
-    d = sp.pairwise()
-    tol = REL_TOL * float(d.max())
-    for i, j, k, slack in report.violations:
-        assert slack == d[i, j] - (d[i, k] + d[k, j]) > tol
+def planted_long_edge():
+    """A 210-point metric matrix but for one long edge, (2, 4), which the
+    seed-0 sampler first draws in its third block of SAMPLE_BLOCK triples."""
+    d = from_points(np.random.default_rng(4).random((210, 2))).pairwise().copy()
+    d[2, 4] = d[4, 2] = 10.0
+    return from_matrix(d)
+
+
+def test_sampled_triangle_check_raises_a_drawn_violation():
+    # the first violating triple the seed-0 sampler draws, pinned
+    for space, first in ((from_matrix(non_metric(210)), (3, 36, 147)),
+                         (planted_long_edge(), (2, 4, 33))):
+        i, j, k, slack = triangle_verdict(space)
+        d = space.pairwise()
+        assert (i, j, k) == first
+        assert slack == d[i, j] - (d[i, k] + d[k, j]) > REL_TOL * float(d.max())
 
 
 # The per-ball greedy estimate_doubling ran before its covers were batched,
@@ -447,7 +473,7 @@ def greedy_half_cover(space, center, radius):
 def per_ball_doubling(space, audit_balls=64, seed=0):
     n = space.n
     if n < 2:
-        return DoublingEstimate(lambda_upper=1, ddim_upper=1.0, audited=0)
+        return DoublingEstimate(lambda_upper=1, ddim_upper=1.0)
     rng = np.random.default_rng(seed)
     diam = space.diameter()
     lam = 1
@@ -465,8 +491,7 @@ def per_ball_doubling(space, audit_balls=64, seed=0):
             r = diam
         lam = max(lam, greedy_half_cover(space, c, min(r, diam)))
         audited += 1
-    return DoublingEstimate(lambda_upper=lam, ddim_upper=max(1.0, math.log2(lam)),
-                            audited=audited)
+    return DoublingEstimate(lambda_upper=lam, ddim_upper=max(1.0, math.log2(lam)))
 
 
 @pytest.mark.parametrize("n", [2, 20, 120, 200])
@@ -489,24 +514,6 @@ def test_batched_doubling_estimate_takes_the_first_of_tied_farthest_points(space
                     == per_ball_doubling(space, audit_balls=audit_balls, seed=seed))
 
 
-def planted_long_edge():
-    """A 210-point metric matrix but for one long edge, (2, 4), which the
-    seed-0 sampler first draws in its third block of SAMPLE_BLOCK triples."""
-    d = from_points(np.random.default_rng(4).random((210, 2))).pairwise().copy()
-    d[2, 4] = d[4, 2] = 10.0
-    return from_matrix(d)
-
-
-@pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
-def test_a_failing_matrix_fails_with_nothing_listed(sampled):
-    sp = planted_long_edge() if sampled else from_matrix([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
-    first = validate_metric(sp, max_listed=1).violations
-    assert [v[:2] for v in first] in (([(2, 4)], [(4, 2)]) if sampled else ([(0, 2)],))
-    report = validate_metric(sp, max_listed=0)
-    assert not report.passed and report.violations == []
-    assert report.checks == {"triangle_exhaustive": not sampled}
-
-
 @pytest.mark.parametrize("n", [400, 800])
 def test_sampled_triangle_check_of_a_matrix_works_in_blocks_of_bounded_memory(n):
     # the matrix twin of the coordinate test above, which no longer samples;
@@ -515,11 +522,10 @@ def test_sampled_triangle_check_of_a_matrix_works_in_blocks_of_bounded_memory(n)
     matrix_bytes = sp.pairwise().nbytes
     tracemalloc.start()
     try:
-        report = validate_metric(sp)
+        assert validate_metric(sp) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.passed and not report.checks["triangle_exhaustive"]
     assert peak <= matrix_bytes + 4 * 2 ** 20
 
 
@@ -554,9 +560,14 @@ def test_coordinate_reports_equal_the_triangle_scan_they_skip(kind, dim):
         sp = adversarial_points(kind, n, dim, scale)
         d = sp.pairwise()
         assert np.array_equal(d, d.T) and not np.diagonal(d).any() and (d >= 0).all()
-        report = validate_metric(sp)
-        assert report == pivot_loop_triangles(sp)
-        assert report.passed and report.checks == {"triangle_exhaustive": True}
+        assert first_pivot_violation(sp) is None
+        gap, (i, j) = sp.min_gap()
+        if gap > 0:
+            assert validate_metric(sp) is None
+        else:
+            # squares that underflow make the nearest pairs coincide at scale 1e-150
+            with pytest.raises(DegenerateInstance, match=f"^points {i} and {j} coincide;"):
+                validate_metric(sp)
         # the closure slack stays inside the rounding bound the skip rests on:
         # relative rounding, plus what squares that underflow lose
         worst = float((d - min_plus_closure(d)).max())
@@ -574,7 +585,7 @@ def test_coordinates_skip_the_triangle_scan_up_to_the_derived_dimension():
         # cache: only a space that is scanned fails
         sp = MetricSpace(coords=np.broadcast_to(0.0, (3, dim)))
         sp.__dict__["_distances"] = np.array([[0.0, 1, 5], [1, 0, 1], [5, 1, 0]])
-        assert validate_metric(sp).passed is skips
+        assert (triangle_verdict(sp) is None) is skips
 
 
 def test_a_coordinate_space_finds_its_min_gap_once():

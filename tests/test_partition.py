@@ -8,7 +8,7 @@ import pytest
 from nettsp.lightdp import draw_radius_samples, tree_from_samples
 from nettsp.metric import REL_TOL, from_points, normalize
 from nettsp.nets import build_hierarchy
-from nettsp.partition import (RadiusDistribution, estimate_cut_probability,
+from nettsp.partition import (RadiusDistribution, distinct_carvings, estimate_cut_probability,
                               partition_with_radii, sample_radius)
 
 
@@ -140,16 +140,22 @@ def test_cover_matrix_carving_matches_the_carving_loop(seed):
                 pick = rng.integers(len(subset), size=len(centers))
                 r = d[np.arange(len(centers)), pick] / stretch
                 radii = dict(zip(centers.tolist(), r.tolist()))
+                # one radius each: distinct_carvings walks the carving loop once
+                choices = {c: [radius] for c, radius in radii.items()}
                 try:
                     want = carving_loop(sp, subset, h, level, radii)
                 except AssertionError as err:
                     with pytest.raises(AssertionError, match=f"^{re.escape(str(err))}$"):
                         partition_with_radii(sp, subset, h, level, radii)
+                    with pytest.raises(AssertionError, match=f"^{re.escape(str(err))}$"):
+                        distinct_carvings(sp, subset, h, level, choices)
                     seen["uncovered"] += 1
                     continue
                 part = partition_with_radii(sp, subset, h, level, radii)
                 # same assignment, inserted in the same (carving) order
                 assert list(part.assign_center.items()) == list(want.items())
+                assert distinct_carvings(sp, subset, h, level, choices) == [
+                    tuple(sorted(tuple(v) for v in part.clusters().values()))]
                 seen["on rim"] += sum(sp.dist(c, p) == radii[c]
                                       for p, c in part.assign_center.items())
     assert seen["uncovered"] > 0 and seen["on rim"] > 0

@@ -392,10 +392,11 @@ def test_split_radius_is_the_same_from_a_given_tree():
             == choose_split_radius(sp, v, level, 1.0 / 12, 6.0))
 
 
-def test_recursion_limit():
+def test_recursion_limit(monkeypatch):
     sp = dense_fixture()
+    monkeypatch.setattr(sparse, "MAX_RECURSION_DEPTH", -1)
     with pytest.raises(RecursionLimit):
-        solve_tsp(sp, SolveParams(seed=3, q=2.0, max_recursion_depth=-1))
+        solve_tsp(sp, SolveParams(seed=3, q=2.0))
 
 
 # -------------------------------------------------------------- local law
