@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible
-from .metric import REL_TOL, MetricSpace
+from .metric import MetricSpace, within
 from .nets import NetHierarchy
 from .oracles import PULL_BLOCK, subset_path_table, subset_path_trace
 from .partition import (ClusterNode, ClusterTree, distinct_carvings, partition_with_radii,
@@ -53,25 +53,23 @@ def auto_portals(space: MetricSpace, h: NetHierarchy, members, level: int,
 
     Candidate sets accumulate net points near the cluster from the cluster's
     own scale downward, so a larger cap always yields a superset (keeping the
-    table cost monotone in m_cap). Falls back to the coarsest set when even
-    that exceeds the cap.
+    table cost monotone in m_cap). The walk stops before the first set over
+    the cap, and keeps the coarsest set when even that one exceeds it.
     """
     members = tuple(sorted(int(p) for p in members))
     near = space.pairwise(None, members).min(axis=1)     # every point to its nearest member
-    acc = np.zeros(space.n, dtype=bool)
-    family = []
-    for j in range(max(level, 0), -1, -1):
-        net = h.net(j)
-        pitch = h.radius(j)
-        acc[net[near[net] <= pitch + REL_TOL * max(1.0, pitch)]] = True
-        family.append((j, np.flatnonzero(acc)))
-    chosen = family[0]
-    for j, pts in reversed(family):
-        if len(pts) <= m_cap:
-            chosen = (j, pts)
+
+    def reached(j):                # mask of the level-j net points within s^j of the cluster
+        return h.member[min(j, h.top)] & within(near, h.radius(j))
+
+    j = max(level, 0)
+    pts = reached(j)
+    while j > 0:
+        finer = pts | reached(j - 1)
+        if np.count_nonzero(finer) > m_cap:
             break
-    j, pts = chosen
-    return PortalSet(level=level, pitch=h.radius(j), portals=tuple(pts.tolist()))
+        j, pts = j - 1, finer
+    return PortalSet(level=level, pitch=h.radius(j), portals=tuple(np.flatnonzero(pts).tolist()))
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 A space is backed either by a coordinate array (Euclidean) or by an explicit
 symmetric matrix; either way its n x n distance matrix is built once, on first
-use, and every query reads it. All boundary comparisons against
-a radius resolve toward inclusion at relative tolerance 1e-9, so "on the ball
-boundary" ties are deterministic.
+use, and every query reads it. Whether a distance lies within a radius is
+decided in one place, :func:`within`: inclusive, at relative tolerance
+REL_TOL = 1e-9, so "on the ball boundary" ties are deterministic. Nets,
+carvings, cut estimates, portals and the dense split all ask it.
 """
 
 from __future__ import annotations
@@ -256,12 +257,19 @@ def normalize(space: MetricSpace) -> MetricSpace:
     return MetricSpace(matrix=space.matrix * factor, scale=space.scale * factor)
 
 
+def within(d, r):
+    """Whether distance d lies within radius r: d <= r + REL_TOL * max(1, r).
+
+    The one ball-membership rule; broadcasts over arrays of distances and radii.
+    """
+    return d <= r + REL_TOL * np.maximum(1.0, r)
+
+
 def ball(space: MetricSpace, center: int, radius: float) -> np.ndarray:
-    """Indices of points at distance <= radius from center (center included)."""
+    """Indices of points within radius of center (center included)."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    row = space.row(center)
-    return np.flatnonzero(row <= radius + REL_TOL * max(1.0, radius))
+    return np.flatnonzero(within(space.row(center), radius))
 
 
 @dataclass
@@ -308,16 +316,15 @@ def estimate_doubling(space: MetricSpace, audit_balls: int = 64, seed: int = 0) 
     d = space.pairwise()
     centers = np.array([c for c, _ in drawn], dtype=np.intp)
     radii = np.array([r for _, r in drawn], dtype=float)
-    inside = d[centers] <= (radii + REL_TOL * np.maximum(1.0, radii))[:, None]
+    inside = within(d[centers], radii[:, None])
     half = radii / 2.0
-    covered_within = half + REL_TOL * np.maximum(1.0, half)
     open_balls = np.arange(len(drawn))
     start = np.where(inside[open_balls, centers], centers, np.argmax(inside, axis=1))
     mind = np.where(inside, d[start], -np.inf)
     counts = np.ones(len(drawn), dtype=int)
     while open_balls.size:
         far = np.argmax(mind[open_balls], axis=1)
-        still_open = ~(mind[open_balls, far] <= covered_within[open_balls])
+        still_open = ~within(mind[open_balls, far], half[open_balls])
         open_balls, far = open_balls[still_open], far[still_open]
         mind[open_balls] = np.minimum(mind[open_balls], d[far])
         counts[open_balls] += 1

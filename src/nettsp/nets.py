@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadScale
-from .metric import REL_TOL, MetricSpace
+from .metric import REL_TOL, MetricSpace, within
 
 MIN_SCALE_BASE = 4.0
 
@@ -90,13 +90,16 @@ def build_hierarchy(space: MetricSpace, s: float) -> NetHierarchy:
         levels[top] = np.array([0], dtype=np.intp)
         for i in range(top, 0, -1):
             b = s ** (i - 1)
-            thr = b + REL_TOL * max(1.0, b)
             net = list(levels[i])
             mind = space.pairwise(levels[i]).min(axis=0)
-            for p in range(n):
-                if mind[p] > thr:
-                    net.append(p)
-                    mind = np.minimum(mind, space.row(p))
+            # The first point still uncovered joins; distances only shrink, so
+            # every point before it stays covered, as in a scan by index.
+            outside = ~within(mind, b)
+            while outside.any():
+                p = int(np.argmax(outside))
+                net.append(p)
+                mind = np.minimum(mind, space.row(p))
+                outside = ~within(mind, b)
             levels[i - 1] = np.array(sorted(net), dtype=np.intp)
         # Level 0 always contains every point (minimum distance is 1).
         levels[0] = np.arange(n, dtype=np.intp)
@@ -145,12 +148,12 @@ def verify_nets(h: NetHierarchy, ddim_upper: float = None, audit_balls: int = 32
                     ("packing", i, int(net[iu[0][t]]), int(net[iu[1][t]]), float(d[iu][t])))
         if i >= 1:
             dmin = space.pairwise(net, np.arange(n)).min(axis=0)
-            for p in np.flatnonzero(dmin > b + REL_TOL * max(1.0, b)):
+            for p in np.flatnonzero(~within(dmin, b)):
                 report.violations.append(("covering", i, int(p), float(dmin[p])))
             net_set = set(net.tolist())
             for p in range(n):
                 c = int(h.covers[i][p])
-                if c not in net_set or space.dist(p, c) > b + REL_TOL * max(1.0, b):
+                if c not in net_set or not within(space.dist(p, c), b):
                     report.violations.append(("cover_designation", i, p, c))
             below_set = set(h.levels[i - 1].tolist())
             for p in net:
@@ -170,7 +173,7 @@ def verify_nets(h: NetHierarchy, ddim_upper: float = None, audit_balls: int = 32
             row = space.row(x)
             for i in range(h.top + 1):
                 si = h.radius(i)
-                inside = int(np.sum(row[h.levels[i]] <= radius + REL_TOL * max(1.0, radius)))
+                inside = int(np.sum(within(row[h.levels[i]], radius)))
                 bound = (2 * (2 * radius + si) / si) ** ddim_upper
                 if inside > bound + REL_TOL:
                     report.violations.append(("count_bound", i, x, radius, inside, bound))

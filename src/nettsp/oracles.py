@@ -29,11 +29,11 @@ class OracleResult:
     exact: bool
 
 
-def brute_force_tsp(space: MetricSpace, max_n: int = BRUTE_MAX) -> OracleResult:
+def brute_force_tsp(space: MetricSpace) -> OracleResult:
     """Minimum over all (n-1)!/2 closed tours anchored at point 0."""
     n = space.n
-    if n > max_n:
-        raise TooLarge(f"n={n} exceeds brute-force ceiling {max_n}")
+    if n > BRUTE_MAX:
+        raise TooLarge(f"n={n} exceeds brute-force ceiling {BRUTE_MAX}")
     if n == 1:
         return OracleResult(Tour((0,)), 0.0, "brute", True)
     d = space.pairwise()
@@ -167,7 +167,7 @@ def subset_path_trace(table: np.ndarray, hop: np.ndarray, c: int, y: int) -> lis
     return path[::-1]
 
 
-def held_karp_tsp(space: MetricSpace, max_n: int = HELD_KARP_MAX) -> OracleResult:
+def held_karp_tsp(space: MetricSpace) -> OracleResult:
     """Exact optimum by dynamic programming over vertex subsets.
 
     The subset path kernel with one group per vertex other than the anchor 0
@@ -175,8 +175,8 @@ def held_karp_tsp(space: MetricSpace, max_n: int = HELD_KARP_MAX) -> OracleResul
     back to 0 from the cheapest last vertex.
     """
     n = space.n
-    if n > max_n:
-        raise TooLarge(f"n={n} exceeds held-karp ceiling {max_n}")
+    if n > HELD_KARP_MAX:
+        raise TooLarge(f"n={n} exceeds held-karp ceiling {HELD_KARP_MAX}")
     if n == 1:
         return OracleResult(Tour((0,)), 0.0, "held_karp", True)
     d = space.pairwise()
@@ -204,13 +204,13 @@ def nearest_neighbor_tsp(space: MetricSpace) -> OracleResult:
     return OracleResult(t, tour_weight(space, t), "nearest_neighbor", False)
 
 
-def brute_force_matching(space: MetricSpace, vertices, max_n: int = MATCHING_BRUTE_MAX):
+def brute_force_matching(space: MetricSpace, vertices):
     """Exact minimum-weight perfect matching by recursion over pairings."""
     verts = sorted(set(int(p) for p in vertices))
     if len(verts) % 2 != 0:
         raise OddParity(f"{len(verts)} vertices cannot be perfectly matched")
-    if len(verts) > max_n:
-        raise TooLarge(f"{len(verts)} vertices exceeds matching ceiling {max_n}")
+    if len(verts) > MATCHING_BRUTE_MAX:
+        raise TooLarge(f"{len(verts)} vertices exceeds matching ceiling {MATCHING_BRUTE_MAX}")
     if not verts:
         return [], 0.0
 
@@ -266,10 +266,10 @@ def _exact_matching_dp(space: MetricSpace, verts):
     return pairs, float(dp[size - 1])
 
 
-def christofides(space: MetricSpace, exact_matching_max: int = MATCHING_EXACT_MAX) -> OracleResult:
+def christofides(space: MetricSpace) -> OracleResult:
     """MST + matching on odd-degree vertices + Euler circuit + shortcut.
 
-    The matching is exact (subset DP) when at most ``exact_matching_max`` odd
+    The matching is exact (subset DP) when at most MATCHING_EXACT_MAX odd
     vertices exist, else the tree-based matching is used; the method tag
     records which, since only the exact mode carries the 1.5 guarantee.
     """
@@ -282,7 +282,7 @@ def christofides(space: MetricSpace, exact_matching_max: int = MATCHING_EXACT_MA
         deg[u] += 1
         deg[v] += 1
     odd = sorted(v for v in range(n) if deg[v] % 2 == 1)
-    if len(odd) <= exact_matching_max:
+    if len(odd) <= MATCHING_EXACT_MAX:
         pairs, _ = _exact_matching_dp(space, odd) if odd else ([], 0.0)
         method = "christofides_exact"
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import REL_TOL, MetricSpace
+from .metric import MetricSpace, within
 from .nets import NetHierarchy
 
 
@@ -83,7 +83,7 @@ def partition_with_radii(space: MetricSpace, subset, h: NetHierarchy, level: int
     subset = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
     centers = np.asarray(h.net(level))
     r = np.array([radii[int(c)] for c in centers])
-    cover = space.pairwise(centers, subset) <= (r + REL_TOL * np.maximum(1.0, r))[:, None]
+    cover = within(space.pairwise(centers, subset), r[:, None])
     covered = cover.any(axis=0)
     if not covered.all():
         raise AssertionError(f"points {subset[~covered].tolist()} not covered at level {level}")
@@ -109,9 +109,8 @@ def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
     subset = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
     centers = [int(c) for c in h.net(level)]
     r = np.array([radius_choices[c] for c in centers])
-    thr = r + REL_TOL * np.maximum(1.0, r)
     # balls[c, t, p]: center c's ball at its t-th radius holds point p
-    balls = space.pairwise(centers, subset)[:, None, :] <= thr[:, :, None]
+    balls = within(space.pairwise(centers, subset)[:, None, :], r[:, :, None])
     reach = [balls[i] for i in np.flatnonzero(balls.any(axis=(1, 2)))]
     claims = []                    # the walk's claims so far, in carving order
     outs = {}                      # distinct outcomes in first-occurrence order
@@ -179,11 +178,8 @@ def estimate_cut_probability(space: MetricSpace, h: NetHierarchy, u: int, v: int
     dv = space.pairwise([v], centers)[0]
     dist = RadiusDistribution(a=a, ddim=ddim)
     radii = dist.ppf(rng.random((trials, len(centers))))
-    tol = REL_TOL * max(1.0, 2 * a)
-    cover_u = radii >= du[None, :] - tol
-    cover_v = radii >= dv[None, :] - tol
-    first_u = np.argmax(cover_u, axis=1)
-    first_v = np.argmax(cover_v, axis=1)
+    first_u = np.argmax(within(du[None, :], radii), axis=1)
+    first_v = np.argmax(within(dv[None, :], radii), axis=1)
     # Covering at radius >= a guarantees some ball covers each point.
     cut = int(np.sum(first_u != first_v))
     return cut / trials

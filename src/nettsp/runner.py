@@ -146,7 +146,7 @@ def run(config: dict) -> dict:
     if mode == "solve":
         (tour, solve_report), dt = _timed(solve_tsp, space, params, whole)
         report["timings"]["solve_seconds"] = dt
-        results["solve"] = _tour_entry(space, tour, tour_weight(space, tour), bound)
+        results["solve"] = _tour_entry(space, tour, solve_report["weight"], bound)
         report["recursion_trace"] = solve_report["trace"]
         return report
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSplit, RecursionLimit
 from .lightdp import solve_with_radius_guessing
-from .metric import REL_TOL, MetricSpace, ball, estimate_doubling, restrict
+from .metric import REL_TOL, MetricSpace, ball, estimate_doubling, restrict, within
 from .nets import NetHierarchy, build_hierarchy
 from .tours import Tour, dedupe_visits, edges_weight, mst, tour_weight
 
@@ -61,9 +61,9 @@ def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float, tree=None):
 
 
 def _in_annulus(d, r1, r2):
-    """Whether distance d lies in the annulus (r1, r2], both rims widened by
-    REL_TOL; broadcasts over arrays of distances and radii."""
-    return (d > r1 + REL_TOL * np.maximum(1.0, r1)) & (d <= r2 + REL_TOL * np.maximum(1.0, r2))
+    """Whether distance d lies within r2 but not within r1; broadcasts over
+    arrays of distances and radii."""
+    return ~within(d, r1) & within(d, r2)
 
 
 # Candidate split radii, evenly spaced over [12 s^i, 13 s^i].
@@ -109,14 +109,12 @@ class SplitResult:
     h: float
 
 
-def _net_points_covering(space, h, level, targets):
-    """Net points of the level whose covering balls reach any target point."""
-    net = h.net(level)
-    if len(targets) == 0:
-        return []
-    pitch = h.radius(level)
-    d = space.pairwise(net, np.asarray(sorted(targets), dtype=np.intp)).min(axis=1)
-    return [int(p) for p in net[d <= pitch + REL_TOL * max(1.0, pitch)]]
+def _near(space, a, b, r):
+    """Mask of the points of mask ``b`` within r of some point of mask ``a``."""
+    near = np.zeros(space.n, dtype=bool)
+    near[b] = within(space.pairwise(np.flatnonzero(a), np.flatnonzero(b))
+                     .min(axis=0, initial=np.inf), r)
+    return near
 
 
 def split_instance(space: MetricSpace, hier: NetHierarchy, v: int, level: int,
@@ -124,61 +122,40 @@ def split_instance(space: MetricSpace, hier: NetHierarchy, v: int, level: int,
     """Split around the dense ball B(v, split_radius) with boundary-layer overlap.
 
     Both sides keep the ball boundary's net points so each side's tour can be
-    patched without the other: the inside gains the fine net points covering
-    the boundary annulus plus their immediate neighborhoods and the coarse net
-    points covering it; the outside gains the inside's coarse net points and
-    the boundary net points with their neighborhoods. Net levels are floored
-    at 1 for the inside-wide terms, else every inside point would re-enter the
-    outside set through the bottom net. Raises DegenerateSplit when the
-    outside still ends up being everything.
+    patched without the other. With k the net level of delta s^i and j that
+    of eps delta s^i, floored at 1, the inside gains the s^k-neighbourhoods of
+    the level-k net points within s^k of the boundary annulus, and the level-j
+    net points within s^j of the ball. The outside gains the ball's level-j
+    net points and the s^k-neighbourhoods of the ball's level-k net points
+    within s^k of the outside; that term is empty at k = 0, else every inside
+    point would re-enter the outside set through the bottom net. Raises
+    DegenerateSplit when the outside still ends up being everything, or when
+    the sides share no point.
     """
-    s = hier.s
-    si = s ** level
+    si = hier.s ** level
     k_level = max(0, min(hier.top, hier.level_of_value(delta * si)))
     j_level = max(1, min(hier.top, hier.level_of_value(eps * delta * si)))
     sk = hier.radius(k_level)
+    k_net = hier.member[k_level]
+    j_net = hier.member[min(j_level, hier.top)]
+    every = np.ones(space.n, dtype=bool)
 
     row = space.row(v)
-    all_pts = set(range(space.n))
-    inner = {p for p in all_pts if row[p] <= split_radius + REL_TOL * max(1.0, split_radius)}
-    outer = all_pts - inner
-    if not outer:
+    inner = within(row, split_radius)
+    outer = ~inner
+    if not outer.any():
         raise DegenerateSplit("dense ball swallowed the whole instance")
-
-    ann_lo = split_radius - delta * si
-    ann_hi = split_radius + delta * si
-    annulus_pts = {p for p in all_pts
-                   if row[p] > ann_lo + REL_TOL and row[p] <= ann_hi + REL_TOL}
-    n_h = set(_net_points_covering(space, hier, k_level, annulus_pts))
-    near_nh = set()
-    if n_h:
-        d = space.pairwise(sorted(n_h), np.arange(space.n)).min(axis=0)
-        near_nh = {int(p) for p in np.flatnonzero(d <= sk + REL_TOL * max(1.0, sk))}
-    j_cover_inner = set(_net_points_covering(space, hier, j_level, inner))
-    s1 = inner | n_h | near_nh | j_cover_inner
-
-    j_of_inner = {p for p in inner if hier.in_net(p, j_level)}
-    k_net = [p for p in sorted(inner) if hier.in_net(p, k_level)] if k_level >= 1 else []
-    k_boundary = set()
-    if k_net:
-        d = space.pairwise(k_net, sorted(outer)).min(axis=1)
-        k_boundary = {k_net[t] for t in np.flatnonzero(d <= sk + REL_TOL * max(1.0, sk))}
-    k_boundary_balls = set()
-    if k_boundary:
-        d = space.pairwise(sorted(k_boundary), np.arange(space.n)).min(axis=0)
-        k_boundary_balls = {int(p) for p in np.flatnonzero(d <= sk + REL_TOL * max(1.0, sk))}
-    s2 = outer | j_of_inner | k_boundary | k_boundary_balls
-
-    if s2 >= all_pts:
+    annulus = _in_annulus(row, split_radius - delta * si, split_radius + delta * si)
+    n_h = _near(space, annulus, k_net, sk)
+    s1 = inner | _near(space, n_h, every, sk) | _near(space, inner, j_net, hier.radius(j_level))
+    k_boundary = _near(space, outer, inner & k_net & (k_level >= 1), sk)    # none at k = 0
+    s2 = outer | (inner & j_net) | _near(space, k_boundary, every, sk)
+    if s2.all():
         raise DegenerateSplit("outside portion still covers every point")
-    if not (s1 | s2) == all_pts:
-        raise AssertionError("split lost points")
-    if not s1 & s2:
-        # Boundary layers came up empty; share the coarse net points of the ball.
-        s1 = s1 | j_of_inner
-    if not s1 & s2:
+    if not (s1 & s2).any():
         raise DegenerateSplit("no overlap between the split sides")
-    return SplitResult(s1=tuple(sorted(s1)), s2=tuple(sorted(s2)), h=split_radius)
+    return SplitResult(s1=tuple(np.flatnonzero(s1).tolist()),
+                       s2=tuple(np.flatnonzero(s2).tolist()), h=split_radius)
 
 
 # solve_tsp raises RecursionLimit when dense splits nest deeper than this.
@@ -333,5 +310,5 @@ def solve_tsp(space: MetricSpace, params: SolveParams, tree=None):
         t2 = rec(g2, depth + 1)
         return _splice(space, t1, t2, set(g1) & set(g2))
 
-    tour = dedupe_visits(rec(tuple(range(space.n)), 0, tree))
+    tour = rec(tuple(range(space.n)), 0, tree)
     return tour, {"trace": trace, "weight": tour_weight(space, tour)}

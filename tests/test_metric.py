@@ -10,7 +10,8 @@ import pytest
 from nettsp.errors import DegenerateInstance, InvalidMetric, TriangleViolation
 from nettsp.io import generate_instance
 from nettsp.metric import (REL_TOL, DoublingEstimate, MetricSpace, ball, estimate_doubling,
-                           from_matrix, from_points, normalize, restrict, validate_metric)
+                           from_matrix, from_points, normalize, restrict, validate_metric,
+                           within)
 from nettsp.sparse import SolveParams, solve_tsp
 from nettsp.tours import tour_weight
 
@@ -110,6 +111,15 @@ def test_normalize_random_min_gap_exactly_one():
 def test_normalize_rejects_duplicates():
     with pytest.raises(DegenerateInstance):
         normalize(from_points([(0.0, 0.0), (0.0, 0.0), (1.0, 1.0)]))
+
+
+def test_within_is_inclusive_at_rel_tol_of_the_radius_or_of_one():
+    for r in (0.0, 0.5, 1.0, 13.0, 1e6):
+        rim = r + REL_TOL * max(1.0, r)
+        assert within(rim, r) and not within(np.nextafter(rim, math.inf), r)
+    d = np.array([[0.5 + 0.5 * REL_TOL], [13 + 6.5 * REL_TOL], [13 + 13.5 * REL_TOL]])
+    assert within(d, np.array([0.5, 13.0])).tolist() == [[True, True], [False, True],
+                                                        [False, False]]
 
 
 def test_ball_zero_radius():

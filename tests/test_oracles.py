@@ -112,8 +112,8 @@ def test_christofides_collinear_doubles_length():
 
 def test_christofides_tree_mode_for_many_odd():
     sp = rand_space(5, 60)
-    res = christofides(sp, exact_matching_max=2)
-    assert res.method in ("christofides_exact", "christofides_tree")
+    res = christofides(sp)
+    assert res.method == "christofides_tree"
     assert res.tour.visits() == set(range(60))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nettsp.lightdp import draw_radius_samples, tree_from_samples
-from nettsp.metric import REL_TOL, from_points, normalize
+from nettsp.metric import REL_TOL, from_points, normalize, within
 from nettsp.nets import build_hierarchy
 from nettsp.partition import (RadiusDistribution, distinct_carvings, estimate_cut_probability,
                               partition_with_radii, sample_radius)
@@ -238,6 +238,22 @@ def test_cut_probability_matches_partition_semantics():
         part = partition_with_radii(sp, range(sp.n), h, lvl, radii)
         cut += part.assign_center[u] != part.assign_center[v]
     assert fast == pytest.approx(cut / 64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cut_estimate_rims_follow_within(seed):
+    # Level 0 (a = 1), both points centers, one trial: the rng draws center
+    # 0's radius r, and point 1 lies at r (1 + 1.5 REL_TOL), past the rule's
+    # rim r + REL_TOL r. A rim at r + 2a REL_TOL would cover it, as r <= 4a/3.
+    radii = RadiusDistribution(a=1.0, ddim=1.0).ppf(np.random.default_rng(seed).random((1, 2)))
+    r = float(radii[0, 0])
+    d = r * (1 + 1.5 * REL_TOL)
+    sp = from_points([(0.0, 0.0), (d, 0.0)])
+    h = build_hierarchy(sp, 6.0)
+    assert sp.dist(0, 1) == d <= r + 2 * REL_TOL and not within(d, r)
+    carve = partition_with_radii(sp, [0, 1], h, 0, {0: r, 1: float(radii[0, 1])})
+    assert carve.assign_center == {0: 0, 1: 1}
+    assert estimate_cut_probability(sp, h, 0, 1, 0, 1, 1.0, np.random.default_rng(seed)) == 1.0
 
 
 def test_cut_frequency_monotone_in_level():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from nettsp import runner, sparse
 from nettsp.errors import DegenerateSplit, RecursionLimit
 from nettsp.io import generate_instance
 from nettsp.metric import (REL_TOL, ball, estimate_doubling, from_matrix, from_points,
-                           normalize)
+                           normalize, within)
 from nettsp.nets import build_hierarchy
 from nettsp.oracles import held_karp_tsp
 from nettsp.sparse import (SolveParams, _in_annulus, check_local_tour_bounds,
@@ -279,6 +280,115 @@ def test_split_two_cluster_fixture():
     assert s1 & s2
     assert s2 < allp
     assert s1 >= set(int(p) for p in ball(sp, v, sr.h))
+
+
+def test_split_annulus_inner_rim_follows_within():
+    # Level 0, delta 1/12: the annulus around v = 0 is (lo, lo + 1/6] with
+    # lo = 12.5 - 1/12, k = 0 and j = 1, so every annulus point seeds its
+    # 1-neighbourhood into the inside. Point 2 lies past lo by half the rule's
+    # tolerance lo REL_TOL: within leaves it out of the annulus, while a rim
+    # at lo + REL_TOL would put it in, and its outer neighbour 3 with it.
+    lo = 12.5 - 1 / 12
+    rim = lo * (1 + REL_TOL / 2)
+    xs = [0.0, 8.0, rim, rim + 1.0] + [float(x) for x in range(1, 12) if x != 8]
+    sp = from_points([(x, 0.0) for x in xs])
+    h = build_hierarchy(sp, 6.0)
+    assert sp.dist(0, 2) == rim > lo + REL_TOL and within(rim, lo)
+    assert h.net(1).tolist() == [0, 1]
+    sr = split_instance(sp, h, 0, 0, 12.5, 1.0 / 12, 0.05)
+    assert sr.s1 == (0, 1, 2) + tuple(range(4, sp.n))    # the ball alone
+    assert sr.s2 == (0, 1, 3)                           # the outside and the ball's level-1 net
+
+
+def test_split_annulus_outer_rim_follows_within():
+    # Level 1, delta 1/12: the annulus around v = 0 is (12, 13], and k = 0,
+    # so every annulus point seeds its own 1-neighbourhood into the inside.
+    # Point 2 lies past 13 by half the rule's tolerance 13 REL_TOL: within
+    # puts it in the annulus, a rim at 13 + REL_TOL would leave it out.
+    rim = 13 * (1 + REL_TOL / 2)
+    xs = [0.0, 8.0, rim] + [float(x) for x in range(1, 12) if x != 8]
+    sp = from_points([(x, 0.0) for x in xs])
+    h = build_hierarchy(sp, 6.0)
+    assert sp.dist(0, 2) == rim > 13 + REL_TOL and within(rim, 13.0)
+    assert h.net(1).tolist() == [0, 1]
+    sr = split_instance(sp, h, 0, 1, 12.5, 1.0 / 12, 0.05)
+    assert sr.s1 == tuple(range(sp.n))          # the ball, and point 2 by the annulus
+    assert sr.s2 == (0, 1, 2)                   # the outside and the ball's level-1 net
+
+
+def set_split_instance(space, hier, v, level, split_radius, delta, eps):
+    """split_instance as per-point set unions, the form before boolean masks,
+    with its overlap fallback; every rim goes through within."""
+    si = hier.s ** level
+    k = max(0, min(hier.top, hier.level_of_value(delta * si)))
+    j = max(1, min(hier.top, hier.level_of_value(eps * delta * si)))
+    d = space.pairwise()
+    pts = set(range(space.n))
+
+    def near(a, b, r):
+        return {q for q in b if a and within(d[sorted(a), q].min(), r)}
+
+    def net(level, among):
+        return {p for p in among if hier.in_net(p, level)}
+
+    inner = {p for p in pts if within(d[v, p], split_radius)}
+    outer = pts - inner
+    if not outer:
+        raise DegenerateSplit("dense ball swallowed the whole instance")
+    annulus = {p for p in pts if not within(d[v, p], split_radius - delta * si)
+               and within(d[v, p], split_radius + delta * si)}
+    n_h = near(annulus, net(k, pts), hier.radius(k))
+    s1 = inner | n_h | near(n_h, pts, hier.radius(k)) | near(inner, net(j, pts), hier.radius(j))
+    k_boundary = near(outer, net(k, inner), hier.radius(k)) if k >= 1 else set()
+    s2 = outer | net(j, inner) | k_boundary | near(k_boundary, pts, hier.radius(k))
+    if s2 == pts:
+        raise DegenerateSplit("outside portion still covers every point")
+    if not s1 & s2:
+        s1 = s1 | net(j, inner)
+    if not s1 & s2:
+        raise DegenerateSplit("no overlap between the split sides")
+    return tuple(sorted(s1)), tuple(sorted(s2))
+
+
+def test_split_sides_equal_the_set_reference():
+    outcomes = Counter()
+    for kind, params in (("clustered", {"clusters": 4}), ("uniform2d", None), ("line", None)):
+        sp = normalize(generate_instance(kind, 120, 0, params))
+        h = build_hierarchy(sp, 6.0)
+        for level in range(h.top + 1):
+            k = max(0, min(h.top, h.level_of_value(6.0 ** level / 12)))
+            for v in range(0, sp.n, 17):
+                radius = choose_split_radius(sp, v, level, 1.0 / 12, 6.0)
+                try:
+                    want = set_split_instance(sp, h, v, level, radius, 1.0 / 12, 0.05)
+                except DegenerateSplit as exc:
+                    with pytest.raises(DegenerateSplit, match=str(exc)):
+                        split_instance(sp, h, v, level, radius, 1.0 / 12, 0.05)
+                    outcomes[str(exc)] += 1
+                    continue
+                sr = split_instance(sp, h, v, level, radius, 1.0 / 12, 0.05)
+                assert (sr.s1, sr.s2, sr.h) == want + (radius,)
+                assert all(type(p) is int for p in sr.s1 + sr.s2)
+                outcomes["split", min(k, 1)] += 1
+    # splits with k = 0 and k >= 1, and both degenerate outcomes, all occur
+    assert outcomes["split", 0] and outcomes["split", 1]
+    assert len(outcomes) == 4, outcomes
+
+
+def test_split_boundary_layers_take_net_points_and_their_neighbourhoods():
+    # Level 3 around v = 0 at radius 2700: k = j = 1, so the annulus is
+    # (2682, 2718] and neighbourhoods have radius 6. The level-1 net is
+    # {0, 1, 5, 6}. Net points 1 and 5 reach the annulus, and their
+    # neighbourhoods bring 2 and 7 into the inside; 6 and 8 lie within 6 of
+    # annulus point 7 but of no net point that reaches the annulus, so they
+    # stay out. On the outside, boundary net point 1 brings its neighbour 3.
+    xs = [0, 2697, 2702, 2692, 3, 2712, 2727, 2717, 2722]
+    sp = from_points([(float(x), 0.0) for x in xs])
+    h = build_hierarchy(sp, 6.0)
+    assert h.net(1).tolist() == [0, 1, 5, 6]
+    sr = split_instance(sp, h, 0, 3, 2700.0, 1.0 / 12, 0.05)
+    assert (sr.s1, sr.s2) == ((0, 1, 2, 3, 4, 5, 7), (0, 1, 2, 3, 5, 6, 7, 8))
+    assert (sr.s1, sr.s2) == set_split_instance(sp, h, 0, 3, 2700.0, 1.0 / 12, 0.05)
 
 
 @pytest.mark.parametrize("seed", range(5))
