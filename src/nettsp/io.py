@@ -3,7 +3,8 @@
 Supported formats: a TSPLIB subset (EUC_2D coordinates or EXPLICIT
 FULL_MATRIX), one-point-per-line CSV, and JSON with either a point list or a
 full matrix. Loaded instances are validated; an invalid one raises a
-NetTspError that names the failed check.
+NetTspError that names the failed check, and a malformed or empty one a
+ParseError.
 """
 
 from __future__ import annotations
@@ -45,10 +46,9 @@ def _parse_tsplib(text: str):
             key, _, value = line.partition(":")
             header[key.strip().upper()] = value.strip()
             if key.strip().upper() == "DIMENSION":
-                try:
-                    dimension = int(value)
-                except ValueError:
+                if not value.strip().isdecimal():
                     raise ParseError(f"bad DIMENSION {value!r}", line=ln)
+                dimension = int(value)
             continue
         if section == "coords":
             parts = line.split()
@@ -68,6 +68,22 @@ def _parse_tsplib(text: str):
             continue
         raise ParseError(f"unexpected line {line!r}", line=ln)
     return header, coords, weights, dimension
+
+
+def _space(values, matrix=False) -> MetricSpace:
+    """The space of a point list, or of a distance matrix when ``matrix``; a
+    ParseError unless points are 1-D or 2-D, a matrix square, and n >= 1."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"not an array of numbers: {exc}")
+    if matrix and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
+        raise ParseError(f"matrix of shape {arr.shape} is not n x n")
+    if not matrix and arr.ndim not in (1, 2):
+        raise ParseError(f"points of shape {arr.shape} are not a list of coordinates")
+    if len(arr) == 0:
+        raise ParseError("instance has no points")
+    return from_matrix(arr) if matrix else from_points(arr)
 
 
 def load_instance(path: str, fmt: str) -> MetricSpace:
@@ -99,7 +115,7 @@ def load_instance(path: str, fmt: str) -> MetricSpace:
             if dimension * dimension != len(weights):
                 raise ParseError(
                     f"EDGE_WEIGHT_SECTION holds {len(weights)} values, expected {dimension}^2")
-            space = from_matrix(np.asarray(weights, dtype=float).reshape(dimension, dimension))
+            space = _space(np.reshape(weights, (dimension, dimension)), matrix=True)
     elif fmt == "points_csv":
         pts = []
         for ln, row in enumerate(csv.reader(text.splitlines()), start=1):
@@ -119,12 +135,12 @@ def load_instance(path: str, fmt: str) -> MetricSpace:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}", line=exc.lineno)
-        if "points" in payload:
-            space = from_points(np.asarray(payload["points"], dtype=float))
-        elif "matrix" in payload:
-            space = from_matrix(np.asarray(payload["matrix"], dtype=float))
+        if isinstance(payload, dict) and "points" in payload:
+            space = _space(payload["points"])
+        elif isinstance(payload, dict) and "matrix" in payload:
+            space = _space(payload["matrix"], matrix=True)
         else:
-            raise ParseError("JSON must contain 'points' or 'matrix'")
+            raise ParseError("JSON must be an object with 'points' or 'matrix'")
     validate_metric(space)
     return space
 

@@ -23,8 +23,7 @@ from .errors import Infeasible
 from .metric import MetricSpace, within
 from .nets import NetHierarchy
 from .oracles import PULL_BLOCK, subset_path_table, subset_path_trace
-from .partition import (ClusterNode, ClusterTree, distinct_carvings, partition_with_radii,
-                        sample_radius)
+from .partition import ClusterTree, distinct_carvings, partition_with_radii, sample_radius
 from .tours import Tour, _collapse, dedupe_visits
 
 # int32 entries of the reversal rows that one _heuristic_orders call stacks:
@@ -431,19 +430,9 @@ def _heuristic_orders(hop, entries, closes):
     return [(order, vecs[p]) for p, order in enumerate(orders.tolist())]
 
 
-def _tree_children_options(tree: ClusterTree):
-    """Each node's one children option, as sorted member tuples: the order
-    :func:`distinct_carvings` lists a carving in, so ties break alike."""
-    mapping = {(n.level, n.members): [tuple(sorted(ch.members for ch in n.children))]
-               for n in tree.nodes()}
-    return lambda level, members: mapping[level, members]
-
-
 def make_flat_tree(space: MetricSpace) -> ClusterTree:
-    """Single-cluster tree: the whole space as one bottom-level node."""
-    root = ClusterNode(level=0, center=0, radius=space.diameter(),
-                       members=tuple(range(space.n)))
-    return ClusterTree(root=root)
+    """Single-cluster tree: the whole space as one bottom-level cluster."""
+    return ClusterTree(level=0, members=tuple(range(space.n)))
 
 
 def solve_light_tour(space: MetricSpace, h: NetHierarchy, tree: ClusterTree,
@@ -455,9 +444,8 @@ def solve_light_tour(space: MetricSpace, h: NetHierarchy, tree: ClusterTree,
     a leaf's children are its points. The returned tour is the traceback
     shortcut to visit each point exactly once.
     """
-    engine = _Engine(space, h, m_cap, _tree_children_options(tree),
-                     portal_chooser=portal_chooser)
-    return engine.solve_root(tree.root.level, tuple(tree.root.members))
+    engine = _Engine(space, h, m_cap, tree.options, portal_chooser=portal_chooser)
+    return engine.solve_root(tree.level, tree.members)
 
 
 def draw_radius_samples(h: NetHierarchy, guesses: int, ddim: float, rng) -> dict:
@@ -477,34 +465,25 @@ def tree_from_samples(space: MetricSpace, h: NetHierarchy, samples: dict) -> Clu
 
     Every level is carved once over all points. A point's cluster is the first
     center in carving order whose ball holds it, whatever subset is carved, so
-    a node's children are its members grouped by their owner one level down,
-    in center order.
+    a cluster's children are its members grouped by their owner one level down.
     """
-    levels = [partition_with_radii(space, range(space.n), h, level,
-                                   {c: vals[0] for c, vals in samples[level].items()})
-              for level in range(h.top + 1)]
-    top = levels[h.top].clusters()
-    if len(top) != 1:
+    owners = []
+    for level in range(h.top + 1):
+        radii = {c: vals[0] for c, vals in samples[level].items()}
+        owners.append(partition_with_radii(space, range(space.n), h, level, radii).assign_center)
+    if len(set(owners[h.top].values())) != 1:
         raise AssertionError("top-level carve must yield one cluster")
-    (center, members), = top.items()
-    root = ClusterNode(level=h.top, center=center, radius=levels[h.top].radii[center],
-                       members=tuple(members))
-
-    def subdivide(node):
-        if node.level == 0:
-            return
-        part = levels[node.level - 1]
-        groups = {}
-        for p in node.members:
-            groups.setdefault(part.assign_center[p], []).append(p)
-        for c in sorted(groups):
-            child = ClusterNode(level=part.level, center=c, radius=part.radii[c],
-                                members=tuple(groups[c]))
-            node.children.append(child)
-            subdivide(child)
-
-    subdivide(root)
-    return ClusterTree(root=root)
+    tree = ClusterTree(level=h.top, members=tuple(range(space.n)))
+    clusters = [tree.members]
+    for level in range(h.top, 0, -1):
+        for members in clusters:
+            groups = {}
+            for p in members:
+                groups.setdefault(owners[level - 1][p], []).append(p)
+            # disjoint and filled in member order, the groups come out sorted
+            tree.children[level, members] = tuple(map(tuple, groups.values()))
+        clusters = [ch for members in clusters for ch in tree.children[level, members]]
+    return tree
 
 
 def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int,
@@ -526,7 +505,7 @@ def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int
         raise ValueError("guesses must be >= 1")
     samples = draw_radius_samples(h, guesses, ddim, rng)
     if guesses == 1:
-        options = _tree_children_options(tree_from_samples(space, h, samples))
+        options = tree_from_samples(space, h, samples).options
     else:
         def options(level, members):
             return distinct_carvings(space, members, h, level - 1, samples[level - 1])

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OddParity, TooLarge
 from .metric import MetricSpace
-from .tours import (Tour, dedupe_visits, euler_trail, mst, odd_matching_by_tree,
-                    tour_weight)
+from .tours import (Tour, _odd_vertices, dedupe_visits, euler_trail, mst,
+                    odd_matching_by_tree, tour_weight)
 
 BRUTE_MAX = 10
 HELD_KARP_MAX = 18
@@ -277,24 +276,15 @@ def christofides(space: MetricSpace) -> OracleResult:
     if n < 2:
         return OracleResult(Tour((0,)), 0.0, "christofides_exact", False)
     tree = mst(space, range(n))
-    deg = defaultdict(int)
-    for u, v in tree:
-        deg[u] += 1
-        deg[v] += 1
-    odd = sorted(v for v in range(n) if deg[v] % 2 == 1)
+    odd = sorted(_odd_vertices(tree))
     if len(odd) <= MATCHING_EXACT_MAX:
         pairs, _ = _exact_matching_dp(space, odd) if odd else ([], 0.0)
         method = "christofides_exact"
     else:
         pairs = odd_matching_by_tree(space, tree, odd)
         method = "christofides_tree"
-    edges = list(tree) + list(pairs)
-    if not edges:
-        seq = tuple(range(n))
-        t = Tour(seq)
-        return OracleResult(t, tour_weight(space, t), method, False)
-    verts, _ = euler_trail(edges, min(min(e) for e in edges), min(min(e) for e in edges))
-    t = dedupe_visits(Tour(tuple(verts[:-1] if len(verts) > 1 else verts), closed=True))
+    verts, _ = euler_trail(list(tree) + list(pairs), 0, 0)   # the MST spans 0..n-1
+    t = dedupe_visits(Tour(tuple(verts[:-1]), closed=True))
     missing = set(range(n)) - t.visits()
     if missing:
         # Isolated points only occur for n == 1; guarded above.

@@ -5,7 +5,7 @@ order. Each center draws a radius from a truncated exponential on
 [scale, 2*scale] whose density decays by a factor controlled by the dimension
 parameter; every still-unassigned point inside the ball joins that center's
 cluster. :func:`nettsp.lightdp.tree_from_samples` stacks the carvings into a
-:class:`ClusterTree`.
+:class:`ClusterTree`, the map from each cluster to its children.
 """
 
 from __future__ import annotations
@@ -63,14 +63,7 @@ def sample_radius(a: float, ddim: float, rng) -> float:
 @dataclass
 class SingleScalePartition:
     level: int
-    radii: dict                    # center -> drawn radius in [s^i, 2 s^i]
     assign_center: dict            # point -> assigned center, in carving order
-
-    def clusters(self) -> dict:
-        out = {}
-        for p, c in self.assign_center.items():
-            out.setdefault(c, []).append(p)
-        return {c: sorted(v) for c, v in out.items()}
 
 
 def partition_with_radii(space: MetricSpace, subset, h: NetHierarchy, level: int,
@@ -90,7 +83,7 @@ def partition_with_radii(space: MetricSpace, subset, h: NetHierarchy, level: int
     rank = np.argmax(cover, axis=0)
     by_rank = np.argsort(rank, kind="stable")       # insertion order of the carving loop
     assign_center = dict(zip(subset[by_rank].tolist(), centers[rank[by_rank]].tolist()))
-    return SingleScalePartition(level=level, radii=radii, assign_center=assign_center)
+    return SingleScalePartition(level=level, assign_center=assign_center)
 
 
 def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
@@ -136,28 +129,28 @@ def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
 
 
 @dataclass
-class ClusterNode:
-    level: int
-    center: int
-    radius: float
-    members: tuple
-    children: list = field(default_factory=list)
-
-    def walk(self):
-        yield self
-        for ch in self.children:
-            yield from ch.walk()
-
-
-@dataclass
 class ClusterTree:
-    root: ClusterNode
+    """A cluster tree as the lookup the portal DP reads.
 
-    def nodes(self):
-        return list(self.root.walk())
+    The root is the cluster (level, members). ``children`` maps each cluster
+    above level 0, keyed (level, members), to its children's member tuples,
+    sorted: the order :func:`distinct_carvings` lists a carving in, so ties
+    break alike. A level-0 cluster's children are its points.
+    """
+
+    level: int
+    members: tuple
+    children: dict = field(default_factory=dict)
+
+    def options(self, level, members) -> list:
+        """The cluster's one children option."""
+        return [self.children[level, members]]
+
+    def node_count(self) -> int:
+        return 1 + sum(len(kids) for kids in self.children.values())
 
     def max_branching(self) -> int:
-        return max((len(n.children) for n in self.nodes()), default=0)
+        return max((len(kids) for kids in self.children.values()), default=0)
 
 
 def estimate_cut_probability(space: MetricSpace, h: NetHierarchy, u: int, v: int,

@@ -169,7 +169,7 @@ def run(config: dict) -> dict:
         tree = tree_from_samples(space, h, draw_radius_samples(h, 1, params.ddim, rng))
         results["nets"] = {"ok": net_report.ok, "level_sizes": net_report.level_sizes}
         results["clustering"] = {
-            "nodes": len(tree.nodes()),
+            "nodes": tree.node_count(),
             "max_branching": tree.max_branching(),
         }
         # Points 0, 2 and 4, each paired with its nearest neighbour (the first

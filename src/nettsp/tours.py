@@ -100,30 +100,30 @@ def edges_weight(space: MetricSpace, edges) -> float:
     return float(sum(space.dist(u, v) for u, v in edges))
 
 
+def _preorder(edges, root):
+    """Preorder walk of the tree ``edges`` from ``root``, lowest neighbour
+    first; returns the order and each reached vertex's parent (None at root)."""
+    adj = defaultdict(list)
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = {root: None}
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in sorted(adj[v], reverse=True):
+            if w not in parent:
+                parent[w] = v
+                stack.append(w)
+    return order, parent
+
+
 def double_tree_tour(space: MetricSpace, subset) -> Tour:
     """Closed tour from a preorder walk of the MST; weight <= 2 * MST weight."""
     pts = sorted(set(int(p) for p in subset))
-    if len(pts) == 1:
-        return Tour((pts[0],), closed=True)
-    adj = defaultdict(list)
-    for u, v in mst(space, pts):
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
-    root = pts[0]
-    order = []
-    stack = [root]
-    seen = set()
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        order.append(v)
-        for w in reversed(adj[v]):
-            if w not in seen:
-                stack.append(w)
+    order, _ = _preorder(mst(space, pts), pts[0])
     return Tour(tuple(order), closed=True)
 
 
@@ -200,28 +200,11 @@ def odd_matching_by_tree(space: MetricSpace, tree_edges, odd) -> list:
         raise OddParity(f"{len(odd)} odd vertices cannot be perfectly matched")
     if not odd:
         return []
-    adj = defaultdict(list)
-    verts = set()
-    for u, v in tree_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-        verts.update((u, v))
+    verts = {v for edge in tree_edges for v in edge}
     missing = [p for p in odd if p not in verts]
     if missing:
         raise ValueError(f"odd vertices {missing} not spanned by the tree")
-    for v in adj:
-        adj[v].sort()
-    root = min(verts)
-    parent = {root: None}
-    preorder = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        preorder.append(v)
-        for w in reversed(adj[v]):
-            if w not in parent:
-                parent[w] = v
-                stack.append(w)
+    preorder, parent = _preorder(tree_edges, min(verts))
     if any(p not in parent for p in odd):
         raise ValueError("odd vertices span multiple tree components")
     odd_set = set(odd)

@@ -208,6 +208,29 @@ def test_solve_reports_are_pinned(family, n, params, config, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family, n, params, config, digests", [
+    ("uniform2d", 40, None, {},
+     {"partition_stats": "8ada95d411de322e58c97d2ef77bfe8055c0264a88a2175b887703b651622dc7",
+      "baseline": "da306e15ad6d837f6532e20ed3a1a499927c89ba441d499e02db46300a619736",
+      "lemma_checks": "ac5262ac4fe6bf78ef5f180aeafd40cf29963cb563e7c69a4f9dea21d4a9d951"}),
+    ("clustered", 160, {"clusters": 4}, {"q": 2.0},
+     {"partition_stats": "3903e9e6f2e90f70435d97731a0103fa84f13058d8718a5d9204f718fe48cee9",
+      "baseline": "5f814f4b6b5a8b7a3eb756b9860e3cf9e533558adc65651ff229f64b8c32ed96",
+      "lemma_checks": "baea7038e7b4e1f7773372b2e4633caeacdc6db8d2f092595c0ad2568bf65523"}),
+    ("matrix_random_metric", 60, None, {},
+     {"partition_stats": "821215789c60cfc7faf665d69c805cef2ff50777525f6537cf91d7ae7fc4013e",
+      "baseline": "c2df9eb100f06893b332966a23ff99e3f5649314656d3e948a14194eb98ac877",
+      "lemma_checks": "ff75c331d55f6a9c89d48454a1c3a59ae3c6db998607ffb8a22043257ea4f14f"}),
+], ids=["uniform2d-40", "clustered-160-q2", "matrix_random_metric-60"])
+def test_mode_reports_are_pinned(family, n, params, config, digests):
+    from nettsp.metric import normalize
+    space = normalize(generate_instance(family, n, 0, params))
+    for mode, digest in digests.items():
+        report = run(dict(config, mode=mode, seed=0, space=space))
+        text = strip_timing(render_report(report))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, mode
+
+
 def test_report_tour_reevaluates_to_weight():
     from nettsp.metric import normalize
     sp = generate_instance("uniform2d", 10, seed=3)
@@ -279,6 +302,40 @@ def test_cli_error_exit_code(tmp_path):
     rc = main(["run", "--instance", str(bad), "--format", "tsplib_matrix",
                "--mode", "solve"])
     assert rc == 2
+
+
+EXPLICIT_DIMENSION_0 = """NAME: empty
+TYPE: TSP
+DIMENSION: 0
+EDGE_WEIGHT_TYPE: EXPLICIT
+EDGE_WEIGHT_FORMAT: FULL_MATRIX
+EDGE_WEIGHT_SECTION
+EOF
+"""
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("points_json", '{"points": []}'),
+    ("points_json", '{"matrix": []}'),
+    ("points_json", '{"matrix": [0, 1]}'),
+    ("points_json", '{"matrix": [[0, 1], [1, 0], [2, 2]]}'),
+    ("points_json", '{"points": [[1, 2], [3]]}'),
+    ("points_json", '{"points": [[[1, 2]], [[3, 4]]]}'),
+    ("points_json", '[[0, 1], [1, 0]]'),
+    ("tsplib_matrix", EXPLICIT_DIMENSION_0),
+    ("tsplib_matrix", EXPLICIT_DIMENSION_0.replace("DIMENSION: 0", "DIMENSION: -2").replace(
+        "EDGE_WEIGHT_SECTION", "EDGE_WEIGHT_SECTION\n0 1\n1 0")),
+], ids=["points-empty", "matrix-empty", "matrix-1d", "matrix-not-square", "points-ragged",
+        "points-3d", "json-not-an-object", "explicit-dimension-0", "explicit-dimension-negative"])
+def test_cli_rejects_malformed_and_empty_instances(tmp_path, capsys, fmt, text):
+    bad = tmp_path / "bad"
+    bad.write_text(text)
+    for command in (["validate"], ["run", "--mode", "solve"]):
+        rc = main(command + ["--instance", str(bad), "--format", fmt])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(ParseError):
+        load_instance(str(bad), fmt)
 
 
 def test_cli_validate_names_the_failed_check(tmp_path, capsys):

@@ -9,15 +9,14 @@ import pytest
 
 from nettsp.io import generate_instance
 from nettsp import lightdp, oracles, runner
-from nettsp.lightdp import (PortalSet, _Engine, _heuristic_orders,
-                            _tree_children_options, auto_portals,
+from nettsp.lightdp import (PortalSet, _Engine, _heuristic_orders, auto_portals,
                             draw_radius_samples, make_flat_tree, solve_light_tour,
                             solve_with_radius_guessing, tree_from_samples)
 from nettsp.metric import REL_TOL, estimate_doubling, from_matrix, from_points, normalize
 from nettsp.nets import build_hierarchy
 from nettsp.oracles import (PULL_BLOCK, brute_force_tsp, held_karp_tsp, subset_path_step,
                             subset_path_table, subset_path_trace)
-from nettsp.partition import ClusterNode, distinct_carvings, partition_with_radii
+from nettsp.partition import distinct_carvings, partition_with_radii
 from nettsp.tours import _collapse, edges_weight, mst, tour_weight
 
 
@@ -66,6 +65,21 @@ def set_auto_portals(space, h, members, level, m_cap):
     return PortalSet(level=level, pitch=h.radius(j), portals=pts)
 
 
+def tree_clusters(tree):
+    """Every cluster of ``tree`` as (level, members): the root, then each
+    cluster above level 0's children."""
+    return [(tree.level, tree.members)] + [
+        (level - 1, ch) for (level, _), kids in tree.children.items() for ch in kids]
+
+
+def carved_children(part):
+    """A carving's clusters as sorted member tuples, as distinct_carvings lists them."""
+    clusters = {}
+    for p, c in sorted(part.assign_center.items()):
+        clusters.setdefault(c, []).append(p)
+    return tuple(sorted(tuple(v) for v in clusters.values()))
+
+
 def tree_of(kind, n, seed, params=None):
     sp = normalize(generate_instance(kind, n, seed, params))
     h = build_hierarchy(sp, 6.0)
@@ -79,10 +93,10 @@ def tree_of(kind, n, seed, params=None):
 def test_auto_portals_equal_the_set_accumulation(kind, n, params):
     sp, h, tree = tree_of(kind, n, 0, params)
     fallbacks = 0
-    for node in tree.nodes():
+    for level, members in tree_clusters(tree):
         for m_cap in (1, 2, 6, 24):
-            got = auto_portals(sp, h, node.members, node.level, m_cap)
-            assert got == set_auto_portals(sp, h, node.members, node.level, m_cap)
+            got = auto_portals(sp, h, members, level, m_cap)
+            assert got == set_auto_portals(sp, h, members, level, m_cap)
             assert all(type(p) is int for p in got.portals)
             fallbacks += len(got.portals) > m_cap
     assert fallbacks > 0          # some cluster took the coarsest set over its cap
@@ -767,8 +781,7 @@ def product_carvings(space, members, h, level, choices):
     for combo in itertools.product(range(guesses), repeat=len(relevant)):
         radii = {c: choices[c][0] for c in centers}
         radii.update({c: choices[c][t] for c, t in zip(relevant, combo)})
-        part = partition_with_radii(space, members, h, level, radii)
-        children = tuple(sorted(tuple(v) for v in part.clusters().values()))
+        children = carved_children(partition_with_radii(space, members, h, level, radii))
         if children not in seen:
             seen.add(children)
             outs.append(children)
@@ -787,12 +800,10 @@ def test_distinct_carvings_match_product_enumeration(guesses):
     for i, sp in enumerate(small_spaces()):
         h = build_hierarchy(sp, 6.0)
         samples = draw_radius_samples(h, guesses, 2.5, np.random.default_rng(i))
-        for node in tree_from_samples(sp, h, samples).nodes():
-            if node.level == 0:
-                continue
-            lvl = node.level - 1
-            got = distinct_carvings(sp, node.members, h, lvl, samples[lvl])
-            assert got == product_carvings(sp, node.members, h, lvl, samples[lvl])
+        for level, members in tree_from_samples(sp, h, samples).children:
+            lvl = level - 1
+            got = distinct_carvings(sp, members, h, lvl, samples[lvl])
+            assert got == product_carvings(sp, members, h, lvl, samples[lvl])
             checked += 1
             several += len(got) > 1
     assert checked > 4
@@ -800,28 +811,26 @@ def test_distinct_carvings_match_product_enumeration(guesses):
 
 
 def carved_tree(space, h, samples):
-    """Reference builder: carve each node's members afresh with the next
-    level's centers at their first radius, node by node from the top."""
+    """Reference builder: carve each cluster's members afresh with the next
+    level's centers at their first radius, cluster by cluster from the top.
+    Returns the root's level and members and the (level, members) -> children
+    map of every cluster above level 0."""
     def radii_at(level):
         return {c: vals[0] for c, vals in samples[level].items()}
 
     top = partition_with_radii(space, range(space.n), h, h.top, radii_at(h.top))
-    (center, members), = top.clusters().items()
-    root = ClusterNode(level=h.top, center=center, radius=top.radii[center],
-                       members=tuple(members))
+    (members,) = carved_children(top)
+    children = {}
 
-    def subdivide(node):
-        if node.level == 0:
-            return
-        lvl = node.level - 1
-        part = partition_with_radii(space, node.members, h, lvl, radii_at(lvl))
-        for c, mm in sorted(part.clusters().items()):
-            child = ClusterNode(level=lvl, center=c, radius=part.radii[c], members=tuple(mm))
-            node.children.append(child)
-            subdivide(child)
+    def subdivide(level, members):
+        if level > 0:
+            part = partition_with_radii(space, members, h, level - 1, radii_at(level - 1))
+            children[level, members] = carved_children(part)
+            for child in children[level, members]:
+                subdivide(level - 1, child)
 
-    subdivide(root)
-    return root
+    subdivide(h.top, members)
+    return h.top, members, children
 
 
 @pytest.mark.parametrize("kind", ["uniform2d", "clustered", "line", "matrix_random_metric"])
@@ -833,16 +842,14 @@ def test_owner_map_tree_equals_the_node_by_node_carve(kind):
             h = build_hierarchy(sp, 6.0)
             ddim = estimate_doubling(sp, seed=seed).ddim_upper
             samples = draw_radius_samples(h, 1, ddim, np.random.default_rng(seed))
-            root = tree_from_samples(sp, h, samples).root
-            # level, center, radius, members and child order, node for node
-            assert root == carved_tree(sp, h, samples)
-            for node in root.walk():
-                if node.level == 0:
-                    continue
-                lvl = node.level - 1
-                children = tuple(sorted(ch.members for ch in node.children))
-                assert distinct_carvings(sp, node.members, h, lvl, samples[lvl]) == [children]
-                wide += len(children) > 1
+            tree = tree_from_samples(sp, h, samples)
+            level, members, children = carved_tree(sp, h, samples)
+            # the same clusters, each with the same children in the same order
+            assert (tree.level, tree.members, tree.children) == (level, members, children)
+            for (level, members), kids in tree.children.items():
+                lvl = level - 1
+                assert distinct_carvings(sp, members, h, lvl, samples[lvl]) == [kids]
+                wide += len(kids) > 1
     assert wide > 0
 
 
@@ -880,16 +887,15 @@ def test_engine_asks_for_each_clusters_options_once():
     sp = rand_space(7, 14)
     h = build_hierarchy(sp, 6.0)
     tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(7)))
-    inner = _tree_children_options(tree)
     calls = Counter()
 
     def counting(level, members):
         calls[(level, members)] += 1
-        return inner(level, members)
+        return tree.options(level, members)
 
     engine = _Engine(sp, h, 6, counting)
-    engine.solve_root(tree.root.level, tuple(tree.root.members))
-    internal = {(n.level, n.members) for n in tree.nodes() if n.level > 0}
+    engine.solve_root(tree.level, tree.members)
+    internal = set(tree.children)
     assert set(calls) == internal
     assert set(calls.values()) == {1}
     # several portal configurations per cluster share one options call
@@ -1023,20 +1029,18 @@ def loop_close_matrix(D, B, infos, m):
     ("uniform2d", 40, 0, None)])
 def test_gathered_node_matrices_equal_the_per_child_loops(kind, n, seed, params):
     sp, h, tree = tree_of(kind, n, seed, params)
-    engine = _Engine(sp, h, 6, _tree_children_options(tree))
-    engine.solve_root(tree.root.level, tuple(tree.root.members))
+    engine = _Engine(sp, h, 6, tree.options)
+    engine.solve_root(tree.level, tree.members)
     mixed = 0
-    for node in tree.nodes():
-        if not node.children:
-            continue
-        (children,) = engine.children_options(node.level, node.members)
-        infos = [(ch,) + engine.nodes[node.level - 1, ch] for ch in children]
+    for level, members in tree.children:
+        (children,) = engine.children_options(level, members)
+        infos = [(ch,) + engine.nodes[level - 1, ch] for ch in children]
         padded = engine._padded(infos)
         counts = {len(ps.portals) for _, ps, _ in infos}
         mixed += len(counts) > 1
         m = max(counts)
         assert np.array_equal(engine._hop_matrices(padded), loop_hop_matrices(engine.D, infos))
-        P = engine.portals(node.level, node.members).portals
+        P = engine.portals(level, members).portals
         close = engine._close_matrices(P, padded)
         assert close.shape == (len(P), len(infos), m)
         for b, p in enumerate(P):

@@ -58,48 +58,62 @@ def test_median_below_midpoint():
 # -------------------------------------------------------------- partition
 
 def drawn_carving(space, subset, h, level, seed):
-    """Carve ``subset`` with each level center's first radius drawn from ``seed``."""
+    """Carve ``subset`` with each level center's first radius drawn from
+    ``seed``; returns the carving and the radii it was carved with."""
     samples = draw_radius_samples(h, 1, 2.0, np.random.default_rng(seed))
     radii = {c: vals[0] for c, vals in samples[level].items()}
-    return partition_with_radii(space, subset, h, level, radii)
+    return partition_with_radii(space, subset, h, level, radii), radii
+
+
+def clusters_of(part):
+    """center -> the sorted members of its cluster in ``part``."""
+    out = {}
+    for p, c in sorted(part.assign_center.items()):
+        out.setdefault(c, []).append(p)
+    return out
+
+
+def carved_children(part):
+    """The carving's clusters as sorted member tuples, as distinct_carvings lists them."""
+    return tuple(sorted(tuple(v) for v in clusters_of(part).values()))
 
 
 def test_single_point_single_cluster():
     sp = rand_space(3, 30)
     h = build_hierarchy(sp, 6.0)
-    part = drawn_carving(sp, [7], h, min(1, h.top), 0)
-    assert part.clusters() == {part.assign_center[7]: [7]}
+    part, _ = drawn_carving(sp, [7], h, min(1, h.top), 0)
+    assert clusters_of(part) == {part.assign_center[7]: [7]}
 
 
 def test_top_level_single_cluster():
     sp = rand_space(4, 50)
     h = build_hierarchy(sp, 6.0)
-    part = drawn_carving(sp, range(sp.n), h, h.top, 1)
-    assert len(part.clusters()) == 1
+    part, _ = drawn_carving(sp, range(sp.n), h, h.top, 1)
+    assert len(clusters_of(part)) == 1
 
 
 def test_partition_deterministic_given_seed():
     sp = rand_space(5, 100)
     h = build_hierarchy(sp, 6.0)
     lvl = min(2, h.top)
-    p1 = drawn_carving(sp, range(sp.n), h, lvl, 7)
-    p2 = drawn_carving(sp, range(sp.n), h, lvl, 7)
+    p1, r1 = drawn_carving(sp, range(sp.n), h, lvl, 7)
+    p2, r2 = drawn_carving(sp, range(sp.n), h, lvl, 7)
     assert p1.assign_center == p2.assign_center
-    assert p1.radii == p2.radii
+    assert r1 == r2
     # and re-simulating from captured radii reproduces the assignment
-    p3 = partition_with_radii(sp, range(sp.n), h, lvl, dict(p1.radii))
+    p3 = partition_with_radii(sp, range(sp.n), h, lvl, dict(r1))
     assert p3.assign_center == p1.assign_center
 
 
 def test_partition_is_true_partition():
     sp = rand_space(6, 120)
     h = build_hierarchy(sp, 6.0)
-    part = drawn_carving(sp, range(sp.n), h, min(1, h.top), 3)
-    clusters = part.clusters()
+    part, radii = drawn_carving(sp, range(sp.n), h, min(1, h.top), 3)
+    clusters = clusters_of(part)
     seen = sorted(p for mem in clusters.values() for p in mem)
     assert seen == list(range(sp.n))
     for c, mem in clusters.items():
-        r = part.radii[c]
+        r = radii[c]
         assert all(sp.dist(c, p) <= r * (1 + 1e-9) for p in mem)
 
 
@@ -154,8 +168,7 @@ def test_cover_matrix_carving_matches_the_carving_loop(seed):
                 part = partition_with_radii(sp, subset, h, level, radii)
                 # same assignment, inserted in the same (carving) order
                 assert list(part.assign_center.items()) == list(want.items())
-                assert distinct_carvings(sp, subset, h, level, choices) == [
-                    tuple(sorted(tuple(v) for v in part.clusters().values()))]
+                assert distinct_carvings(sp, subset, h, level, choices) == [carved_children(part)]
                 seen["on rim"] += sum(sp.dist(c, p) == radii[c]
                                       for p, c in part.assign_center.items())
     assert seen["uncovered"] > 0 and seen["on rim"] > 0
@@ -163,37 +176,45 @@ def test_cover_matrix_carving_matches_the_carving_loop(seed):
 
 # ------------------------------------------------------------- clustering
 
+def tree_clusters(tree):
+    """Every cluster of ``tree`` as (level, members): the root, then each
+    cluster above level 0's children."""
+    return [(tree.level, tree.members)] + [
+        (level - 1, ch) for (level, _), kids in tree.children.items() for ch in kids]
+
+
 def test_two_point_hierarchy_outcomes():
     sp = from_points([(0.0, 0.0), (1.0, 0.0)])
     h = build_hierarchy(sp, 6.0)
     for seed in range(10):
         tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 1.0,
                                                             np.random.default_rng(seed)))
-        root = tree.root
-        assert sorted(root.members) == [0, 1]
-        for node in tree.nodes():
-            if node.level >= 1:
-                assert sorted(node.members) == [0, 1]
+        assert tree.members == (0, 1)
+        for level, members in tree_clusters(tree):
+            if level >= 1:
+                assert members == (0, 1)
 
 
 def test_tree_every_point_once_per_level():
     sp = rand_space(8, 200)
     h = build_hierarchy(sp, 6.0)
-    tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(4)))
+    samples = draw_radius_samples(h, 1, 2.5, np.random.default_rng(4))
+    tree = tree_from_samples(sp, h, samples)
     by_level = {}
-    for node in tree.nodes():
-        by_level.setdefault(node.level, []).extend(node.members)
+    for level, members in tree_clusters(tree):
+        by_level.setdefault(level, []).extend(members)
     for level in range(h.top + 1):
         if level in by_level:
             assert sorted(by_level[level]) == list(range(sp.n))
-    for node in tree.nodes():
-        si = 6.0 ** node.level
-        assert node.radius <= 2 * si * (1 + 1e-9)
-        assert all(sp.dist(node.center, p) <= node.radius * (1 + 1e-9)
-                   for p in node.members)
-        if node.level > 0:
-            child_pts = sorted(p for ch in node.children for p in ch.members)
-            assert child_pts == sorted(node.members)
+    for level, members in tree_clusters(tree):
+        # the cluster lies in one center's drawn ball, of radius at most 2 s^level
+        radii = {c: vals[0] for c, vals in samples[level].items()}
+        (center,) = set(partition_with_radii(sp, members, h, level, radii).assign_center.values())
+        assert radii[center] <= 2 * 6.0 ** level * (1 + 1e-9)
+        assert all(sp.dist(center, p) <= radii[center] * (1 + 1e-9) for p in members)
+        if level > 0:
+            child_pts = sorted(p for ch in tree.children[level, members] for p in ch)
+            assert child_pts == sorted(members)
 
 
 # ---------------------------------------------------------- cut frequency
