@@ -1,10 +1,11 @@
 """Portal selection and the crossing-limited dynamic program over cluster trees.
 
-Tour segments may cross a cluster only at its portals. Each cluster, keyed by
-(level, member set), is solved once, in one pass that fills its matrix of
-segment costs over all of its portal pairs, so identical clusters arising from
-different radius choices share it. Each portal pair is one segment, so a tour
-crosses each cluster twice: it enters once, visits every member, and leaves.
+Tour segments may cross a cluster only at its portals, at most m_cap of them.
+Each cluster, keyed by (level, member set), is solved once, in one pass that
+fills its matrix of segment costs over all of its portal pairs, at most
+m_cap(m_cap + 1)/2 cells, so identical clusters arising from different radius
+choices share it. Each portal pair is one segment, so a tour crosses each
+cluster twice: it enters once, visits every member, and leaves.
 A bottom cluster's children are its points, each its own one portal at cost
 0, so every segment is a child order: a subset path on the one kernel of
 :mod:`nettsp.oracles` up to EXACT_PATH_CHILDREN children, a greedy plus 2-opt
@@ -33,7 +34,7 @@ HEURISTIC_ROW_ENTRIES = 1 << 24
 
 @dataclass(frozen=True)
 class PortalSet:
-    """Crossing points designated for one cluster.
+    """Crossing points designated for one cluster, at most m_cap of them.
 
     Portals are net points whose covering balls touch the cluster; they need
     not be cluster members (non-members act as free copies that a tour may
@@ -42,7 +43,6 @@ class PortalSet:
     """
 
     level: int
-    pitch: float
     portals: tuple
 
 
@@ -51,9 +51,10 @@ def auto_portals(space: MetricSpace, h: NetHierarchy, members, level: int,
     """Finest nested portal set within the cap.
 
     Candidate sets accumulate net points near the cluster from the cluster's
-    own scale downward, so a larger cap always yields a superset (keeping the
-    table cost monotone in m_cap). The walk stops before the first set over
-    the cap, and keeps the coarsest set when even that one exceeds it.
+    own scale downward, and the walk stops before the first set over the cap.
+    When even the cluster's own-level set is over it, the set keeps m_cap of
+    its points, chosen farthest-first from the lowest. Either way a larger cap
+    yields a superset (keeping the table cost monotone in m_cap).
     """
     members = tuple(sorted(int(p) for p in members))
     near = space.pairwise(None, members).min(axis=1)     # every point to its nearest member
@@ -68,7 +69,15 @@ def auto_portals(space: MetricSpace, h: NetHierarchy, members, level: int,
         if np.count_nonzero(finer) > m_cap:
             break
         j, pts = j - 1, finer
-    return PortalSet(level=level, pitch=h.radius(j), portals=tuple(np.flatnonzero(pts).tolist()))
+    P = np.flatnonzero(pts)
+    if len(P) > m_cap:
+        D = space.pairwise(P, P)
+        keep, gap = [0], D[0].copy()
+        while len(keep) < m_cap:   # the point farthest from those kept, ties to the lowest
+            keep.append(int(np.argmax(gap)))
+            np.minimum(gap, D[keep[-1]], out=gap)
+        P = np.sort(P[keep])
+    return PortalSet(level=level, portals=tuple(P.tolist()))
 
 
 @dataclass
@@ -98,7 +107,7 @@ class _Engine:
     def __init__(self, space, h, m_cap, children_options, portal_chooser=None):
         self.space = space
         self.h = h
-        self.m_cap = max(1, int(m_cap))
+        self.m_cap = m_cap
         self.children_options = children_options
         self.portal_chooser = portal_chooser
         self.D = space.pairwise()
@@ -113,8 +122,7 @@ class _Engine:
             override = self.portal_chooser(members, level)
         if override is None:
             return auto_portals(self.space, self.h, members, level, self.m_cap)
-        return PortalSet(level=level, pitch=0.0,
-                         portals=tuple(sorted(int(p) for p in override)))
+        return PortalSet(level=level, portals=tuple(sorted(int(p) for p in override)))
 
     # ------------------------------------------------------------------ table
 
@@ -134,8 +142,7 @@ class _Engine:
             return hit
         if level < 0:
             self.entries += 1
-            self.nodes[key] = (PortalSet(level=level, pitch=0.0, portals=members),
-                               np.zeros((1, 1)))
+            self.nodes[key] = (PortalSet(level=level, portals=members), np.zeros((1, 1)))
             return self.nodes[key]
         ps = self.portals(level, members)
         P = ps.portals
@@ -471,8 +478,6 @@ def tree_from_samples(space: MetricSpace, h: NetHierarchy, samples: dict) -> Clu
     for level in range(h.top + 1):
         radii = {c: vals[0] for c, vals in samples[level].items()}
         owners.append(partition_with_radii(space, range(space.n), h, level, radii).assign_center)
-    if len(set(owners[h.top].values())) != 1:
-        raise AssertionError("top-level carve must yield one cluster")
     tree = ClusterTree(level=h.top, members=tuple(range(space.n)))
     clusters = [tree.members]
     for level in range(h.top, 0, -1):
@@ -501,8 +506,6 @@ def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int
     :func:`tree_from_samples` finds them all with one carve per level.
     Identical member sets reached under different choices share table entries.
     """
-    if guesses < 1:
-        raise ValueError("guesses must be >= 1")
     samples = draw_radius_samples(h, guesses, ddim, rng)
     if guesses == 1:
         options = tree_from_samples(space, h, samples).options

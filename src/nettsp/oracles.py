@@ -278,7 +278,7 @@ def christofides(space: MetricSpace) -> OracleResult:
     tree = mst(space, range(n))
     odd = sorted(_odd_vertices(tree))
     if len(odd) <= MATCHING_EXACT_MAX:
-        pairs, _ = _exact_matching_dp(space, odd) if odd else ([], 0.0)
+        pairs, _ = _exact_matching_dp(space, odd)
         method = "christofides_exact"
     else:
         pairs = odd_matching_by_tree(space, tree, odd)

@@ -187,6 +187,10 @@ class SolveParams:
             raise ValueError("s must be at least 6")
         if self.delta > 1.0 / 12 + REL_TOL:
             raise ValueError("delta must be at most 1/12")
+        for name in ("m_cap", "guesses"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.q is None:
             self.q = 64.0 * (self.s / self.eps) ** 2
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import time
 import warnings
 
@@ -180,6 +181,22 @@ def test_run_rejects_bad_config():
         run({"space": sp, "mode": "solve", "m-cap": 4})
     with pytest.raises(ConfigError):
         run({"space": "not a space", "mode": "solve"})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m_cap", 0), ("m_cap", -3), ("m_cap", 2.5), ("guesses", 0)])
+def test_m_cap_and_guesses_must_be_integers_at_least_one(tmp_path, capsys, key, value):
+    sp = generate_instance("uniform2d", 5, seed=1)
+    message = f"{key} must be an integer >= 1, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run({"space": sp, "mode": "solve", key: value})
+    if isinstance(value, int):
+        inst = tmp_path / "inst.csv"
+        save_points_csv(sp, str(inst))
+        rc = main(["run", "--instance", str(inst), "--format", "points_csv", "--mode", "solve",
+                   "--" + key.replace("_", "-"), str(value)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 def test_run_solve_deterministic_across_repeats():
@@ -399,6 +416,14 @@ def equilateral(n):
     return {"matrix": m.tolist()}
 
 
+def star(n):
+    # point 0 at distance 1 from every other point, which lie 2 apart
+    m = np.full((n, n), 2.0)
+    m[0, :] = m[:, 0] = 1.0
+    np.fill_diagonal(m, 0.0)
+    return {"matrix": m.tolist()}
+
+
 def weights_10_to_13(n):
     # a metric, because no weight is more than twice another
     m = np.triu(np.random.default_rng(0).uniform(10.0, 13.0, size=(n, n)), 1)
@@ -410,8 +435,9 @@ def uniform_200d(n):
 
 
 @pytest.mark.parametrize("make, n", [
-    (equilateral, 19), (equilateral, 60), (weights_10_to_13, 60), (uniform_200d, 60)],
-    ids=["equilateral-19", "equilateral-60", "weights-10-13-60", "uniform-200d-60"])
+    (equilateral, 19), (equilateral, 60), (weights_10_to_13, 60), (uniform_200d, 60),
+    (star, 60)],
+    ids=["equilateral-19", "equilateral-60", "weights-10-13-60", "uniform-200d-60", "star-60"])
 def test_cli_solves_instances_whose_bottom_cluster_holds_most_points(tmp_path, make, n):
     # The level-0 carve puts most or all of the points into one bottom cluster;
     # its points are then one node's children, ordered heuristically above 12.
@@ -422,5 +448,6 @@ def test_cli_solves_instances_whose_bottom_cluster_holds_most_points(tmp_path, m
     assert rc == 0
     solve = json.loads(out.read_text())["results"]["solve"]
     assert sorted(solve["tour"]) == list(range(n))
-    if make is equilateral:
-        assert solve["weight_denormalized"] == n
+    optimum = {equilateral: n, star: 2 * n - 2}
+    if make in optimum:
+        assert solve["weight_denormalized"] == optimum[make]

@@ -34,26 +34,36 @@ def test_auto_portals_nested_in_cap():
     sp = rand_space(4, 80)
     h = build_hierarchy(sp, 6.0)
     members = tuple(range(0, 30))
-    small = auto_portals(sp, h, members, min(2, h.top), 4)
-    big = auto_portals(sp, h, members, min(2, h.top), 12)
-    assert set(small.portals) <= set(big.portals)
-    # every member within the chosen pitch of some portal
-    for m in members:
-        assert min(sp.dist(m, p) for p in small.portals) <= small.pitch * (1 + 1e-9)
+    level = min(2, h.top)
+    sets = [auto_portals(sp, h, members, level, m_cap) for m_cap in (4, 12, 24)]
+    for small, big in zip(sets, sets[1:]):
+        assert set(small.portals) <= set(big.portals)
+    uncapped = 0
+    for m_cap, got in zip((4, 12, 24), sets):
+        j, candidates, ref = set_auto_portals(sp, h, members, level, m_cap)
+        assert got == ref and len(got.portals) <= m_cap
+        if len(candidates) <= m_cap:
+            # every member within the candidate level's radius of some portal
+            uncapped += 1
+            for m in members:
+                assert min(sp.dist(m, p) for p in got.portals) <= h.radius(j) * (1 + 1e-9)
+    assert 0 < uncapped < 3
 
 
 def set_auto_portals(space, h, members, level, m_cap):
     """auto_portals as a per-level pairwise query accumulated into a set,
-    before it read each point's distance to the nearest member off one row."""
+    before it read each point's distance to the nearest member off one row,
+    capped by a scalar farthest-first scan. Returns the candidate level, its
+    candidate set and the PortalSet."""
     members = tuple(sorted(int(p) for p in members))
     marr = np.asarray(members, dtype=np.intp)
     acc = set()
     family = []
     for j in range(max(level, 0), -1, -1):
         net = h.net(j)
-        pitch = h.radius(j)
+        r = h.radius(j)
         d = space.pairwise(net, marr).min(axis=1)
-        for p in net[d <= pitch + REL_TOL * max(1.0, pitch)]:
+        for p in net[d <= r + REL_TOL * max(1.0, r)]:
             acc.add(int(p))
         family.append((j, tuple(sorted(acc))))
     chosen = family[0]
@@ -61,8 +71,12 @@ def set_auto_portals(space, h, members, level, m_cap):
         if len(pts) <= m_cap:
             chosen = (j, pts)
             break
-    j, pts = chosen
-    return PortalSet(level=level, pitch=h.radius(j), portals=pts)
+    j, candidates = chosen
+    keep = list(candidates[:1])
+    while len(keep) < min(m_cap, len(candidates)):
+        # the farthest point from those kept, ties to the lowest index
+        keep.append(max(candidates, key=lambda p: (min(space.dist(p, q) for q in keep), -p)))
+    return j, candidates, PortalSet(level=level, portals=tuple(sorted(keep)))
 
 
 def tree_clusters(tree):
@@ -92,14 +106,46 @@ def tree_of(kind, n, seed, params=None):
     ("uniform2d", 50, None), ("clustered", 60, {"clusters": 4})])
 def test_auto_portals_equal_the_set_accumulation(kind, n, params):
     sp, h, tree = tree_of(kind, n, 0, params)
-    fallbacks = 0
+    capped = 0
     for level, members in tree_clusters(tree):
         for m_cap in (1, 2, 6, 24):
             got = auto_portals(sp, h, members, level, m_cap)
-            assert got == set_auto_portals(sp, h, members, level, m_cap)
+            _, candidates, ref = set_auto_portals(sp, h, members, level, m_cap)
+            assert got == ref and len(got.portals) <= m_cap
             assert all(type(p) is int for p in got.portals)
-            fallbacks += len(got.portals) > m_cap
-    assert fallbacks > 0          # some cluster took the coarsest set over its cap
+            capped += len(candidates) > m_cap
+    assert capped > 0             # some cluster's own-level set was over its cap
+
+
+def star_matrix(n):
+    """Point 0 at distance 1 from every other point, which lie 2 apart."""
+    d = np.full((n, n), 2.0)
+    d[0, :] = d[:, 0] = 1.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@pytest.mark.parametrize("space, config", [
+    (generate_instance("clustered", 160, 0, {"clusters": 4}), {"q": 2.0}),
+    (from_matrix(star_matrix(60)), {})], ids=["clustered-160-q2", "star-60"])
+def test_no_solved_cluster_holds_more_than_m_cap_portals(monkeypatch, space, config):
+    # Both instances have clusters whose own-level candidate set is over the cap.
+    solves = []
+    solve_root = _Engine.solve_root
+
+    def recording(engine, level, members):
+        res = solve_root(engine, level, members)
+        solves.append((engine, res))
+        return res
+
+    monkeypatch.setattr(_Engine, "solve_root", recording)
+    runner.run(dict(config, mode="solve", seed=0, space=space))
+    m_cap = 6
+    assert solves
+    for engine, res in solves:
+        clusters = [ps for (level, _), (ps, _) in engine.nodes.items() if level >= 0]
+        assert max(len(ps.portals) for ps in clusters) <= m_cap
+        assert res.stats["entries"] <= engine.space.n + len(clusters) * m_cap * (m_cap + 1) // 2
 
 
 # --------------------------------------------------------------- solve DP
@@ -594,7 +640,8 @@ def test_heuristic_orders_working_memory_on_a_ten_pair_node(monkeypatch):
 
 def flat_equilateral(n):
     """The one-leaf tree of an equilateral matrix: its root is a bottom cluster
-    whose n points are its children and, over the cap, its portals."""
+    whose n points are its children, and m_cap of them, chosen farthest-first,
+    its portals."""
     d = np.ones((n, n))
     np.fill_diagonal(d, 0.0)
     sp = from_matrix(d)
@@ -602,7 +649,7 @@ def flat_equilateral(n):
 
 
 @pytest.mark.parametrize("solve, k, pairs", [
-    (lambda: guessing_solve(40, 0, 1), 19, 10), (lambda: flat_equilateral(30), 30, 30)],
+    (lambda: guessing_solve(40, 0, 1), 19, 10), (lambda: flat_equilateral(30), 30, 6)],
     ids=["uniform2d-n40", "equilateral-n30"])
 def test_wide_node_pairs_go_to_the_heuristic_in_chunks_of_bounded_rows(monkeypatch, solve,
                                                                         k, pairs):
