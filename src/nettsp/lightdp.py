@@ -1,21 +1,21 @@
 """Portal selection and the crossing-limited dynamic program over cluster trees.
 
 Tour segments may cross a cluster only at its portals, at most m_cap of them.
-Each cluster, keyed by (level, member set), is solved once, in one pass that
-fills its matrix of segment costs over all of its portal pairs, at most
-m_cap(m_cap + 1)/2 cells, so identical clusters arising from different radius
-choices share it. Each portal pair is one segment, so a tour crosses each
-cluster twice: it enters once, visits every member, and leaves.
-A bottom cluster's children are its points, each its own one portal at cost
-0, so every segment is a child order: a subset path on the one kernel of
-:mod:`nettsp.oracles` up to EXACT_PATH_CHILDREN children, a greedy plus 2-opt
-order above.
+Each cluster, keyed by (level, member set), is solved once: its matrix of
+segment costs over all of its portal pairs, at most m_cap(m_cap + 1)/2 cells,
+so identical clusters arising from different radius choices share it. Each
+portal pair is one segment, so a tour crosses each cluster twice: it enters
+once, visits every member, and leaves. The clusters are solved level by
+level from the bottom, all of a level's clusters with k children in one
+batched pass. A bottom cluster's children are its points, each its own one
+portal at cost 0, so every segment is a child order: a subset path on the
+one kernel of :mod:`nettsp.oracles` up to EXACT_PATH_CHILDREN children, a
+greedy plus 2-opt order above.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +27,8 @@ from .oracles import PULL_BLOCK, subset_path_table, subset_path_trace
 from .partition import ClusterTree, distinct_carvings, partition_with_radii, sample_radius
 from .tours import Tour, _collapse, dedupe_visits
 
-# int32 entries of the reversal rows that one _heuristic_orders call stacks:
-# each pair of a k-child node adds k(k - 1)/2 rows of k entries (64 MB).
+# Reversal rows times k that one _heuristic_orders call may stack: each pair
+# of a k-child node adds k(k - 1)/2 rows of k steps.
 HEURISTIC_ROW_ENTRIES = 1 << 24
 
 
@@ -89,17 +89,19 @@ class LightTourResult:
 
 
 class _Engine:
-    """Solver over clusters, one pass per cluster.
+    """Solver over clusters, bottom-up one level at a time.
 
-    A cluster's pass fills its matrix of segment costs over all of its portal
-    pairs (a, b): the cheapest segment that enters at a, visits every member
-    and leaves at b, so the tour crosses the cluster twice. A cluster's pass
-    first solves each child, once per child, then combines every children
-    option over every pair and keeps, per pair, the first cheapest option; a
-    bottom cluster's one option is its points. The pass's node tensors
-    (padded record, hop tensor, path tables) are locals, gone when it
-    returns. The engine keeps one record per cluster, its PortalSet and
-    matrix, plus a trace per finite cell, keyed (level, members, a, b).
+    A cluster's matrix of segment costs over all of its portal pairs (a, b)
+    holds the cheapest segment that enters at a, visits every member and
+    leaves at b, so the tour crosses the cluster twice. One walk from the
+    root asks each cluster for its children options once; a bottom cluster's
+    one option is its points. Then the levels are solved from the lowest up,
+    each in a few batched passes: one per child count k over all of the
+    level's (cluster, option) jobs with k children. Per pair, a cluster keeps
+    the first cheapest of its options. A pass's stacked tensors (padded
+    record, hop tensor, path tables) are locals, gone when it returns. The
+    engine keeps one record per cluster, its PortalSet and matrix, plus a
+    trace per finite cell, keyed (level, members, a, b).
     """
 
     EXACT_PATH_CHILDREN = 12
@@ -129,145 +131,216 @@ class _Engine:
     def pair_costs(self, level, members, diagonal=False):
         """The cluster's PortalSet and its symmetric (m x m) segment-cost matrix.
 
-        Computed by one pass on the first call and kept, so the portals too
-        are chosen once per cluster. A point (level -1) is its own one portal,
-        with a segment of cost 0. A bottom cluster's one children option is
-        its points; ``children_options`` gives the others. Only the pairs
-        a <= b are solved (only a == b when ``diagonal``, as for the root);
-        each counts as one entry, and gets a trace when its cost is finite.
+        The first call solves the cluster and every cluster below it not yet
+        solved, bottom-up; later calls read the kept record, so the portals
+        too are chosen once per cluster. A point (level -1) is its own one
+        portal, with a segment of cost 0. Only the pairs a <= b are solved
+        (only a == b when ``diagonal``, as for the root); each counts as one
+        entry, and gets a trace when its cost is finite.
         """
         key = (level, members)
-        hit = self.nodes.get(key)
-        if hit is not None:
-            return hit
-        if level < 0:
-            self.entries += 1
-            self.nodes[key] = (PortalSet(level=level, portals=members), np.zeros((1, 1)))
-            return self.nodes[key]
-        ps = self.portals(level, members)
-        P = ps.portals
-        m = len(P)
-        cells = [(ai, ai) for ai in range(m)] if diagonal else [
-            (ai, bi) for ai in range(m) for bi in range(ai, m)]
-        mat = np.full((m, m), np.inf)
-        traces = {}
-        options = (self.children_options(level, members) if level > 0
-                   else [tuple((p,) for p in members)])
-        for children in options:
-            infos = [(ch,) + self.pair_costs(level - 1, ch) for ch in children]
-            cost, found = self._combine(P, infos, cells)
-            better = cost < mat                     # strict: the first option keeps ties
-            mat[better] = cost[better]
-            traces.update((cell, trace) for cell, trace in found.items() if better[cell])
-        self.entries += len(cells)
-        for ai, bi in cells:
-            mat[bi, ai] = mat[ai, bi]
-        for (ai, bi), trace in traces.items():
-            self.trace[level, members, P[ai], P[bi]] = trace
-        self.nodes[key] = (ps, mat)
-        return ps, mat
+        if key not in self.nodes:
+            levels = self._options_below(key)
+            for lvl in sorted(levels):
+                self._solve_level(levels[lvl], key if diagonal else None)
+        return self.nodes[key]
+
+    def _options_below(self, root):
+        """Every unsolved cluster from ``root`` down, with its children options,
+        by level. Points are solved on the way, one entry each."""
+        levels = {}
+        todo = [root]
+        while todo:
+            key = todo.pop()
+            level, members = key
+            if key in self.nodes or key in levels.get(level, ()):
+                continue
+            if level < 0:
+                self.entries += 1
+                self.nodes[key] = (PortalSet(level=level, portals=members), np.zeros((1, 1)))
+                continue
+            options = (self.children_options(level, members) if level > 0
+                       else [tuple((p,) for p in members)])
+            levels.setdefault(level, {})[key] = options
+            todo.extend((level - 1, ch) for children in options for ch in children)
+        return levels
+
+    def _solve_level(self, clusters, diagonal_root):
+        """Solve one level's clusters, given as {(level, members): options}.
+
+        Their (cluster, option) jobs go to one batched pass per child count;
+        then each cluster merges its options' matrices in option order, a
+        later option replacing a cell only when strictly cheaper.
+        """
+        records, groups = {}, {}
+        for key, options in clusters.items():
+            ps = self.portals(*key)
+            m = len(ps.portals)
+            cells = ([(ai, ai) for ai in range(m)] if key == diagonal_root else
+                     [(ai, bi) for ai in range(m) for bi in range(ai, m)])
+            records[key] = (ps, cells)
+            for o, children in enumerate(options):
+                infos = [(ch,) + self.nodes[key[0] - 1, ch] for ch in children]
+                groups.setdefault(len(children), []).append(((key, o), ps.portals, cells, infos))
+        solved = {}
+        for jobs in groups.values():
+            solved.update(zip((job for job, _, _, _ in jobs), self._solve_group(jobs)))
+        for key, options in clusters.items():
+            ps, cells = records[key]
+            P = ps.portals
+            mat, traces = solved.pop((key, 0))
+            for o in range(1, len(options)):
+                cost, found = solved.pop((key, o))
+                better = cost < mat                 # strict: the first option keeps ties
+                mat[better] = cost[better]
+                traces.update((cell, trace) for cell, trace in found.items() if better[cell])
+            self.entries += len(cells)
+            mat = np.minimum(mat, mat.T)            # mirrors the cells: inf below them
+            for (ai, bi), trace in traces.items():
+                self.trace[key + (P[ai], P[bi])] = trace
+            self.nodes[key] = (ps, mat)
 
     # ----------------------------------------------------------- combination
 
-    def _combine(self, P, infos, cells):
-        """One children option's segment costs over the parent's portal pairs.
+    def _solve_group(self, jobs):
+        """Segment costs of jobs (job, P, cells, infos) that all have k children.
 
-        ``cells`` are the (a, b) index pairs to solve, grouped by a. Returns
-        the (m x m) cost matrix, inf off the cells, and a trace per finite
-        cell. Each segment threads every child exactly once
-        (two crossings each). Up to EXACT_PATH_CHILDREN children, one subset
-        path table per entry portal A closes every exit B >= A at once, ties to
-        the lowest child, then the lowest exit; the table is dropped before
-        the next A's is built. Beyond that, the child order of every pair
-        comes from one batched greedy plus 2-opt search, with exact portal
-        assignment per order (the tour stays valid; only the table optimality
-        narrows to the explored orders). The pairs are independent, so they go
-        to the search in chunks whose reversal rows stay within
-        HEURISTIC_ROW_ENTRIES.
+        ``cells`` are the (a, b) index pairs of the job's portals P to solve,
+        grouped by a. Returns per job the (m x m) cost matrix, inf off the
+        cells, and a trace per finite cell. Each segment threads every child
+        exactly once (two crossings each). The jobs' children are stacked,
+        padded to the group's widest child: padding adds only inf candidates
+        and real exits stay a prefix, so no sum, min or argmin moves.
+
+        Up to EXACT_PATH_CHILDREN children, one subset path table per (job,
+        entry portal A) sample closes every exit B >= A at once, ties to the
+        lowest child, then the lowest exit. The samples go to the kernel in
+        stacks whose tables together stay within one table of
+        EXACT_PATH_CHILDREN children, and each stack's tables are dropped
+        once its cells are traced. Beyond that, the child order of every
+        pair of every job comes from batched greedy plus 2-opt searches, with
+        exact portal assignment per order (the tour stays valid; only the
+        table optimality narrows to the explored orders). The pairs are
+        independent, so they go to the search in chunks whose reversal rows
+        stay within HEURISTIC_ROW_ENTRIES.
         """
-        k = len(infos)
-        padded = self._padded(infos)
+        k = len(jobs[0][3])
+        padded = self._padded([infos for _, _, _, infos in jobs])
         hop = self._hop_matrices(padded)
-        close = self._close_matrices(P, padded)
-        m = close.shape[2]
-        cost = np.full((len(P), len(P)), np.inf)
-        found = {}
+        close = self._close_matrices([P for _, P, _, _ in jobs], padded)
+        m = close.shape[3]
+        cells = [(j, ai, bi) for j, (_, _, job_cells, _) in enumerate(jobs)
+                 for ai, bi in job_cells]
+        samples = [(j, ai, len(list(group))) for (j, ai), group in
+                   itertools.groupby(cells, key=lambda cell: cell[:2])]
+        A = [jobs[j][1][ai] for j, ai, _ in samples]
+        which = np.array([j for j, _, _ in samples], dtype=np.intp)
+        cell_job = np.array([j for j, _, _ in cells], dtype=np.intp)
+        cell_b = np.array([bi for _, _, bi in cells], dtype=np.intp)
+        traced = []                 # (cells, costs, children, exits), paths first to last
         if k > self.EXACT_PATH_CHILDREN:
-            entries = [self._entry_matrix(A, padded) for A in P]
+            entries = self._entry_matrices(A, which, padded)
+            pair_entry = np.repeat(np.arange(len(samples)), [n for _, _, n in samples])
             chunk = max(1, HEURISTIC_ROW_ENTRIES // (k * (k - 1) // 2 * k))
             orders = []
             for c0 in range(0, len(cells), chunk):
-                part = cells[c0:c0 + chunk]
-                orders += _heuristic_orders(hop, [entries[ai] for ai, _ in part],
-                                            [close[bi] for _, bi in part])
-            for (ai, bi), (order, vecs) in zip(cells, orders):
-                tot = vecs[-1] + close[bi, order[-1]]
-                xi = int(np.argmin(tot))
-                if math.isfinite(tot[xi]):
-                    cost[ai, bi] = tot[xi]
-                    path = [(order[-1], xi)]
-                    for t in range(k - 2, -1, -1):
-                        xi = int(np.argmin(vecs[t] + hop[order[t], order[t + 1], :, xi]))
-                        path.append((order[t], xi))
-                    found[ai, bi] = (infos, path[::-1])
-            return cost, found
-        full = (1 << k) - 1
-        for ai, group in itertools.groupby(cells, key=lambda cell: cell[0]):
-            bs = [bi for _, bi in group]
-            self.ops += k * k * (1 << k) // 8 + 1
-            table = subset_path_table(self._entry_matrix(P[ai], padded), hop)
-            tot = (table[full][None] + close[bs]).reshape(len(bs), k * m)
-            for bi, row, flat in zip(bs, tot, np.argmin(tot, axis=1).tolist()):
-                if math.isfinite(row[flat]):
-                    cost[ai, bi] = row[flat]
-                    path = subset_path_trace(table, hop, *divmod(flat, m))
-                    found[ai, bi] = (infos, path)
-            del table
-        return cost, found
+                c1 = c0 + chunk
+                orders += _heuristic_orders(hop, cell_job[c0:c1], list(entries[pair_entry[c0:c1]]),
+                                            list(close[cell_job[c0:c1], cell_b[c0:c1]]))
+            order = np.array([o for o, _ in orders], dtype=np.intp).reshape(len(cells), k)
+            vecs = np.array([v for _, v in orders]).reshape(len(cells), k, m)
+            tot = vecs[:, -1] + close[cell_job, cell_b, order[:, -1]]
+            exits = np.empty((len(cells), k), dtype=np.intp)
+            exits[:, -1] = np.argmin(tot, axis=1)
+            for t in range(k - 2, -1, -1):          # every pair's exits, last to first
+                exits[:, t] = np.argmin(
+                    vecs[:, t] + hop[cell_job, order[:, t], order[:, t + 1], :, exits[:, t + 1]],
+                    axis=1)
+            traced.append((np.arange(len(cells)), tot[np.arange(len(cells)), exits[:, -1]],
+                           order, exits))
+        else:
+            full = (1 << k) - 1
+            stack = max(1, (self.EXACT_PATH_CHILDREN << self.EXACT_PATH_CHILDREN) // (k << k))
+            first = np.cumsum([0] + [n for _, _, n in samples])   # each sample's first cell
+            for s0 in range(0, len(samples), stack):
+                s1 = min(len(samples), s0 + stack)
+                sample_hop = hop[which[s0:s1]]
+                self.ops += (s1 - s0) * (k * k * (1 << k) // 8 + 1)
+                table = subset_path_table(
+                    self._entry_matrices(A[s0:s1], which[s0:s1], padded), sample_hop)
+                ids = np.arange(first[s0], first[s1])
+                cs = np.repeat(np.arange(s1 - s0), [n for _, _, n in samples[s0:s1]])
+                tot = (table[cs, full] + close[cell_job[ids], cell_b[ids]]).reshape(len(ids), -1)
+                flat = np.argmin(tot, axis=1)
+                val = tot[np.arange(len(ids)), flat]
+                fin = np.isfinite(val)
+                traced.append((ids[fin], val[fin]) + subset_path_trace(
+                    table, sample_hop, cs[fin], *np.divmod(flat[fin], m)))
+                del table
+        width = max(len(P) for _, P, _, _ in jobs)
+        cost = np.full((len(jobs), width, width), np.inf)
+        found = [{} for _ in jobs]
+        for ids, val, children, exits in traced:
+            fin = np.isfinite(val)
+            ids = ids[fin]
+            cost[cell_job[ids], [cells[i][1] for i in ids.tolist()], cell_b[ids]] = val[fin]
+            for i, cis, xis in zip(ids.tolist(), children[fin].tolist(), exits[fin].tolist()):
+                j, ai, bi = cells[i]
+                found[j][ai, bi] = (jobs[j][3], list(zip(cis, xis)))
+        return [(cost[j, :len(P), :len(P)], found[j]) for j, (_, P, _, _) in enumerate(jobs)]
 
     @staticmethod
-    def _padded(infos):
-        """The children's portal indices (k x m), which of them are real, and
-        their pair-cost matrices (k x m x m), padded with inf past each child's
-        own portals."""
-        m = max(len(ps.portals) for _, ps, _ in infos)
-        portals = np.zeros((len(infos), m), dtype=np.intp)
-        valid = np.zeros((len(infos), m), dtype=bool)
-        cost = np.full((len(infos), m, m), np.inf)
-        for ci, (_, ps, mat) in enumerate(infos):
-            c = len(ps.portals)
-            portals[ci, :c] = ps.portals
-            valid[ci, :c] = True
-            cost[ci, :c, :c] = mat
+    def _padded(jobs):
+        """Each job's children's portal indices (jobs x k x m), which of them
+        are real, and their pair-cost matrices (jobs x k x m x m), padded with
+        inf past each child's own portals to the widest child of any job."""
+        m = max(len(ps.portals) for infos in jobs for _, ps, _ in infos)
+        shape = (len(jobs), len(jobs[0]), m)
+        portals = np.zeros(shape, dtype=np.intp)
+        valid = np.zeros(shape, dtype=bool)
+        cost = np.full(shape + (m,), np.inf)
+        for j, infos in enumerate(jobs):
+            for ci, (_, ps, mat) in enumerate(infos):
+                c = len(ps.portals)
+                portals[j, ci, :c] = ps.portals
+                valid[j, ci, :c] = True
+                cost[j, ci, :c, :c] = mat
         return portals, valid, cost
 
     def _hop_matrices(self, padded):
-        """hop[ci, cj, x, y] = leave ci at exit x, enter cj anywhere, exit at y.
+        """hop[j, ci, cj, x, y] = in job j, leave ci at exit x, enter cj anywhere, exit at y.
 
-        One gather of step[ci, cj, x, e] = D[exit x of ci, portal e of cj],
-        then a running min over the entry portals e of step + cost[cj, e, y].
-        Padded exits and entries, and hops from a child to itself, are inf.
+        A running min over the entry portals e of D[exit x of ci, portal e of
+        cj] + cost[j, cj, e, y]. Padded exits and entries, and hops from a
+        child to itself, are inf.
         """
         portals, valid, cost = padded
-        k, m = portals.shape
-        step = self.D[portals[:, None, :, None], portals[None, :, None, :]]
-        hop = np.add(step[..., 0, None], cost[None, :, None, 0], out=np.empty((k, k, m, m)))
-        for e in range(1, m):
-            np.minimum(hop, step[..., e, None] + cost[None, :, None, e], out=hop)
-        hop.transpose(0, 2, 1, 3)[~valid] = np.inf
-        hop[np.arange(k), np.arange(k)] = np.inf
+        n, k, m = portals.shape
+        hop, step = np.empty((n, k, k, m, m)), np.empty((n, k, k, m, m))
+        for e in range(m):
+            np.add(self.D[portals[:, :, None, :], portals[:, None, :, e, None]][..., None],
+                   cost[:, None, :, None, e], out=hop if e == 0 else step)
+            if e:
+                np.minimum(hop, step, out=hop)
+        hop.transpose(0, 1, 3, 2, 4)[~valid] = np.inf
+        hop[:, np.arange(k), np.arange(k)] = np.inf
         return hop
 
-    def _entry_matrix(self, A, padded):
-        """entry[ci, y] = enter child ci from A, exit at portal y (inf past its portals)."""
+    def _entry_matrices(self, A, which, padded):
+        """entry[s, ci, y] = enter child ci of job which[s] from point A[s], exit
+        at portal y (inf past its portals)."""
         portals, _, cost = padded
-        return (self.D[A, portals][:, :, None] + cost).min(axis=1)
+        return (self.D[np.asarray(A, dtype=np.intp)[:, None, None], portals[which]][..., None]
+                + cost[which]).min(axis=2)
 
-    def _close_matrices(self, P, padded):
-        """close[b, ci, x] = D[exit portal x of child ci, P[b]] (inf past its portals)."""
+    def _close_matrices(self, Ps, padded):
+        """close[j, b, ci, x] = D[exit portal x of child ci of job j, Ps[j][b]]
+        (inf past the child's portals; rows b past the job's own are unused)."""
         portals, valid, _ = padded
-        return np.where(valid, self.D[portals, np.asarray(P, dtype=np.intp)[:, None, None]],
-                        np.inf)
+        P = np.zeros((len(Ps), max(map(len, Ps))), dtype=np.intp)
+        for j, Pj in enumerate(Ps):
+            P[j, :len(Pj)] = Pj
+        return np.where(valid[:, None], self.D[portals[:, None], P[:, :, None, None]], np.inf)
 
     def _walk(self, A, infos, path):
         """(child key, reversed) for a path of (child, exit portal index) pairs from A.
@@ -321,76 +394,68 @@ class _Engine:
                                stats={"entries": self.entries, "ops": self.ops})
 
 
-def _heuristic_orders(hop, entries, closes):
-    """Greedy insertion orders improved by deterministic 2-opt, for every
-    (entries[p], closes[p]) pair of one node; returns each pair's order and
-    its forward min-plus vectors (k x m).
+def _heuristic_orders(hop, owner, entries, closes):
+    """Greedy insertion orders improved by deterministic 2-opt, for every pair
+    p of entry matrix entries[p] and close matrix closes[p] through the
+    children of cluster owner[p], whose hops are hop[owner[p]]; returns each
+    pair's order and its forward min-plus vectors (k x m).
 
-    Greedy depends only on the entry matrix, so it runs once per distinct
-    one. It appends the child that is cheapest to reach next, ties to the
-    lowest index, and keeps the order's forward vectors. 2-opt is, per pair,
-    first-improvement in lexicographic (i, j) order, for at most four rounds:
-    reversing order[i..j] is taken as soon as it scores more than 1e-12 below
-    the current order, and the scan goes on at (i, j + 1) against the new
-    order.
+    Greedy (:func:`_greedy_orders`) depends only on the cluster and the
+    entry matrix, so it runs once per distinct pair of them. 2-opt is, per
+    pair, first-improvement in lexicographic (i, j) order, for at most four
+    rounds: reversing order[i..j] is taken as soon as it scores more than
+    1e-12 below the current order, and the scan goes on at (i, j + 1)
+    against the new order.
 
-    The pairs run their passes in lockstep. One pass stacks every remaining
-    reversal of every active pair, merged by i with a stable sort, so the
-    rows live at step t (those with i <= t) are a prefix; row (i, j) joins at
-    step max(i, 1) from its pair's forward vector at i - 1 (from
-    entry[order[j]] when i = 0). Each row rolls one (m,) vector through the k
+    The pairs run their passes in lockstep. A pass first bounds every
+    remaining reversal row (i, j) of every active pair from below by
+    :func:`_reversal_bounds`, and drops each row whose bound times
+    (1 - 1e-9) is not below the pair's score less 1e-12: the bound sums
+    non-negative floats, exact within about k ulps, so such a row cannot
+    improve on the order. The kept rows are merged by i with a stable sort,
+    so the rows live at step t (those with i <= t) are a prefix; row (i, j)
+    joins at step max(i, 1) from its pair's forward vector at i - 1 (from
+    entry[order[j]] when i = 0). A row's child at step t is order[i + j - t]
+    inside the reversed span and order[t] outside it, built for one block of
+    kept rows at a time. Each row rolls one (m,) vector through the k
     min-plus steps, in blocks of at most PULL_BLOCK floats: a step gathers
     the rows' hops as ``[x, row, y]`` from ``hop`` laid out
-    ``[x, (from, to), y]``, adds the rows' vectors and takes the min over the
-    leading exit axis x. Each pair then takes its own first improving row and
-    restarts after it; only the winners' forward vectors are rebuilt, in a
-    second batched pass along their new orders. Every score is the same
+    ``[x, (cluster, from, to), y]``, adds the rows' vectors and takes the
+    min over the leading exit axis x. Each pair then takes its own first
+    improving row and restarts after it; only the winners' forward vectors
+    are rebuilt, in a second batched pass along their new orders. A dropped
+    row is never a pair's first improving row, every score is the same
     prefix vector followed by the same float additions as scoring that
     reversal alone, and min does not round, so the orders equal the
     one-reversal-at-a-time scan's.
     """
-    k, m = entries[0].shape
-    into = np.ascontiguousarray(hop.transpose(2, 0, 1, 3)).reshape(m, k * k, m)
-    rows_per_block = max(1, PULL_BLOCK // (m * m))
+    _, k, _, m, _ = hop.shape
+    owner = np.asarray(owner, dtype=np.int32)
+    into = np.ascontiguousarray(hop.transpose(3, 0, 1, 2, 4)).reshape(m, -1, m)
+    npairs = len(entries)
+    lo, hi = (a.astype(np.int32) for a in np.triu_indices(k, 1))   # every reversal, in order
+    rows_per_block = max(1, min(PULL_BLOCK // (m * m), npairs * len(lo)))
     buf = np.empty(m * m * rows_per_block)
 
-    greedy = {}
-    for entry in entries:
-        key = entry.tobytes()
-        if key in greedy:
-            continue
-        remaining = list(range(k))
-        order, fwd = [], []
-        while remaining:
-            if not fwd:
-                costs = np.min(entry[remaining], axis=1)
-            else:
-                costs = np.min(fwd[-1][:, None] + hop[order[-1], remaining], axis=(1, 2))
-            cj = remaining.pop(int(np.argmin(costs)))
-            fwd.append(entry[cj] if not fwd
-                       else np.min(fwd[-1][:, None] + hop[order[-1], cj], axis=0))
-            order.append(cj)
-        greedy[key] = (order, np.array(fwd))
-
-    npairs = len(entries)
     E, C = np.array(entries), np.array(closes)
-    initial = [greedy[entry.tobytes()] for entry in entries]
-    orders = np.array([order for order, _ in initial], dtype=np.int32)
-    vecs = np.array([fwd for _, fwd in initial])
+    distinct = {}                                   # (cluster, entry) -> its greedy row
+    of_pair = np.array([distinct.setdefault((g, entry.tobytes()), len(distinct))
+                        for g, entry in zip(owner.tolist(), E)])
+    rep = np.unique(of_pair, return_index=True)[1]
+    orders, vecs = _greedy_orders(hop, owner[rep], E[rep])
+    orders, vecs = orders[of_pair], vecs[of_pair]
     base = np.min(vecs[:, -1] + C[np.arange(npairs), orders[:, -1]], axis=1)
 
-    lo, hi = np.triu_indices(k, 1)                  # every reversal, lexicographic
-    t_all = np.arange(k)
-    inside = (lo[:, None] <= t_all) & (t_all <= hi[:, None])
-    perm = np.where(inside, lo[:, None] + hi[:, None] - t_all, t_all).astype(np.int32)
-    start = np.zeros(npairs, dtype=np.int32)
+    mh = hop.min(axis=(3, 4))                       # (cluster, from, to) over both exits
+    least_entry, least_close = E.min(axis=2), C.min(axis=2)
+    t_all = np.arange(k, dtype=np.int32)
+    start = np.zeros(npairs, dtype=np.intp)
     rounds = np.zeros(npairs, dtype=np.int32)
     improved = np.zeros(npairs, dtype=bool)
     active = np.ones(npairs, dtype=bool)
 
-    def advance(cur, seqs, t, n):
-        """cur[:n] one min-plus step from seqs[:, t - 1] to seqs[:, t], blocked."""
-        idx = seqs[:n, t - 1] * k + seqs[:n, t]
+    def advance(cur, idx, n):
+        """cur[:n] one min-plus step along the (cluster, from, to) hops idx[:n], blocked."""
         for b0 in range(0, n, rows_per_block):
             b1 = min(n, b0 + rows_per_block)
             step = buf[:m * m * (b1 - b0)].reshape(m, b1 - b0, m)
@@ -398,34 +463,53 @@ def _heuristic_orders(hop, entries, closes):
             np.add(cur[b0:b1].T[:, :, None], step, out=step)
             np.minimum.reduce(step, axis=0, out=cur[b0:b1])
 
+    def reversed_orders(p, i, j):
+        """orders[p] with [i..j] reversed, per row: order[i + j - t] inside the span."""
+        i, j = i[:, None], j[:, None]
+        return orders[p[:, None], np.where((i <= t_all) & (t_all <= j), i + j - t_all, t_all)]
+
+    def steps(g, seqs):
+        """Row t - 1: each sequence's (cluster, from, to) hop into its step t."""
+        return np.ascontiguousarray(((g[:, None] * k + seqs[:, :-1]) * k + seqs[:, 1:]).T)
+
     while active.any():
         act = np.flatnonzero(active)
-        owner = np.repeat(act, len(lo) - start[act]).astype(np.int32)
-        rev = np.concatenate([np.arange(start[p], len(lo), dtype=np.int32) for p in act])
+        local = np.repeat(np.arange(len(act)), len(lo) - start[act])
+        rev = np.concatenate([np.arange(start[p], len(lo)) for p in act])
+        bound = _reversal_bounds(mh[owner[act]], orders[act], vecs[act], least_entry[act],
+                                 least_close[act], local, lo[rev], hi[rev])
+        kept = ~(bound * (1 - 1e-9) >= base[act[local]] - 1e-12)
+        row_owner, rev = act[local[kept]], rev[kept]
         merged = np.argsort(lo[rev], kind="stable")
-        owner, rev = owner[merged], rev[merged]
-        seqs = orders[owner[:, None], perm[rev]]
-        live = np.searchsorted(lo[rev], t_all, side="right")    # rows with i <= t
-        cur = np.empty((len(rev), m))
-        cur[:live[0]] = E[owner[:live[0]], seqs[:live[0], 0]]
-        for t in range(1, k):
-            cur[live[t - 1]:live[t]] = vecs[owner[live[t - 1]:live[t]], t - 1]
-            advance(cur, seqs, t, live[t])
-        scores = np.min(cur + C[owner, seqs[:, -1]], axis=1)
-        better = np.flatnonzero(scores < base[owner] - 1e-12)
-        won, first = np.unique(owner[better], return_index=True)
+        row_owner, rev = row_owner[merged], rev[merged]
+        i, j = lo[rev], hi[rev]
+        live = np.searchsorted(i, t_all, side="right")       # rows with i <= t
+        scores = np.empty(len(rev))
+        for r0 in range(0, len(rev), rows_per_block):      # one block per step
+            p = row_owner[r0:r0 + rows_per_block]
+            n = np.clip(live - r0, 0, len(p)).tolist()
+            seqs = reversed_orders(p, i[r0:r0 + len(p)], j[r0:r0 + len(p)])
+            hops = steps(owner[p], seqs)
+            cur = vecs[p, np.maximum(i[r0:r0 + len(p)] - 1, 0)]   # joins at step max(i, 1)
+            cur[:n[0]] = E[p[:n[0]], seqs[:n[0], 0]]
+            for t in range(1, k):
+                if n[t]:
+                    advance(cur, hops[t - 1], n[t])
+            scores[r0:r0 + len(p)] = np.min(cur + C[p, seqs[:, -1]], axis=1)
+            del seqs, hops, cur
+        better = np.flatnonzero(scores < base[row_owner] - 1e-12)
+        won, first = np.unique(row_owner[better], return_index=True)
         rows = better[first]
-        orders[won] = seqs[rows]
+        orders[won] = reversed_orders(won, i[rows], j[rows])
         base[won] = scores[rows]
         start[won] = rev[rows] + 1
         improved[won] = True
-        del seqs, cur
         if len(won):                        # the winners' forward vectors, rebuilt
-            won_orders = orders[won]
-            fwd = E[won, won_orders[:, 0]]
+            hops = steps(owner[won], orders[won])
+            fwd = E[won, orders[won, 0]]
             vecs[won, 0] = fwd
             for t in range(1, k):
-                advance(fwd, won_orders, t, len(won))
+                advance(fwd, hops[t - 1], len(won))
                 vecs[won, t] = fwd
         ended = active.copy()
         ended[won] = start[won] >= len(lo)
@@ -435,6 +519,68 @@ def _heuristic_orders(hop, entries, closes):
         start[again] = 0
         improved[again] = False
     return [(order, vecs[p]) for p, order in enumerate(orders.tolist())]
+
+
+def _greedy_orders(hop, owner, entries):
+    """Greedy insertion orders (int32, rows x k) and their forward min-plus
+    vectors (rows x k x m), one row per (cluster owner[r], entry matrix
+    entries[r]), in lockstep.
+
+    Each step appends the child that is cheapest to reach next, ties to the
+    lowest index; when no remaining child is reachable, the lowest remaining
+    one. A child's cost is the min over both exits of the last forward
+    vector plus the hop, the same sums as one order built alone.
+    """
+    rows, k, m = entries.shape
+    r = np.arange(rows)
+    taken = np.zeros((rows, k), dtype=bool)
+    orders = np.empty((rows, k), dtype=np.int32)
+    vecs = np.empty((rows, k, m))
+    costs = entries.min(axis=2)
+    for t in range(k):
+        if t:
+            h = hop[owner, orders[:, t - 1]]                    # (rows, to, x, y)
+            costs = np.min(vecs[:, t - 1, None, :, None] + h, axis=(2, 3))
+            costs[taken] = np.inf
+        c = np.argmin(costs, axis=1)
+        c = np.where(np.isfinite(costs[r, c]), c, np.argmin(taken, axis=1))
+        orders[:, t] = c
+        taken[r, c] = True
+        vecs[:, t] = entries[r, c] if t == 0 else np.min(vecs[:, t - 1, :, None] + h[r, c],
+                                                         axis=1)
+    return orders, vecs
+
+
+def _reversal_bounds(mh, order, vecs, least_entry, least_close, q, i, j):
+    """A lower bound on the score of reversing order[q][i..j], per row (q, i, j).
+
+    Per pair q: mh[q] is the least hop between two children over both exits,
+    order[q] the current child order, vecs[q] its forward vectors, and
+    least_entry[q] and least_close[q] each child's least entry and close
+    cost. The bound is the head, the least entry to order[j] (i = 0) or the
+    least forward vector at i - 1 plus the mh hop to order[j]; then the mh
+    hops along the reversed span; then the tail, the mh hop to order[j + 1]
+    and along the rest of the order plus the least close of order[-1], or the
+    least close of order[i] when j is last. Sums run from each span's start
+    and from the order's end, so no difference of sums is taken.
+    """
+    k = order.shape[1]
+    t = np.arange(k)
+    pairs = np.arange(len(order))[:, None]
+    fwd = mh[pairs, order[:, :-1], order[:, 1:]]           # along the order
+    back = mh[pairs, order[:, 1:], order[:, :-1]]          # along each link reversed
+    rest = np.zeros((len(order), k))                        # rest[t]: fwd[t:] summed
+    rest[:, :-1] = np.cumsum(fwd[:, ::-1], axis=1)[:, ::-1]
+    span = np.where(t[:-1] >= t[:, None], back[:, None, :], 0.0)
+    np.cumsum(span, axis=2, out=span)                      # span[i, u]: back[i..u] summed
+    oi, oj = order[q, i], order[q, j]
+    before = np.maximum(i - 1, 0)
+    head = np.where(i == 0, least_entry[q, oj],
+                    vecs[q, before].min(axis=1) + mh[q, order[q, before], oj])
+    after = np.minimum(j + 1, k - 1)
+    tail = np.where(j < k - 1, mh[q, oi, order[q, after]] + rest[q, after]
+                    + least_close[q, order[q, -1]], least_close[q, oi])
+    return head + span[q, i, j - 1] + tail
 
 
 def make_flat_tree(space: MetricSpace) -> ClusterTree:

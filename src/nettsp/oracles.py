@@ -17,7 +17,7 @@ BRUTE_MAX = 10
 HELD_KARP_MAX = 18
 MATCHING_BRUTE_MAX = 12
 MATCHING_EXACT_MAX = 16
-PULL_BLOCK = 1 << 13     # floats in subset_path_table's candidate buffer
+PULL_BLOCK = 1 << 15     # floats in subset_path_table's candidate buffer
 
 
 @dataclass
@@ -52,59 +52,82 @@ def brute_force_tsp(space: MetricSpace) -> OracleResult:
 
 
 def subset_path_table(entry: np.ndarray, hop: np.ndarray) -> np.ndarray:
-    """Cheapest ordered visits of subsets of k groups, each left by one of m exits.
+    """Cheapest ordered visits of subsets of k groups, each left by one of m
+    exits, for a stack of samples solved in one call.
 
-    ``entry[c, x]`` is the cost of starting at group c and leaving it at exit
-    x; ``hop[c, d, x, y]`` is the cost of going from exit x of c through d to
-    exit y. ``table[mask, c, y]`` is the least cost of visiting exactly the
-    groups in ``mask`` once each, ending at c and leaving by exit y (inf where
-    c is not in ``mask``).
+    ``entry[..., c, x]`` is the cost of starting at group c and leaving it at
+    exit x; ``hop[..., c, d, x, y]`` is the cost of going from exit x of c
+    through d to exit y. The leading axes, the same for both, stack samples,
+    each with its own entry matrix and hop tensor. ``table[..., mask, c, y]``
+    is the least cost of visiting exactly the groups in ``mask`` once each,
+    ending at c and leaving by exit y (inf where c is not in ``mask``).
 
     Pull form: layers run by popcount, so every entry is final before it is
     read. Every group c is in the same number of a layer's masks, so one step
-    takes a block of groups and the same block of each one's masks: it
-    gathers their predecessor rows ``table[mask ^ 1 << c]``, flattened to
-    ``(previous group, exit)``, and adds ``into[c]`` (see :func:`_into`) into
-    one preallocated buffer laid out ``((previous group, exit), c, exit y,
-    row)``; the min over that leading axis is ``table[mask, c, y]``. A block
-    holds as many masks of one group as fit in the buffer, then as many
-    groups as fit beside them, so a small layer is one step. The buffer holds
-    at most ``PULL_BLOCK`` floats (or one row, if larger), so the kernel's
-    working memory beside the table stays small. Every candidate is the same
-    float sum under any layout or blocking and min does not round, so the
-    table depends on neither.
+    takes a block of samples, groups and the same block of each group's masks:
+    it gathers their predecessor rows ``table[mask ^ 1 << c]``, flattened to
+    ``(previous group, exit)``, and adds ``into[c]`` (what reaches c from each
+    of them) into one preallocated buffer laid out ``((previous group, exit),
+    sample, c, exit y, row)``; the min over that leading axis is
+    ``table[mask, c, y]``. A block holds as many masks of one group as fit in
+    the buffer, then as many groups, then as many samples as fit beside them,
+    so a small layer of many samples is one step. The buffer holds at most
+    ``PULL_BLOCK`` floats (or one row, if larger), so the kernel's working
+    memory beside the table stays small.
+
+    A dead exit is a source (group, exit) whose every hop is inf in every
+    sample, such as a padded portal slot: it reaches no cell, so it is left
+    out of the candidate axis (with every exit dead, or one group, the
+    table is its first layer). When no exit is dead, as in Held-Karp, the
+    rows are gathered whole. Every candidate is the same float sum under any
+    layout, blocking or stacking, a dead one adds only inf, and min does not
+    round, so the table depends on none of them.
     """
-    k, m = entry.shape
-    table = np.full((1 << k, k, m), np.inf)
-    table[1 << np.arange(k), np.arange(k)] = entry
-    flat = table.reshape(1 << k, k * m)           # row mask: (group, exit)
-    by_cell = table.reshape((1 << k) * k, m)       # row mask * k + group: exit
-    into = np.ascontiguousarray(_into(hop).reshape(k, k * m, m).transpose(1, 0, 2))[..., None]
-    row = k * m * m
-    buf = np.empty(max(PULL_BLOCK, row))
-    res = np.empty(max(PULL_BLOCK // (k * m), m))
+    k, m = entry.shape[-2:]
+    batch = entry.shape[:-2]
+    entry = entry.reshape(-1, k, m)
+    s_all = len(entry)
+    hop = hop.reshape(s_all, k, k, m, m)
+    table = np.full((s_all, 1 << k, k, m), np.inf)
+    table[:, 1 << np.arange(k), np.arange(k)] = entry
+    live = np.flatnonzero(np.isfinite(hop).any(axis=(0, 2, 4)))   # sources, as (group, exit)
+    whole = len(live) == k * m
+    into = hop.transpose(1, 3, 0, 2, 4).reshape(k * m, s_all, k, m)
+    into = np.ascontiguousarray(into if whole else into[live])[..., None]
+    if k < 2 or not len(live):
+        return table.reshape(batch + table.shape[1:])
+    flat = table.reshape(s_all, 1 << k, k * m)          # row mask: (group, exit)
+    cells_flat = table.reshape(s_all, (1 << k) * k * m)
+    by_cell = table.reshape(s_all, (1 << k) * k, m)     # row mask * k + group: exit
+    row = len(live) * m
+    # no block holds more than the widest layer's candidates
+    size = min(max(PULL_BLOCK, row), row * s_all * k * math.comb(k - 1, (k - 1) // 2))
+    buf = np.empty(size)
+    res = np.empty(size // len(live))
     for cells, src in _layers(k):
         per_group = src.shape[1]
         rows = min(per_group, max(1, PULL_BLOCK // row))
-        groups = max(1, PULL_BLOCK // (row * rows))
-        for c0 in range(0, k, groups):
-            c1 = min(k, c0 + groups)
-            for lo in range(0, per_group, rows):
-                block = src[c0:c1, lo:lo + rows]
-                g, n = block.shape
-                prev = flat.take(block, axis=0).transpose(2, 0, 1)
-                cand = buf[:g * row * n].reshape(k * m, g, m, n)
-                best = res[:g * m * n].reshape(g, m, n)
-                np.add(prev[:, :, None], into[:, c0:c1], out=cand)
-                np.minimum.reduce(cand.reshape(k * m, -1), axis=0, out=best.reshape(-1))
-                by_cell[cells[c0:c1, lo:lo + rows]] = best.transpose(0, 2, 1)
-        del cells, src, block                   # before the next layer's are built
-    return table
-
-
-def _into(hop: np.ndarray) -> np.ndarray:
-    """``hop`` as ``[c, previous group, exit, y]``: what reaches exit y of c."""
-    return hop.transpose(1, 0, 2, 3)
+        groups = min(k, max(1, PULL_BLOCK // (row * rows)))
+        samples = max(1, PULL_BLOCK // (row * rows * groups))
+        for s0 in range(0, s_all, samples):
+            s1 = min(s_all, s0 + samples)
+            for c0 in range(0, k, groups):
+                c1 = min(k, c0 + groups)
+                for lo in range(0, per_group, rows):
+                    block = src[c0:c1, lo:lo + rows]
+                    g, n = block.shape
+                    if whole:
+                        prev = flat[s0:s1].take(block, axis=1)
+                    else:
+                        prev = cells_flat[s0:s1].take(block[..., None] * (k * m) + live, axis=1)
+                    cand = buf[:row * (s1 - s0) * g * n].reshape(len(live), s1 - s0, g, m, n)
+                    best = res[:(s1 - s0) * g * m * n].reshape(s1 - s0, g, m, n)
+                    np.add(prev.transpose(3, 0, 1, 2)[:, :, :, None], into[:, s0:s1, c0:c1],
+                           out=cand)
+                    np.minimum.reduce(cand.reshape(len(live), -1), axis=0, out=best.reshape(-1))
+                    by_cell[s0:s1, cells[c0:c1, lo:lo + rows]] = best.transpose(0, 1, 3, 2)
+        del cells, src, block, prev             # before the next layer's are built
+    return table.reshape(batch + table.shape[1:])
 
 
 def _layers(k: int):
@@ -141,29 +164,36 @@ def _group_targets(layer: np.ndarray, k: int):
     return cells, src
 
 
-def subset_path_step(table: np.ndarray, hop: np.ndarray, mask: int, c: int, y: int):
-    """(group, exit) before group c left by exit y on the cheapest visit of ``mask``.
+def subset_path_step(table: np.ndarray, hop: np.ndarray, sample, mask, c, y):
+    """(groups, exits) before group c left by exit y on the cheapest visit of
+    ``mask``, one of each per (sample, mask, c, y), for a stacked ``table``
+    and ``hop`` (leading sample axis).
 
     The argmin runs over the very sums the forward pass minimized, the
-    flattened predecessor row plus ``into[c, :, :, y]`` in the same
-    ``(previous group, exit)`` order, so it is the forward pass's own choice:
-    the lowest group, then the lowest exit.
+    flattened predecessor row plus what reaches (c, y) from each (previous
+    group, exit), in that order, so it is the forward pass's own choice: the
+    lowest group, then the lowest exit. Dead exits only add inf sums.
     """
-    k, m = table.shape[1:]
-    sums = table[mask ^ (1 << c)].reshape(k * m) + _into(hop)[c, :, :, y].reshape(k * m)
-    return divmod(int(np.argmin(sums)), m)
+    k, m = table.shape[-2:]
+    sums = (table[sample, mask ^ (1 << c)].reshape(-1, k * m)
+            + hop[sample, :, c, :, y].reshape(-1, k * m))
+    return np.divmod(np.argmin(sums, axis=1), m)
 
 
-def subset_path_trace(table: np.ndarray, hop: np.ndarray, c: int, y: int) -> list:
-    """(group, exit) pairs, first to last, of the cheapest visit of all groups ending at (c, y)."""
-    mask = table.shape[0] - 1
-    path = [(c, y)]
-    while mask != 1 << c:
-        prev = subset_path_step(table, hop, mask, c, y)
-        mask ^= 1 << c
-        c, y = prev
-        path.append((c, y))
-    return path[::-1]
+def subset_path_trace(table: np.ndarray, hop: np.ndarray, sample, c, y):
+    """(groups, exits), each (traces x k) and first to last, of the cheapest
+    visit of all k groups ending at (c, y), one trace per (sample, c, y)."""
+    sample, c, y = (np.asarray(a, dtype=np.intp) for a in (sample, c, y))
+    k = table.shape[-2]
+    groups = np.empty((len(c), k), dtype=np.intp)
+    exits = np.empty((len(c), k), dtype=np.intp)
+    groups[:, -1], exits[:, -1] = c, y
+    mask = np.full(len(c), (1 << k) - 1, dtype=np.int64)
+    for t in range(k - 1, 0, -1):
+        groups[:, t - 1], exits[:, t - 1] = subset_path_step(table, hop, sample, mask,
+                                                             groups[:, t], exits[:, t])
+        mask ^= 1 << groups[:, t]
+    return groups, exits
 
 
 def held_karp_tsp(space: MetricSpace) -> OracleResult:
@@ -179,11 +209,12 @@ def held_karp_tsp(space: MetricSpace) -> OracleResult:
     if n == 1:
         return OracleResult(Tour((0,)), 0.0, "held_karp", True)
     d = space.pairwise()
-    hop = d[1:, 1:, None, None]
-    table = subset_path_table(d[0, 1:, None], hop)
-    totals = table[-1, :, 0] + d[1:, 0]
+    hop = d[None, 1:, 1:, None, None]
+    table = subset_path_table(d[None, 0, 1:, None], hop)      # a stack of one
+    totals = table[0, -1, :, 0] + d[1:, 0]
     last = int(np.argmin(totals))
-    seq = (0,) + tuple(c + 1 for c, _ in subset_path_trace(table, hop, last, 0))
+    groups, _ = subset_path_trace(table, hop, [0], [last], [0])
+    seq = (0,) + tuple(c + 1 for c in groups[0].tolist())
     return OracleResult(Tour(seq), float(totals[last]), "held_karp", True)
 
 

@@ -216,7 +216,14 @@ def test_run_solve_deterministic_across_repeats():
     # several children options per cluster
     ("uniform2d", 20, None, {"guesses": 2},
      "5eed531394960723ce3a9840d445d76c44be1e49268e422053f41bd1d83f3a24"),
-], ids=["uniform2d-40", "clustered-160-q2", "uniform2d-20-two-guesses"])
+    # one node of 98 children: the widest heuristic child order
+    ("matrix_random_metric", 100, None, {},
+     "9c55f4f1224d243098a5641d007e2105ee75423b10bfcbb5ed19826f2d7c83ef"),
+    # many wide nodes over several levels
+    ("uniform2d", 160, None, {},
+     "38952c811537d280be93c4c4ef65df25169f4cb2f17d64ea4b3f8d5a49c67c21"),
+], ids=["uniform2d-40", "clustered-160-q2", "uniform2d-20-two-guesses",
+        "matrix_random_metric-100", "uniform2d-160"])
 def test_solve_reports_are_pinned(family, n, params, config, digest):
     from nettsp.metric import normalize
     space = normalize(generate_instance(family, n, 0, params))

@@ -9,13 +9,13 @@ import pytest
 
 from nettsp.io import generate_instance
 from nettsp import lightdp, oracles, runner
-from nettsp.lightdp import (PortalSet, _Engine, _heuristic_orders, auto_portals,
-                            draw_radius_samples, make_flat_tree, solve_light_tour,
-                            solve_with_radius_guessing, tree_from_samples)
+from nettsp.lightdp import (PortalSet, _Engine, _heuristic_orders, _reversal_bounds,
+                            auto_portals, draw_radius_samples, make_flat_tree,
+                            solve_light_tour, solve_with_radius_guessing, tree_from_samples)
 from nettsp.metric import REL_TOL, estimate_doubling, from_matrix, from_points, normalize
 from nettsp.nets import build_hierarchy
-from nettsp.oracles import (PULL_BLOCK, brute_force_tsp, held_karp_tsp, subset_path_step,
-                            subset_path_table, subset_path_trace)
+from nettsp.oracles import (brute_force_tsp, held_karp_tsp, subset_path_step, subset_path_table,
+                            subset_path_trace)
 from nettsp.partition import distinct_carvings, partition_with_radii
 from nettsp.tours import _collapse, edges_weight, mst, tour_weight
 
@@ -271,12 +271,12 @@ def test_heuristic_child_order_adds_no_ops(monkeypatch):
     kernel, heuristic = lightdp.subset_path_table, lightdp._heuristic_orders
 
     def counting_kernel(entry, hop):
-        tables.append(len(entry))
+        tables.extend(entry.shape[-2] for _ in entry)     # one table per stacked sample
         return kernel(entry, hop)
 
-    def counting_heuristic(hop, entries, closes):
+    def counting_heuristic(hop, owner, entries, closes):
         widths.extend(len(entry) for entry in entries)
-        return heuristic(hop, entries, closes)
+        return heuristic(hop, owner, entries, closes)
 
     monkeypatch.setattr(lightdp, "subset_path_table", counting_kernel)
     monkeypatch.setattr(lightdp, "_heuristic_orders", counting_heuristic)
@@ -298,6 +298,18 @@ def random_groups(rng, k, m):
         hop[c, :, exits[c]:, :] = np.inf
         hop[:, c, :, exits[c]:] = np.inf
     return entry, hop
+
+
+def step_of(table, hop, mask, c, y):
+    """subset_path_step on one unstacked table: (group, exit) as ints."""
+    pc, py = subset_path_step(table[None], hop[None], [0], mask, c, y)
+    return int(pc[0]), int(py[0])
+
+
+def trace_of(table, hop, c, y):
+    """subset_path_trace on one unstacked table: its (group, exit) pairs."""
+    groups, exits = subset_path_trace(table[None], hop[None], [0], [c], [y])
+    return list(zip(groups[0].tolist(), exits[0].tolist()))
 
 
 def brute_path_costs(entry, hop):
@@ -332,10 +344,10 @@ def test_subset_path_table_and_step_match_brute_force(seed):
             sums = table[prev] + hop[:, c, :, y]
             # the step is the lowest (group, exit) that attains the table value
             ties = [(int(p), int(x)) for p, x in zip(*np.nonzero(sums == table[mask, c, y]))]
-            assert subset_path_step(table, hop, mask, int(c), int(y)) == min(ties)
+            assert step_of(table, hop, mask, int(c), int(y)) == min(ties)
     full = (1 << k) - 1
     for c, y in zip(*np.nonzero(np.isfinite(table[full]))):
-        path = subset_path_trace(table, hop, int(c), int(y))
+        path = trace_of(table, hop, int(c), int(y))
         assert sorted(g for g, _ in path) == list(range(k))
         assert path[-1] == (c, y)
         cost = entry[path[0]] + sum(hop[a, b, x, z] for (a, x), (b, z) in zip(path, path[1:]))
@@ -368,11 +380,15 @@ def push_subset_path_table(entry, hop):
 
 
 @pytest.mark.parametrize("k, m", [(14, 1), (12, 6), (11, 2)])
-def test_pull_kernel_equals_push_form_across_blocks(k, m):
+def test_pull_kernel_equals_push_form_across_blocks(monkeypatch, k, m):
     rng = np.random.default_rng(100 * k + m)
     entry, hop = random_groups(rng, k, m)
-    # the widest layer's targets of one group span several row blocks
-    assert math.comb(k - 1, (k - 1) // 2) > PULL_BLOCK // (k * m * m)
+    # a block row holds each live source exit's candidates for the m exits of
+    # one target; the widest layer's targets of one group span three blocks
+    live = np.count_nonzero(np.isfinite(hop).any(axis=(1, 3)))
+    widest = math.comb(k - 1, (k - 1) // 2)
+    monkeypatch.setattr(oracles, "PULL_BLOCK", widest // 3 * live * m)
+    assert widest > oracles.PULL_BLOCK // (live * m) > 1
     table = subset_path_table(entry, hop)
     assert np.array_equal(table, push_subset_path_table(entry, hop))
     masks = rng.integers(1, 1 << k, size=300)
@@ -383,7 +399,7 @@ def test_pull_kernel_equals_push_form_across_blocks(k, m):
                 continue
             sums = table[mask ^ (1 << c)] + hop[:, c, :, y]
             ties = [(int(p), int(x)) for p, x in zip(*np.nonzero(sums == table[mask, c, y]))]
-            assert subset_path_step(table, hop, mask, int(c), int(y)) == min(ties)
+            assert step_of(table, hop, mask, int(c), int(y)) == min(ties)
             checked += len(ties) > 1
     assert checked > 0
 
@@ -419,6 +435,64 @@ def test_pull_kernel_working_memory_stays_near_the_table():
     assert after - before <= 1.01 * table_bytes
 
 
+def stacked_groups(rng, k, m):
+    """Three samples of k groups: two hop tensors whose exits are padded
+    (dead source exits), the second only on its odd groups, and three entry
+    matrices, the last sharing the first sample's hop tensor."""
+    exits = rng.integers(1, m, size=k) if m > 1 else np.ones(k, dtype=int)
+    entries, hops = [], []
+    for count in (exits, np.where(np.arange(k) % 2, exits, m), exits):
+        entry = rng.integers(0, 4, size=(k, m)).astype(float)
+        hop = rng.integers(0, 4, size=(k, k, m, m)).astype(float)
+        for c in range(k):
+            entry[c, count[c]:] = np.inf
+            hop[c, :, count[c]:, :] = np.inf
+            hop[:, c, :, count[c]:] = np.inf
+        hop[np.arange(k), np.arange(k)] = np.inf
+        entries.append(entry)
+        hops.append(hop)
+    hops[2] = hops[0]
+    return np.array(entries), np.array(hops)
+
+
+@pytest.mark.parametrize("block", [1, 97, None])
+@pytest.mark.parametrize("k, m", [(1, 2), (4, 3), (7, 3), (9, 2), (6, 1)])
+def test_stacked_kernel_equals_each_samples_own_table(monkeypatch, block, k, m):
+    entries, hops = stacked_groups(np.random.default_rng(10 * k + m), k, m)
+    if m > 1 and k > 1:          # exits dead in one sample only, and in every sample
+        dead = ~np.isfinite(hops).any(axis=(2, 4))
+        assert (dead.any(axis=0) & ~dead.all(axis=0)).any() and dead.all(axis=0).any()
+    alone = [subset_path_table(entry, hop) for entry, hop in zip(entries, hops)]
+    if block is not None:        # 1: one row per block; 97: blocks that end mid-layer
+        monkeypatch.setattr(oracles, "PULL_BLOCK", block)
+    stacked = subset_path_table(entries, hops)
+    assert stacked.shape == (3, 1 << k, k, m)
+    for s in range(3):
+        assert np.array_equal(stacked[s], alone[s])
+    # the stacked traceback equals each sample's own, from every finite last cell
+    s, c, y = np.nonzero(np.isfinite(stacked[:, -1]))
+    groups, exits = subset_path_trace(stacked, hops, s, c, y)
+    for t in range(len(s)):
+        own = trace_of(alone[s[t]], hops[s[t]], int(c[t]), int(y[t]))
+        assert list(zip(groups[t].tolist(), exits[t].tolist())) == own
+
+
+def test_stacked_kernel_working_memory_stays_near_its_tables():
+    k, m = 11, 3
+    entries, hops = stacked_groups(np.random.default_rng(11), k, m)
+    table_bytes = 3 * (1 << k) * k * m * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = subset_path_table(entries, hops)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == table_bytes
+    assert peak - before <= 1.75 * table_bytes
+    assert after - before <= 1.01 * table_bytes
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_traceback_weight_equals_table_cost_on_a_grid(seed):
     *_, grid = small_spaces()
@@ -429,6 +503,15 @@ def test_traceback_weight_equals_table_cost_on_a_grid(seed):
         for m_cap in (2, 6):
             res = solve_light_tour(grid, h, tree, m_cap)
             assert tour_weight(grid, res.raw) == pytest.approx(res.cost)
+
+
+def scalar_score(entry, close, hop, exits, order):
+    """An order's score over unpadded vectors, one min-plus step at a time."""
+    vecs = [entry[order[0], : exits[order[0]]]]
+    for prev, cur in zip(order, order[1:]):
+        vecs.append(np.min(vecs[-1][:, None] + hop[prev, cur][: len(vecs[-1])], axis=0))
+    last = order[-1]
+    return float(np.min(vecs[-1][: exits[last]] + close[last, : exits[last]]))
 
 
 def scalar_heuristic_order(entry, close, hop, exits, log=None):
@@ -442,11 +525,7 @@ def scalar_heuristic_order(entry, close, hop, exits, log=None):
         return entry[c, : exits[c]]
 
     def score(order):
-        vecs = [entry_vec(order[0])]
-        for prev, cur in zip(order, order[1:]):
-            vecs.append(np.min(vecs[-1][:, None] + hop[prev, cur][: len(vecs[-1])], axis=0))
-        last = order[-1]
-        return float(np.min(vecs[-1][: exits[last]] + close[last, : exits[last]]))
+        return scalar_score(entry, close, hop, exits, order)
 
     order = []
     remaining = set(range(k))
@@ -503,7 +582,7 @@ def test_batched_two_opt_matches_one_reversal_at_a_time():
         for c in range(k):
             close[c, exits[c]:] = np.inf
         ref, taken = scalar_heuristic_order(entry, close, hop, exits)
-        (order, _), = _heuristic_orders(hop, [entry], [close])
+        (order, _), = _heuristic_orders(hop[None], [0], [entry], [close])
         assert order == ref
         moves += taken
     assert moves > 0
@@ -545,7 +624,7 @@ def test_prefix_shared_two_opt_matches_scalar_scan_at_workload_widths():
     for entry, hop, close in cases:
         log = []
         ref, _ = scalar_heuristic_order(entry, close, hop, np.isfinite(entry).sum(axis=1), log)
-        (order, _), = _heuristic_orders(hop, [entry], [close])
+        (order, _), = _heuristic_orders(hop[None], [0], [entry], [close])
         assert order == ref
         logs.append(log)
     # one round takes several moves, and some move reverses a prefix (i = 0)
@@ -600,7 +679,7 @@ def test_heuristic_orders_equal_the_scalar_scan_for_every_pair_of_a_node():
         rng = np.random.default_rng(seed)
         m, portals = 2 + seed % 3, 2 + seed % 2
         hop, entries, closes = multi_pair_node(rng, k, m, portals, plane=seed % 2 == 1)
-        got = _heuristic_orders(hop, entries, closes)
+        got = _heuristic_orders(hop[None], [0] * len(entries), entries, closes)
         assert len(got) == len(entries) > len({id(e) for e in entries})   # entries shared
         stops = set()
         for entry, close, (order, vecs) in zip(entries, closes, got):
@@ -615,23 +694,112 @@ def test_heuristic_orders_equal_the_scalar_scan_for_every_pair_of_a_node():
     assert spread > 0 and padded > 0
 
 
+def loop_greedy(hop, entry):
+    """The per-entry greedy loop that the lockstep greedy replaced."""
+    remaining = list(range(len(entry)))
+    order, fwd = [], []
+    while remaining:
+        if not fwd:
+            costs = np.min(entry[remaining], axis=1)
+        else:
+            costs = np.min(fwd[-1][:, None] + hop[order[-1], remaining], axis=(1, 2))
+        cj = remaining.pop(int(np.argmin(costs)))
+        fwd.append(entry[cj] if not fwd
+                   else np.min(fwd[-1][:, None] + hop[order[-1], cj], axis=0))
+        order.append(cj)
+    return order, np.array(fwd)
+
+
+def test_lockstep_greedy_equals_the_per_entry_loop():
+    # integer ties with padded exits, plane clumps, and two children that no
+    # hop reaches, one of them with no finite entry either
+    rng = np.random.default_rng(3)
+    k, m = 14, 3
+    hops, entries, owner = [], [], []
+    for c in range(3):
+        if c == 1:
+            entry, hop, _ = plane_groups(rng, k, m)
+        else:
+            entry, hop = random_groups(rng, k, m)
+        if c == 2:
+            hop[:, 5] = hop[:, 9] = np.inf
+            entry[9] = np.inf
+        hops.append(hop)
+        entries += [entry, rng.permutation(entry)]
+        owner += [c, c]
+    hop = np.array(hops)
+    orders, vecs = lightdp._greedy_orders(hop, np.array(owner), np.array(entries))
+    for g, entry, order, fwd in zip(owner, entries, orders, vecs):
+        ref, ref_fwd = loop_greedy(hop[g], entry)
+        assert order.tolist() == ref and np.array_equal(fwd, ref_fwd)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reversal_bounds_drop_no_row_that_improves(seed):
+    # integer ties with inf-padded exits, the same with two inf hops along
+    # the order, and plane clumps; each bounded at its own 2-opt order
+    rng = np.random.default_rng(seed)
+    k, m = 13 + seed % 6, 2 + seed % 4
+    if seed % 3 == 2:
+        entry, hop, close = plane_groups(rng, k, m)
+    else:
+        entry, hop = random_groups(rng, k, m)
+        close = rng.integers(0, 4, size=(k, m)).astype(float)
+        close[~np.isfinite(entry)] = np.inf
+    (order, vecs), = _heuristic_orders(hop[None], [0], [entry], [close])
+    if seed % 3 == 1:
+        for t in rng.choice(k - 1, size=2, replace=False):
+            hop[order[t], order[t + 1]] = np.inf
+        vecs = chain_forward(entry, hop, order)
+    exits = np.isfinite(entry).sum(axis=1)
+    base = scalar_score(entry, close, hop, exits, order)
+    lo, hi = np.triu_indices(k, 1)
+    bound = _reversal_bounds(hop.min(axis=(2, 3))[None], np.array([order]), vecs[None],
+                             entry.min(axis=1)[None], close.min(axis=1)[None],
+                             np.zeros(len(lo), dtype=int), lo, hi)
+    dropped = bound * (1 - 1e-9) >= base - 1e-12
+    for i, j, low, drop in zip(lo, hi, bound, dropped):
+        score = scalar_score(entry, close, hop, exits, order[:i] + order[i:j + 1][::-1]
+                             + order[j + 1:])
+        assert low * (1 - 1e-9) <= score
+        assert not (drop and score < base - 1e-12)
+    assert dropped.any()
+
+
+def test_heuristic_orders_of_several_clusters_in_one_call_equal_each_clusters_own():
+    rng = np.random.default_rng(5)
+    nodes = [multi_pair_node(rng, 15, 3, 2 + c % 2, plane=c % 2 == 1) for c in range(3)]
+    # cluster 1 also gets cluster 0's first entry matrix: greedy is per cluster
+    nodes[1][1].append(nodes[0][1][0])
+    nodes[1][2].append(nodes[1][2][0])
+    owner = [c for c, (_, entries, _) in enumerate(nodes) for _ in entries]
+    together = _heuristic_orders(np.array([hop for hop, _, _ in nodes]), owner,
+                                 [e for _, entries, _ in nodes for e in entries],
+                                 [c for _, _, closes in nodes for c in closes])
+    alone = [got for hop, entries, closes in nodes
+             for got in _heuristic_orders(hop[None], [0] * len(entries), entries, closes)]
+    assert len(together) == len(alone) == len(owner)
+    for (order, vecs), (ref, ref_vecs) in zip(together, alone):
+        assert order == ref and np.array_equal(vecs, ref_vecs)
+
+
 def test_heuristic_orders_working_memory_on_a_ten_pair_node(monkeypatch):
     # uniform2d n = 60 seed 0 orders one node of 24 children with 6 portals
     # for the 10 portal pairs of its parent
     captured = []
 
-    def capturing(hop, entries, closes):
-        captured.append((hop, entries, closes))
-        return _heuristic_orders(hop, entries, closes)
+    def capturing(hop, owner, entries, closes):
+        captured.append((hop, owner, entries, closes))
+        return _heuristic_orders(hop, owner, entries, closes)
 
     monkeypatch.setattr(lightdp, "_heuristic_orders", capturing)
     runner.run(dict(mode="solve", seed=0, space=normalize(generate_instance("uniform2d", 60, 0))))
-    (hop, entries, closes), = captured
+    (hop, owner, entries, closes), = captured
     assert len(entries) == 10 and entries[0].shape == (24, 6)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _heuristic_orders(hop, entries, closes)
+        _heuristic_orders(hop, owner, entries, closes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -656,9 +824,9 @@ def test_wide_node_pairs_go_to_the_heuristic_in_chunks_of_bounded_rows(monkeypat
     calls = []
     heuristic = lightdp._heuristic_orders
 
-    def recording(hop, entries, closes):
-        calls.append((len(hop), len(entries)))
-        return heuristic(hop, entries, closes)
+    def recording(hop, owner, entries, closes):
+        calls.append((hop.shape[1], len(entries)))
+        return heuristic(hop, owner, entries, closes)
 
     monkeypatch.setattr(lightdp, "_heuristic_orders", recording)
     whole = solve()
@@ -702,7 +870,7 @@ def reference_pair(D, infos, A, B):
         tot = table[-1] + close
         ci, xi = np.unravel_index(np.argmin(tot), tot.shape)
         cost = float(tot[ci, xi])
-        path = subset_path_trace(table, hop, int(ci), int(xi))
+        path = trace_of(table, hop, int(ci), int(xi))
     return (cost, path) if math.isfinite(cost) else (math.inf, None)
 
 
@@ -762,9 +930,9 @@ def test_node_pair_matrices_and_traces_equal_the_per_pair_reference(monkeypatch,
 def test_heuristic_child_order_traceback_on_uniform40(monkeypatch):
     widths = []
 
-    def counted(hop, entries, closes):
+    def counted(hop, owner, entries, closes):
         widths.extend(len(entry) for entry in entries)
-        return _heuristic_orders(hop, entries, closes)
+        return _heuristic_orders(hop, owner, entries, closes)
 
     monkeypatch.setattr(lightdp, "_heuristic_orders", counted)
     sp = normalize(generate_instance("uniform2d", 40, seed=0))
@@ -951,26 +1119,28 @@ def test_engine_asks_for_each_clusters_options_once():
 
 
 def record_table_builds(monkeypatch):
-    """Patch the engine to log, for every children option it combines, its
-    level and children, its parent's portal count and the number of path tables the
-    kernel builds for it; a weak reference to every table the kernel builds;
-    and the engines that solve."""
-    calls, combines, engines = [], [], []
+    """Patch the engine to log, for every batched pass, its jobs as (cluster
+    and option, level and children, the cluster's portal count) and the
+    number of path tables the kernel builds in it; for every kernel call, a
+    weak reference to its stack of tables and the stack's child count and
+    depth; and the engines that solve."""
+    calls, passes, engines = [], [], []
     kernel = lightdp.subset_path_table
-    combine = _Engine._combine
+    solve_group = _Engine._solve_group
     solve_root = _Engine.solve_root
 
     def counting_kernel(entry, hop):
         table = kernel(entry, hop)
-        calls.append(weakref.ref(table))
+        calls.append((weakref.ref(table), entry.shape[-2], len(entry)))
         return table
 
-    def recording(self, P, infos, cells):
+    def recording(self, jobs):
         before = len(calls)
-        out = combine(self, P, infos, cells)
-        level = infos[0][1].level + 1
-        combines.append(((level, tuple(ch for ch, _, _ in infos)), len(P),
-                         len(calls) - before))
+        out = solve_group(self, jobs)
+        level = jobs[0][3][0][1].level + 1
+        passes.append(([(job, (level, tuple(ch for ch, _, _ in infos)), len(P))
+                        for job, P, _, infos in jobs],
+                       sum(n for _, _, n in calls[before:])))
         return out
 
     def keeping(self, level, members):
@@ -978,9 +1148,9 @@ def record_table_builds(monkeypatch):
         return solve_root(self, level, members)
 
     monkeypatch.setattr(lightdp, "subset_path_table", counting_kernel)
-    monkeypatch.setattr(_Engine, "_combine", recording)
+    monkeypatch.setattr(_Engine, "_solve_group", recording)
     monkeypatch.setattr(_Engine, "solve_root", keeping)
-    return calls, combines, engines
+    return calls, passes, engines
 
 
 @pytest.mark.parametrize("solve, tables, ops, entries", [
@@ -993,20 +1163,29 @@ def test_each_path_table_is_built_once_and_dropped_when_dead(monkeypatch, solve,
                                                               ops, entries):
     # tables, ops and entries include the bottom clusters' passes over their
     # points, and entries the points' own (n of them).
-    calls, combines, engines = record_table_builds(monkeypatch)
+    calls, passes, engines = record_table_builds(monkeypatch)
     solve()
-    built = sum(n for _, _, n in combines)
+    built = sum(n for _, n in passes)
     assert built == tables
-    assert len(calls) == built
-    # each option is combined once, with one table per entry portal when exact
-    assert len({children for children, _, _ in combines}) == len(combines)
-    for (_, children), portals, n in combines:
-        assert n == (portals if len(children) <= _Engine.EXACT_PATH_CHILDREN else 0)
+    assert sum(n for _, _, n in calls) == built
+    # each option is solved once, with one table per entry portal when exact
+    jobs = [job for group, _ in passes for job in group]
+    assert len({job for job, _, _ in jobs}) == len({children for _, children, _ in jobs})
+    assert len({job for job, _, _ in jobs}) == len(jobs)
+    for group, n in passes:
+        assert n == sum(portals for _, (_, children), portals in group
+                        if len(children) <= _Engine.EXACT_PATH_CHILDREN)
+    # one pass per level and child count, and some pass stacks several jobs
+    keys = [(level, len(children)) for group, _ in passes for _, (level, children), _ in group[:1]]
+    assert len(set(keys)) == len(keys) and max(len(group) for group, _ in passes) > 1
+    # a kernel call's stack of tables stays within one table of the widest exact node
+    top = _Engine.EXACT_PATH_CHILDREN
+    assert all(depth * k << k <= top << top for _, k, depth in calls)
     (engine, root_level), = engines
     assert engine.ops == ops
     assert engine.entries == entries
     # every table, the root's included, was dropped once its pass was done
-    assert all(ref() is None for ref in calls)
+    assert all(ref() is None for ref, _, _ in calls)
 
 
 def subset_dp_optimum(d):
@@ -1075,26 +1254,44 @@ def loop_close_matrix(D, B, infos, m):
     ("uniform2d", 50, 3, None), ("clustered", 60, 1, {"clusters": 4}),
     ("uniform2d", 40, 0, None)])
 def test_gathered_node_matrices_equal_the_per_child_loops(kind, n, seed, params):
+    # each (level, child count) group of the tree's clusters, stacked as one
+    # batched pass stacks it, against each cluster's own per-child loops
     sp, h, tree = tree_of(kind, n, seed, params)
     engine = _Engine(sp, h, 6, tree.options)
     engine.solve_root(tree.level, tree.members)
-    mixed = 0
+    groups = {}
     for level, members in tree.children:
         (children,) = engine.children_options(level, members)
         infos = [(ch,) + engine.nodes[level - 1, ch] for ch in children]
-        padded = engine._padded(infos)
-        counts = {len(ps.portals) for _, ps, _ in infos}
-        mixed += len(counts) > 1
-        m = max(counts)
-        assert np.array_equal(engine._hop_matrices(padded), loop_hop_matrices(engine.D, infos))
-        P = engine.portals(level, members).portals
-        close = engine._close_matrices(P, padded)
-        assert close.shape == (len(P), len(infos), m)
-        for b, p in enumerate(P):
-            assert np.array_equal(engine._entry_matrix(p, padded),
-                                  loop_entry_matrix(engine.D, p, infos, m))
-            assert np.array_equal(close[b], loop_close_matrix(engine.D, p, infos, m))
-    assert mixed > 0              # children with different portal counts were padded
+        groups.setdefault((level, len(children)), []).append((members, infos))
+    mixed = stacked = 0
+    for (level, k), group in groups.items():
+        padded = engine._padded([infos for _, infos in group])
+        hop = engine._hop_matrices(padded)
+        Ps = [engine.portals(level, members).portals for members, _ in group]
+        close = engine._close_matrices(Ps, padded)
+        m = padded[0].shape[2]
+        assert hop.shape == (len(group), k, k, m, m)
+        assert close.shape == (len(group), max(map(len, Ps)), k, m)
+        stacked += len(group) > 1
+        for j, ((members, infos), P) in enumerate(zip(group, Ps)):
+            counts = {len(ps.portals) for _, ps, _ in infos}
+            mixed += len(counts) > 1 or max(counts) < m
+            assert np.array_equal(hop[j], pad_to(loop_hop_matrices(engine.D, infos), m))
+            entries = engine._entry_matrices(P, [j] * len(P), padded)
+            for b, p in enumerate(P):
+                assert np.array_equal(entries[b], loop_entry_matrix(engine.D, p, infos, m))
+                assert np.array_equal(close[j, b], loop_close_matrix(engine.D, p, infos, m))
+    assert mixed > 0              # children with fewer portals than the stack were padded
+    assert stacked > 0
+
+
+def pad_to(hop, m):
+    """A per-node hop tensor padded with inf to m exits per child."""
+    k, _, c, _ = hop.shape
+    out = np.full((k, k, m, m), np.inf)
+    out[:, :, :c, :c] = hop
+    return out
 
 
 @pytest.mark.parametrize("solve", [
@@ -1104,10 +1301,10 @@ def test_gathered_node_matrices_equal_the_per_child_loops(kind, n, seed, params)
 ], ids=["uniform2d-n20-two-guesses", "uniform2d-n50-seed3-run"])
 def test_no_node_tensor_outlives_its_pass(monkeypatch, solve):
     # weak references to every padded record, hop tensor, close tensor and
-    # path table; when a cluster's pass returns, those made in it are gone
+    # path table; when a batched pass returns, those made in it are gone
     made, passes, kinds = [], [], Counter()
     originals = {name: getattr(_Engine, name)
-                 for name in ("_padded", "_hop_matrices", "_close_matrices", "pair_costs")}
+                 for name in ("_padded", "_hop_matrices", "_close_matrices", "_solve_group")}
     kernel = lightdp.subset_path_table
 
     def watching(name):
@@ -1125,19 +1322,17 @@ def test_no_node_tensor_outlives_its_pass(monkeypatch, solve):
         kinds["table"] += 1
         return table
 
-    def checked_pass(self, level, members, diagonal=False):
-        fresh = (level, members) not in self.nodes
+    def checked_pass(self, jobs):
         before = len(made)
-        out = originals["pair_costs"](self, level, members, diagonal)
-        if fresh:
-            passes.append(level)
-            assert all(ref() is None for ref in made[before:])
+        out = originals["_solve_group"](self, jobs)
+        passes.append(jobs[0][3][0][1].level + 1)
+        assert all(ref() is None for ref in made[before:])
         return out
 
     for name in ("_padded", "_hop_matrices", "_close_matrices"):
         monkeypatch.setattr(_Engine, name, staticmethod(watching(name)) if name == "_padded"
                             else watching(name))
-    monkeypatch.setattr(_Engine, "pair_costs", checked_pass)
+    monkeypatch.setattr(_Engine, "_solve_group", checked_pass)
     monkeypatch.setattr(lightdp, "subset_path_table", counting_kernel)
     solve()
     assert kinds["_padded"] == 3 * kinds["_hop_matrices"] == 3 * kinds["_close_matrices"] > 0
