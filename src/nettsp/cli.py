@@ -12,12 +12,13 @@ from .runner import MODES, SOLVER_KEYS, render_report, run
 
 
 def _add_solver_args(p):
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--s", type=float, default=6.0)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--delta", type=float, default=1.0 / 12)
-    p.add_argument("--m-cap", dest="m_cap", type=int, default=6)
-    p.add_argument("--guesses", type=int, default=1)
+    """Solver flags; one left out is not passed on, so SolveParams' default holds."""
+    p.add_argument("--eps", type=float)
+    p.add_argument("--s", type=float)
+    p.add_argument("--q", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--m-cap", dest="m_cap", type=int)
+    p.add_argument("--guesses", type=int)
     p.add_argument("--seed", type=int, default=0)
 
 

@@ -1,11 +1,12 @@
 """Random-radius ball carving and the cluster-tree types.
 
 Cluster centers are the net points of one level, processed in ascending index
-order. Each center draws a radius from a truncated exponential on
+order. Each center draws its radii from a truncated exponential on
 [scale, 2*scale] whose density decays by a factor controlled by the dimension
-parameter; every still-unassigned point inside the ball joins that center's
-cluster. :func:`nettsp.lightdp.tree_from_samples` stacks the carvings into a
-:class:`ClusterTree`, the map from each cluster to its children.
+parameter; a level's radii are one array, a row per center in net order and a
+column per guess. Every still-unassigned point inside a center's ball joins
+its cluster. :func:`nettsp.lightdp.tree_from_samples` stacks the carvings into
+a :class:`ClusterTree`, the map from each cluster to its children options.
 """
 
 from __future__ import annotations
@@ -52,14 +53,6 @@ class RadiusDistribution:
         return np.clip(r, self.a, 2 * self.a)
 
 
-def sample_radius(a: float, ddim: float, rng) -> float:
-    """Inverse-CDF draw from the truncated exponential on [a, 2a]."""
-    if a <= 0 or ddim < 1:
-        raise ValueError("need a > 0 and ddim >= 1")
-    dist = RadiusDistribution(a=a, ddim=ddim)
-    return float(dist.ppf(rng.random()))
-
-
 @dataclass
 class SingleScalePartition:
     level: int
@@ -67,16 +60,16 @@ class SingleScalePartition:
 
 
 def partition_with_radii(space: MetricSpace, subset, h: NetHierarchy, level: int,
-                         radii: dict) -> SingleScalePartition:
-    """Carve ``subset`` by the level's centers with fixed radii.
+                         radii) -> SingleScalePartition:
+    """Carve ``subset`` by the level's centers with fixed radii, one per
+    center of ``h.net(level)`` in its order.
 
     One (centers x subset) cover matrix marks each center's ball; a point
     joins the first center in carving order whose ball covers it.
     """
     subset = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
     centers = np.asarray(h.net(level))
-    r = np.array([radii[int(c)] for c in centers])
-    cover = within(space.pairwise(centers, subset), r[:, None])
+    cover = within(space.pairwise(centers, subset), np.asarray(radii, dtype=float)[:, None])
     covered = cover.any(axis=0)
     if not covered.all():
         raise AssertionError(f"points {subset[~covered].tolist()} not covered at level {level}")
@@ -87,9 +80,10 @@ def partition_with_radii(space: MetricSpace, subset, h: NetHierarchy, level: int
 
 
 def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
-                      radius_choices: dict) -> list:
-    """Distinct carvings of ``subset`` over each center's candidate radii, in
-    first-occurrence itertools.product order, deduplicated while enumerated.
+                      radius_choices) -> list:
+    """Distinct carvings of ``subset`` over each center's candidate radii (a
+    row per center of ``h.net(level)``, in its order), in first-occurrence
+    itertools.product order, deduplicated while enumerated.
 
     Centers are walked depth first in carving order, each claiming the still
     unassigned points inside its ball; a radius whose ball claims the same
@@ -100,8 +94,8 @@ def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
     runs out of centers with points unclaimed raises AssertionError.
     """
     subset = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
-    centers = [int(c) for c in h.net(level)]
-    r = np.array([radius_choices[c] for c in centers])
+    centers = h.net(level)
+    r = np.asarray(radius_choices, dtype=float)
     # balls[c, t, p]: center c's ball at its t-th radius holds point p
     balls = within(space.pairwise(centers, subset)[:, None, :], r[:, :, None])
     reach = [balls[i] for i in np.flatnonzero(balls.any(axis=(1, 2)))]
@@ -130,27 +124,29 @@ def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
 
 @dataclass
 class ClusterTree:
-    """A cluster tree as the lookup the portal DP reads.
+    """A cluster tree, with its radius choices, as the lookup the portal DP reads.
 
     The root is the cluster (level, members). ``children`` maps each cluster
-    above level 0, keyed (level, members), to its children's member tuples,
-    sorted: the order :func:`distinct_carvings` lists a carving in, so ties
-    break alike. A level-0 cluster's children are its points.
+    above level 0 that some choice reaches from the root, keyed (level,
+    members), to its list of children options: one per distinct carving of
+    its members one level down, each the sorted tuple of the children's
+    member tuples, as :func:`distinct_carvings` lists them, so ties break
+    alike. With one radius per center every cluster has one option. A
+    level-0 cluster's children are its points.
     """
 
     level: int
     members: tuple
     children: dict = field(default_factory=dict)
 
-    def options(self, level, members) -> list:
-        """The cluster's one children option."""
-        return [self.children[level, members]]
-
     def node_count(self) -> int:
-        return 1 + sum(len(kids) for kids in self.children.values())
+        """Distinct clusters: the root and every child of every option."""
+        return 1 + len({(level, ch) for (level, _), options in self.children.items()
+                        for kids in options for ch in kids})
 
     def max_branching(self) -> int:
-        return max((len(kids) for kids in self.children.values()), default=0)
+        return max((len(kids) for options in self.children.values() for kids in options),
+                   default=0)
 
 
 def estimate_cut_probability(space: MetricSpace, h: NetHierarchy, u: int, v: int,

@@ -181,22 +181,34 @@ class SolveParams:
     ddim: float = None             # filled from a doubling estimate when absent
 
     def __post_init__(self):
+        # Each test is written so that NaN fails it.
         if not 0 < self.eps <= 0.05 + REL_TOL:
-            raise ValueError("eps must lie in (0, 1/20]")
-        if self.s < 6:
-            raise ValueError("s must be at least 6")
-        if self.delta > 1.0 / 12 + REL_TOL:
-            raise ValueError("delta must be at most 1/12")
+            raise ValueError(f"eps must lie in (0, 1/20], got {self.eps!r}")
+        if not 6 <= self.s < math.inf:
+            raise ValueError(f"s must be finite and at least 6, got {self.s!r}")
+        if not 0 < self.delta <= 1.0 / 12 + REL_TOL:
+            raise ValueError(f"delta must lie in (0, 1/12], got {self.delta!r}")
         for name in ("m_cap", "guesses"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.q is None:
-            self.q = 64.0 * (self.s / self.eps) ** 2
+            try:
+                self.q = 64.0 * (self.s / self.eps) ** 2
+            except OverflowError:
+                self.q = math.inf
+            if self.q == math.inf:
+                raise ValueError(f"the default q = 64 (s/eps)^2 overflows at s = {self.s!r}, "
+                                 f"eps = {self.eps!r}; pass q explicitly")
+        if not self.q > 0:
+            raise ValueError(f"q must be positive (inf never splits), got {self.q!r}")
 
     def theoretical_note(self, n: int, ddim: float) -> dict:
         log_n = math.log(max(n, 2))
-        m_theory = (8 * math.log(max(n, 2), self.s) * self.s * ddim / self.eps) ** ddim
+        try:
+            m_theory = (8 * math.log(max(n, 2), self.s) * self.s * ddim / self.eps) ** ddim
+        except OverflowError:
+            m_theory = math.inf
         return {
             "scale_from_size": max(6.0, log_n ** (1.0 / (32 * ddim))),
             "m_theory": m_theory,

@@ -199,6 +199,39 @@ def test_m_cap_and_guesses_must_be_integers_at_least_one(tmp_path, capsys, key, 
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"q": -1.0}, "q must be positive"), ({"q": 0.0}, "q must be positive"),
+    ({"q": math.nan}, "q must be positive"), ({"q": math.inf}, None),
+    ({"s": math.nan}, "s must be finite and at least 6"),
+    ({"s": 1e155}, "the default q = 64 (s/eps)^2 overflows"),
+    ({"s": 1e152}, "the default q = 64 (s/eps)^2 overflows"),
+    ({"eps": 1e-150}, None), ({"eps": 1e-150, "q": 5.0}, None),
+    ({"delta": math.nan}, "delta must lie in (0, 1/12]"),
+    ({"delta": -1.0}, "delta must lie in (0, 1/12]")],
+    ids=["q-1", "q0", "q-nan", "q-inf", "s-nan", "s1e155", "s1e152", "eps1e-150",
+         "eps1e-150-q5", "delta-nan", "delta-1"])
+def test_out_of_domain_solver_parameters_end_in_a_config_error_or_a_valid_tour(
+        tmp_path, capsys, params, message):
+    # inf q never splits; a theory value too large for a float reads inf. The
+    # default q overflows in the power at s = 1e155 and in the product at 1e152.
+    sp = generate_instance("uniform2d", 30, seed=0)
+    inst, out = tmp_path / "inst.csv", tmp_path / "report.json"
+    save_points_csv(sp, str(inst))
+    rc = main(["run", "--instance", str(inst), "--format", "points_csv", "--mode", "solve",
+               "--out", str(out)] + [f"--{key}={value!r}" for key, value in params.items()])
+    if message is not None:
+        with pytest.raises(ConfigError, match="^" + re.escape("bad solver parameters: " + message)):
+            run(dict(params, space=sp, mode="solve"))
+        assert rc == 2
+        assert f"error: bad solver parameters: {message}" in capsys.readouterr().err
+        return
+    assert rc == 0
+    for report in (run(dict(params, space=sp, mode="solve")), json.loads(out.read_text())):
+        assert sorted(report["results"]["solve"]["tour"]) == list(range(30))
+        assert report["results"]["solve"]["ratio_to_lower_bound"] >= 1
+    assert "eps" not in params or report["theory"]["m_theory"] == "inf"
+
+
 def test_run_solve_deterministic_across_repeats():
     sp = generate_instance("uniform2d", 12, seed=5)
     r1 = strip_timing(render_report(run({"space": sp, "mode": "solve", "seed": 42})))
@@ -222,8 +255,15 @@ def test_run_solve_deterministic_across_repeats():
     # many wide nodes over several levels
     ("uniform2d", 160, None, {},
      "38952c811537d280be93c4c4ef65df25169f4cb2f17d64ea4b3f8d5a49c67c21"),
+    # three guesses: 3 of the 34 clusters above level 0 have several children options
+    ("uniform2d", 30, None, {"guesses": 3},
+     "9c7c525311cd14d251f99954723b62cfbc454a80e1d329f804928a7baa04a1a2"),
+    # two guesses on a matrix: 3 of its 4 clusters above level 0 have several options
+    ("matrix_random_metric", 40, None, {"guesses": 2},
+     "07cba26565b17bcd68298bb4daee2c441cd2ec1f900c0027702a20aa2445a404"),
 ], ids=["uniform2d-40", "clustered-160-q2", "uniform2d-20-two-guesses",
-        "matrix_random_metric-100", "uniform2d-160"])
+        "matrix_random_metric-100", "uniform2d-160", "uniform2d-30-three-guesses",
+        "matrix_random_metric-40-two-guesses"])
 def test_solve_reports_are_pinned(family, n, params, config, digest):
     from nettsp.metric import normalize
     space = normalize(generate_instance(family, n, 0, params))

@@ -16,7 +16,7 @@ from nettsp.metric import REL_TOL, estimate_doubling, from_matrix, from_points, 
 from nettsp.nets import build_hierarchy
 from nettsp.oracles import (brute_force_tsp, held_karp_tsp, subset_path_step, subset_path_table,
                             subset_path_trace)
-from nettsp.partition import distinct_carvings, partition_with_radii
+from nettsp.partition import ClusterTree, distinct_carvings, partition_with_radii
 from nettsp.tours import _collapse, edges_weight, mst, tour_weight
 
 
@@ -80,10 +80,11 @@ def set_auto_portals(space, h, members, level, m_cap):
 
 
 def tree_clusters(tree):
-    """Every cluster of ``tree`` as (level, members): the root, then each
-    cluster above level 0's children."""
+    """Every cluster of ``tree`` as (level, members): the root, then the
+    children of each option of each cluster above level 0."""
     return [(tree.level, tree.members)] + [
-        (level - 1, ch) for (level, _), kids in tree.children.items() for ch in kids]
+        (level - 1, ch) for (level, _), options in tree.children.items()
+        for kids in options for ch in kids]
 
 
 def carved_children(part):
@@ -133,8 +134,8 @@ def test_no_solved_cluster_holds_more_than_m_cap_portals(monkeypatch, space, con
     solves = []
     solve_root = _Engine.solve_root
 
-    def recording(engine, level, members):
-        res = solve_root(engine, level, members)
+    def recording(engine):
+        res = solve_root(engine)
         solves.append((engine, res))
         return res
 
@@ -238,14 +239,18 @@ def test_leaf_equals_the_best_order_by_permutation_search(seed):
         best = min(sum(D[u, v] for u, v in zip((a,) + order, order + (b,)))
                    for order in itertools.permutations(rest))
         # a bottom cluster whose portals are the case's ends, solved as a node of
-        # singleton children; children_options is never asked at level 0
-        engine = _Engine(sp, h, 6, None, portal_chooser=lambda members, level: (a, b))
-        ps, mat = engine.pair_costs(0, members)
+        # singleton children at every pair of its portals: the one child of a
+        # root one level up, with the same portals, which solves only a == b
+        tree = ClusterTree(level=1, members=members, children={(1, members): [(members,)]})
+        engine = _Engine(sp, h, 6, tree, portal_chooser=lambda members, level: (a, b))
+        engine.solve_root()
+        ps, mat = engine.nodes[0, members]
         ai, bi = ps.portals.index(a), ps.portals.index(b)
         cost = mat[ai, bi]
         assert cost == best
         key = (0, members, ps.portals[min(ai, bi)], ps.portals[max(ai, bi)])
-        assert engine.entries == len(members) + len(ps.portals) * (len(ps.portals) + 1) // 2
+        m = len(ps.portals)
+        assert engine.entries == len(members) + m * (m + 1) // 2 + m
         seg = _collapse(engine.expand(key))
         if a != ps.portals[min(ai, bi)]:
             seg = seg[::-1]
@@ -253,7 +258,8 @@ def test_leaf_equals_the_best_order_by_permutation_search(seed):
         assert sorted(seg[1:-1]) == sorted(rest)
         assert sum(D[u, v] for u, v in zip(seg, seg[1:])) == cost
         k = len(members)
-        assert engine.ops == len(ps.portals) * (k * k * (1 << k) // 8 + 1)
+        # the root's one-child table per portal adds 1 · 1 · 2^1 / 8 + 1 = 1 each
+        assert engine.ops == m * (k * k * (1 << k) // 8 + 1) + m
 
 
 def guessing_solve(n, seed, guesses):
@@ -882,9 +888,9 @@ def test_node_pair_matrices_and_traces_equal_the_per_pair_reference(monkeypatch,
     engines = []
     solve_root = _Engine.solve_root
 
-    def keeping(self, level, members):
-        engines.append((self, level, members))
-        return solve_root(self, level, members)
+    def keeping(self):
+        engines.append((self, self.tree.level, self.tree.members))
+        return solve_root(self)
 
     monkeypatch.setattr(_Engine, "solve_root", keeping)
     sp = normalize(generate_instance(kind, n, 0, params))
@@ -899,7 +905,7 @@ def test_node_pair_matrices_and_traces_equal_the_per_pair_reference(monkeypatch,
             continue
         P = ps.portals
         root = (level, members) == (root_level, root_members)
-        options = (engine.children_options(level, members) if level > 0
+        options = (engine.tree.children[level, members] if level > 0
                    else [tuple((p,) for p in members)])
         several += len(options) > 1
         leaves += level == 0
@@ -975,7 +981,8 @@ def test_guessing_more_options_never_hurt(seed):
     sp = rand_space(seed + 90, n)
     h = build_hierarchy(sp, 6.0)
     samples3 = draw_radius_samples(h, 3, 2.5, np.random.default_rng(seed + 77))
-    base = solve_light_tour(sp, h, tree_from_samples(sp, h, samples3), 6)
+    first = [radii[:, :1] for radii in samples3]         # each center's first radius
+    base = solve_light_tour(sp, h, tree_from_samples(sp, h, first), 6)
     res3 = solve_with_radius_guessing(sp, h, 3, 6, 2.5,
                                       np.random.default_rng(seed + 77))
     assert res3.cost <= base.cost + 1e-9
@@ -987,15 +994,13 @@ def test_guessing_more_options_never_hurt(seed):
 def product_carvings(space, members, h, level, choices):
     """Reference enumeration: carve every radius combination of the centers
     within reach of ``members``, in product order, and drop repeats."""
-    centers = [int(c) for c in h.net(level)]
     a = h.radius(level)
-    dmin = space.pairwise(centers, np.asarray(members, dtype=np.intp)).min(axis=1)
-    relevant = [c for c, dm in zip(centers, dmin) if dm <= 2 * a + REL_TOL * max(1.0, 2 * a)]
-    guesses = len(choices[centers[0]])
+    dmin = space.pairwise(h.net(level), np.asarray(members, dtype=np.intp)).min(axis=1)
+    relevant = np.flatnonzero(dmin <= 2 * a + REL_TOL * max(1.0, 2 * a))
     seen, outs = set(), []
-    for combo in itertools.product(range(guesses), repeat=len(relevant)):
-        radii = {c: choices[c][0] for c in centers}
-        radii.update({c: choices[c][t] for c, t in zip(relevant, combo)})
+    for combo in itertools.product(range(choices.shape[1]), repeat=len(relevant)):
+        radii = choices[:, 0].copy()
+        radii[relevant] = choices[relevant, np.asarray(combo, dtype=np.intp)]
         children = carved_children(partition_with_radii(space, members, h, level, radii))
         if children not in seen:
             seen.add(children)
@@ -1028,10 +1033,10 @@ def test_distinct_carvings_match_product_enumeration(guesses):
 def carved_tree(space, h, samples):
     """Reference builder: carve each cluster's members afresh with the next
     level's centers at their first radius, cluster by cluster from the top.
-    Returns the root's level and members and the (level, members) -> children
+    Returns the root's level and members and the (level, members) -> [children]
     map of every cluster above level 0."""
     def radii_at(level):
-        return {c: vals[0] for c, vals in samples[level].items()}
+        return samples[level][:, 0]
 
     top = partition_with_radii(space, range(space.n), h, h.top, radii_at(h.top))
     (members,) = carved_children(top)
@@ -1040,8 +1045,8 @@ def carved_tree(space, h, samples):
     def subdivide(level, members):
         if level > 0:
             part = partition_with_radii(space, members, h, level - 1, radii_at(level - 1))
-            children[level, members] = carved_children(part)
-            for child in children[level, members]:
+            children[level, members] = [carved_children(part)]
+            for child in carved_children(part):
                 subdivide(level - 1, child)
 
     subdivide(h.top, members)
@@ -1061,10 +1066,10 @@ def test_owner_map_tree_equals_the_node_by_node_carve(kind):
             level, members, children = carved_tree(sp, h, samples)
             # the same clusters, each with the same children in the same order
             assert (tree.level, tree.members, tree.children) == (level, members, children)
-            for (level, members), kids in tree.children.items():
+            for (level, members), options in tree.children.items():
                 lvl = level - 1
-                assert distinct_carvings(sp, members, h, lvl, samples[lvl]) == [kids]
-                wide += len(kids) > 1
+                assert distinct_carvings(sp, members, h, lvl, samples[lvl]) == options
+                wide += len(options[0]) > 1
     assert wide > 0
 
 
@@ -1074,9 +1079,9 @@ def test_one_guess_carves_each_level_once_and_lists_children_as_distinct_carving
     engines, carved = [], []
     solve_root = _Engine.solve_root
 
-    def keeping(self, level, members):
+    def keeping(self):
         engines.append(self)
-        return solve_root(self, level, members)
+        return solve_root(self)
 
     def counting(space, subset, h, level, radii):
         carved.append(level)
@@ -1088,14 +1093,36 @@ def test_one_guess_carves_each_level_once_and_lists_children_as_distinct_carving
     h = build_hierarchy(sp, 6.0)
     ddim = estimate_doubling(sp, seed=0).ddim_upper
     solve_with_radius_guessing(sp, h, 1, 6, ddim, np.random.default_rng(0))
-    assert sorted(carved) == list(range(h.top + 1))
+    # each level below the top, whose one cluster is the root, carved once
+    assert sorted(carved) == list(range(h.top))
     samples = draw_radius_samples(h, 1, ddim, np.random.default_rng(0))
     (engine,) = engines
     internal = [key for key in engine.nodes if key[0] > 0]
     assert len(internal) > 1
     for level, members in internal:
-        assert engine.children_options(level, members) == distinct_carvings(
+        assert engine.tree.children[level, members] == distinct_carvings(
             sp, members, h, level - 1, samples[level - 1])
+
+
+@pytest.mark.parametrize("guesses", [2, 3])
+def test_several_guesses_map_each_reachable_cluster_to_its_distinct_carvings(guesses):
+    several = 0
+    for kind, n, seed in (("uniform2d", 30, 0), ("uniform2d", 20, 1), ("clustered", 40, 2)):
+        sp = normalize(generate_instance(kind, n, seed))
+        h = build_hierarchy(sp, 6.0)
+        samples = draw_radius_samples(h, guesses, 2.5, np.random.default_rng(seed))
+        tree = tree_from_samples(sp, h, samples)
+        # the clusters above level 0 reachable from the root, walked afresh
+        want, todo = {}, [(tree.level, tree.members)]
+        while todo:
+            level, members = todo.pop()
+            if level > 0 and (level, members) not in want:
+                lvl = level - 1
+                want[level, members] = distinct_carvings(sp, members, h, lvl, samples[lvl])
+                todo.extend((lvl, ch) for kids in want[level, members] for ch in kids)
+        assert tree.children == want
+        several += sum(len(options) > 1 for options in want.values())
+    assert several > 0
 
 
 def test_engine_asks_for_each_clusters_options_once():
@@ -1104,13 +1131,15 @@ def test_engine_asks_for_each_clusters_options_once():
     tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 2.5, np.random.default_rng(7)))
     calls = Counter()
 
-    def counting(level, members):
-        calls[(level, members)] += 1
-        return tree.options(level, members)
+    class Counting(dict):
+        def __getitem__(self, key):
+            calls[key] += 1
+            return super().__getitem__(key)
 
-    engine = _Engine(sp, h, 6, counting)
-    engine.solve_root(tree.level, tree.members)
     internal = set(tree.children)
+    tree.children = Counting(tree.children)
+    engine = _Engine(sp, h, 6, tree)
+    engine.solve_root()
     assert set(calls) == internal
     assert set(calls.values()) == {1}
     # several portal configurations per cluster share one options call
@@ -1143,9 +1172,9 @@ def record_table_builds(monkeypatch):
                        sum(n for _, _, n in calls[before:])))
         return out
 
-    def keeping(self, level, members):
-        engines.append((self, level))
-        return solve_root(self, level, members)
+    def keeping(self):
+        engines.append((self, self.tree.level))
+        return solve_root(self)
 
     monkeypatch.setattr(lightdp, "subset_path_table", counting_kernel)
     monkeypatch.setattr(_Engine, "_solve_group", recording)
@@ -1257,11 +1286,10 @@ def test_gathered_node_matrices_equal_the_per_child_loops(kind, n, seed, params)
     # each (level, child count) group of the tree's clusters, stacked as one
     # batched pass stacks it, against each cluster's own per-child loops
     sp, h, tree = tree_of(kind, n, seed, params)
-    engine = _Engine(sp, h, 6, tree.options)
-    engine.solve_root(tree.level, tree.members)
+    engine = _Engine(sp, h, 6, tree)
+    engine.solve_root()
     groups = {}
-    for level, members in tree.children:
-        (children,) = engine.children_options(level, members)
+    for (level, members), (children,) in tree.children.items():
         infos = [(ch,) + engine.nodes[level - 1, ch] for ch in children]
         groups.setdefault((level, len(children)), []).append((members, infos))
     mixed = stacked = 0

@@ -9,7 +9,7 @@ from nettsp.lightdp import draw_radius_samples, tree_from_samples
 from nettsp.metric import REL_TOL, from_points, normalize, within
 from nettsp.nets import build_hierarchy
 from nettsp.partition import (RadiusDistribution, distinct_carvings, estimate_cut_probability,
-                              partition_with_radii, sample_radius)
+                              partition_with_radii)
 
 
 def rand_space(seed, n):
@@ -32,10 +32,30 @@ def test_pdf_strictly_decreasing():
 
 
 def test_samples_in_support():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        r = sample_radius(2.5, 2.0, rng)
-        assert 2.5 <= r <= 5.0
+    sp = rand_space(0, 60)
+    h = build_hierarchy(sp, 6.0)
+    samples = draw_radius_samples(h, 4, 2.0, np.random.default_rng(0))
+    assert sum(radii.size for radii in samples) >= 200
+    for level, radii in enumerate(samples):
+        assert radii.shape == (len(h.net(level)), 4)
+        assert np.all((h.radius(level) <= radii) & (radii <= 2 * h.radius(level)))
+
+
+@pytest.mark.parametrize("guesses", [1, 2, 3])
+def test_radius_draws_fill_each_level_center_by_center(guesses):
+    # one array per level, equal bit for bit to one scalar draw per
+    # (level, center, guess) in that order
+    sp = rand_space(13, 80)
+    h = build_hierarchy(sp, 6.0)
+    samples = draw_radius_samples(h, guesses, 2.5, np.random.default_rng(guesses))
+    rng = np.random.default_rng(guesses)
+    assert len(samples) == h.top + 1 >= 3
+    for level, radii in enumerate(samples):
+        dist = RadiusDistribution(a=h.radius(level), ddim=2.5)
+        assert radii.tolist() == [[float(dist.ppf(rng.random())) for _ in range(guesses)]
+                                  for _ in h.net(level)]
+    with pytest.raises(ValueError, match="ddim >= 1"):
+        draw_radius_samples(h, guesses, 0.99, rng)
 
 
 def test_empirical_cdf_close_to_analytic():
@@ -58,11 +78,11 @@ def test_median_below_midpoint():
 # -------------------------------------------------------------- partition
 
 def drawn_carving(space, subset, h, level, seed):
-    """Carve ``subset`` with each level center's first radius drawn from
-    ``seed``; returns the carving and the radii it was carved with."""
-    samples = draw_radius_samples(h, 1, 2.0, np.random.default_rng(seed))
-    radii = {c: vals[0] for c, vals in samples[level].items()}
-    return partition_with_radii(space, subset, h, level, radii), radii
+    """Carve ``subset`` with each level center's radius drawn from ``seed``;
+    returns the carving and the radii it was carved with, by center."""
+    radii = draw_radius_samples(h, 1, 2.0, np.random.default_rng(seed))[level][:, 0]
+    part = partition_with_radii(space, subset, h, level, radii)
+    return part, dict(zip(h.net(level).tolist(), radii.tolist()))
 
 
 def clusters_of(part):
@@ -101,7 +121,7 @@ def test_partition_deterministic_given_seed():
     assert p1.assign_center == p2.assign_center
     assert r1 == r2
     # and re-simulating from captured radii reproduces the assignment
-    p3 = partition_with_radii(sp, range(sp.n), h, lvl, dict(r1))
+    p3 = partition_with_radii(sp, range(sp.n), h, lvl, [r1[c] for c in h.net(lvl).tolist()])
     assert p3.assign_center == p1.assign_center
 
 
@@ -155,17 +175,17 @@ def test_cover_matrix_carving_matches_the_carving_loop(seed):
                 r = d[np.arange(len(centers)), pick] / stretch
                 radii = dict(zip(centers.tolist(), r.tolist()))
                 # one radius each: distinct_carvings walks the carving loop once
-                choices = {c: [radius] for c, radius in radii.items()}
+                choices = r[:, None]
                 try:
                     want = carving_loop(sp, subset, h, level, radii)
                 except AssertionError as err:
                     with pytest.raises(AssertionError, match=f"^{re.escape(str(err))}$"):
-                        partition_with_radii(sp, subset, h, level, radii)
+                        partition_with_radii(sp, subset, h, level, r)
                     with pytest.raises(AssertionError, match=f"^{re.escape(str(err))}$"):
                         distinct_carvings(sp, subset, h, level, choices)
                     seen["uncovered"] += 1
                     continue
-                part = partition_with_radii(sp, subset, h, level, radii)
+                part = partition_with_radii(sp, subset, h, level, r)
                 # same assignment, inserted in the same (carving) order
                 assert list(part.assign_center.items()) == list(want.items())
                 assert distinct_carvings(sp, subset, h, level, choices) == [carved_children(part)]
@@ -177,10 +197,11 @@ def test_cover_matrix_carving_matches_the_carving_loop(seed):
 # ------------------------------------------------------------- clustering
 
 def tree_clusters(tree):
-    """Every cluster of ``tree`` as (level, members): the root, then each
-    cluster above level 0's children."""
+    """Every cluster of ``tree`` as (level, members): the root, then the
+    children of each option of each cluster above level 0."""
     return [(tree.level, tree.members)] + [
-        (level - 1, ch) for (level, _), kids in tree.children.items() for ch in kids]
+        (level - 1, ch) for (level, _), options in tree.children.items()
+        for kids in options for ch in kids]
 
 
 def test_two_point_hierarchy_outcomes():
@@ -208,13 +229,14 @@ def test_tree_every_point_once_per_level():
             assert sorted(by_level[level]) == list(range(sp.n))
     for level, members in tree_clusters(tree):
         # the cluster lies in one center's drawn ball, of radius at most 2 s^level
-        radii = {c: vals[0] for c, vals in samples[level].items()}
+        radii = samples[level][:, 0]
         (center,) = set(partition_with_radii(sp, members, h, level, radii).assign_center.values())
-        assert radii[center] <= 2 * 6.0 ** level * (1 + 1e-9)
-        assert all(sp.dist(center, p) <= radii[center] * (1 + 1e-9) for p in members)
+        r = radii[h.net(level).tolist().index(center)]
+        assert r <= 2 * 6.0 ** level * (1 + 1e-9)
+        assert all(sp.dist(center, p) <= r * (1 + 1e-9) for p in members)
         if level > 0:
-            child_pts = sorted(p for ch in tree.children[level, members] for p in ch)
-            assert child_pts == sorted(members)
+            (kids,) = tree.children[level, members]
+            assert sorted(p for ch in kids for p in ch) == sorted(members)
 
 
 # ---------------------------------------------------------- cut frequency
@@ -254,8 +276,7 @@ def test_cut_probability_matches_partition_semantics():
     dist = RadiusDistribution(a=h.radius(lvl), ddim=2.0)
     centers = h.net(lvl)
     cut = 0
-    for radii_vals in dist.ppf(np.random.default_rng(5).random((64, len(centers)))):
-        radii = {int(c): float(r) for c, r in zip(centers, radii_vals)}
+    for radii in dist.ppf(np.random.default_rng(5).random((64, len(centers)))):
         part = partition_with_radii(sp, range(sp.n), h, lvl, radii)
         cut += part.assign_center[u] != part.assign_center[v]
     assert fast == pytest.approx(cut / 64)
@@ -272,7 +293,7 @@ def test_cut_estimate_rims_follow_within(seed):
     sp = from_points([(0.0, 0.0), (d, 0.0)])
     h = build_hierarchy(sp, 6.0)
     assert sp.dist(0, 1) == d <= r + 2 * REL_TOL and not within(d, r)
-    carve = partition_with_radii(sp, [0, 1], h, 0, {0: r, 1: float(radii[0, 1])})
+    carve = partition_with_radii(sp, [0, 1], h, 0, radii[0])
     assert carve.assign_center == {0: 0, 1: 1}
     assert estimate_cut_probability(sp, h, 0, 1, 0, 1, 1.0, np.random.default_rng(seed)) == 1.0
 
