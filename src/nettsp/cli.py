@@ -7,7 +7,7 @@ import json
 import sys
 
 from .errors import NetTspError
-from .io import FORMATS, generate_instance, load_instance, save_points_csv
+from .io import FORMATS, KINDS, generate_instance, load_instance, save_points_csv
 from .runner import MODES, SOLVER_KEYS, render_report, run
 
 
@@ -34,8 +34,7 @@ def build_parser():
     p_run.add_argument("--out", default=None)
 
     p_gen = sub.add_parser("gen", help="generate an instance as CSV points")
-    p_gen.add_argument("--kind", required=True,
-                       choices=("uniform2d", "clustered", "line", "matrix_random_metric"))
+    p_gen.add_argument("--kind", required=True, choices=KINDS)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)

@@ -16,10 +16,11 @@ import math
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 from .metric import MetricSpace, from_matrix, from_points, validate_metric
 
 FORMATS = ("tsplib_euc2d", "tsplib_matrix", "points_csv", "points_json")
+KINDS = ("uniform2d", "clustered", "line", "matrix_random_metric")
 
 
 def _parse_tsplib(text: str):
@@ -168,10 +169,14 @@ def generate_instance(kind: str, n: int, seed: int = 0, params: dict = None) -> 
 
     kinds: uniform2d (unit square), clustered (tight blobs around spread
     centers, the dense-split fixture), line (unit spacing), and
-    matrix_random_metric (random weights closed under shortest paths).
+    matrix_random_metric (random weights closed under shortest paths). An
+    unknown kind, n < 1 or a negative seed raises ConfigError.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if kind not in KINDS:
+        raise ConfigError(f"unknown generator kind {kind!r}; known kinds: {', '.join(KINDS)}")
+    for name, value, least in (("n", n, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     params = params or {}
     rng = np.random.default_rng(seed)
     if kind == "uniform2d":
@@ -189,13 +194,12 @@ def generate_instance(kind: str, n: int, seed: int = 0, params: dict = None) -> 
             c = centers[i % n_clusters]
             pts.append(c + rng.normal(scale=spread, size=2))
         return from_points(np.asarray(pts))
-    if kind == "matrix_random_metric":
-        raw = rng.uniform(1.0, 10.0, size=(n, n))
-        raw = (raw + raw.T) / 2.0
-        np.fill_diagonal(raw, 0.0)
-        # Shortest-path closure makes the triangle inequality hold exactly.
-        d = raw.copy()
-        for k in range(n):
-            d = np.minimum(d, d[:, k][:, None] + d[k][None, :])
-        return from_matrix(d)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    # matrix_random_metric
+    raw = rng.uniform(1.0, 10.0, size=(n, n))
+    raw = (raw + raw.T) / 2.0
+    np.fill_diagonal(raw, 0.0)
+    # Shortest-path closure makes the triangle inequality hold exactly.
+    d = raw.copy()
+    for k in range(n):
+        d = np.minimum(d, d[:, k][:, None] + d[k][None, :])
+    return from_matrix(d)

@@ -6,11 +6,11 @@ segment costs over all of its portal pairs, at most m_cap(m_cap + 1)/2 cells,
 so identical clusters arising from different radius choices share it. Each
 portal pair is one segment, so a tour crosses each cluster twice: it enters
 once, visits every member, and leaves. The clusters are solved level by
-level from the bottom, all of a level's clusters with k children in one
-batched pass. A bottom cluster's children are its points, each its own one
-portal at cost 0, so every segment is a child order: a subset path on the
-one kernel of :mod:`nettsp.oracles` up to EXACT_PATH_CHILDREN children, a
-greedy plus 2-opt order above.
+level from the bottom, as the cluster tree lists them, all of a level's
+clusters with k children in one batched pass. A bottom cluster's children
+are its points, each its own one portal at cost 0, so every segment is a
+child order: a subset path on the one kernel of :mod:`nettsp.oracles` up to
+EXACT_PATH_CHILDREN children, a greedy plus 2-opt order above.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ from .oracles import PULL_BLOCK, subset_path_table, subset_path_trace
 from .partition import (ClusterTree, RadiusDistribution, distinct_carvings,
                         partition_with_radii)
 from .tours import Tour, _collapse, dedupe_visits
-
-# Reversal rows times k that one _heuristic_orders call may stack: each pair
-# of a k-child node adds k(k - 1)/2 rows of k steps.
-HEURISTIC_ROW_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -94,15 +90,14 @@ class _Engine:
 
     A cluster's matrix of segment costs over all of its portal pairs (a, b)
     holds the cheapest segment that enters at a, visits every member and
-    leaves at b, so the tour crosses the cluster twice. One walk from the
-    root reads each cluster's children options off ``tree.children`` once; a
-    bottom cluster's one option is its points. Then the levels are solved
-    from the lowest up, each in a few batched passes: one per child count k
-    over all of the level's (cluster, option) jobs with k children. Per pair,
-    a cluster keeps the first cheapest of its options. A pass's stacked
-    tensors (padded record, hop tensor, path tables) are locals, gone when it
-    returns. The engine keeps one record per cluster, its PortalSet and
-    matrix, plus a trace per finite cell, keyed (level, members, a, b).
+    leaves at b, so the tour crosses the cluster twice. The tree's levels are
+    the plan: each is solved in turn from the lowest up, in a few batched
+    passes, one per child count k over all of the level's (cluster, option)
+    jobs with k children. Per pair, a cluster keeps the first cheapest of its
+    options. A pass's stacked tensors (padded record, hop tensor, path
+    tables) are locals, gone when it returns. The engine keeps one record per
+    cluster, its PortalSet and matrix, plus a trace per finite cell, keyed
+    (level, members, a, b).
     """
 
     EXACT_PATH_CHILDREN = 12
@@ -129,29 +124,8 @@ class _Engine:
 
     # ------------------------------------------------------------------ table
 
-    def _options_below(self, root):
-        """Every cluster from ``root`` down, with its children options, by
-        level. Points are solved on the way, one entry each: a point (level
-        -1) is its own one portal, with a segment of cost 0."""
-        levels = {}
-        todo = [root]
-        while todo:
-            key = todo.pop()
-            level, members = key
-            if key in self.nodes or key in levels.get(level, ()):
-                continue
-            if level < 0:
-                self.entries += 1
-                self.nodes[key] = (PortalSet(level=level, portals=members), np.zeros((1, 1)))
-                continue
-            options = (self.tree.children[key] if level > 0
-                       else [tuple((p,) for p in members)])
-            levels.setdefault(level, {})[key] = options
-            todo.extend((level - 1, ch) for children in options for ch in children)
-        return levels
-
-    def _solve_level(self, clusters, root):
-        """Solve one level's clusters, given as {(level, members): options}.
+    def _solve_level(self, level, clusters, root):
+        """Solve one level's clusters, given as {members: options}.
 
         Each cluster's portals are chosen once. Only the pairs a <= b are
         solved, and only a == b for the ``root``; each counts as one entry,
@@ -161,23 +135,23 @@ class _Engine:
         only when strictly cheaper.
         """
         records, groups = {}, {}
-        for key, options in clusters.items():
-            ps = self.portals(*key)
+        for members, options in clusters.items():
+            key = (level, members)
+            ps = self.portals(level, members)
             m = len(ps.portals)
             cells = ([(ai, ai) for ai in range(m)] if key == root else
                      [(ai, bi) for ai in range(m) for bi in range(ai, m)])
-            records[key] = (ps, cells)
+            records[key] = (ps, cells, len(options))
             for o, children in enumerate(options):
-                infos = [(ch,) + self.nodes[key[0] - 1, ch] for ch in children]
+                infos = [(ch,) + self.nodes[level - 1, ch] for ch in children]
                 groups.setdefault(len(children), []).append(((key, o), ps.portals, cells, infos))
         solved = {}
         for jobs in groups.values():
             solved.update(zip((job for job, _, _, _ in jobs), self._solve_group(jobs)))
-        for key, options in clusters.items():
-            ps, cells = records[key]
+        for key, (ps, cells, n_options) in records.items():
             P = ps.portals
             mat, traces = solved.pop((key, 0))
-            for o in range(1, len(options)):
+            for o in range(1, n_options):
                 cost, found = solved.pop((key, o))
                 better = cost < mat                 # strict: the first option keeps ties
                 mat[better] = cost[better]
@@ -208,9 +182,8 @@ class _Engine:
         once its cells are traced. Beyond that, the child order of every
         pair of every job comes from batched greedy plus 2-opt searches, with
         exact portal assignment per order (the tour stays valid; only the
-        table optimality narrows to the explored orders). The pairs are
-        independent, so they go to the search in chunks whose reversal rows
-        stay within HEURISTIC_ROW_ENTRIES.
+        table optimality narrows to the explored orders). The whole pass goes
+        to the search in one call, each pair with its entry and close matrices.
         """
         k = len(jobs[0][3])
         padded = self._padded([infos for _, _, _, infos in jobs])
@@ -227,16 +200,10 @@ class _Engine:
         cell_b = np.array([bi for _, _, bi in cells], dtype=np.intp)
         traced = []                 # (cells, costs, children, exits), paths first to last
         if k > self.EXACT_PATH_CHILDREN:
-            entries = self._entry_matrices(A, which, padded)
             pair_entry = np.repeat(np.arange(len(samples)), [n for _, _, n in samples])
-            chunk = max(1, HEURISTIC_ROW_ENTRIES // (k * (k - 1) // 2 * k))
-            orders = []
-            for c0 in range(0, len(cells), chunk):
-                c1 = c0 + chunk
-                orders += _heuristic_orders(hop, cell_job[c0:c1], list(entries[pair_entry[c0:c1]]),
-                                            list(close[cell_job[c0:c1], cell_b[c0:c1]]))
-            order = np.array([o for o, _ in orders], dtype=np.intp).reshape(len(cells), k)
-            vecs = np.array([v for _, v in orders]).reshape(len(cells), k, m)
+            order, vecs = _heuristic_orders(hop, cell_job,
+                                            self._entry_matrices(A, which, padded)[pair_entry],
+                                            close[cell_job, cell_b])
             tot = vecs[:, -1] + close[cell_job, cell_b, order[:, -1]]
             exits = np.empty((len(cells), k), dtype=np.intp)
             exits[:, -1] = np.argmin(tot, axis=1)
@@ -366,17 +333,23 @@ class _Engine:
     def solve_root(self):
         """Solve the tree, level by level from the bottom, and trace the
         root's first cheapest closed tour through one of its portals."""
-        level, members = root = (self.tree.level, self.tree.members)
-        levels = self._options_below(root)
-        for lvl in sorted(levels):
-            self._solve_level(levels[lvl], root)
+        levels = self.tree.levels
+        (members,) = levels[-1]
+        root = (len(levels) - 1, members)
+        # Points (level -1) first, one entry each: a point is its own one
+        # portal, with a segment of cost 0.
+        for p in members:
+            self.nodes[-1, (p,)] = (PortalSet(level=-1, portals=(p,)), np.zeros((1, 1)))
+        self.entries += len(members)
+        for level, clusters in enumerate(levels):
+            self._solve_level(level, clusters, root)
         ps, mat = self.nodes[root]
         costs = np.diag(mat)
         if not np.isfinite(costs).any():
             raise Infeasible("no valid closed tour through the root portals")
         ai = int(np.argmin(costs))                  # the first cheapest portal
         best_cost = float(costs[ai])
-        seq = _collapse(self.expand((level, members, ps.portals[ai], ps.portals[ai])))
+        seq = _collapse(self.expand(root + (ps.portals[ai], ps.portals[ai])))
         if len(seq) > 1 and seq[-1] == seq[0]:
             seq = seq[:-1]
         raw = Tour(tuple(seq), closed=True)
@@ -390,9 +363,10 @@ class _Engine:
 
 def _heuristic_orders(hop, owner, entries, closes):
     """Greedy insertion orders improved by deterministic 2-opt, for every pair
-    p of entry matrix entries[p] and close matrix closes[p] through the
-    children of cluster owner[p], whose hops are hop[owner[p]]; returns each
-    pair's order and its forward min-plus vectors (k x m).
+    p of entry matrix entries[p] and close matrix closes[p] (pairs x k x m)
+    through the children of cluster owner[p], whose hops are hop[owner[p]];
+    returns the pairs' orders (pairs x k) and their forward min-plus vectors
+    (pairs x k x m).
 
     Greedy (:func:`_greedy_orders`) depends only on the cluster and the
     entry matrix, so it runs once per distinct pair of them. 2-opt is, per
@@ -426,12 +400,12 @@ def _heuristic_orders(hop, owner, entries, closes):
     _, k, _, m, _ = hop.shape
     owner = np.asarray(owner, dtype=np.int32)
     into = np.ascontiguousarray(hop.transpose(3, 0, 1, 2, 4)).reshape(m, -1, m)
-    npairs = len(entries)
+    E, C = np.asarray(entries), np.asarray(closes)
+    npairs = len(E)
     lo, hi = (a.astype(np.int32) for a in np.triu_indices(k, 1))   # every reversal, in order
     rows_per_block = max(1, min(PULL_BLOCK // (m * m), npairs * len(lo)))
     buf = np.empty(m * m * rows_per_block)
 
-    E, C = np.array(entries), np.array(closes)
     distinct = {}                                   # (cluster, entry) -> its greedy row
     of_pair = np.array([distinct.setdefault((g, entry.tobytes()), len(distinct))
                         for g, entry in zip(owner.tolist(), E)])
@@ -512,7 +486,7 @@ def _heuristic_orders(hop, owner, entries, closes):
         rounds[again] += 1
         start[again] = 0
         improved[again] = False
-    return [(order, vecs[p]) for p, order in enumerate(orders.tolist())]
+    return orders, vecs
 
 
 def _greedy_orders(hop, owner, entries):
@@ -578,8 +552,10 @@ def _reversal_bounds(mh, order, vecs, least_entry, least_close, q, i, j):
 
 
 def make_flat_tree(space: MetricSpace) -> ClusterTree:
-    """Single-cluster tree: the whole space as one bottom-level cluster."""
-    return ClusterTree(level=0, members=tuple(range(space.n)))
+    """Single-cluster tree: a one-level plan, the whole space as one
+    bottom-level cluster whose one option is its points."""
+    members = tuple(range(space.n))
+    return ClusterTree([{members: [tuple((p,) for p in members)]}])
 
 
 def solve_light_tour(space: MetricSpace, h: NetHierarchy, tree: ClusterTree,
@@ -607,38 +583,42 @@ def draw_radius_samples(h: NetHierarchy, guesses: int, ddim: float, rng) -> list
 
 
 def tree_from_samples(space: MetricSpace, h: NetHierarchy, samples: list) -> ClusterTree:
-    """The cluster tree of every radius choice in ``samples``, built top down.
+    """The cluster tree of every radius choice in ``samples``: the DP's
+    per-level plan, filled top down.
 
     Each level's clusters get their children options from the next level's
     radii, and the next level's clusters are the distinct children of those
-    options. With one radius per center, the level below is carved once over
-    all points: a point's cluster is the first center in carving order whose
-    ball holds it, whatever subset is carved, so each cluster's one option is
-    its members grouped by their owner. With several, each cluster's options
-    are its :func:`distinct_carvings`, whose walk reads the distances to every
-    center of the level per cluster: at one radius that was 3.14 s against
-    the whole-level carve's 0.024 s on uniform2d n = 1000 (2-core host).
+    options; a level-0 cluster's one option is its points. With one radius
+    per center, the level below is carved once over all points: a point's
+    cluster is the first center in carving order whose ball holds it,
+    whatever subset is carved, so each cluster's one option is its members
+    grouped by their owner. With several, each cluster's options are its
+    :func:`distinct_carvings`, whose walk reads the distances to every center
+    of the level per cluster: at one radius that was 3.14 s against the
+    whole-level carve's 0.024 s on uniform2d n = 1000 (2-core host).
     """
-    tree = ClusterTree(level=h.top, members=tuple(range(space.n)))
-    clusters = [tree.members]
+    clusters = [tuple(range(space.n))]
+    levels = []                    # top down
     for level in range(h.top, 0, -1):
         radii = samples[level - 1]
         if radii.shape[1] > 1:
-            for members in clusters:
-                tree.children[level, members] = distinct_carvings(space, members, h,
-                                                                  level - 1, radii)
+            options = {members: distinct_carvings(space, members, h, level - 1, radii)
+                       for members in clusters}
         else:
             owner = partition_with_radii(space, range(space.n), h, level - 1,
                                          radii[:, 0]).assign_center
+            options = {}
             for members in clusters:
                 groups = {}
                 for p in members:
                     groups.setdefault(owner[p], []).append(p)
                 # disjoint and filled in member order, the groups come out sorted
-                tree.children[level, members] = [tuple(map(tuple, groups.values()))]
-        clusters = list(dict.fromkeys(ch for members in clusters
-                                      for kids in tree.children[level, members] for ch in kids))
-    return tree
+                options[members] = [tuple(map(tuple, groups.values()))]
+        levels.append(options)
+        clusters = list(dict.fromkeys(ch for opts in options.values()
+                                      for kids in opts for ch in kids))
+    levels.append({members: [tuple((p,) for p in members)] for members in clusters})
+    return ClusterTree(levels[::-1])
 
 
 def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int,

@@ -119,16 +119,17 @@ def from_matrix(matrix) -> MetricSpace:
 
 
 def restrict(space: MetricSpace, indices) -> MetricSpace:
-    """Sub-space induced by ``indices`` (local index k maps to indices[k]).
+    """Sub-space induced by ``indices`` (local index k maps to the k-th
+    smallest index): a matrix space sliced from ``space``'s distance matrix,
+    so no distance is computed again.
 
     Every point in order gives back ``space`` itself, distance matrix and all.
     """
     idx = np.asarray(sorted(indices), dtype=np.intp)
     if np.array_equal(idx, np.arange(space.n)):
         return space                     # frozen, so the whole space is shared as is
-    if space.coords is not None:
-        return MetricSpace(coords=space.coords[idx], scale=space.scale)
-    return MetricSpace(matrix=space.matrix[np.ix_(idx, idx)], scale=space.scale)
+    # one C-ordered copy: pairwise(idx, idx) would return a strided one
+    return MetricSpace(matrix=space.pairwise()[np.ix_(idx, idx)], scale=space.scale)
 
 
 def _require(ok: np.ndarray, problem: str, fix: str):

@@ -6,13 +6,14 @@ order. Each center draws its radii from a truncated exponential on
 parameter; a level's radii are one array, a row per center in net order and a
 column per guess. Every still-unassigned point inside a center's ball joins
 its cluster. :func:`nettsp.lightdp.tree_from_samples` stacks the carvings into
-a :class:`ClusterTree`, the map from each cluster to its children options.
+a :class:`ClusterTree`, per level the map from each cluster to its children
+options: the plan the portal DP solves bottom-up, one level at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,29 +125,27 @@ def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
 
 @dataclass
 class ClusterTree:
-    """A cluster tree, with its radius choices, as the lookup the portal DP reads.
+    """A cluster tree, with its radius choices, as the per-level plan the
+    portal DP solves.
 
-    The root is the cluster (level, members). ``children`` maps each cluster
-    above level 0 that some choice reaches from the root, keyed (level,
-    members), to its list of children options: one per distinct carving of
-    its members one level down, each the sorted tuple of the children's
-    member tuples, as :func:`distinct_carvings` lists them, so ties break
-    alike. With one radius per center every cluster has one option. A
-    level-0 cluster's children are its points.
+    ``levels[i]`` maps each level-i cluster that some choice reaches from the
+    root, keyed by its member tuple, to its list of children options: one per
+    distinct carving of its members one level down, each the sorted tuple of
+    the children's member tuples, as :func:`distinct_carvings` lists them, so
+    ties break alike. With one radius per center every cluster has one
+    option. A level-0 cluster's one option is its points; the top level holds
+    the root alone.
     """
 
-    level: int
-    members: tuple
-    children: dict = field(default_factory=dict)
+    levels: list
 
     def node_count(self) -> int:
         """Distinct clusters: the root and every child of every option."""
-        return 1 + len({(level, ch) for (level, _), options in self.children.items()
-                        for kids in options for ch in kids})
+        return sum(map(len, self.levels))
 
     def max_branching(self) -> int:
-        return max((len(kids) for options in self.children.values() for kids in options),
-                   default=0)
+        return max((len(kids) for clusters in self.levels[1:]
+                    for options in clusters.values() for kids in options), default=0)
 
 
 def estimate_cut_probability(space: MetricSpace, h: NetHierarchy, u: int, v: int,

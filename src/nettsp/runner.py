@@ -84,13 +84,13 @@ def run(config: dict) -> dict:
     space = config.get("space")
     if not isinstance(space, MetricSpace):
         raise ConfigError("config['space'] must be a MetricSpace")
-    seed = int(config.get("seed", 0))
 
     raw_params = {k: config[k] for k in SOLVER_KEYS if k in config}
     try:
-        params = SolveParams(seed=seed, **raw_params)
+        params = SolveParams(seed=config.get("seed", 0), **raw_params)
     except ValueError as exc:
         raise ConfigError(f"bad solver parameters: {exc}")
+    seed = int(params.seed)
 
     if space.n >= 2 and abs(space.min_gap()[0] - 1.0) > 1e-9:
         space = normalize(space)

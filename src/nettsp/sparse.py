@@ -11,7 +11,8 @@ two closed tours are spliced at a shared point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -181,6 +182,11 @@ class SolveParams:
     ddim: float = None             # filled from a doubling estimate when absent
 
     def __post_init__(self):
+        for f in fields(self):     # q and ddim may be left to their defaults
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)) and not (
+                    value is None and f.name in ("q", "ddim")):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         # Each test is written so that NaN fails it.
         if not 0 < self.eps <= 0.05 + REL_TOL:
             raise ValueError(f"eps must lie in (0, 1/20], got {self.eps!r}")
@@ -188,10 +194,10 @@ class SolveParams:
             raise ValueError(f"s must be finite and at least 6, got {self.s!r}")
         if not 0 < self.delta <= 1.0 / 12 + REL_TOL:
             raise ValueError(f"delta must lie in (0, 1/12], got {self.delta!r}")
-        for name in ("m_cap", "guesses"):
+        for name, least in (("m_cap", 1), ("guesses", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.q is None:
             try:
                 self.q = 64.0 * (self.s / self.eps) ** 2

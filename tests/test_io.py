@@ -199,6 +199,49 @@ def test_m_cap_and_guesses_must_be_integers_at_least_one(tmp_path, capsys, key, 
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("eps", "0.05", "eps must be a number, got '0.05'"),
+    ("q", "5", "q must be a number, got '5'"),
+    ("s", None, "s must be a number, got None"),
+    ("delta", [1], "delta must be a number, got [1]"),
+    ("guesses", True, "guesses must be a number, got True"),
+    ("m_cap", True, "m_cap must be a number, got True"),
+    ("seed", "x", "seed must be a number, got 'x'"),
+    ("seed", True, "seed must be a number, got True"),
+    ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+    ("seed", -1, "seed must be an integer >= 0, got -1")],
+    ids=["eps-str", "q-str", "s-none", "delta-list", "guesses-bool", "m_cap-bool",
+         "seed-str", "seed-bool", "seed-1.5", "seed-neg"])
+def test_non_numeric_solver_values_and_bad_seeds_raise_a_config_error(key, value, message):
+    sp = generate_instance("uniform2d", 5, seed=1)
+    with pytest.raises(ConfigError, match="^" + re.escape("bad solver parameters: " + message)):
+        run({"space": sp, "mode": "solve", key: value})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--mode", "solve", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["oracle", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["gen", "--kind", "uniform2d", "--n", "0"], "n must be an integer >= 1, got 0"),
+    (["gen", "--kind", "uniform2d", "--n", "5", "--seed", "-1"],
+     "seed must be an integer >= 0, got -1")],
+    ids=["run-seed-neg", "oracle-seed-neg", "gen-n0", "gen-seed-neg"])
+def test_cli_bad_seed_or_size_exits_2_with_a_named_error(tmp_path, capsys, argv, message):
+    inst = tmp_path / "inst.csv"
+    save_points_csv(generate_instance("uniform2d", 5, seed=1), str(inst))
+    where = (["--out", str(tmp_path / "gen.csv")] if argv[0] == "gen" else
+             ["--instance", str(inst), "--format", "points_csv"])
+    assert main(argv + where) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err and "Traceback" not in err
+
+
+def test_generator_rejects_an_unknown_kind_a_bad_size_or_a_negative_seed():
+    for args in (("hexagons", 5), ("uniform2d", 0), ("line", 2.5), ("line", True),
+                 ("uniform2d", 5, -1)):
+        with pytest.raises(ConfigError):
+            generate_instance(*args)
+
+
 @pytest.mark.parametrize("params, message", [
     ({"q": -1.0}, "q must be positive"), ({"q": 0.0}, "q must be positive"),
     ({"q": math.nan}, "q must be positive"), ({"q": math.inf}, None),

@@ -80,11 +80,9 @@ def set_auto_portals(space, h, members, level, m_cap):
 
 
 def tree_clusters(tree):
-    """Every cluster of ``tree`` as (level, members): the root, then the
-    children of each option of each cluster above level 0."""
-    return [(tree.level, tree.members)] + [
-        (level - 1, ch) for (level, _), options in tree.children.items()
-        for kids in options for ch in kids]
+    """Every cluster of ``tree`` as (level, members), level by level from the bottom."""
+    return [(level, members) for level, clusters in enumerate(tree.levels)
+            for members in clusters]
 
 
 def carved_children(part):
@@ -241,7 +239,7 @@ def test_leaf_equals_the_best_order_by_permutation_search(seed):
         # a bottom cluster whose portals are the case's ends, solved as a node of
         # singleton children at every pair of its portals: the one child of a
         # root one level up, with the same portals, which solves only a == b
-        tree = ClusterTree(level=1, members=members, children={(1, members): [(members,)]})
+        tree = ClusterTree([{members: [tuple((p,) for p in members)]}, {members: [(members,)]}])
         engine = _Engine(sp, h, 6, tree, portal_chooser=lambda members, level: (a, b))
         engine.solve_root()
         ps, mat = engine.nodes[0, members]
@@ -588,8 +586,8 @@ def test_batched_two_opt_matches_one_reversal_at_a_time():
         for c in range(k):
             close[c, exits[c]:] = np.inf
         ref, taken = scalar_heuristic_order(entry, close, hop, exits)
-        (order, _), = _heuristic_orders(hop[None], [0], [entry], [close])
-        assert order == ref
+        orders, _ = _heuristic_orders(hop[None], [0], [entry], [close])
+        assert orders[0].tolist() == ref
         moves += taken
     assert moves > 0
 
@@ -630,8 +628,8 @@ def test_prefix_shared_two_opt_matches_scalar_scan_at_workload_widths():
     for entry, hop, close in cases:
         log = []
         ref, _ = scalar_heuristic_order(entry, close, hop, np.isfinite(entry).sum(axis=1), log)
-        (order, _), = _heuristic_orders(hop[None], [0], [entry], [close])
-        assert order == ref
+        orders, _ = _heuristic_orders(hop[None], [0], [entry], [close])
+        assert orders[0].tolist() == ref
         logs.append(log)
     # one round takes several moves, and some move reverses a prefix (i = 0)
     assert any(max(Counter(rnd for rnd, _, _ in log).values(), default=0) > 1 for log in logs)
@@ -685,10 +683,10 @@ def test_heuristic_orders_equal_the_scalar_scan_for_every_pair_of_a_node():
         rng = np.random.default_rng(seed)
         m, portals = 2 + seed % 3, 2 + seed % 2
         hop, entries, closes = multi_pair_node(rng, k, m, portals, plane=seed % 2 == 1)
-        got = _heuristic_orders(hop[None], [0] * len(entries), entries, closes)
-        assert len(got) == len(entries) > len({id(e) for e in entries})   # entries shared
+        orders, got_vecs = _heuristic_orders(hop[None], [0] * len(entries), entries, closes)
+        assert len(orders) == len(entries) > len({id(e) for e in entries})   # entries shared
         stops = set()
-        for entry, close, (order, vecs) in zip(entries, closes, got):
+        for entry, close, order, vecs in zip(entries, closes, orders.tolist(), got_vecs):
             log = []
             exits = np.isfinite(entry).sum(axis=1)
             ref, _ = scalar_heuristic_order(entry, close, hop, exits, log)
@@ -752,7 +750,8 @@ def test_reversal_bounds_drop_no_row_that_improves(seed):
         entry, hop = random_groups(rng, k, m)
         close = rng.integers(0, 4, size=(k, m)).astype(float)
         close[~np.isfinite(entry)] = np.inf
-    (order, vecs), = _heuristic_orders(hop[None], [0], [entry], [close])
+    orders, vecs = _heuristic_orders(hop[None], [0], [entry], [close])
+    order, vecs = orders[0].tolist(), vecs[0]
     if seed % 3 == 1:
         for t in rng.choice(k - 1, size=2, replace=False):
             hop[order[t], order[t + 1]] = np.inf
@@ -779,14 +778,14 @@ def test_heuristic_orders_of_several_clusters_in_one_call_equal_each_clusters_ow
     nodes[1][1].append(nodes[0][1][0])
     nodes[1][2].append(nodes[1][2][0])
     owner = [c for c, (_, entries, _) in enumerate(nodes) for _ in entries]
-    together = _heuristic_orders(np.array([hop for hop, _, _ in nodes]), owner,
-                                 [e for _, entries, _ in nodes for e in entries],
-                                 [c for _, _, closes in nodes for c in closes])
-    alone = [got for hop, entries, closes in nodes
-             for got in _heuristic_orders(hop[None], [0] * len(entries), entries, closes)]
-    assert len(together) == len(alone) == len(owner)
-    for (order, vecs), (ref, ref_vecs) in zip(together, alone):
-        assert order == ref and np.array_equal(vecs, ref_vecs)
+    orders, vecs = _heuristic_orders(np.array([hop for hop, _, _ in nodes]), owner,
+                                     [e for _, entries, _ in nodes for e in entries],
+                                     [c for _, _, closes in nodes for c in closes])
+    alone = [_heuristic_orders(hop[None], [0] * len(entries), entries, closes)
+             for hop, entries, closes in nodes]
+    assert len(orders) == len(owner)
+    assert np.array_equal(orders, np.concatenate([ref for ref, _ in alone]))
+    assert np.array_equal(vecs, np.concatenate([ref_vecs for _, ref_vecs in alone]))
 
 
 def test_heuristic_orders_working_memory_on_a_ten_pair_node(monkeypatch):
@@ -825,27 +824,25 @@ def flat_equilateral(n):
 @pytest.mark.parametrize("solve, k, pairs", [
     (lambda: guessing_solve(40, 0, 1), 19, 10), (lambda: flat_equilateral(30), 30, 6)],
     ids=["uniform2d-n40", "equilateral-n30"])
-def test_wide_node_pairs_go_to_the_heuristic_in_chunks_of_bounded_rows(monkeypatch, solve,
-                                                                        k, pairs):
-    calls = []
-    heuristic = lightdp._heuristic_orders
+def test_wide_node_pairs_go_to_the_heuristic_in_one_call_per_pass(monkeypatch, solve, k, pairs):
+    calls, passes = [], []
+    heuristic, solve_group = lightdp._heuristic_orders, _Engine._solve_group
 
     def recording(hop, owner, entries, closes):
         calls.append((hop.shape[1], len(entries)))
         return heuristic(hop, owner, entries, closes)
 
+    def grouping(self, jobs):
+        if len(jobs[0][3]) > _Engine.EXACT_PATH_CHILDREN:    # a wide pass: (level, k)
+            passes.append((jobs[0][3][0][1].level + 1, len(jobs[0][3])))
+        return solve_group(self, jobs)
+
     monkeypatch.setattr(lightdp, "_heuristic_orders", recording)
-    whole = solve()
-    assert {w for w, _ in calls} == {k} and sum(p for _, p in calls) == pairs
-    assert max(p for _, p in calls) > 3
-    calls.clear()
-    # room for the reversal rows of three pairs: each pair stacks k(k-1)/2 rows of k
-    monkeypatch.setattr(lightdp, "HEURISTIC_ROW_ENTRIES", 3 * (k * (k - 1) // 2 * k) + 1)
-    chunked = solve()
-    assert {w for w, _ in calls} == {k} and sum(p for _, p in calls) == pairs
-    assert max(p for _, p in calls) == 3
-    assert (chunked.cost, chunked.raw, chunked.tour, chunked.stats) == (
-        whole.cost, whole.raw, whole.tour, whole.stats)
+    monkeypatch.setattr(_Engine, "_solve_group", grouping)
+    solve()
+    assert len(calls) == len(passes) == len(set(passes)) > 0
+    assert [w for w, _ in calls] == [w for _, w in passes] and {w for w, _ in calls} == {k}
+    assert sum(p for _, p in calls) == pairs
 
 
 def reference_pair(D, infos, A, B):
@@ -889,7 +886,7 @@ def test_node_pair_matrices_and_traces_equal_the_per_pair_reference(monkeypatch,
     solve_root = _Engine.solve_root
 
     def keeping(self):
-        engines.append((self, self.tree.level, self.tree.members))
+        engines.append((self, len(self.tree.levels) - 1, *self.tree.levels[-1]))
         return solve_root(self)
 
     monkeypatch.setattr(_Engine, "solve_root", keeping)
@@ -905,8 +902,7 @@ def test_node_pair_matrices_and_traces_equal_the_per_pair_reference(monkeypatch,
             continue
         P = ps.portals
         root = (level, members) == (root_level, root_members)
-        options = (engine.tree.children[level, members] if level > 0
-                   else [tuple((p,) for p in members)])
+        options = engine.tree.levels[level][members]
         several += len(options) > 1
         leaves += level == 0
         for ai, bi in itertools.combinations_with_replacement(range(len(P)), 2):
@@ -1020,12 +1016,14 @@ def test_distinct_carvings_match_product_enumeration(guesses):
     for i, sp in enumerate(small_spaces()):
         h = build_hierarchy(sp, 6.0)
         samples = draw_radius_samples(h, guesses, 2.5, np.random.default_rng(i))
-        for level, members in tree_from_samples(sp, h, samples).children:
-            lvl = level - 1
-            got = distinct_carvings(sp, members, h, lvl, samples[lvl])
-            assert got == product_carvings(sp, members, h, lvl, samples[lvl])
-            checked += 1
-            several += len(got) > 1
+        tree = tree_from_samples(sp, h, samples)
+        for level, clusters in enumerate(tree.levels[1:], start=1):
+            for members in clusters:
+                lvl = level - 1
+                got = distinct_carvings(sp, members, h, lvl, samples[lvl])
+                assert got == product_carvings(sp, members, h, lvl, samples[lvl])
+                checked += 1
+                several += len(got) > 1
     assert checked > 4
     assert (several > 0) == (guesses > 1)
 
@@ -1033,24 +1031,26 @@ def test_distinct_carvings_match_product_enumeration(guesses):
 def carved_tree(space, h, samples):
     """Reference builder: carve each cluster's members afresh with the next
     level's centers at their first radius, cluster by cluster from the top.
-    Returns the root's level and members and the (level, members) -> [children]
-    map of every cluster above level 0."""
+    Returns, per level, the members -> [children] map of every cluster, a
+    level-0 cluster's children being its points."""
     def radii_at(level):
         return samples[level][:, 0]
 
     top = partition_with_radii(space, range(space.n), h, h.top, radii_at(h.top))
     (members,) = carved_children(top)
-    children = {}
+    levels = [{} for _ in range(h.top + 1)]
 
     def subdivide(level, members):
-        if level > 0:
-            part = partition_with_radii(space, members, h, level - 1, radii_at(level - 1))
-            children[level, members] = [carved_children(part)]
-            for child in carved_children(part):
-                subdivide(level - 1, child)
+        if level == 0:
+            levels[0][members] = [tuple((p,) for p in members)]
+            return
+        part = partition_with_radii(space, members, h, level - 1, radii_at(level - 1))
+        levels[level][members] = [carved_children(part)]
+        for child in carved_children(part):
+            subdivide(level - 1, child)
 
     subdivide(h.top, members)
-    return h.top, members, children
+    return levels
 
 
 @pytest.mark.parametrize("kind", ["uniform2d", "clustered", "line", "matrix_random_metric"])
@@ -1063,13 +1063,13 @@ def test_owner_map_tree_equals_the_node_by_node_carve(kind):
             ddim = estimate_doubling(sp, seed=seed).ddim_upper
             samples = draw_radius_samples(h, 1, ddim, np.random.default_rng(seed))
             tree = tree_from_samples(sp, h, samples)
-            level, members, children = carved_tree(sp, h, samples)
             # the same clusters, each with the same children in the same order
-            assert (tree.level, tree.members, tree.children) == (level, members, children)
-            for (level, members), options in tree.children.items():
-                lvl = level - 1
-                assert distinct_carvings(sp, members, h, lvl, samples[lvl]) == options
-                wide += len(options[0]) > 1
+            assert tree.levels == carved_tree(sp, h, samples)
+            for level, clusters in enumerate(tree.levels[1:], start=1):
+                for members, options in clusters.items():
+                    lvl = level - 1
+                    assert distinct_carvings(sp, members, h, lvl, samples[lvl]) == options
+                    wide += len(options[0]) > 1
     assert wide > 0
 
 
@@ -1100,11 +1100,11 @@ def test_one_guess_carves_each_level_once_and_lists_children_as_distinct_carving
     internal = [key for key in engine.nodes if key[0] > 0]
     assert len(internal) > 1
     for level, members in internal:
-        assert engine.tree.children[level, members] == distinct_carvings(
+        assert engine.tree.levels[level][members] == distinct_carvings(
             sp, members, h, level - 1, samples[level - 1])
 
 
-@pytest.mark.parametrize("guesses", [2, 3])
+@pytest.mark.parametrize("guesses", [1, 2, 3])
 def test_several_guesses_map_each_reachable_cluster_to_its_distinct_carvings(guesses):
     several = 0
     for kind, n, seed in (("uniform2d", 30, 0), ("uniform2d", 20, 1), ("clustered", 40, 2)):
@@ -1112,17 +1112,22 @@ def test_several_guesses_map_each_reachable_cluster_to_its_distinct_carvings(gue
         h = build_hierarchy(sp, 6.0)
         samples = draw_radius_samples(h, guesses, 2.5, np.random.default_rng(seed))
         tree = tree_from_samples(sp, h, samples)
-        # the clusters above level 0 reachable from the root, walked afresh
-        want, todo = {}, [(tree.level, tree.members)]
+        # the clusters reachable from the root, walked afresh; a level-0
+        # cluster's one option is its points
+        want, todo = [{} for _ in range(h.top + 1)], [(h.top, tuple(range(sp.n)))]
         while todo:
             level, members = todo.pop()
-            if level > 0 and (level, members) not in want:
-                lvl = level - 1
-                want[level, members] = distinct_carvings(sp, members, h, lvl, samples[lvl])
-                todo.extend((lvl, ch) for kids in want[level, members] for ch in kids)
-        assert tree.children == want
-        several += sum(len(options) > 1 for options in want.values())
-    assert several > 0
+            if members in want[level]:
+                continue
+            if level == 0:
+                want[0][members] = [tuple((p,) for p in members)]
+                continue
+            lvl = level - 1
+            want[level][members] = distinct_carvings(sp, members, h, lvl, samples[lvl])
+            todo.extend((lvl, ch) for kids in want[level][members] for ch in kids)
+        assert tree.levels == want
+        several += sum(len(options) > 1 for clusters in want for options in clusters.values())
+    assert (several > 0) == (guesses > 1)
 
 
 def test_engine_asks_for_each_clusters_options_once():
@@ -1132,19 +1137,30 @@ def test_engine_asks_for_each_clusters_options_once():
     calls = Counter()
 
     class Counting(dict):
-        def __getitem__(self, key):
-            calls[key] += 1
-            return super().__getitem__(key)
+        """One level's plan that counts each read of a cluster's options."""
 
-    internal = set(tree.children)
-    tree.children = Counting(tree.children)
+        def __init__(self, level, clusters):
+            super().__init__(clusters)
+            self.level = level
+
+        def items(self):
+            for members, options in super().items():
+                calls[self.level, members] += 1
+                yield members, options
+
+        def __getitem__(self, members):
+            calls[self.level, members] += 1
+            return super().__getitem__(members)
+
+    clusters = {(level, members) for level, c in enumerate(tree.levels) for members in c}
+    tree.levels = [Counting(level, c) for level, c in enumerate(tree.levels)]
     engine = _Engine(sp, h, 6, tree)
     engine.solve_root()
-    assert set(calls) == internal
+    assert set(calls) == clusters
     assert set(calls.values()) == {1}
-    # several portal configurations per cluster share one options call
+    # several portal configurations per cluster share one options read
     assert sum(len(mat) for (level, _), (_, mat) in engine.nodes.items()
-               if level > 0) > len(internal)
+               if level >= 0) > len(clusters)
 
 
 def record_table_builds(monkeypatch):
@@ -1173,7 +1189,7 @@ def record_table_builds(monkeypatch):
         return out
 
     def keeping(self):
-        engines.append((self, self.tree.level))
+        engines.append((self, len(self.tree.levels) - 1))
         return solve_root(self)
 
     monkeypatch.setattr(lightdp, "subset_path_table", counting_kernel)
@@ -1289,9 +1305,10 @@ def test_gathered_node_matrices_equal_the_per_child_loops(kind, n, seed, params)
     engine = _Engine(sp, h, 6, tree)
     engine.solve_root()
     groups = {}
-    for (level, members), (children,) in tree.children.items():
-        infos = [(ch,) + engine.nodes[level - 1, ch] for ch in children]
-        groups.setdefault((level, len(children)), []).append((members, infos))
+    for level, clusters in enumerate(tree.levels[1:], start=1):
+        for members, (children,) in clusters.items():
+            infos = [(ch,) + engine.nodes[level - 1, ch] for ch in children]
+            groups.setdefault((level, len(children)), []).append((members, infos))
     mixed = stacked = 0
     for (level, k), group in groups.items():
         padded = engine._padded([infos for _, infos in group])

@@ -197,11 +197,9 @@ def test_cover_matrix_carving_matches_the_carving_loop(seed):
 # ------------------------------------------------------------- clustering
 
 def tree_clusters(tree):
-    """Every cluster of ``tree`` as (level, members): the root, then the
-    children of each option of each cluster above level 0."""
-    return [(tree.level, tree.members)] + [
-        (level - 1, ch) for (level, _), options in tree.children.items()
-        for kids in options for ch in kids]
+    """Every cluster of ``tree`` as (level, members), level by level from the bottom."""
+    return [(level, members) for level, clusters in enumerate(tree.levels)
+            for members in clusters]
 
 
 def test_two_point_hierarchy_outcomes():
@@ -210,7 +208,7 @@ def test_two_point_hierarchy_outcomes():
     for seed in range(10):
         tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 1.0,
                                                             np.random.default_rng(seed)))
-        assert tree.members == (0, 1)
+        assert list(tree.levels[-1]) == [(0, 1)]
         for level, members in tree_clusters(tree):
             if level >= 1:
                 assert members == (0, 1)
@@ -234,9 +232,8 @@ def test_tree_every_point_once_per_level():
         r = radii[h.net(level).tolist().index(center)]
         assert r <= 2 * 6.0 ** level * (1 + 1e-9)
         assert all(sp.dist(center, p) <= r * (1 + 1e-9) for p in members)
-        if level > 0:
-            (kids,) = tree.children[level, members]
-            assert sorted(p for ch in kids for p in ch) == sorted(members)
+        (kids,) = tree.levels[level][members]       # a level-0 cluster's kids are its points
+        assert sorted(p for ch in kids for p in ch) == sorted(members)
 
 
 # ---------------------------------------------------------- cut frequency
