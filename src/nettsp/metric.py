@@ -175,7 +175,8 @@ def validate_metric(space: MetricSpace) -> None:
       (coordinates this large overflow), then, for a matrix only, a negative
       entry, a non-zero diagonal entry and an asymmetric pair, each at its
       first offending entry in row-major order;
-    - DegenerateInstance: the first pair of coincident points (min_gap);
+    - DegenerateInstance: the first pair of points at distance 0 (min_gap),
+      told apart from distinct coordinates whose distance underflows;
     - TriangleViolation: the first violating (i, j, k, slack), with
       slack = d[i, j] - (d[i, k] + d[k, j]) above REL_TOL * max(1, max d).
 
@@ -207,13 +208,22 @@ def validate_metric(space: MetricSpace) -> None:
         del asymmetry
     gap, (i, j) = space.min_gap()
     if gap <= 0:
-        raise DegenerateInstance(f"points {i} and {j} coincide; deduplicate first")
+        raise _coincident(space, i, j)
     if by_construction:
         return
     violation = _first_triangle_violation(d, tol)
     if violation is not None:
         raise TriangleViolation("triangle inequality fails, first violating (i, j, k, slack): "
                                 f"{violation}; close the matrix under shortest paths")
+
+
+def _coincident(space: MetricSpace, i: int, j: int) -> DegenerateInstance:
+    """The error for points i and j at distance 0: duplicates, or distinct
+    coordinates whose distance underflows."""
+    if space.coords is not None and not np.array_equal(space.coords[i], space.coords[j]):
+        return DegenerateInstance(f"points {i} and {j} coincide; their coordinates differ, but "
+                                  "their distance underflows to 0: scale the coordinates up")
+    return DegenerateInstance(f"points {i} and {j} coincide; deduplicate first")
 
 
 def _first_triangle_violation(d: np.ndarray, tol: float):
@@ -251,7 +261,7 @@ def normalize(space: MetricSpace) -> MetricSpace:
         raise ValueError("normalize requires at least 2 points")
     gap, pair = space.min_gap()
     if gap <= 0:
-        raise DegenerateInstance(f"points {pair[0]} and {pair[1]} coincide")
+        raise _coincident(space, *pair)
     factor = 1.0 / gap
     if space.coords is not None:
         return MetricSpace(coords=space.coords * factor, scale=space.scale * factor)

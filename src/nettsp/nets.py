@@ -2,7 +2,9 @@
 
 Level i is a net at scale s**i: net points are pairwise further than s**i
 apart and every point lies within s**i of one of them. Nets are nested top
-down, level 0 holds every point, and queries below level 0 answer as level 0.
+down, so one boolean mask per level describes the whole hierarchy; level 0
+holds every point, and queries below level 0 answer as level 0. A point's
+nearest net point (its cover) is found on demand from the distances.
 """
 
 from __future__ import annotations
@@ -22,36 +24,37 @@ MIN_SCALE_BASE = 4.0
 class NetHierarchy:
     space: MetricSpace
     s: float
-    top: int                       # top level L
-    levels: list                   # levels[i] = sorted np.ndarray of net point indices
-    covers: list                   # covers[i][p] = designated covering net point for p
-    member: list                   # member[i] = boolean mask, member[i][p] iff p in levels[i]
+    member: list                   # member[i] = boolean mask over the points of the level-i net
+
+    @property
+    def top(self) -> int:
+        """Top level L; its net is one point when L > 0."""
+        return len(self.member) - 1
 
     def radius(self, i: int) -> float:
         return self.s ** i
 
+    def _clamp(self, i: int) -> int:
+        return min(max(i, 0), self.top)
+
     def net(self, i: int) -> np.ndarray:
-        """Net at level i; levels below 0 contain all points."""
-        if i < 0:
-            return self.levels[0]
-        if i > self.top:
-            return self.levels[self.top]
-        return self.levels[i]
+        """Sorted point indices of the level-i net; levels below 0 contain all points."""
+        return np.flatnonzero(self.member[self._clamp(i)])
 
     def cover_point(self, p: int, i: int) -> int:
-        """Designated net point covering p at level i (nearest, ties to lowest index)."""
+        """Nearest level-i net point to p, ties to the lowest index.
+
+        Reads the column D[net, p], the distances that the construction and
+        verify_nets' covering check measure: a loaded matrix is symmetric only
+        within tolerance, so the row D[p, net] could pick another point.
+        """
         if i <= 0:
             return p
-        if i > self.top:
-            i = self.top
-        return int(self.covers[i][p])
+        net = self.net(i)
+        return int(net[np.argmin(self.space.pairwise(net, [p])[:, 0])])
 
     def in_net(self, p: int, i: int) -> bool:
-        if i <= 0:
-            return True
-        if i > self.top:
-            i = self.top
-        return bool(self.member[i][p])
+        return bool(self.member[self._clamp(i)][p])
 
     def level_of_value(self, value: float) -> int:
         """Largest i with s**i <= value; -1 when value < 1 (virtual fine levels)."""
@@ -69,8 +72,9 @@ def build_hierarchy(space: MetricSpace, s: float) -> NetHierarchy:
     """Greedy top-down nested net construction.
 
     The top net is the lowest-index point alone; descending a level keeps the
-    net above and adds still-uncovered points in ascending index order. The
-    space must be normalized (minimum interpoint distance 1).
+    net above and adds still-uncovered points in ascending index order, down
+    to level 1. Level 0 is every point, since the space must be normalized
+    (minimum interpoint distance 1).
     """
     if s < MIN_SCALE_BASE:
         raise BadScale(f"scale base {s} < {MIN_SCALE_BASE}")
@@ -83,36 +87,26 @@ def build_hierarchy(space: MetricSpace, s: float) -> NetHierarchy:
         while s ** top < diam * (1 - REL_TOL):
             top += 1
 
-    levels = [None] * (top + 1)
-    if top == 0:
-        levels[0] = np.arange(n, dtype=np.intp)
-    else:
-        levels[top] = np.array([0], dtype=np.intp)
-        for i in range(top, 0, -1):
+    member = []                    # top down
+    if top > 0:
+        mask = np.zeros(n, dtype=bool)
+        mask[0] = True
+        member.append(mask)
+        for i in range(top, 1, -1):
             b = s ** (i - 1)
-            net = list(levels[i])
-            mind = space.pairwise(levels[i]).min(axis=0)
+            mask = mask.copy()
+            mind = space.pairwise(np.flatnonzero(mask)).min(axis=0)
             # The first point still uncovered joins; distances only shrink, so
             # every point before it stays covered, as in a scan by index.
             outside = ~within(mind, b)
             while outside.any():
                 p = int(np.argmax(outside))
-                net.append(p)
+                mask[p] = True
                 mind = np.minimum(mind, space.row(p))
                 outside = ~within(mind, b)
-            levels[i - 1] = np.array(sorted(net), dtype=np.intp)
-        # Level 0 always contains every point (minimum distance is 1).
-        levels[0] = np.arange(n, dtype=np.intp)
-
-    covers = [np.arange(n, dtype=np.intp)]
-    member = [np.ones(n, dtype=bool)]
-    for i in range(1, top + 1):
-        d = space.pairwise(levels[i])
-        covers.append(levels[i][np.argmin(d, axis=0)])
-        mask = np.zeros(n, dtype=bool)
-        mask[levels[i]] = True
-        member.append(mask)
-    return NetHierarchy(space=space, s=s, top=top, levels=levels, covers=covers, member=member)
+            member.append(mask)
+    member.append(np.ones(n, dtype=bool))
+    return NetHierarchy(space=space, s=s, member=member[::-1])
 
 
 @dataclass
@@ -134,10 +128,10 @@ def verify_nets(h: NetHierarchy, ddim_upper: float = None, audit_balls: int = 32
     space = h.space
     n = space.n
     report = NetReport(ok=True)
-    report.level_sizes = [len(h.levels[i]) for i in range(h.top + 1)]
+    report.level_sizes = [int(mask.sum()) for mask in h.member]
 
     for i in range(h.top + 1):
-        net = h.levels[i]
+        net = h.net(i)
         b = h.radius(i)
         if len(net) > 1:
             d = space.pairwise(net, net)
@@ -147,22 +141,15 @@ def verify_nets(h: NetHierarchy, ddim_upper: float = None, audit_balls: int = 32
                 report.violations.append(
                     ("packing", i, int(net[iu[0][t]]), int(net[iu[1][t]]), float(d[iu][t])))
         if i >= 1:
-            dmin = space.pairwise(net, np.arange(n)).min(axis=0)
+            dmin = space.pairwise(net).min(axis=0)
             for p in np.flatnonzero(~within(dmin, b)):
                 report.violations.append(("covering", i, int(p), float(dmin[p])))
-            net_set = set(net.tolist())
-            for p in range(n):
-                c = int(h.covers[i][p])
-                if c not in net_set or not within(space.dist(p, c), b):
-                    report.violations.append(("cover_designation", i, p, c))
-            below_set = set(h.levels[i - 1].tolist())
-            for p in net:
-                if int(p) not in below_set:
-                    report.violations.append(("nesting", i, int(p)))
-    if len(h.levels[0]) != n:
-        report.violations.append(("bottom_level_incomplete", 0, len(h.levels[0])))
-    if h.top >= 1 and len(h.levels[h.top]) != 1:
-        report.violations.append(("top_level_size", h.top, len(h.levels[h.top])))
+            for p in np.flatnonzero(h.member[i] & ~h.member[i - 1]):
+                report.violations.append(("nesting", i, int(p)))
+    if report.level_sizes[0] != n:
+        report.violations.append(("bottom_level_incomplete", 0, report.level_sizes[0]))
+    if h.top >= 1 and report.level_sizes[h.top] != 1:
+        report.violations.append(("top_level_size", h.top, report.level_sizes[h.top]))
 
     if ddim_upper is not None and n >= 2:
         rng = np.random.default_rng(seed)
@@ -173,7 +160,7 @@ def verify_nets(h: NetHierarchy, ddim_upper: float = None, audit_balls: int = 32
             row = space.row(x)
             for i in range(h.top + 1):
                 si = h.radius(i)
-                inside = int(np.sum(within(row[h.levels[i]], radius)))
+                inside = int(np.sum(within(row[h.net(i)], radius)))
                 bound = (2 * (2 * radius + si) / si) ** ddim_upper
                 if inside > bound + REL_TOL:
                     report.violations.append(("count_bound", i, x, radius, inside, bound))

@@ -12,7 +12,6 @@ options: the plan the portal DP solves bottom-up, one level at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,20 +30,6 @@ class RadiusDistribution:
     @property
     def beta(self) -> float:
         return 8.0 * self.ddim
-
-    def pdf(self, r):
-        r = np.asarray(r, dtype=float)
-        b = self.beta
-        norm = 2.0 ** b / (1.0 - 2.0 ** (-b)) * (b * math.log(2) / self.a)
-        val = norm * np.power(2.0, -b * r / self.a)
-        return np.where((r >= self.a) & (r <= 2 * self.a), val, 0.0)
-
-    def cdf(self, r):
-        r = np.asarray(r, dtype=float)
-        b = self.beta
-        inner = (2.0 ** (-b) - np.power(2.0, -b * np.clip(r, self.a, 2 * self.a) / self.a))
-        val = inner * 2.0 ** b / (1.0 - 2.0 ** (-b))
-        return np.where(r < self.a, 0.0, np.where(r > 2 * self.a, 1.0, val))
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)

@@ -88,6 +88,18 @@ def test_validate_raises_the_first_failed_check_in_order():
         validate_metric(from_points([(0.0, 0.0), (1.0, 1.0), (0.0, 0.0)]))
 
 
+@pytest.mark.parametrize("check", [validate_metric, normalize])
+def test_distinct_points_whose_distance_underflows_are_told_to_scale_up(check):
+    space = generate_instance("uniform2d", 60, 0)
+    tiny = from_points(space.coords * 2.0 ** -600)
+    gap, (i, j) = tiny.min_gap()
+    assert gap == 0 and not np.array_equal(tiny.coords[i], tiny.coords[j])
+    with pytest.raises(DegenerateInstance, match=(
+            rf"^points {i} and {j} coincide; their coordinates differ, but their distance "
+            r"underflows to 0: scale the coordinates up$")):
+        check(tiny)
+
+
 def test_normalize_two_points_scale():
     sp = normalize(from_points([(0.0, 0.0), (0.25, 0.0)]))
     assert sp.dist(0, 1) == pytest.approx(1.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nettsp.errors import BadScale
+from nettsp.io import KINDS, generate_instance
 from nettsp.metric import estimate_doubling, from_points, normalize
 from nettsp.nets import NetHierarchy, build_hierarchy, verify_nets
 
@@ -33,13 +34,13 @@ def independent_greedy_levels(space, s):
 def test_single_point():
     h = build_hierarchy(from_points([(3.0, 4.0)]), 4.0)
     assert h.top == 0
-    assert h.levels[0].tolist() == [0]
+    assert h.net(0).tolist() == [0]
 
 
 def test_two_points_distance_one():
     h = build_hierarchy(from_points([(0.0, 0.0), (1.0, 0.0)]), 4.0)
     assert h.top == 0
-    assert h.levels[0].tolist() == [0, 1]
+    assert h.net(0).tolist() == [0, 1]
 
 
 def test_bad_scale():
@@ -47,20 +48,21 @@ def test_bad_scale():
         build_hierarchy(line(4), 3.0)
 
 
-def test_line_against_independent_greedy():
-    sp = line(32)
+@pytest.mark.parametrize("kind", KINDS)
+def test_line_against_independent_greedy(kind):
+    sp = normalize(generate_instance(kind, 32 if kind == "line" else 60, 0))
     h = build_hierarchy(sp, 4.0)
     top, levels = independent_greedy_levels(sp, 4.0)
-    assert h.top == top
+    assert h.top == top >= 1
     for i in range(top + 1):
-        assert h.levels[i].tolist() == levels[i]
+        assert h.net(i).tolist() == levels[i]
 
 
 def test_cover_point_self_when_in_net():
     sp = line(32)
     h = build_hierarchy(sp, 4.0)
     for i in range(h.top + 1):
-        for p in h.levels[i]:
+        for p in h.net(i):
             assert h.cover_point(int(p), i) == int(p)
 
 
@@ -75,10 +77,20 @@ def test_cover_point_matches_brute_force():
     sp = normalize(from_points(np.random.default_rng(0).random((60, 2))))
     h = build_hierarchy(sp, 6.0)
     for i in range(1, h.top + 1):
-        net = h.levels[i]
+        net = h.net(i)
         for p in range(sp.n):
             dists = [(sp.dist(p, int(q)), int(q)) for q in net]
             assert h.cover_point(p, i) == min(dists)[1]
+
+
+def test_cover_point_matches_brute_force_on_a_matrix_space():
+    sp = normalize(generate_instance("matrix_random_metric", 40, 0))
+    h = build_hierarchy(sp, 4.0)
+    assert h.top >= 1
+    for i in range(h.top + 2):
+        net = [int(q) for q in h.net(i)]
+        for p in range(sp.n):
+            assert h.cover_point(p, i) == min((sp.dist(q, p), q) for q in net)[1]
 
 
 def test_verify_constructed_hierarchy():
@@ -96,10 +108,9 @@ def test_verify_detects_missing_net_point():
     sp = line(40)
     h = build_hierarchy(sp, 4.0)
     assert h.top >= 2
-    tampered = NetHierarchy(
-        space=h.space, s=h.s, top=h.top,
-        levels=[lv if i != 1 else lv[:-1] for i, lv in enumerate(h.levels)],
-        covers=h.covers, member=h.member)
+    member = [mask.copy() for mask in h.member]
+    member[1][h.net(1)[-1]] = False
+    tampered = NetHierarchy(space=h.space, s=h.s, member=member)
     report = verify_nets(tampered)
     assert not report.ok
     kinds = {v[0] for v in report.violations}
@@ -111,9 +122,7 @@ def test_rebuild_is_bit_identical():
     h1 = build_hierarchy(sp, 6.0)
     h2 = build_hierarchy(sp, 6.0)
     assert h1.top == h2.top
-    for a, b in zip(h1.levels, h2.levels):
-        assert a.tolist() == b.tolist()
-    for a, b in zip(h1.covers, h2.covers):
+    for a, b in zip(h1.member, h2.member):
         assert a.tolist() == b.tolist()
 
 
@@ -135,7 +144,7 @@ def test_packing_count_bound_in_audited_balls():
         row = sp.row(x)
         for i in range(h.top + 1):
             si = h.radius(i)
-            inside = int(np.sum(row[h.levels[i]] <= radius * (1 + 1e-9)))
+            inside = int(np.sum(row[h.net(i)] <= radius * (1 + 1e-9)))
             assert inside <= (2 * (2 * radius + si) / si) ** est.ddim_upper + 1e-9
 
 
@@ -144,7 +153,7 @@ def test_net_sizes_within_packing_bound():
     h = build_hierarchy(sp, 6.0)
     est = estimate_doubling(sp, seed=7)
     for i in range(h.top + 1):
-        net = [int(p) for p in h.levels[i]]
+        net = [int(p) for p in h.net(i)]
         if len(net) < 2:
             continue
         diam = max(sp.dist(a, b) for a in net for b in net)

@@ -1,8 +1,10 @@
-"""Every top-level function and class in src/nettsp has a user besides unit tests.
+"""Every top-level function and class in src/nettsp, and every method and
+property of a top-level class, has a user besides unit tests.
 
 A definition counts as used when src/ code outside its own definition names
-it, or the acceptance battery does. Code that only unit tests call is not
-part of the solver, so it is deleted rather than kept alive by its tests.
+it, or the acceptance battery does. Dunder methods are exempt, since Python
+calls them. Code that only unit tests call is not part of the solver, so it
+is deleted rather than kept alive by its tests.
 """
 
 import ast
@@ -21,22 +23,44 @@ def _loaded_names(node):
             yield sub.attr
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _scopes(node):
+    """(definition path, subtree) pairs that together cover a top-level node.
+
+    A path names the definition a subtree sits in: ("f",) for a top-level
+    function or class f, ("C", "m") for a method or property m of class C,
+    () for any other statement. Dunder methods stay part of their class.
+    """
+    if not isinstance(node, DEFINITIONS):
+        return [((), node)]
+    if not isinstance(node, ast.ClassDef):
+        return [((node.name,), node)]
+    scopes = [((node.name,), sub) for sub in node.decorator_list + node.bases + node.keywords]
+    for sub in node.body:
+        method = isinstance(sub, DEFINITIONS[:2]) and not (
+            sub.name.startswith("__") and sub.name.endswith("__"))
+        scopes.append(((node.name, sub.name) if method else (node.name,), sub))
+    return scopes
+
+
 def test_every_top_level_definition_is_used_by_src_or_the_acceptance_battery():
-    defined = []                            # (module, name)
-    readers = defaultdict(set)              # name -> {(module, enclosing definition)}
+    defined = set()                         # (module, definition path)
+    readers = defaultdict(set)              # name -> {(module, definition path it is read in)}
     for path in sorted((ROOT / "src" / "nettsp").glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
-            owner = None
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = node.name
-                defined.append((path.stem, node.name))
-            for name in _loaded_names(node):
-                readers[name].add((path.stem, owner))
+            for scope, sub in _scopes(node):
+                if scope:
+                    defined.add((path.stem, scope))
+                for name in _loaded_names(sub):
+                    readers[name].add((path.stem, scope))
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
     for name in _loaded_names(acceptance):
-        readers[name].add(("test_acceptance", None))
-    unused = [f"{module}.{name}" for module, name in defined
-              if not readers[name] - {(module, name)}]
+        readers[name].add(("test_acceptance", ()))
+    unused = sorted(f"{module}.{'.'.join(scope)}" for module, scope in defined
+                    if all(m == module and s[:len(scope)] == scope
+                           for m, s in readers[scope[-1]]))
     assert unused == [], f"defined but used by neither src/ nor the acceptance battery: {unused}"

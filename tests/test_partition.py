@@ -18,19 +18,6 @@ def rand_space(seed, n):
 
 # --------------------------------------------------------------- sampling
 
-def test_pdf_integrates_to_one():
-    dist = RadiusDistribution(a=3.0, ddim=2.0)
-    grid = np.linspace(3.0, 6.0, 400001)
-    assert abs(np.trapezoid(dist.pdf(grid), grid) - 1.0) < 1e-9
-
-
-def test_pdf_strictly_decreasing():
-    dist = RadiusDistribution(a=1.0, ddim=1.5)
-    grid = np.linspace(1.0, 2.0, 1000)
-    vals = dist.pdf(grid)
-    assert np.all(np.diff(vals) < 0)
-
-
 def test_samples_in_support():
     sp = rand_space(0, 60)
     h = build_hierarchy(sp, 6.0)
@@ -59,11 +46,14 @@ def test_radius_draws_fill_each_level_center_by_center(guesses):
 
 
 def test_empirical_cdf_close_to_analytic():
-    dist = RadiusDistribution(a=1.0, ddim=2.0)
+    # density proportional to 2**(-beta r / a) on [a, 2a], beta = 8 ddim
+    a, beta = 1.0, 16.0
+    dist = RadiusDistribution(a=a, ddim=beta / 8)
     rng = np.random.default_rng(1)
     samples = np.sort(dist.ppf(rng.random(100_000)))
     emp = np.arange(1, len(samples) + 1) / len(samples)
-    sup = np.abs(dist.cdf(samples) - emp).max()
+    cdf = (1 - 2.0 ** (-beta * (samples - a) / a)) / (1 - 2.0 ** -beta)
+    sup = np.abs(cdf - emp).max()
     assert sup < 0.01
 
 
