@@ -29,10 +29,6 @@ class DegenerateSplit(NetTspError):
     """Instance split produced S2 = S; treat the region as sparse instead."""
 
 
-class RecursionLimit(NetTspError):
-    """Dense-region recursion exceeded its depth guard (sparse.MAX_RECURSION_DEPTH)."""
-
-
 class TooLarge(NetTspError):
     """Instance exceeds an exact oracle's size ceiling."""
 

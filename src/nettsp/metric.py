@@ -1,8 +1,8 @@
-"""Finite metric spaces: validation, normalization, ball queries, doubling estimates.
+"""Finite metric spaces: validation, normalization, balls, MSTs, doubling estimates.
 
 A space is backed either by a coordinate array (Euclidean) or by an explicit
-symmetric matrix; either way its n x n distance matrix is built once, on first
-use, and every query reads it. Whether a distance lies within a radius is
+symmetric matrix; either way its n x n distance matrix, min gap and whole MST
+are each built once, on first use, and every query reads the matrix. Whether a distance lies within a radius is
 decided in one place, :func:`within`: inclusive, at relative tolerance
 REL_TOL = 1e-9, so "on the ball boundary" ties are deterministic. Nets,
 carvings, cut estimates, portals and the dense split all ask it.
@@ -104,6 +104,43 @@ class MetricSpace:
         upper = np.where(np.tri(n, dtype=bool), np.inf, self._distances)
         i, j = divmod(int(np.argmin(upper)), n)
         return float(upper[i, j]), (i, j)
+
+    @functools.cached_property
+    def mst_edges(self) -> tuple:
+        """The whole space's MST edges, ``mst(self, range(n))``, built on first use."""
+        return tuple(mst(self, range(self.n)))
+
+
+def mst(space: MetricSpace, subset) -> list:
+    """Minimum spanning tree edges of the complete graph on subset.
+
+    Prim scan with first-minimum index selection, so ties break
+    deterministically toward lower point indices.
+    """
+    pts = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
+    if len(pts) == 0:
+        raise ValueError("mst of empty subset")
+    if len(pts) == 1:
+        return []
+    d = space.pairwise(pts, pts)
+    k = len(pts)
+    best = d[0].copy()
+    best[0] = np.inf
+    origin = np.zeros(k, dtype=np.intp)
+    in_tree = np.zeros(k, dtype=bool)
+    in_tree[0] = True
+    edges = []
+    for _ in range(k - 1):
+        j = int(np.argmin(best))
+        u, v = int(pts[origin[j]]), int(pts[j])
+        edges.append((min(u, v), max(u, v)))
+        in_tree[j] = True
+        best[j] = np.inf
+        closer = d[j] < best
+        closer &= ~in_tree
+        origin[closer] = j
+        best[closer] = d[j][closer]
+    return sorted(edges)
 
 
 def from_points(points) -> MetricSpace:

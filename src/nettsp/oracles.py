@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import OddParity, TooLarge
 from .metric import MetricSpace
-from .tours import (Tour, _odd_vertices, dedupe_visits, euler_trail, mst,
+from .tours import (Tour, _odd_vertices, dedupe_visits, euler_trail,
                     odd_matching_by_tree, tour_weight)
 
 BRUTE_MAX = 10
@@ -306,7 +306,7 @@ def christofides(space: MetricSpace) -> OracleResult:
     n = space.n
     if n < 2:
         return OracleResult(Tour((0,)), 0.0, "christofides_exact", False)
-    tree = mst(space, range(n))
+    tree = space.mst_edges
     odd = sorted(_odd_vertices(tree))
     if len(odd) <= MATCHING_EXACT_MAX:
         pairs, _ = _exact_matching_dp(space, odd)

@@ -24,7 +24,7 @@ from .oracles import (HELD_KARP_MAX, brute_force_tsp, christofides,
 from .partition import estimate_cut_probability
 from .sparse import SolveParams, check_local_tour_bounds, find_dense_region, solve_tsp
 from .tours import (double_tree_tour, edges_weight, make_net_respecting,
-                    is_net_respecting, mst, tour_weight)
+                    is_net_respecting, tour_weight)
 
 MODES = ("solve", "baseline", "oracle", "partition_stats", "lemma_checks")
 SOLVER_KEYS = ("eps", "s", "q", "delta", "m_cap", "guesses")
@@ -84,6 +84,8 @@ def run(config: dict) -> dict:
     space = config.get("space")
     if not isinstance(space, MetricSpace):
         raise ConfigError("config['space'] must be a MetricSpace")
+    if space.n == 0:
+        raise ConfigError("config['space'] has no points")
 
     raw_params = {k: config[k] for k in SOLVER_KEYS if k in config}
     try:
@@ -120,8 +122,7 @@ def run(config: dict) -> dict:
         "timings": {},
     }
     results = report["results"]
-    whole = mst(space, range(space.n)) if space.n > 1 else []
-    lower = edges_weight(space, whole)
+    lower = edges_weight(space, space.mst_edges)
     report["lower_bounds"] = {"mst": lower}
     exact = None
     if space.n <= HELD_KARP_MAX and mode in ("solve", "baseline", "oracle"):
@@ -144,7 +145,7 @@ def run(config: dict) -> dict:
         return report
 
     if mode == "solve":
-        (tour, solve_report), dt = _timed(solve_tsp, space, params, whole)
+        (tour, solve_report), dt = _timed(solve_tsp, space, params)
         report["timings"]["solve_seconds"] = dt
         results["solve"] = _tour_entry(space, tour, solve_report["weight"], bound)
         report["recursion_trace"] = solve_report["trace"]
@@ -154,7 +155,7 @@ def run(config: dict) -> dict:
         ch, dt = _timed(christofides, space)
         results[ch.method] = _tour_entry(space, ch.tour, ch.weight, bound)
         report["timings"]["christofides_seconds"] = dt
-        dt_tour = double_tree_tour(space, range(space.n))
+        dt_tour = double_tree_tour(space)
         results["double_tree"] = _tour_entry(space, dt_tour,
                                              tour_weight(space, dt_tour), bound)
         nn = nearest_neighbor_tsp(space)
@@ -190,7 +191,7 @@ def run(config: dict) -> dict:
     # lemma_checks: battery of inequality probes on this instance.
     net_report = verify_nets(h, ddim_upper=params.ddim, seed=seed)
     checks = {"nets_ok": net_report.ok}
-    base = double_tree_tour(space, range(space.n))
+    base = double_tree_tour(space)
     checks["double_tree_within_2mst"] = tour_weight(space, base) <= 2 * lower * (1 + 1e-9)
     eps_nr = min(params.eps, 0.125)
     nr = make_net_respecting(space, base, h, eps_nr)

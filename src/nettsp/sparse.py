@@ -1,11 +1,12 @@
-"""Dense-region detection and splitting, and the top-level recursive solver.
+"""Dense-region detection and splitting, and the top-level solver.
 
 A ball B(u, 3 s^i) is dense when the MST of its points weighs more than
 2 q s^i, the spanning-tree analogue of the paper's q-sparsity condition (at
-most q s^i of tour weight in each such ball). Dense regions get split off:
-the dense ball plus a boundary layer of net points is solved by the
-crossing-limited program directly, the rest is solved recursively, and the
-two closed tours are spliced at a shared point.
+most q s^i of tour weight in each such ball). Dense regions are peeled off
+one at a time: the dense ball plus a boundary layer of net points is solved
+by the crossing-limited program directly, the scan runs again on the rest,
+and once the rest is sparse it is solved too and the closed tours are
+spliced at shared points, innermost first.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateSplit, RecursionLimit
+from .errors import DegenerateSplit
 from .lightdp import solve_with_radius_guessing
 from .metric import REL_TOL, MetricSpace, ball, estimate_doubling, restrict, within
 from .nets import NetHierarchy, build_hierarchy
@@ -30,19 +31,18 @@ def restricted_tour_weight(space: MetricSpace, tour: Tour, inside) -> float:
                      if x in iset and y in iset))
 
 
-def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float, tree=None):
+def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float):
     """Lowest level holding a point u with w(MST(B(u, 3 s^i))) > 2 q s^i.
 
     Returns (level, v, q_star) with v the maximizing center (ties to the
     lowest index) and q_star its MST weight over s^i, or None when every ball
     is sparse. A level with 2 w(MST(S)) <= 2 q s^i is skipped unscanned: in a
     metric, the MST of any subset weighs at most twice its Steiner tree, and
-    MST(S) is one such tree, so no ball can exceed the cap there. ``tree`` is
-    the space's whole MST when the caller has already built it.
+    MST(S) is one such tree, so no ball can exceed the cap there.
     """
     if q <= 0:
         raise ValueError("q must be positive")
-    whole = edges_weight(space, mst(space, range(space.n)) if tree is None else tree)
+    whole = edges_weight(space, space.mst_edges)
     for level in range(h.top + 1):
         radius = 3 * h.radius(level)
         cap = 2 * q * h.radius(level)
@@ -72,7 +72,7 @@ SPLIT_CANDIDATES = 64
 
 
 def choose_split_radius(space: MetricSpace, v: int, level: int, delta: float,
-                        s: float, tree=None) -> float:
+                        s: float) -> float:
     """Radius in [12 s^i, 13 s^i] whose widened annulus cuts the least MST weight.
 
     The spanning tree of the whole space stands in for the unknowable optimal
@@ -81,14 +81,12 @@ def choose_split_radius(space: MetricSpace, v: int, level: int, delta: float,
     radius. A candidate's score is the weight of the tree edges with both ends
     in its annulus, as the per-candidate loop in tests/test_sparse.py scores
     it: edge weights and endpoint distances to v are read once, and the
-    selected weights are summed in tree order. ``tree`` is the space's whole MST when the caller
-    has already built it.
+    selected weights are summed in tree order.
     """
     if delta > 1.0 / 12 + REL_TOL:
         raise ValueError("delta must be at most 1/12")
     si = s ** level
-    if tree is None:
-        tree = mst(space, range(space.n))
+    tree = space.mst_edges
     width = 6 * delta * si
     weights = [space.dist(a, b) for a, b in tree]
     ends = space.row(v)[np.asarray(tree, dtype=np.intp).reshape(-1, 2)]
@@ -157,10 +155,6 @@ def split_instance(space: MetricSpace, hier: NetHierarchy, v: int, level: int,
         raise DegenerateSplit("no overlap between the split sides")
     return SplitResult(s1=tuple(np.flatnonzero(s1).tolist()),
                        s2=tuple(np.flatnonzero(s2).tolist()), h=split_radius)
-
-
-# solve_tsp raises RecursionLimit when dense splits nest deeper than this.
-MAX_RECURSION_DEPTH = 64
 
 
 @dataclass
@@ -270,17 +264,19 @@ def _splice(space: MetricSpace, t1: Tour, t2: Tour, shared) -> Tour:
     return dedupe_visits(Tour(tuple(rot1 + rot2), closed=True))
 
 
-def solve_tsp(space: MetricSpace, params: SolveParams, tree=None):
-    """Sparse/dense recursive solver over a normalized space.
+def solve_tsp(space: MetricSpace, params: SolveParams):
+    """Sparse/dense solver over a normalized space: peel dense regions, then
+    solve the sparse rest.
 
-    Sparse instances go straight to the radius-guessing crossing-limited
-    program. A dense region is split off, solved by the sparse path, and the
-    remainder is solved recursively; the two tours are spliced at a shared
-    point at no extra transition cost beyond the reconnection. ``tree`` is
-    the space's whole MST when the caller has already built it; the top level
-    reuses it. Every sub-instance draws its radii with one doubling dimension:
-    ``params.ddim``, or when it is None the whole space's estimate, as
-    :func:`nettsp.runner.run` sets it.
+    While the rest has a dense region, the split's inside is solved by the
+    radius-guessing crossing-limited program and set aside, and the scan runs
+    again on the outside. A sparse, degenerate or one-point rest is solved
+    last, and the set-aside tours are spliced onto it innermost first, each at
+    a shared point. The loop ends within n peels, since split_instance raises
+    DegenerateSplit unless the outside loses a point. A trace note's ``depth``
+    is the number of peels before it. Every sub-instance draws its radii with
+    one doubling dimension: ``params.ddim``, or when it is None the whole
+    space's estimate, as :func:`nettsp.runner.run` sets it.
     """
     rng = np.random.default_rng(params.seed)
     trace = []
@@ -295,42 +291,40 @@ def solve_tsp(space: MetricSpace, params: SolveParams, tree=None):
         note["cost"] = res.cost
         return Tour(tuple(indices[p] for p in res.tour.seq), closed=True)
 
-    def rec(indices, depth, tree=None):
-        if depth > MAX_RECURSION_DEPTH:
-            raise RecursionLimit(f"depth {depth} exceeded")
-        indices = tuple(sorted(indices))
-        note = {"n": len(indices), "depth": depth}
+    peeled = []                           # (inside tour, shared points) per split
+    indices = tuple(range(space.n))
+    while True:
+        note = {"n": len(indices), "depth": len(peeled)}
         trace.append(note)
         if len(indices) == 1:
             note["mode"] = "trivial"
-            return Tour((indices[0],), closed=True)
+            tour = Tour(indices, closed=True)
+            break
         sub = restrict(space, indices)
         h = build_hierarchy(sub, params.s)
-        if tree is None:
-            tree = mst(sub, range(sub.n))
-        dense = find_dense_region(sub, h, params.q, tree)
+        dense = find_dense_region(sub, h, params.q)
         if dense is None:
-            return solve_sparse(indices, sub, h, note)
+            tour = solve_sparse(indices, sub, h, note)
+            break
         level, v, q_star = dense
         note.update({"mode": "dense", "level": level, "v": int(indices[v]),
                      "q_star": q_star})
-        hsplit = choose_split_radius(sub, v, level, params.delta, params.s, tree=tree)
+        hsplit = choose_split_radius(sub, v, level, params.delta, params.s)
         try:
             sr = split_instance(sub, h, v, level, hsplit, params.delta, params.eps)
         except DegenerateSplit:
             note["mode"] = "dense_degenerate"
-            return solve_sparse(indices, sub, h, note)
+            tour = solve_sparse(indices, sub, h, note)
+            break
         note["split"] = {"s1": len(sr.s1), "s2": len(sr.s2),
                          "overlap": len(set(sr.s1) & set(sr.s2)), "h": sr.h}
-        g1 = tuple(indices[p] for p in sr.s1)
-        g2 = tuple(indices[p] for p in sr.s2)
-        del sub, h, tree, sr              # dead below; the recursion holds its own
-        note1 = {"n": len(g1), "depth": depth, "side": "inside"}
+        inside = tuple(indices[p] for p in sr.s1)
+        indices = tuple(indices[p] for p in sr.s2)
+        note1 = {"n": len(inside), "depth": len(peeled), "side": "inside"}
         trace.append(note1)
-        sub1 = restrict(space, g1)
-        t1 = solve_sparse(g1, sub1, build_hierarchy(sub1, params.s), note1)
-        t2 = rec(g2, depth + 1)
-        return _splice(space, t1, t2, set(g1) & set(g2))
-
-    tour = rec(tuple(range(space.n)), 0, tree)
+        sub1 = restrict(space, inside)
+        peeled.append((solve_sparse(inside, sub1, build_hierarchy(sub1, params.s), note1),
+                       set(inside) & set(indices)))
+    for t1, shared in reversed(peeled):
+        tour = _splice(space, t1, tour, shared)
     return tour, {"trace": trace, "weight": tour_weight(space, tour)}

@@ -1,4 +1,4 @@
-"""Tours, spanning trees, shortcutting, net-respecting conversion, and patching.
+"""Tours, tree walks, shortcutting, net-respecting conversion, and patching.
 
 A tour is an ordered point sequence, open or closed, that may revisit points.
 The patching operations rebuild tours through an Euler multigraph made of tour
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Disconnected, OddParity
-from .metric import REL_TOL, MetricSpace
+from .metric import REL_TOL, MetricSpace, mst
 from .nets import NetHierarchy
 
 
@@ -64,38 +64,6 @@ def dedupe_visits(tour: Tour) -> Tour:
     return Tour(tuple(out), closed=True)
 
 
-def mst(space: MetricSpace, subset) -> list:
-    """Minimum spanning tree edges of the complete graph on subset.
-
-    Prim scan with first-minimum index selection, so ties break
-    deterministically toward lower point indices.
-    """
-    pts = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
-    if len(pts) == 0:
-        raise ValueError("mst of empty subset")
-    if len(pts) == 1:
-        return []
-    d = space.pairwise(pts, pts)
-    k = len(pts)
-    best = d[0].copy()
-    best[0] = np.inf
-    origin = np.zeros(k, dtype=np.intp)
-    in_tree = np.zeros(k, dtype=bool)
-    in_tree[0] = True
-    edges = []
-    for _ in range(k - 1):
-        j = int(np.argmin(best))
-        u, v = int(pts[origin[j]]), int(pts[j])
-        edges.append((min(u, v), max(u, v)))
-        in_tree[j] = True
-        best[j] = np.inf
-        closer = d[j] < best
-        closer &= ~in_tree
-        origin[closer] = j
-        best[closer] = d[j][closer]
-    return sorted(edges)
-
-
 def edges_weight(space: MetricSpace, edges) -> float:
     return float(sum(space.dist(u, v) for u, v in edges))
 
@@ -120,10 +88,9 @@ def _preorder(edges, root):
     return order, parent
 
 
-def double_tree_tour(space: MetricSpace, subset) -> Tour:
-    """Closed tour from a preorder walk of the MST; weight <= 2 * MST weight."""
-    pts = sorted(set(int(p) for p in subset))
-    order, _ = _preorder(mst(space, pts), pts[0])
+def double_tree_tour(space: MetricSpace) -> Tour:
+    """Closed tour from a preorder walk of the space's MST; weight <= 2 * MST weight."""
+    order, _ = _preorder(space.mst_edges, 0)
     return Tour(tuple(order), closed=True)
 
 

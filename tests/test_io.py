@@ -13,7 +13,7 @@ from nettsp.errors import (ConfigError, DegenerateInstance, InvalidMetric, Parse
 from nettsp.io import generate_instance, instance_digest, load_instance, save_points_csv
 from nettsp.metric import from_points, normalize, validate_metric
 from nettsp.nets import build_hierarchy
-from nettsp.runner import render_report, run, strip_timing
+from nettsp.runner import MODES, render_report, run, strip_timing
 from nettsp.sparse import find_dense_region
 from nettsp.tours import Tour, tour_weight
 from nettsp.cli import main
@@ -181,6 +181,13 @@ def test_run_rejects_bad_config():
         run({"space": sp, "mode": "solve", "m-cap": 4})
     with pytest.raises(ConfigError):
         run({"space": "not a space", "mode": "solve"})
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_on_a_space_with_no_points_raises_a_config_error(mode):
+    empty = from_points(np.zeros((0, 2)))
+    with pytest.raises(ConfigError, match=re.escape("config['space'] has no points")):
+        run({"space": empty, "mode": mode})
 
 
 @pytest.mark.parametrize("key, value", [

@@ -4,8 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nettsp import runner, sparse
-from nettsp.errors import DegenerateSplit, RecursionLimit
+from nettsp import metric, oracles, runner, sparse, tours
+from nettsp.errors import DegenerateSplit
 from nettsp.io import generate_instance
 from nettsp.metric import (REL_TOL, ball, estimate_doubling, from_matrix, from_points,
                            normalize, within)
@@ -130,7 +130,8 @@ def test_dense_scan_builds_one_mst_when_no_level_can_fire(monkeypatch):
         calls.append(subset)
         return mst(space, subset)
 
-    monkeypatch.setattr(sparse, "mst", counted)
+    for module in (metric, sparse):           # the whole tree, the balls' trees
+        monkeypatch.setattr(module, "mst", counted)
     sp = normalize(generate_instance("clustered", 60, 0, {"clusters": 4}))
     assert find_dense_region(sp, build_hierarchy(sp, 6.0), SolveParams().q) is None
     assert len(calls) == 1
@@ -454,7 +455,8 @@ def test_each_dense_level_builds_its_whole_mst_once(monkeypatch):
             whole.append(space)
         return mst(space, subset)
 
-    monkeypatch.setattr(sparse, "mst", counted)
+    for module in (metric, sparse):
+        monkeypatch.setattr(module, "mst", counted)
     _, report = solve_tsp(sp, SolveParams(seed=3, q=2.0))
     scanned = [t for t in report["trace"] if t.get("side") != "inside" and t["n"] > 1]
     assert any(t["mode"] == "dense" for t in scanned)
@@ -464,21 +466,26 @@ def test_each_dense_level_builds_its_whole_mst_once(monkeypatch):
 
 
 def test_run_builds_the_whole_space_mst_once(monkeypatch):
-    sp = normalize(generate_instance("uniform2d", 40, 0))
     whole = []
 
     def counted(space, subset):
         subset = list(subset)
-        if space.n == sp.n and subset == list(range(space.n)):
+        if subset == list(range(space.n)):
             whole.append(space)
         return mst(space, subset)
 
-    for module in (runner, sparse):
-        monkeypatch.setattr(module, "mst", counted)
-    report = runner.run({"mode": "solve", "space": sp, "seed": 0})
-    assert sorted(report["results"]["solve"]["tour"]) == list(range(sp.n))
-    # the lower bound's tree is the one the top level's dense scan reads
-    assert len(whole) == 1
+    for module in (metric, tours, sparse, runner, oracles):
+        if getattr(module, "mst", None) is mst:
+            monkeypatch.setattr(module, "mst", counted)
+    for mode in runner.MODES:
+        # a fresh space per mode, so no mode reads a tree another one built
+        sp = normalize(generate_instance("uniform2d", 40 if mode != "oracle" else 12, 0))
+        whole.clear()
+        report = runner.run({"mode": mode, "space": sp, "seed": 0})
+        assert report["lower_bounds"]["mst"] > 0
+        # the lower bound's tree is the one the dense scan, the split radius,
+        # Christofides and the double tree read
+        assert len(whole) == 1 and whole[0] is sp, (mode, len(whole))
 
 
 @pytest.mark.parametrize("kind, n, params", [
@@ -492,21 +499,24 @@ def test_solve_tsp_draws_radii_with_the_runners_doubling_estimate(kind, n, param
     assert list(tour.seq) == report["results"]["solve"]["tour"]
 
 
-def test_split_radius_is_the_same_from_a_given_tree():
-    sp = dense_fixture()
-    h = build_hierarchy(sp, 6.0)
-    tree = mst(sp, range(sp.n))
-    level, v, q_star = find_dense_region(sp, h, 2.0)
-    assert find_dense_region(sp, h, 2.0, tree) == (level, v, q_star)
-    assert (choose_split_radius(sp, v, level, 1.0 / 12, 6.0, tree=tree)
-            == choose_split_radius(sp, v, level, 1.0 / 12, 6.0))
-
-
-def test_recursion_limit(monkeypatch):
-    sp = dense_fixture()
-    monkeypatch.setattr(sparse, "MAX_RECURSION_DEPTH", -1)
-    with pytest.raises(RecursionLimit):
-        solve_tsp(sp, SolveParams(seed=3, q=2.0))
+@pytest.mark.parametrize("n", [160, 180, 200])
+def test_each_peel_leaves_fewer_points_and_notes_its_inside_side(n):
+    sp = normalize(generate_instance("clustered", n, 0, {"clusters": 4}))
+    trace = runner.run({"mode": "solve", "space": sp, "seed": 0, "q": 2.0})["recursion_trace"]
+    rest = [note for note in trace if "side" not in note]
+    assert [note["depth"] for note in rest] == list(range(len(rest)))
+    assert len(rest) >= 2 and all(note["mode"] == "dense" for note in rest[:-1])
+    assert rest[-1]["mode"] != "dense"
+    for before, after in zip(rest, rest[1:]):
+        assert after["n"] == before["split"]["s2"] < before["n"]
+    # each split's inside note follows the note of the split that made it
+    for i, note in enumerate(trace):
+        if note.get("side") == "inside":
+            made_by = trace[i - 1]
+            assert "side" not in made_by and made_by["mode"] == "dense"
+            assert note["depth"] == made_by["depth"]
+            assert note["n"] == made_by["split"]["s1"]
+    assert sum(note.get("side") == "inside" for note in trace) == len(rest) - 1
 
 
 # -------------------------------------------------------------- local law
@@ -514,7 +524,7 @@ def test_recursion_limit(monkeypatch):
 def test_local_bounds_singleton_ball():
     sp = rand_space(8, 20)
     h = build_hierarchy(sp, 6.0)
-    t = double_tree_tour(sp, range(sp.n))
+    t = double_tree_tour(sp)
     report = check_local_tour_bounds(sp, t, 0, 0.0, 0.05, 6.0, 2.0)
     assert report.mst_weight == 0.0
     assert report.lower_holds
