@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -21,6 +22,17 @@ from .metric import MetricSpace, from_matrix, from_points, validate_metric
 
 FORMATS = ("tsplib_euc2d", "tsplib_matrix", "points_csv", "points_json")
 KINDS = ("uniform2d", "clustered", "line", "matrix_random_metric")
+
+
+# Each kind's accepted generator params: name -> (requirement, test). Every
+# test is written so that NaN fails it; a kind not listed accepts none.
+PARAMS = {
+    "clustered": {"clusters": ("an integer >= 1",
+                               lambda v: isinstance(v, (int, np.integer)) and v >= 1),
+                  "spread": ("finite and >= 0", lambda v: 0 <= v < math.inf),
+                  "separation": ("finite", math.isfinite)},
+    "line": {"spacing": ("finite", math.isfinite)},
+}
 
 
 def _parse_tsplib(text: str):
@@ -170,7 +182,8 @@ def generate_instance(kind: str, n: int, seed: int = 0, params: dict = None) -> 
     kinds: uniform2d (unit square), clustered (tight blobs around spread
     centers, the dense-split fixture), line (unit spacing), and
     matrix_random_metric (random weights closed under shortest paths). An
-    unknown kind, n < 1 or a negative seed raises ConfigError.
+    unknown kind, n < 1, a negative seed, or a param that is not in the
+    kind's PARAMS entry or fails its requirement raises ConfigError.
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown generator kind {kind!r}; known kinds: {', '.join(KINDS)}")
@@ -178,6 +191,14 @@ def generate_instance(kind: str, n: int, seed: int = 0, params: dict = None) -> 
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     params = params or {}
+    accepted = PARAMS.get(kind, {})
+    for key, value in params.items():
+        if key not in accepted:
+            raise ConfigError(f"unknown {kind} param {key!r}; accepted params: "
+                              f"{', '.join(accepted) or 'none'}")
+        rule, ok = accepted[key]
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+            raise ConfigError(f"{kind} param {key!r} must be {rule}, got {value!r}")
     rng = np.random.default_rng(seed)
     if kind == "uniform2d":
         return from_points(rng.random((n, 2)))

@@ -26,7 +26,7 @@ from .nets import NetHierarchy
 from .oracles import PULL_BLOCK, subset_path_table, subset_path_trace
 from .partition import (ClusterTree, RadiusDistribution, distinct_carvings,
                         partition_with_radii)
-from .tours import Tour, _collapse, dedupe_visits
+from .tours import Tour, _closed_tour, dedupe_visits
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,10 @@ class _Engine:
         self.nodes = {}            # (level, members) -> (PortalSet, pair-cost matrix)
 
     def portals(self, level, members):
-        override = None
-        if self.portal_chooser is not None:
-            override = self.portal_chooser(members, level)
-        if override is None:
+        if self.portal_chooser is None:
             return auto_portals(self.space, self.h, members, level, self.m_cap)
-        return PortalSet(level=level, portals=tuple(sorted(int(p) for p in override)))
+        chosen = self.portal_chooser(members, level)
+        return PortalSet(level=level, portals=tuple(sorted(int(p) for p in chosen)))
 
     # ------------------------------------------------------------------ table
 
@@ -349,10 +347,7 @@ class _Engine:
             raise Infeasible("no valid closed tour through the root portals")
         ai = int(np.argmin(costs))                  # the first cheapest portal
         best_cost = float(costs[ai])
-        seq = _collapse(self.expand(root + (ps.portals[ai], ps.portals[ai])))
-        if len(seq) > 1 and seq[-1] == seq[0]:
-            seq = seq[:-1]
-        raw = Tour(tuple(seq), closed=True)
+        raw = _closed_tour(self.expand(root + (ps.portals[ai], ps.portals[ai])))
         tour = dedupe_visits(raw)
         missing = set(members) - tour.visits()
         if missing:
@@ -566,8 +561,10 @@ def solve_light_tour(space: MetricSpace, h: NetHierarchy, tree: ClusterTree,
     Bottom-up over the tree, one segment, two crossings, per cluster: each
     segment is an order of the children of one of the cluster's options
     through their portals, and a leaf's children are its points. Per portal
-    pair a cluster keeps its first cheapest option. The returned tour is the
-    traceback shortcut to visit each point exactly once.
+    pair a cluster keeps its first cheapest option. A ``portal_chooser``,
+    when given, maps (members, level) to each cluster's portals in place of
+    :func:`auto_portals`. The returned tour is the traceback shortcut to
+    visit each point exactly once.
     """
     return _Engine(space, h, m_cap, tree, portal_chooser=portal_chooser).solve_root()
 
@@ -576,7 +573,7 @@ def draw_radius_samples(h: NetHierarchy, guesses: int, ddim: float, rng) -> list
     """Per level, a (centers x guesses) array of radii for the centers of
     ``h.net(level)``, filled row by row from ``rng`` in (level, center,
     guess) order."""
-    if ddim < 1:
+    if not ddim >= 1:
         raise ValueError(f"need ddim >= 1, got {ddim!r}")
     return [RadiusDistribution(a=h.radius(level), ddim=ddim).ppf(
         rng.random((len(h.net(level)), guesses))) for level in range(h.top + 1)]

@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import OddParity, TooLarge
 from .metric import MetricSpace
-from .tours import (Tour, _odd_vertices, dedupe_visits, euler_trail,
-                    odd_matching_by_tree, tour_weight)
+from .tours import (Tour, _closed_tour, _eulerian, _odd_vertices, dedupe_visits,
+                    euler_trail, tour_weight)
 
 BRUTE_MAX = 10
 HELD_KARP_MAX = 18
@@ -303,21 +303,14 @@ def christofides(space: MetricSpace) -> OracleResult:
     vertices exist, else the tree-based matching is used; the method tag
     records which, since only the exact mode carries the 1.5 guarantee.
     """
-    n = space.n
-    if n < 2:
-        return OracleResult(Tour((0,)), 0.0, "christofides_exact", False)
     tree = space.mst_edges
     odd = sorted(_odd_vertices(tree))
     if len(odd) <= MATCHING_EXACT_MAX:
-        pairs, _ = _exact_matching_dp(space, odd)
+        edges = list(tree) + _exact_matching_dp(space, odd)[0]
         method = "christofides_exact"
     else:
-        pairs = odd_matching_by_tree(space, tree, odd)
+        edges = _eulerian(space, (), tree, 0, 0)
         method = "christofides_tree"
-    verts, _ = euler_trail(list(tree) + list(pairs), 0, 0)   # the MST spans 0..n-1
-    t = dedupe_visits(Tour(tuple(verts[:-1]), closed=True))
-    missing = set(range(n)) - t.visits()
-    if missing:
-        # Isolated points only occur for n == 1; guarded above.
-        raise AssertionError(f"christofides missed points {sorted(missing)}")
+    verts, _ = euler_trail(edges, 0, 0)     # the MST spans 0..n-1, so every point is visited
+    t = dedupe_visits(_closed_tour(verts))
     return OracleResult(t, tour_weight(space, t), method, False)

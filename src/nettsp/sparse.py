@@ -188,6 +188,8 @@ class SolveParams:
             raise ValueError(f"s must be finite and at least 6, got {self.s!r}")
         if not 0 < self.delta <= 1.0 / 12 + REL_TOL:
             raise ValueError(f"delta must lie in (0, 1/12], got {self.delta!r}")
+        if self.ddim is not None and not self.ddim >= 1:
+            raise ValueError(f"ddim must be None or at least 1, got {self.ddim!r}")
         for name, least in (("m_cap", 1), ("guesses", 1), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < least:

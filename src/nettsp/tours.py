@@ -1,14 +1,15 @@
 """Tours, tree walks, shortcutting, net-respecting conversion, and patching.
 
 A tour is an ordered point sequence, open or closed, that may revisit points.
-The patching operations rebuild tours through an Euler multigraph made of tour
-pieces, a spanning tree on crossing points, and a parity-fixing matching routed
-along that tree.
+Patching, stitching and the Christofides baseline share one Euler assembly
+(:func:`_eulerian`): tour pieces, a spanning tree, and a parity-fixing
+matching routed along that tree, walked as an Euler trail. Every closed walk
+becomes a tour by one rule (:func:`_closed_tour`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,18 +140,10 @@ def make_net_respecting(space: MetricSpace, tour: Tour, h: NetHierarchy, eps: fl
         right = expand(yc, y, depth + 1)
         return left + mid[1:] + right[1:]
 
-    pts = list(tour.seq)
-    if tour.closed:
-        pts = pts + [pts[0]]
-    out = [pts[0]]
-    for j in range(len(pts) - 1):
-        out.extend(expand(pts[j], pts[j + 1])[1:])
-    out = _collapse(out)
-    if tour.closed:
-        if len(out) > 1 and out[-1] == out[0]:
-            out = out[:-1]
-        return Tour(tuple(out), closed=True)
-    return Tour(tuple(out), closed=False)
+    out = [tour.seq[0]]
+    for x, y in tour.transitions():
+        out.extend(expand(x, y)[1:])
+    return _closed_tour(out) if tour.closed else Tour(tuple(_collapse(out)), closed=False)
 
 
 def odd_matching_by_tree(space: MetricSpace, tree_edges, odd) -> list:
@@ -195,12 +188,8 @@ def euler_trail(edges, start, end):
 
     Degrees must be even except possibly at start/end. Returns the vertex
     sequence and the edge ids in traversal order; raises Disconnected when
-    some edges are unreachable.
+    some edges are unreachable or the trail cannot end at ``end``.
     """
-    if not edges:
-        if start != end:
-            raise Disconnected("no edges joining the requested endpoints")
-        return [start], []
     adj = defaultdict(list)
     for eid, (u, v) in enumerate(edges):
         adj[u].append((v, eid))
@@ -235,19 +224,27 @@ def euler_trail(edges, start, end):
 
 
 def _odd_vertices(edges):
-    deg = defaultdict(int)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
+    deg = Counter(p for edge in edges for p in edge)
     return {v for v, d in deg.items() if d % 2 == 1}
 
 
-def _xor(items):
-    """Multiset symmetric difference of single vertices (duplicates cancel)."""
-    out = set()
-    for p in items:
-        out ^= {p}
-    return out
+def _eulerian(space: MetricSpace, edges, tree, start, end, glue=()) -> list:
+    """``edges``, then ``tree``, then ``glue``, then the tree matching on the
+    vertices whose parity differs from that of an Euler trail from ``start``
+    to ``end``: a multigraph with such a trail when it is connected.
+
+    :func:`euler_trail` breaks ties by edge id, so the order is part of the
+    result.
+    """
+    edges = [*edges, *tree, *glue]
+    return edges + odd_matching_by_tree(space, tree, _odd_vertices(edges) ^ {start} ^ {end})
+
+
+def _closed_tour(points) -> Tour:
+    """The closed tour of a walk: repeats collapsed, the walk closed back to
+    its start, and the repeated start dropped."""
+    seq = _collapse(list(points) + [points[0]])
+    return Tour(tuple(seq[:-1] if len(seq) > 1 else seq), closed=True)
 
 
 def crossing_transitions(tour: Tour, cluster) -> list:
@@ -260,12 +257,8 @@ def crossing_transitions(tour: Tour, cluster) -> list:
 def cross_points(tour: Tour, cluster) -> list:
     """Cluster-side endpoints of the crossing transitions, sorted."""
     cset = set(int(p) for p in cluster)
-    trans = tour.transitions()
-    pts = set()
-    for j in crossing_transitions(tour, cluster):
-        x, y = trans[j]
-        pts.add(x if x in cset else y)
-    return sorted(pts)
+    return sorted({x if x in cset else y for x, y in tour.transitions()
+                   if (x in cset) != (y in cset)})
 
 
 def _shortcut_outside(points, cset):
@@ -283,142 +276,84 @@ def _shortcut_outside(points, cset):
 def patch_crossings(space: MetricSpace, tour: Tour, cluster) -> Tour:
     """Reroute a tour so it crosses ``cluster`` at most twice.
 
-    The tour's edges are split into the part inside the cluster and the rest
-    (outside edges plus every crossing edge). Each part is made Eulerian by
-    adding a spanning tree on the crossing points and a parity-fixing tree
-    matching, walked between two retained boundary points (the cluster-side
-    endpoints of the first and last crossings), and the outside walk is
-    shortcut around cluster-interior detours. Weight grows by at most four
-    tree weights.
+    The tour's edges are split into the inside ones (both ends in the
+    cluster) and the rest, crossing edges included. Each part is made
+    Eulerian (:func:`_eulerian`) by adding a spanning tree on the crossing
+    points and a parity-fixing tree matching, and walked between two retained
+    boundary points u and v (the cluster-side endpoints of the first and last
+    crossings); the outside walk is shortcut around cluster-interior detours.
+    A closed tour is the inside walk from u to v and the outside walk back.
+    Weight grows by at most four tree weights.
 
-    Open tours keep their two endpoints; each endpoint anchors the walk on
-    its own side of the boundary.
+    Open tours keep their two endpoints. With one end on each side, each
+    side's walk runs from its end to u. With both ends on one side, that
+    side's part also gets a glue edge (u, v) and is walked from end to end;
+    the glue edge's traversal cuts the walk into two stretches, and the other
+    side's walk, between the glue edge's ends, replaces it.
     """
     cset = set(int(p) for p in cluster)
     if not cset:
         raise ValueError("cluster must be nonempty")
-    trans = tour.transitions()
-    crossing_set = set(j for j, (x, y) in enumerate(trans) if (x in cset) != (y in cset))
-    if len(crossing_set) <= 2:
+    crossings = crossing_transitions(tour, cset)
+    if len(crossings) <= 2:
         return tour
-    crossings = sorted(crossing_set)
+    trans = tour.transitions()
+    tree = mst(space, cross_points(tour, cset))
+    u, v = (x if x in cset else y for x, y in (trans[crossings[0]], trans[crossings[-1]]))
+    inside = [(x, y) for x, y in trans if x != y and x in cset and y in cset]
+    outside = [(x, y) for x, y in trans if x != y and not (x in cset and y in cset)]
 
-    tree = mst(space, cross_points(tour, cluster))
-
-    def c_side(j):
-        x, y = trans[j]
-        return x if x in cset else y
-
-    u_star = c_side(crossings[0])
-    v_star = c_side(crossings[-1])
-
-    in_edges = []
-    out_edges = []
-    for j, (x, y) in enumerate(trans):
-        if x == y:
-            continue
-        if j in crossing_set:
-            out_edges.append((x, y))
-        elif x in cset and y in cset:
-            in_edges.append((x, y))
-        else:
-            out_edges.append((x, y))
-
-    def assemble_side(base_edges, trail_ends, virtual_pair=None):
-        """Eulerize one side: tree + parity matching so odd set == trail_ends."""
-        edges = list(base_edges) + list(tree)
-        virtual_id = None
-        if virtual_pair is not None:
-            virtual_id = len(edges)
-            edges.append(virtual_pair)
-        flips = _odd_vertices(edges) ^ _xor(trail_ends)
-        for pair in odd_matching_by_tree(space, tree, sorted(flips)):
-            edges.append(pair)
-        return edges, virtual_id
-
-    def walk_side(edges, start, end):
-        verts, _ = euler_trail(edges, start, end)
-        return verts
-
-    def walk_split(edges, start, end, virtual_id):
-        verts, eids = euler_trail(edges, start, end)
-        pos = eids.index(virtual_id)
-        return verts[: pos + 1], verts[pos + 1:]
+    def walk(base, start, end, glue=()):
+        """The Euler trail of ``base``'s assembly from start to end, as one
+        stretch, or as two cut at the glue edge."""
+        verts, eids = euler_trail(_eulerian(space, base, tree, start, end, glue), start, end)
+        if not glue:
+            return (verts,)
+        cut = eids.index(len(base) + len(tree)) + 1
+        return verts[:cut], verts[cut:]
 
     if tour.closed:
-        ends = [u_star, v_star]
-        edges_in, _ = assemble_side(in_edges, ends)
-        edges_out, _ = assemble_side(out_edges, ends)
-        walk_in = walk_side(edges_in, u_star, v_star)
-        walk_out = _shortcut_outside(walk_side(edges_out, u_star, v_star), cset)
-        rev_out = list(reversed(walk_out))
-        seq = walk_in + rev_out[1:-1]
-        seq = _collapse(seq + [seq[0]])
-        seq = seq[:-1] if len(seq) > 1 and seq[-1] == seq[0] else seq
-        return Tour(tuple(seq), closed=True)
-
+        (walk_in,), (walk_out,) = walk(inside, u, v), walk(outside, u, v)
+        return _closed_tour(walk_in + _shortcut_outside(walk_out, cset)[::-1][1:-1])
     e1, e2 = tour.endpoints
-    e1_in, e2_in = e1 in cset, e2 in cset
-    if e1_in and e2_in:
-        # Virtual glue edge sits inside; splitting its traversal yields the
-        # two inside stretches around one outside excursion.
-        edges_in, vid = assemble_side(in_edges, [e1, e2], virtual_pair=(u_star, v_star))
-        edges_out, _ = assemble_side(out_edges, [u_star, v_star])
-        part1, part2 = walk_split(edges_in, e1, e2, vid)
-        walk_out = _shortcut_outside(walk_side(edges_out, part1[-1], part2[0]), cset)
-        seq = part1 + walk_out[1:] + part2[1:]
-    elif not e1_in and not e2_in:
-        edges_out, vid = assemble_side(out_edges, [e1, e2], virtual_pair=(u_star, v_star))
-        edges_in, _ = assemble_side(in_edges, [u_star, v_star])
-        part1, part2 = walk_split(edges_out, e1, e2, vid)
-        part1 = _shortcut_outside(part1, cset)
-        part2 = _shortcut_outside(part2, cset)
-        walk_in = walk_side(edges_in, part1[-1], part2[0])
-        seq = part1 + walk_in[1:] + part2[1:]
+    if e1 in cset and e2 in cset:
+        part1, part2 = walk(inside, e1, e2, glue=[(u, v)])
+        (mid,) = walk(outside, part1[-1], part2[0])
+        seq = part1 + _shortcut_outside(mid, cset)[1:] + part2[1:]
+    elif e1 not in cset and e2 not in cset:
+        part1, part2 = (_shortcut_outside(p, cset) for p in walk(outside, e1, e2, glue=[(u, v)]))
+        (mid,) = walk(inside, part1[-1], part2[0])
+        seq = part1 + mid[1:] + part2[1:]
     else:
-        e_inside, e_outside = (e1, e2) if e1_in else (e2, e1)
-        edges_in, _ = assemble_side(in_edges, [e_inside, u_star])
-        edges_out, _ = assemble_side(out_edges, [u_star, e_outside])
-        walk_in = walk_side(edges_in, e_inside, u_star)
-        walk_out = _shortcut_outside(walk_side(edges_out, u_star, e_outside), cset)
-        seq = walk_in + walk_out[1:]
-        if not e1_in:
-            seq = list(reversed(seq))
-    seq = _collapse(seq)
-    return Tour(tuple(seq), closed=False)
+        e_in, e_out = (e1, e2) if e1 in cset else (e2, e1)
+        (walk_in,), (walk_out,) = walk(inside, e_in, u), walk(outside, u, e_out)
+        seq = walk_in + _shortcut_outside(walk_out, cset)[1:]
+        if e1 not in cset:
+            seq.reverse()
+    return Tour(tuple(_collapse(seq)), closed=False)
 
 
 def stitch_subtours(space: MetricSpace, subtours, cross_pts) -> Tour:
     """Join subtours into one closed tour via an MST on the crossing points.
 
     The multigraph of all subtour edges, the MST on ``cross_pts``, and a
-    parity-fixing tree matching is Eulerian; its circuit weighs at most the
-    subtour total plus twice the tree weight.
+    parity-fixing tree matching (:func:`_eulerian`) is Eulerian; its circuit
+    weighs at most the subtour total plus twice the tree weight.
     """
     cross_pts = sorted(set(int(p) for p in cross_pts))
     if not cross_pts:
         raise ValueError("cross_pts must be nonempty")
-    edges = []
-    for t in subtours:
-        for x, y in t.transitions():
-            if x != y:
-                edges.append((x, y))
-    tree = mst(space, cross_pts)
-    edges.extend(tree)
-    odd = _odd_vertices(edges)
-    outside = [p for p in odd if p not in cross_pts]
+    edges = [(x, y) for t in subtours for x, y in t.transitions() if x != y]
+    outside = _odd_vertices(edges) - set(cross_pts)
     if outside:
         raise ValueError(f"subtour endpoints {sorted(outside)} not in cross points")
-    edges.extend(odd_matching_by_tree(space, tree, sorted(odd)))
+    edges = _eulerian(space, edges, mst(space, cross_pts), cross_pts[0], cross_pts[0])
     if not edges:
         return Tour((cross_pts[0],), closed=True)
-    touched = set()
-    for u, v in edges:
-        touched.update((u, v))
+    touched = {p for edge in edges for p in edge}
     for p in cross_pts:
         if p not in touched:
             raise Disconnected(f"cross point {p} attached to nothing")
     start = min(touched)
     verts, _ = euler_trail(edges, start, start)
-    seq = verts[:-1] if len(verts) > 1 else verts
-    return Tour(tuple(seq), closed=True)
+    return _closed_tour(verts)

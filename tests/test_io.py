@@ -249,6 +249,27 @@ def test_generator_rejects_an_unknown_kind_a_bad_size_or_a_negative_seed():
             generate_instance(*args)
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    ("clustered", {"clusters": 0}, "'clusters' must be an integer >= 1, got 0"),
+    ("clustered", {"clusters": -1}, "'clusters' must be an integer >= 1"),
+    ("clustered", {"clusters": 2.0}, "'clusters' must be an integer >= 1"),
+    ("clustered", {"clusters": True}, "'clusters' must be an integer >= 1"),
+    ("clustered", {"spread": -0.1}, "'spread' must be finite and >= 0"),
+    ("clustered", {"spread": math.inf}, "'spread' must be finite and >= 0"),
+    ("clustered", {"separation": math.nan}, "'separation' must be finite, got nan"),
+    ("clustered", {"separation": "5"}, "'separation' must be finite"),
+    ("clustered", {"spacing": 2.0},
+     "unknown clustered param 'spacing'; accepted params: clusters, spread, separation"),
+    ("line", {"spacing": math.nan}, "'spacing' must be finite"),
+    ("line", {"clusters": 2}, "unknown line param 'clusters'; accepted params: spacing"),
+    ("uniform2d", {"spread": 0.1}, "unknown uniform2d param 'spread'; accepted params: none"),
+    ("matrix_random_metric", {"n": 5}, "accepted params: none"),
+])
+def test_generator_rejects_bad_params(kind, params, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        generate_instance(kind, 10, 0, params)
+
+
 @pytest.mark.parametrize("params, message", [
     ({"q": -1.0}, "q must be positive"), ({"q": 0.0}, "q must be positive"),
     ({"q": math.nan}, "q must be positive"), ({"q": math.inf}, None),

@@ -41,8 +41,9 @@ def test_radius_draws_fill_each_level_center_by_center(guesses):
         dist = RadiusDistribution(a=h.radius(level), ddim=2.5)
         assert radii.tolist() == [[float(dist.ppf(rng.random())) for _ in range(guesses)]
                                   for _ in h.net(level)]
-    with pytest.raises(ValueError, match="ddim >= 1"):
-        draw_radius_samples(h, guesses, 0.99, rng)
+    for ddim in (0.99, math.nan):
+        with pytest.raises(ValueError, match="ddim >= 1"):
+            draw_radius_samples(h, guesses, ddim, rng)
 
 
 def test_empirical_cdf_close_to_analytic():

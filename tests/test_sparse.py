@@ -571,6 +571,10 @@ def test_params_validation():
         SolveParams(s=4.0)
     with pytest.raises(ValueError):
         SolveParams(delta=0.5)
+    for ddim in (0.5, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="ddim must be None or at least 1"):
+            SolveParams(ddim=ddim)
+    assert SolveParams(ddim=1).ddim == 1 and SolveParams().ddim is None
     with pytest.raises(TypeError, match=r"unexpected keyword argument 'r'"):
         SolveParams(r=4)
     p = SolveParams()

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import itertools
 import math
@@ -246,14 +247,20 @@ def test_patch_four_crossings_two_point_cluster():
     assert tour_weight(sp, out) <= bound + 1e-9
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_patch_random_sweep(seed):
+def patch_case(seed):
+    """(space, tour, cluster) of the patching sweep's case ``seed``."""
     rng = np.random.default_rng(seed + 90)
     n = int(rng.integers(5, 16))
     sp = rand_space(seed + 101, n)
     t = Tour(tuple(rng.permutation(n)), closed=bool(rng.integers(0, 2)))
     csize = int(rng.integers(1, n))
     cluster = sorted(rng.choice(n, size=csize, replace=False).tolist())
+    return sp, t, cluster
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_patch_random_sweep(seed):
+    sp, t, cluster = patch_case(seed)
     w0 = tour_weight(sp, t)
     chat = cross_points(t, cluster)
     tree_w = edges_weight(sp, mst(sp, chat)) if chat else 0.0
@@ -298,8 +305,8 @@ def test_stitch_disconnected_raises():
         stitch_subtours(sp, [t1, t2], [0])
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_stitch_random_sweep(seed):
+def stitch_case(seed):
+    """(space, subtours, cross points) of the stitching sweep's case ``seed``."""
     rng = np.random.default_rng(seed + 400)
     n = int(rng.integers(6, 16))
     sp = rand_space(seed + 500, n)
@@ -316,12 +323,28 @@ def test_stitch_random_sweep(seed):
         else:
             subtours.append(Tour(tuple(ch), closed=False))
             cross.update((ch[0], ch[-1]))
-    out = stitch_subtours(sp, subtours, sorted(cross))
+    return sp, subtours, sorted(cross)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_stitch_random_sweep(seed):
+    sp, subtours, cross = stitch_case(seed)
+    out = stitch_subtours(sp, subtours, cross)
     total = sum(tour_weight(sp, t) for t in subtours)
-    tree_w = edges_weight(sp, mst(sp, sorted(cross)))
+    tree_w = edges_weight(sp, mst(sp, cross))
     assert out.closed
     assert out.visits() >= set().union(*[t.visits() for t in subtours])
     assert tour_weight(sp, out) <= total + 2 * tree_w + 1e-9
+
+
+def test_patched_and_stitched_sweep_tours_are_pinned():
+    """Every sweep case's exact output, not just its bounds, so a change in
+    the Euler assembly's edge order or tie-breaking shows here."""
+    outs = [patch_crossings(*patch_case(seed)) for seed in range(60)]
+    outs += [stitch_subtours(*stitch_case(seed)) for seed in range(40)]
+    text = repr([(t.seq, t.closed) for t in outs])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "32ad77487bdf8437379d357700882e80dcfd840534de3766ec9fea0c3f0180b3")
 
 
 def test_dedupe_visits():
