@@ -3,7 +3,7 @@
 from .metric import (MetricSpace, ball, estimate_doubling, from_matrix,
                      from_points, normalize, restrict, validate_metric)
 from .nets import NetHierarchy, build_hierarchy, verify_nets
-from .partition import ClusterTree, RadiusDistribution, estimate_cut_probability
+from .partition import estimate_cut_probability, radius_ppf
 from .lightdp import (draw_radius_samples, make_flat_tree, solve_light_tour,
                       solve_with_radius_guessing, tree_from_samples)
 from .oracles import (brute_force_matching, brute_force_tsp, christofides,

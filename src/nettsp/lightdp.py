@@ -24,8 +24,7 @@ from .errors import Infeasible
 from .metric import MetricSpace, within
 from .nets import NetHierarchy
 from .oracles import PULL_BLOCK, subset_path_table, subset_path_trace
-from .partition import (ClusterTree, RadiusDistribution, distinct_carvings,
-                        partition_with_radii)
+from .partition import distinct_carvings, partition_with_radii, radius_ppf
 from .tours import Tour, _closed_tour, dedupe_visits
 
 
@@ -90,10 +89,10 @@ class _Engine:
 
     A cluster's matrix of segment costs over all of its portal pairs (a, b)
     holds the cheapest segment that enters at a, visits every member and
-    leaves at b, so the tour crosses the cluster twice. The tree's levels are
-    the plan: each is solved in turn from the lowest up, in a few batched
-    passes, one per child count k over all of the level's (cluster, option)
-    jobs with k children. Per pair, a cluster keeps the first cheapest of its
+    leaves at b, so the tour crosses the cluster twice. The tree, its list of
+    levels as :func:`tree_from_samples` builds it, is the plan: each level is
+    solved in turn from the lowest up, in a few batched passes, one per child
+    count k over all of the level's (cluster, option) jobs with k children. Per pair, a cluster keeps the first cheapest of its
     options. A pass's stacked tensors (padded record, hop tensor, path
     tables) are locals, gone when it returns. The engine keeps one record per
     cluster, its PortalSet and matrix, plus a trace per finite cell, keyed
@@ -331,15 +330,14 @@ class _Engine:
     def solve_root(self):
         """Solve the tree, level by level from the bottom, and trace the
         root's first cheapest closed tour through one of its portals."""
-        levels = self.tree.levels
-        (members,) = levels[-1]
-        root = (len(levels) - 1, members)
+        (members,) = self.tree[-1]
+        root = (len(self.tree) - 1, members)
         # Points (level -1) first, one entry each: a point is its own one
         # portal, with a segment of cost 0.
         for p in members:
             self.nodes[-1, (p,)] = (PortalSet(level=-1, portals=(p,)), np.zeros((1, 1)))
         self.entries += len(members)
-        for level, clusters in enumerate(levels):
+        for level, clusters in enumerate(self.tree):
             self._solve_level(level, clusters, root)
         ps, mat = self.nodes[root]
         costs = np.diag(mat)
@@ -546,14 +544,14 @@ def _reversal_bounds(mh, order, vecs, least_entry, least_close, q, i, j):
     return head + span[q, i, j - 1] + tail
 
 
-def make_flat_tree(space: MetricSpace) -> ClusterTree:
+def make_flat_tree(space: MetricSpace) -> list:
     """Single-cluster tree: a one-level plan, the whole space as one
     bottom-level cluster whose one option is its points."""
     members = tuple(range(space.n))
-    return ClusterTree([{members: [tuple((p,) for p in members)]}])
+    return [{members: [tuple((p,) for p in members)]}]
 
 
-def solve_light_tour(space: MetricSpace, h: NetHierarchy, tree: ClusterTree,
+def solve_light_tour(space: MetricSpace, h: NetHierarchy, tree: list,
                      m_cap: int, portal_chooser=None) -> LightTourResult:
     """Minimum-cost crossing-limited closed tour over a cluster tree: the
     DP's one entry point.
@@ -575,24 +573,32 @@ def draw_radius_samples(h: NetHierarchy, guesses: int, ddim: float, rng) -> list
     guess) order."""
     if not ddim >= 1:
         raise ValueError(f"need ddim >= 1, got {ddim!r}")
-    return [RadiusDistribution(a=h.radius(level), ddim=ddim).ppf(
-        rng.random((len(h.net(level)), guesses))) for level in range(h.top + 1)]
+    return [radius_ppf(h.radius(level), ddim, rng.random((len(h.net(level)), guesses)))
+            for level in range(h.top + 1)]
 
 
-def tree_from_samples(space: MetricSpace, h: NetHierarchy, samples: list) -> ClusterTree:
+def tree_from_samples(space: MetricSpace, h: NetHierarchy, samples: list) -> list:
     """The cluster tree of every radius choice in ``samples``: the DP's
     per-level plan, filled top down.
 
-    Each level's clusters get their children options from the next level's
-    radii, and the next level's clusters are the distinct children of those
-    options; a level-0 cluster's one option is its points. With one radius
-    per center, the level below is carved once over all points: a point's
-    cluster is the first center in carving order whose ball holds it,
-    whatever subset is carved, so each cluster's one option is its members
-    grouped by their owner. With several, each cluster's options are its
-    :func:`distinct_carvings`, whose walk reads the distances to every center
-    of the level per cluster: at one radius that was 3.14 s against the
-    whole-level carve's 0.024 s on uniform2d n = 1000 (2-core host).
+    The plan is a list of levels from the bottom up. Its entry i maps each
+    level-i cluster that some choice reaches from the root, keyed by its
+    member tuple, to its list of children options: one per distinct carving
+    of its members one level down, each the sorted tuple of the children's
+    member tuples, as :func:`distinct_carvings` lists them, so ties break
+    alike. A level-0 cluster's one option is its points; the top level holds
+    the root alone. Each level's clusters get their options from the next
+    level's radii, and the next level's clusters are the distinct children
+    of those options.
+
+    With one radius per center, the level below is carved once over all
+    points: a point's cluster is the first center in carving order whose
+    ball holds it, whatever subset is carved, so each cluster's one option
+    is its members grouped by their owner. With several, each cluster's
+    options are its :func:`distinct_carvings`, whose walk reads the
+    distances to every center of the level per cluster: at one radius that
+    was 3.14 s against the whole-level carve's 0.024 s on uniform2d n = 1000
+    (2-core host).
     """
     clusters = [tuple(range(space.n))]
     levels = []                    # top down
@@ -615,7 +621,7 @@ def tree_from_samples(space: MetricSpace, h: NetHierarchy, samples: list) -> Clu
         clusters = list(dict.fromkeys(ch for opts in options.values()
                                       for kids in opts for ch in kids))
     levels.append({members: [tuple((p,) for p in members)] for members in clusters})
-    return ClusterTree(levels[::-1])
+    return levels[::-1]
 
 
 def solve_with_radius_guessing(space: MetricSpace, h: NetHierarchy, guesses: int,

@@ -1,4 +1,4 @@
-"""Random-radius ball carving and the cluster-tree types.
+"""Random-radius ball carving.
 
 Cluster centers are the net points of one level, processed in ascending index
 order. Each center draws its radii from a truncated exponential on
@@ -6,8 +6,8 @@ order. Each center draws its radii from a truncated exponential on
 parameter; a level's radii are one array, a row per center in net order and a
 column per guess. Every still-unassigned point inside a center's ball joins
 its cluster. :func:`nettsp.lightdp.tree_from_samples` stacks the carvings into
-a :class:`ClusterTree`, per level the map from each cluster to its children
-options: the plan the portal DP solves bottom-up, one level at a time.
+the cluster tree: per level, the map from each cluster to its children
+options, the plan the portal DP solves bottom-up, one level at a time.
 """
 
 from __future__ import annotations
@@ -20,23 +20,14 @@ from .metric import MetricSpace, within
 from .nets import NetHierarchy
 
 
-@dataclass(frozen=True)
-class RadiusDistribution:
-    """Truncated exponential on [a, 2a] with decay rate 8*ddim*ln2/a."""
-
-    a: float
-    ddim: float
-
-    @property
-    def beta(self) -> float:
-        return 8.0 * self.ddim
-
-    def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        b = self.beta
-        inner = 1.0 - u * (1.0 - 2.0 ** (-b))
-        r = self.a * (1.0 - np.log2(inner) / b)
-        return np.clip(r, self.a, 2 * self.a)
+def radius_ppf(a: float, ddim: float, u):
+    """Radii at quantiles ``u`` of the truncated exponential on [a, 2a] with
+    decay rate 8*ddim*ln2/a."""
+    u = np.asarray(u, dtype=float)
+    b = 8.0 * ddim
+    inner = 1.0 - u * (1.0 - 2.0 ** (-b))
+    r = a * (1.0 - np.log2(inner) / b)
+    return np.clip(r, a, 2 * a)
 
 
 @dataclass
@@ -77,7 +68,8 @@ def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
     only repeats earlier outcomes. A walk ends once every point is claimed, and
     its outcome is the sorted tuple of the non-empty claims' member tuples: the
     clusters partition_with_radii carves with the walk's radii. A walk that
-    runs out of centers with points unclaimed raises AssertionError.
+    runs out of centers with points unclaimed raises AssertionError. The walk
+    loops over an explicit stack, so no number of centers is too deep for it.
     """
     subset = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
     centers = h.net(level)
@@ -85,52 +77,30 @@ def distinct_carvings(space: MetricSpace, subset, h: NetHierarchy, level: int,
     # balls[c, t, p]: center c's ball at its t-th radius holds point p
     balls = within(space.pairwise(centers, subset)[:, None, :], r[:, :, None])
     reach = [balls[i] for i in np.flatnonzero(balls.any(axis=(1, 2)))]
-    claims = []                    # the walk's claims so far, in carving order
     outs = {}                      # distinct outcomes in first-occurrence order
-
-    def walk(depth, unassigned):
+    # (depth, unassigned, claims): the non-empty claims so far, as (last, earlier) pairs
+    stack = [(0, np.ones(len(subset), dtype=bool), None)]
+    while stack:
+        depth, unassigned, claims = stack.pop()
         if not unassigned.any():
-            outs.setdefault(tuple(sorted(tuple(subset[c].tolist()) for c in claims if c.any())))
-            return
+            members = []
+            while claims is not None:
+                claim, claims = claims
+                members.append(tuple(subset[claim].tolist()))
+            outs.setdefault(tuple(sorted(members)))
+            continue
         if depth == len(reach):
             raise AssertionError(
                 f"points {subset[unassigned].tolist()} not covered at level {level}")
-        tried = set()
+        distinct = {}
         for ball in reach[depth]:
             claim = unassigned & ball
-            if claim.tobytes() not in tried:
-                tried.add(claim.tobytes())
-                claims.append(claim)
-                walk(depth + 1, unassigned & ~claim)
-                claims.pop()
-
-    walk(0, np.ones(len(subset), dtype=bool))
+            distinct.setdefault(claim.tobytes(), claim)
+        # pushed in reverse, so the first radius's subtree is walked first
+        for claim in reversed(distinct.values()):
+            stack.append((depth + 1, unassigned & ~claim,
+                          (claim, claims) if claim.any() else claims))
     return list(outs)
-
-
-@dataclass
-class ClusterTree:
-    """A cluster tree, with its radius choices, as the per-level plan the
-    portal DP solves.
-
-    ``levels[i]`` maps each level-i cluster that some choice reaches from the
-    root, keyed by its member tuple, to its list of children options: one per
-    distinct carving of its members one level down, each the sorted tuple of
-    the children's member tuples, as :func:`distinct_carvings` lists them, so
-    ties break alike. With one radius per center every cluster has one
-    option. A level-0 cluster's one option is its points; the top level holds
-    the root alone.
-    """
-
-    levels: list
-
-    def node_count(self) -> int:
-        """Distinct clusters: the root and every child of every option."""
-        return sum(map(len, self.levels))
-
-    def max_branching(self) -> int:
-        return max((len(kids) for clusters in self.levels[1:]
-                    for options in clusters.values() for kids in options), default=0)
 
 
 def estimate_cut_probability(space: MetricSpace, h: NetHierarchy, u: int, v: int,
@@ -146,13 +116,11 @@ def estimate_cut_probability(space: MetricSpace, h: NetHierarchy, u: int, v: int
     if u == v:
         return 0.0
     centers = h.net(level)
-    a = h.radius(level)
     du = space.pairwise([u], centers)[0]
     dv = space.pairwise([v], centers)[0]
-    dist = RadiusDistribution(a=a, ddim=ddim)
-    radii = dist.ppf(rng.random((trials, len(centers))))
+    radii = radius_ppf(h.radius(level), ddim, rng.random((trials, len(centers))))
     first_u = np.argmax(within(du[None, :], radii), axis=1)
     first_v = np.argmax(within(dv[None, :], radii), axis=1)
-    # Covering at radius >= a guarantees some ball covers each point.
+    # Covering at radius >= h.radius(level) guarantees some ball covers each point.
     cut = int(np.sum(first_u != first_v))
     return cut / trials

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -112,11 +113,7 @@ def run(config: dict) -> dict:
         },
         "mode": mode,
         "seed": seed,
-        "params": {
-            "eps": params.eps, "s": params.s, "q": params.q, "delta": params.delta,
-            "m_cap": params.m_cap, "guesses": params.guesses,
-            "ddim": params.ddim,
-        },
+        "params": {f.name: getattr(params, f.name) for f in fields(params) if f.name != "seed"},
         "theory": params.theoretical_note(space.n, params.ddim),
         "results": {},
         "timings": {},
@@ -167,11 +164,14 @@ def run(config: dict) -> dict:
 
     if mode == "partition_stats":
         net_report = verify_nets(h, ddim_upper=params.ddim, seed=seed)
-        tree = tree_from_samples(space, h, draw_radius_samples(h, 1, params.ddim, rng))
+        tree = tree_from_samples(space, h,
+                                 draw_radius_samples(h, params.guesses, params.ddim, rng))
         results["nets"] = {"ok": net_report.ok, "level_sizes": net_report.level_sizes}
         results["clustering"] = {
-            "nodes": tree.node_count(),
-            "max_branching": tree.max_branching(),
+            "nodes": sum(map(len, tree)),
+            "max_branching": max((len(kids) for clusters in tree[1:]
+                                  for options in clusters.values() for kids in options),
+                                 default=0),
         }
         # Points 0, 2 and 4, each paired with its nearest neighbour (the first
         # at the least distance): far-apart pairs are cut by every carving.
@@ -193,16 +193,15 @@ def run(config: dict) -> dict:
     checks = {"nets_ok": net_report.ok}
     base = double_tree_tour(space)
     checks["double_tree_within_2mst"] = tour_weight(space, base) <= 2 * lower * (1 + 1e-9)
-    eps_nr = min(params.eps, 0.125)
-    nr = make_net_respecting(space, base, h, eps_nr)
-    ok_nr, _ = is_net_respecting(nr, h, eps_nr)
+    nr = make_net_respecting(space, base, h, params.eps)
+    ok_nr, _ = is_net_respecting(nr, h, params.eps)
     ratio = tour_weight(space, nr) / max(tour_weight(space, base), 1e-300)
     checks["net_respecting_ok"] = ok_nr
     checks["net_respecting_ratio"] = ratio
-    checks["net_respecting_ratio_bound"] = 1 + 16 * eps_nr
+    checks["net_respecting_ratio_bound"] = 1 + 16 * params.eps
     u = 0
     radius = space.diameter() / 4 if space.n > 1 else 1.0
-    local = check_local_tour_bounds(space, nr, u, radius, eps_nr, params.s, params.ddim)
+    local = check_local_tour_bounds(space, nr, u, radius, params.eps, params.s, params.ddim)
     checks["local_lower_holds"] = local.lower_holds
     checks["local_upper_holds"] = local.upper_holds
     checks["local_slack_upper"] = local.upper_bound - local.inside_weight

@@ -397,6 +397,14 @@ def test_run_partition_stats_mode():
     assert report["results"]["clustering"]["nodes"] >= 1
 
 
+def test_partition_stats_draws_its_tree_at_the_reported_guesses():
+    sp = generate_instance("uniform2d", 40, seed=0)
+    reports = [run({"space": sp, "mode": "partition_stats", "seed": 0, "guesses": guesses})
+               for guesses in (1, 2)]
+    assert [r["params"]["guesses"] for r in reports] == [1, 2]
+    assert [r["results"]["clustering"]["nodes"] for r in reports] == [72, 78]
+
+
 def test_partition_stats_samples_nearest_neighbours():
     sp = generate_instance("uniform2d", 320, seed=0)
     report = run({"space": sp, "mode": "partition_stats", "seed": 0})

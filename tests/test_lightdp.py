@@ -16,7 +16,7 @@ from nettsp.metric import REL_TOL, estimate_doubling, from_matrix, from_points, 
 from nettsp.nets import build_hierarchy
 from nettsp.oracles import (brute_force_tsp, held_karp_tsp, subset_path_step, subset_path_table,
                             subset_path_trace)
-from nettsp.partition import ClusterTree, distinct_carvings, partition_with_radii
+from nettsp.partition import distinct_carvings, partition_with_radii
 from nettsp.tours import _collapse, edges_weight, mst, tour_weight
 
 
@@ -81,7 +81,7 @@ def set_auto_portals(space, h, members, level, m_cap):
 
 def tree_clusters(tree):
     """Every cluster of ``tree`` as (level, members), level by level from the bottom."""
-    return [(level, members) for level, clusters in enumerate(tree.levels)
+    return [(level, members) for level, clusters in enumerate(tree)
             for members in clusters]
 
 
@@ -239,7 +239,7 @@ def test_leaf_equals_the_best_order_by_permutation_search(seed):
         # a bottom cluster whose portals are the case's ends, solved as a node of
         # singleton children at every pair of its portals: the one child of a
         # root one level up, with the same portals, which solves only a == b
-        tree = ClusterTree([{members: [tuple((p,) for p in members)]}, {members: [(members,)]}])
+        tree = [{members: [tuple((p,) for p in members)]}, {members: [(members,)]}]
         engine = _Engine(sp, h, 6, tree, portal_chooser=lambda members, level: (a, b))
         engine.solve_root()
         ps, mat = engine.nodes[0, members]
@@ -886,7 +886,7 @@ def test_node_pair_matrices_and_traces_equal_the_per_pair_reference(monkeypatch,
     solve_root = _Engine.solve_root
 
     def keeping(self):
-        engines.append((self, len(self.tree.levels) - 1, *self.tree.levels[-1]))
+        engines.append((self, len(self.tree) - 1, *self.tree[-1]))
         return solve_root(self)
 
     monkeypatch.setattr(_Engine, "solve_root", keeping)
@@ -902,7 +902,7 @@ def test_node_pair_matrices_and_traces_equal_the_per_pair_reference(monkeypatch,
             continue
         P = ps.portals
         root = (level, members) == (root_level, root_members)
-        options = engine.tree.levels[level][members]
+        options = engine.tree[level][members]
         several += len(options) > 1
         leaves += level == 0
         for ai, bi in itertools.combinations_with_replacement(range(len(P)), 2):
@@ -1017,7 +1017,7 @@ def test_distinct_carvings_match_product_enumeration(guesses):
         h = build_hierarchy(sp, 6.0)
         samples = draw_radius_samples(h, guesses, 2.5, np.random.default_rng(i))
         tree = tree_from_samples(sp, h, samples)
-        for level, clusters in enumerate(tree.levels[1:], start=1):
+        for level, clusters in enumerate(tree[1:], start=1):
             for members in clusters:
                 lvl = level - 1
                 got = distinct_carvings(sp, members, h, lvl, samples[lvl])
@@ -1064,8 +1064,8 @@ def test_owner_map_tree_equals_the_node_by_node_carve(kind):
             samples = draw_radius_samples(h, 1, ddim, np.random.default_rng(seed))
             tree = tree_from_samples(sp, h, samples)
             # the same clusters, each with the same children in the same order
-            assert tree.levels == carved_tree(sp, h, samples)
-            for level, clusters in enumerate(tree.levels[1:], start=1):
+            assert tree == carved_tree(sp, h, samples)
+            for level, clusters in enumerate(tree[1:], start=1):
                 for members, options in clusters.items():
                     lvl = level - 1
                     assert distinct_carvings(sp, members, h, lvl, samples[lvl]) == options
@@ -1100,7 +1100,7 @@ def test_one_guess_carves_each_level_once_and_lists_children_as_distinct_carving
     internal = [key for key in engine.nodes if key[0] > 0]
     assert len(internal) > 1
     for level, members in internal:
-        assert engine.tree.levels[level][members] == distinct_carvings(
+        assert engine.tree[level][members] == distinct_carvings(
             sp, members, h, level - 1, samples[level - 1])
 
 
@@ -1125,7 +1125,7 @@ def test_several_guesses_map_each_reachable_cluster_to_its_distinct_carvings(gue
             lvl = level - 1
             want[level][members] = distinct_carvings(sp, members, h, lvl, samples[lvl])
             todo.extend((lvl, ch) for kids in want[level][members] for ch in kids)
-        assert tree.levels == want
+        assert tree == want
         several += sum(len(options) > 1 for clusters in want for options in clusters.values())
     assert (several > 0) == (guesses > 1)
 
@@ -1152,8 +1152,8 @@ def test_engine_asks_for_each_clusters_options_once():
             calls[self.level, members] += 1
             return super().__getitem__(members)
 
-    clusters = {(level, members) for level, c in enumerate(tree.levels) for members in c}
-    tree.levels = [Counting(level, c) for level, c in enumerate(tree.levels)]
+    clusters = {(level, members) for level, c in enumerate(tree) for members in c}
+    tree = [Counting(level, c) for level, c in enumerate(tree)]
     engine = _Engine(sp, h, 6, tree)
     engine.solve_root()
     assert set(calls) == clusters
@@ -1189,7 +1189,7 @@ def record_table_builds(monkeypatch):
         return out
 
     def keeping(self):
-        engines.append((self, len(self.tree.levels) - 1))
+        engines.append((self, len(self.tree) - 1))
         return solve_root(self)
 
     monkeypatch.setattr(lightdp, "subset_path_table", counting_kernel)
@@ -1305,7 +1305,7 @@ def test_gathered_node_matrices_equal_the_per_child_loops(kind, n, seed, params)
     engine = _Engine(sp, h, 6, tree)
     engine.solve_root()
     groups = {}
-    for level, clusters in enumerate(tree.levels[1:], start=1):
+    for level, clusters in enumerate(tree[1:], start=1):
         for members, (children,) in clusters.items():
             infos = [(ch,) + engine.nodes[level - 1, ch] for ch in children]
             groups.setdefault((level, len(children)), []).append((members, infos))

@@ -8,8 +8,8 @@ import pytest
 from nettsp.lightdp import draw_radius_samples, tree_from_samples
 from nettsp.metric import REL_TOL, from_points, normalize, within
 from nettsp.nets import build_hierarchy
-from nettsp.partition import (RadiusDistribution, distinct_carvings, estimate_cut_probability,
-                              partition_with_radii)
+from nettsp.partition import (distinct_carvings, estimate_cut_probability, partition_with_radii,
+                              radius_ppf)
 
 
 def rand_space(seed, n):
@@ -38,9 +38,8 @@ def test_radius_draws_fill_each_level_center_by_center(guesses):
     rng = np.random.default_rng(guesses)
     assert len(samples) == h.top + 1 >= 3
     for level, radii in enumerate(samples):
-        dist = RadiusDistribution(a=h.radius(level), ddim=2.5)
-        assert radii.tolist() == [[float(dist.ppf(rng.random())) for _ in range(guesses)]
-                                  for _ in h.net(level)]
+        assert radii.tolist() == [[float(radius_ppf(h.radius(level), 2.5, rng.random()))
+                                   for _ in range(guesses)] for _ in h.net(level)]
     for ddim in (0.99, math.nan):
         with pytest.raises(ValueError, match="ddim >= 1"):
             draw_radius_samples(h, guesses, ddim, rng)
@@ -49,9 +48,8 @@ def test_radius_draws_fill_each_level_center_by_center(guesses):
 def test_empirical_cdf_close_to_analytic():
     # density proportional to 2**(-beta r / a) on [a, 2a], beta = 8 ddim
     a, beta = 1.0, 16.0
-    dist = RadiusDistribution(a=a, ddim=beta / 8)
     rng = np.random.default_rng(1)
-    samples = np.sort(dist.ppf(rng.random(100_000)))
+    samples = np.sort(radius_ppf(a, beta / 8, rng.random(100_000)))
     emp = np.arange(1, len(samples) + 1) / len(samples)
     cdf = (1 - 2.0 ** (-beta * (samples - a) / a)) / (1 - 2.0 ** -beta)
     sup = np.abs(cdf - emp).max()
@@ -60,9 +58,8 @@ def test_empirical_cdf_close_to_analytic():
 
 def test_median_below_midpoint():
     # decreasing density concentrates mass near a
-    dist = RadiusDistribution(a=4.0, ddim=1.0)
     rng = np.random.default_rng(2)
-    med = np.median(dist.ppf(rng.random(50_000)))
+    med = np.median(radius_ppf(4.0, 1.0, rng.random(50_000)))
     assert med < 1.5 * 4.0
 
 
@@ -185,11 +182,20 @@ def test_cover_matrix_carving_matches_the_carving_loop(seed):
     assert seen["uncovered"] > 0 and seen["on rim"] > 0
 
 
+def test_distinct_carvings_walks_more_centers_than_the_recursion_limit():
+    # 1,500 points 3 apart: at level 0 each center's ball holds only itself at
+    # both radii, so the one walk is 1,500 centers deep
+    sp = from_points([(3.0 * i, 0.0) for i in range(1500)])
+    h = build_hierarchy(sp, 6.0)
+    radii = np.tile([1.0, 1.5], (len(h.net(0)), 1))
+    assert distinct_carvings(sp, range(sp.n), h, 0, radii) == [tuple((p,) for p in range(sp.n))]
+
+
 # ------------------------------------------------------------- clustering
 
 def tree_clusters(tree):
     """Every cluster of ``tree`` as (level, members), level by level from the bottom."""
-    return [(level, members) for level, clusters in enumerate(tree.levels)
+    return [(level, members) for level, clusters in enumerate(tree)
             for members in clusters]
 
 
@@ -199,7 +205,7 @@ def test_two_point_hierarchy_outcomes():
     for seed in range(10):
         tree = tree_from_samples(sp, h, draw_radius_samples(h, 1, 1.0,
                                                             np.random.default_rng(seed)))
-        assert list(tree.levels[-1]) == [(0, 1)]
+        assert list(tree[-1]) == [(0, 1)]
         for level, members in tree_clusters(tree):
             if level >= 1:
                 assert members == (0, 1)
@@ -223,7 +229,7 @@ def test_tree_every_point_once_per_level():
         r = radii[h.net(level).tolist().index(center)]
         assert r <= 2 * 6.0 ** level * (1 + 1e-9)
         assert all(sp.dist(center, p) <= r * (1 + 1e-9) for p in members)
-        (kids,) = tree.levels[level][members]       # a level-0 cluster's kids are its points
+        (kids,) = tree[level][members]       # a level-0 cluster's kids are its points
         assert sorted(p for ch in kids for p in ch) == sorted(members)
 
 
@@ -261,10 +267,10 @@ def test_cut_probability_matches_partition_semantics():
     u, v = 3, 17
     fast = estimate_cut_probability(sp, h, u, v, lvl, 64, 2.0,
                                     np.random.default_rng(5))
-    dist = RadiusDistribution(a=h.radius(lvl), ddim=2.0)
     centers = h.net(lvl)
     cut = 0
-    for radii in dist.ppf(np.random.default_rng(5).random((64, len(centers)))):
+    draws = np.random.default_rng(5).random((64, len(centers)))
+    for radii in radius_ppf(h.radius(lvl), 2.0, draws):
         part = partition_with_radii(sp, range(sp.n), h, lvl, radii)
         cut += part.assign_center[u] != part.assign_center[v]
     assert fast == pytest.approx(cut / 64)
@@ -275,7 +281,7 @@ def test_cut_estimate_rims_follow_within(seed):
     # Level 0 (a = 1), both points centers, one trial: the rng draws center
     # 0's radius r, and point 1 lies at r (1 + 1.5 REL_TOL), past the rule's
     # rim r + REL_TOL r. A rim at r + 2a REL_TOL would cover it, as r <= 4a/3.
-    radii = RadiusDistribution(a=1.0, ddim=1.0).ppf(np.random.default_rng(seed).random((1, 2)))
+    radii = radius_ppf(1.0, 1.0, np.random.default_rng(seed).random((1, 2)))
     r = float(radii[0, 0])
     d = r * (1 + 1.5 * REL_TOL)
     sp = from_points([(0.0, 0.0), (d, 0.0)])
