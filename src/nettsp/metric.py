@@ -111,36 +111,106 @@ class MetricSpace:
         return tuple(mst(self, range(self.n)))
 
 
-def mst(space: MetricSpace, subset) -> list:
-    """Minimum spanning tree edges of the complete graph on subset.
+def _local_blocks(d: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The C-ordered distance block d[pts[b]][:, pts[b]] of each row b of pts.
 
-    Prim scan with first-minimum index selection, so ties break
-    deterministically toward lower point indices.
+    One row holding every point in order is read from ``d`` itself, uncopied.
+    A plain ``d[rows][:, cols]`` copy would come out strided.
+    """
+    if len(pts) == 1 and np.array_equal(pts[0], np.arange(len(d))):
+        return np.ascontiguousarray(d)[None]
+    return d[pts[:, :, None], pts[:, None, :]]
+
+
+def _prim(local: np.ndarray, sizes: np.ndarray):
+    """Prim's MST of many point sets in lockstep, one set per row.
+
+    ``local[b]`` is set b's distance block, its points in increasing index
+    order; rows and columns past ``sizes[b]`` are padding, never taken into a
+    tree. ``sizes`` is non-increasing and at least 2. Each step adds to every
+    tree the first of its nearest outside points in index order, and lowers a
+    point's distance to the tree only when strictly closer: a single-set Prim
+    scan, row by row. Set b is done after sizes[b] - 1 steps, so step t runs
+    on the leading rows with more than t + 1 points. A point joins by the edge
+    to its ``origin``, which stops changing once it is in the tree.
+
+    Returns (lo, hi), each (sets, width - 1): row b's edges as local index
+    pairs lo < hi in sorted order, then padding past its sizes[b] - 1 edges.
+    """
+    rows, width = local.shape[:2]
+    pad = np.arange(width) >= sizes[:, None]
+    best = np.where(pad, np.inf, local[:, 0])      # distance to the tree, inf once in it
+    best[:, 0] = np.inf
+    free = ~pad
+    free[:, 0] = False
+    origin = np.zeros((rows, width), dtype=np.intp)
+    closer = np.empty((rows, width), dtype=bool)
+    flat_best, flat_free = best.reshape(-1), free.reshape(-1)
+    local_rows = local.reshape(rows * width, width)
+    # exactly a rows grow for sizes[a - 1] - sizes[a] steps, sizes[rows] read as 1
+    for a, count in zip(range(rows, 0, -1), (-np.diff(sizes, append=1))[::-1].tolist()):
+        base = np.arange(a) * width        # flat offset of each active row
+        near, free_a, origin_a, closer_a = best[:a], free[:a], origin[:a], closer[:a]
+        for _ in range(count):
+            j = near.argmin(axis=1)
+            at = base + j
+            flat_free[at] = False
+            flat_best[at] = np.inf
+            dj = local_rows[at]
+            np.less(dj, near, out=closer_a)
+            closer_a &= free_a
+            np.copyto(origin_a, j[:, None], where=closer_a)
+            np.copyto(near, dj, where=closer_a)
+    v = np.arange(1, width)
+    lo, hi = np.minimum(origin[:, 1:], v), np.maximum(origin[:, 1:], v)
+    order = np.argsort(np.where(v < sizes[:, None], lo * width + hi, width * width), axis=1)
+    return np.take_along_axis(lo, order, axis=1), np.take_along_axis(hi, order, axis=1)
+
+
+def mst(space: MetricSpace, subset) -> list:
+    """Minimum spanning tree edges of the complete graph on subset, sorted.
+
+    The one-set call of the lockstep Prim (:func:`_prim`): ties break toward
+    lower point indices, deterministically.
     """
     pts = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
     if len(pts) == 0:
         raise ValueError("mst of empty subset")
     if len(pts) == 1:
         return []
-    d = space.pairwise(pts, pts)
-    k = len(pts)
-    best = d[0].copy()
-    best[0] = np.inf
-    origin = np.zeros(k, dtype=np.intp)
-    in_tree = np.zeros(k, dtype=bool)
-    in_tree[0] = True
-    edges = []
-    for _ in range(k - 1):
-        j = int(np.argmin(best))
-        u, v = int(pts[origin[j]]), int(pts[j])
-        edges.append((min(u, v), max(u, v)))
-        in_tree[j] = True
-        best[j] = np.inf
-        closer = d[j] < best
-        closer &= ~in_tree
-        origin[closer] = j
-        best[closer] = d[j][closer]
-    return sorted(edges)
+    lo, hi = _prim(_local_blocks(space.pairwise(), pts[None]), np.array([len(pts)]))
+    return list(zip(pts[lo[0]].tolist(), pts[hi[0]].tolist()))
+
+
+def tree_weights(space: MetricSpace, members: np.ndarray) -> np.ndarray:
+    """MST weight of each row's point set, for a (sets x n) boolean mask
+    whose every row holds at least 2 points.
+
+    Each weight is the left fold over the tree's sorted edges, bit for bit
+    the sum ``tours.edges_weight(space, mst(space, set))`` gives wherever
+    ``sum`` adds floats left to right (Python 3.11 and earlier). The
+    trees are built by :func:`_prim`, largest sets first, in blocks whose
+    local distance blocks hold at most n x n floats together, the size of
+    the space's own distance matrix: a set of every point is a block alone.
+    """
+    n = space.n
+    d = space.pairwise()
+    sizes = np.count_nonzero(members, axis=1)
+    order = np.argsort(-sizes, kind="stable")
+    weights = np.empty(len(sizes))
+    start = 0
+    while start < len(order):
+        width = int(sizes[order[start]])
+        block = order[start:start + n * n // (width * width)]
+        # each row's points first, in index order, then the rest as padding
+        pts = np.argsort(~members[block], axis=1, kind="stable")[:, :width]
+        local = _local_blocks(d, pts)
+        lo, hi = _prim(local, sizes[block])
+        rows = np.arange(len(block))
+        # the running sum up to each tree's last edge
+        weights[block] = np.cumsum(local[rows[:, None], lo, hi], axis=1)[rows, sizes[block] - 2]
+        start += len(block)
+    return weights
 
 
 def from_points(points) -> MetricSpace:

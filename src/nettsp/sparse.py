@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DegenerateSplit
 from .lightdp import solve_with_radius_guessing
-from .metric import REL_TOL, MetricSpace, ball, estimate_doubling, restrict, within
+from .metric import (REL_TOL, MetricSpace, ball, estimate_doubling, restrict, tree_weights,
+                     within)
 from .nets import NetHierarchy, build_hierarchy
 from .tours import Tour, dedupe_visits, edges_weight, mst, tour_weight
 
@@ -38,7 +39,11 @@ def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float):
     lowest index) and q_star its MST weight over s^i, or None when every ball
     is sparse. A level with 2 w(MST(S)) <= 2 q s^i is skipped unscanned: in a
     metric, the MST of any subset weighs at most twice its Steiner tree, and
-    MST(S) is one such tree, so no ball can exceed the cap there.
+    MST(S) is one such tree, so no ball can exceed the cap there. A scanned
+    level's balls come from one membership mask, and the trees of all those
+    with at least 2 points from one :func:`tree_weights` call, each weight the
+    sum that ``edges_weight`` gives its tree; the maximum is then taken over
+    u in order.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -48,12 +53,10 @@ def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float):
         cap = 2 * q * h.radius(level)
         if 2 * whole <= cap:
             continue
+        inside = within(space.pairwise(), radius)          # row u is the ball of u
+        centers = np.flatnonzero(np.count_nonzero(inside, axis=1) >= 2)
         best_w, best_v = -1.0, None
-        for u in range(space.n):
-            pts = ball(space, u, radius)
-            if len(pts) < 2:
-                continue
-            w = edges_weight(space, mst(space, pts))
+        for u, w in zip(centers.tolist(), tree_weights(space, inside[centers]).tolist()):
             if w > best_w + REL_TOL * max(1.0, best_w):
                 best_w, best_v = w, u
         if best_v is not None and best_w > cap * (1 + REL_TOL):

@@ -7,13 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
+from nettsp import metric, sparse
 from nettsp.errors import DegenerateInstance, InvalidMetric, TriangleViolation
 from nettsp.io import generate_instance
-from nettsp.metric import (REL_TOL, DoublingEstimate, MetricSpace, ball, estimate_doubling,
-                           from_matrix, from_points, normalize, restrict, validate_metric,
-                           within)
-from nettsp.sparse import SolveParams, solve_tsp
-from nettsp.tours import tour_weight
+from nettsp.metric import (REL_TOL, DoublingEstimate, MetricSpace, _local_blocks, _prim, ball,
+                           estimate_doubling, from_matrix, from_points, mst, normalize,
+                           restrict, tree_weights, validate_metric, within)
+from nettsp.nets import build_hierarchy
+from nettsp.sparse import SolveParams, find_dense_region, solve_tsp
+from nettsp.tours import edges_weight, tour_weight
 
 
 def grid(k):
@@ -614,3 +616,122 @@ def test_a_coordinate_space_finds_its_min_gap_once():
     sp = from_points(np.random.default_rng(6).random((30, 2)))
     assert sp.min_gap() is sp.min_gap()
     assert sp.min_gap() == fresh_min_gap(sp)
+
+
+# ---------------------------------------------------------------- lockstep Prim
+
+def reference_mst(space, subset):
+    """The per-set Prim scan the lockstep one replaced: first minimum in
+    point-index order, updates only when strictly closer."""
+    pts = np.asarray(sorted(set(int(p) for p in subset)), dtype=np.intp)
+    if len(pts) == 1:
+        return []
+    d = space.pairwise(pts, pts)
+    k = len(pts)
+    best = d[0].copy()
+    best[0] = np.inf
+    origin = np.zeros(k, dtype=np.intp)
+    in_tree = np.zeros(k, dtype=bool)
+    in_tree[0] = True
+    edges = []
+    for _ in range(k - 1):
+        j = int(np.argmin(best))
+        u, v = int(pts[origin[j]]), int(pts[j])
+        edges.append((min(u, v), max(u, v)))
+        in_tree[j] = True
+        best[j] = np.inf
+        closer = d[j] < best
+        closer &= ~in_tree
+        origin[closer] = j
+        best[closer] = d[j][closer]
+    return sorted(edges)
+
+
+def ultrametric(n):
+    """d(i, j) = 2^(b + 1), b the highest set bit of i XOR j."""
+    return from_matrix([[float(2 ** (i ^ j).bit_length()) if i != j else 0.0
+                         for j in range(n)] for i in range(n)])
+
+
+def star(n):
+    """Point 0 at distance 1 from every other point, which lie 2 apart."""
+    d = np.full((n, n), 2.0)
+    d[0, :] = d[:, 0] = 1.0
+    np.fill_diagonal(d, 0.0)
+    return from_matrix(d)
+
+
+def lockstep_trees(space, members, rows_per_call=16):
+    """Each mask row's tree from _prim, several rows of falling size per call."""
+    sizes = np.count_nonzero(members, axis=1)
+    order = np.argsort(-sizes, kind="stable")
+    trees = [None] * len(members)
+    for start in range(0, len(order), rows_per_call):
+        block = order[start:start + rows_per_call]
+        width = int(sizes[block[0]])
+        pts = np.argsort(~members[block], axis=1, kind="stable")[:, :width]
+        lo, hi = _prim(_local_blocks(space.pairwise(), pts), sizes[block])
+        for row, b in enumerate(block.tolist()):
+            m = sizes[b] - 1
+            trees[b] = list(zip(pts[row, lo[row, :m]].tolist(), pts[row, hi[row, :m]].tolist()))
+    return trees
+
+
+LOCKSTEP_SPACES = {
+    **{f"{kind}-{seed}": (lambda kind=kind, seed=seed: generate_instance(kind, 50, seed))
+       for kind in FAMILIES for seed in range(3)},
+    "star": lambda: star(30),
+    "equilateral": lambda: from_matrix(np.ones((30, 30)) - np.eye(30)),
+    "grid-20": lambda: grid(20),
+    "ultrametric": lambda: ultrametric(40),
+}
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_SPACES)
+def test_lockstep_trees_equal_the_per_set_prim_on_every_ball_of_every_level(name):
+    sp = normalize(LOCKSTEP_SPACES[name]())
+    h = build_hierarchy(sp, 6.0)
+    reference = {}                        # balls with the same points share one reference
+    for level in range(h.top + 1):
+        inside = within(sp.pairwise(), 3 * h.radius(level))
+        centers = np.flatnonzero(np.count_nonzero(inside, axis=1) >= 2)  # one-point balls skipped
+        members = inside[centers]
+        for row, tree, w in zip(members, lockstep_trees(sp, members),
+                                tree_weights(sp, members).tolist()):
+            pts = tuple(np.flatnonzero(row).tolist())
+            if pts not in reference:
+                reference[pts] = reference_mst(sp, pts)
+                assert mst(sp, pts) == reference[pts]
+            assert tree == reference[pts]
+            assert w == edges_weight(sp, reference[pts])
+    assert reference
+
+
+def test_a_covering_level_scans_each_ball_as_its_own_block_in_bounded_memory(monkeypatch):
+    sp = generate_instance("uniform2d", 300, 0)          # unit square: B(u, 3) is everything
+    n = sp.n
+    h = build_hierarchy(sp, 6.0)
+    whole = edges_weight(sp, reference_mst(sp, range(n)))
+    blocks, weights = [], []
+
+    def recorded_prim(local, sizes):
+        blocks.append(local.shape)
+        return _prim(local, sizes)
+
+    def recorded_weights(space, members):
+        weights.extend(tree_weights(space, members).tolist())
+        return np.asarray(weights)
+
+    monkeypatch.setattr(metric, "_prim", recorded_prim)
+    monkeypatch.setattr(sparse, "tree_weights", recorded_weights)
+    sp.pairwise()                                        # the space's own matrix, built first
+    tracemalloc.start()
+    try:
+        # every ball weighs the whole tree, over the cap whole / 2; ties go to u = 0
+        assert find_dense_region(sp, h, whole / 4) == (0, 0, whole)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == [(1, n, n)] * (n + 1)                # the whole tree, then each ball
+    assert weights == [whole] * n
+    assert peak <= 2 * n * n * 8

@@ -137,6 +137,21 @@ def test_dense_scan_builds_one_mst_when_no_level_can_fire(monkeypatch):
     assert len(calls) == 1
 
 
+
+def test_dense_scan_of_a_firing_level_builds_at_most_the_whole_mst(monkeypatch):
+    calls = []
+
+    def counted(space, subset):
+        calls.append(subset)
+        return mst(space, subset)
+
+    for module in (metric, sparse):           # the whole tree, the balls' trees
+        monkeypatch.setattr(module, "mst", counted)
+    sp = normalize(generate_instance("clustered", 60, 0, {"clusters": 4}))
+    assert find_dense_region(sp, build_hierarchy(sp, 6.0), 2.0) is not None
+    # the level's ball trees are built in lockstep, without mst
+    assert len(calls) <= 1
+
 # Tours at the time of writing. A change that keeps the solver's choices
 # keeps these exactly; one that alters them must say why.
 UNIFORM40_TOUR = [
