@@ -23,7 +23,7 @@ import numpy as np
 from .errors import Infeasible
 from .metric import MetricSpace, within
 from .nets import NetHierarchy
-from .oracles import PULL_BLOCK, subset_path_table, subset_path_trace
+from .oracles import PULL_BLOCK, subset_path_close, subset_path_table
 from .partition import distinct_carvings, partition_with_radii, radius_ppf
 from .tours import Tour, _closed_tour, dedupe_visits
 
@@ -186,7 +186,6 @@ class _Engine:
         padded = self._padded([infos for _, _, _, infos in jobs])
         hop = self._hop_matrices(padded)
         close = self._close_matrices([P for _, P, _, _ in jobs], padded)
-        m = close.shape[3]
         cells = [(j, ai, bi) for j, (_, _, job_cells, _) in enumerate(jobs)
                  for ai, bi in job_cells]
         samples = [(j, ai, len(list(group))) for (j, ai), group in
@@ -211,7 +210,6 @@ class _Engine:
             traced.append((np.arange(len(cells)), tot[np.arange(len(cells)), exits[:, -1]],
                            order, exits))
         else:
-            full = (1 << k) - 1
             stack = max(1, (self.EXACT_PATH_CHILDREN << self.EXACT_PATH_CHILDREN) // (k << k))
             first = np.cumsum([0] + [n for _, _, n in samples])   # each sample's first cell
             for s0 in range(0, len(samples), stack):
@@ -222,12 +220,9 @@ class _Engine:
                     self._entry_matrices(A[s0:s1], which[s0:s1], padded), sample_hop)
                 ids = np.arange(first[s0], first[s1])
                 cs = np.repeat(np.arange(s1 - s0), [n for _, _, n in samples[s0:s1]])
-                tot = (table[cs, full] + close[cell_job[ids], cell_b[ids]]).reshape(len(ids), -1)
-                flat = np.argmin(tot, axis=1)
-                val = tot[np.arange(len(ids)), flat]
-                fin = np.isfinite(val)
-                traced.append((ids[fin], val[fin]) + subset_path_trace(
-                    table, sample_hop, cs[fin], *np.divmod(flat[fin], m)))
+                val, fin, children, exits = subset_path_close(
+                    table, sample_hop, close[cell_job[ids], cell_b[ids]], cs)
+                traced.append((ids[fin], val[fin], children, exits))
                 del table
         width = max(len(P) for _, P, _, _ in jobs)
         cost = np.full((len(jobs), width, width), np.inf)

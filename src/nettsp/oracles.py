@@ -1,4 +1,8 @@
-"""Exact TSP oracles and classical baselines used to validate everything else."""
+"""Exact TSP oracles and classical baselines used to validate everything else.
+
+Held-Karp, the portal DP's exact tables and Christofides' matching are all
+cheapest paths of one subset path kernel, read out by :func:`subset_path_close`.
+"""
 
 from __future__ import annotations
 
@@ -180,20 +184,28 @@ def subset_path_step(table: np.ndarray, hop: np.ndarray, sample, mask, c, y):
     return np.divmod(np.argmin(sums, axis=1), m)
 
 
-def subset_path_trace(table: np.ndarray, hop: np.ndarray, sample, c, y):
-    """(groups, exits), each (traces x k) and first to last, of the cheapest
-    visit of all k groups ending at (c, y), one trace per (sample, c, y)."""
-    sample, c, y = (np.asarray(a, dtype=np.intp) for a in (sample, c, y))
-    k = table.shape[-2]
-    groups = np.empty((len(c), k), dtype=np.intp)
-    exits = np.empty((len(c), k), dtype=np.intp)
-    groups[:, -1], exits[:, -1] = c, y
-    mask = np.full(len(c), (1 << k) - 1, dtype=np.int64)
+def subset_path_close(table: np.ndarray, hop: np.ndarray, close: np.ndarray, sample):
+    """Per row r, the cheapest visit of all k groups of sample ``sample[r]``
+    plus ``close[r]`` (k x m, the cost of ending at each (group, exit)), ties
+    to the lowest group, then exit. Returns each row's cost, whether it is
+    finite, and the finite rows' (groups, exits), each (rows x k) and first
+    to last, traced back one :func:`subset_path_step` at a time."""
+    sample = np.asarray(sample, dtype=np.intp)
+    k, m = table.shape[-2:]
+    totals = (table[sample, -1] + close).reshape(len(sample), k * m)
+    flat = np.argmin(totals, axis=1)
+    cost = totals[np.arange(len(sample)), flat]
+    finite = np.isfinite(cost)
+    sample = sample[finite]
+    groups = np.empty((len(sample), k), dtype=np.intp)
+    exits = np.empty((len(sample), k), dtype=np.intp)
+    groups[:, -1], exits[:, -1] = np.divmod(flat[finite], m)
+    mask = np.full(len(sample), (1 << k) - 1, dtype=np.int64)
     for t in range(k - 1, 0, -1):
         groups[:, t - 1], exits[:, t - 1] = subset_path_step(table, hop, sample, mask,
                                                              groups[:, t], exits[:, t])
         mask ^= 1 << groups[:, t]
-    return groups, exits
+    return cost, finite, groups, exits
 
 
 def held_karp_tsp(space: MetricSpace) -> OracleResult:
@@ -211,25 +223,20 @@ def held_karp_tsp(space: MetricSpace) -> OracleResult:
     d = space.pairwise()
     hop = d[None, 1:, 1:, None, None]
     table = subset_path_table(d[None, 0, 1:, None], hop)      # a stack of one
-    totals = table[0, -1, :, 0] + d[1:, 0]
-    last = int(np.argmin(totals))
-    groups, _ = subset_path_trace(table, hop, [0], [last], [0])
+    cost, _, groups, _ = subset_path_close(table, hop, d[None, 1:, 0, None], [0])
     seq = (0,) + tuple(c + 1 for c in groups[0].tolist())
-    return OracleResult(Tour(seq), float(totals[last]), "held_karp", True)
+    return OracleResult(Tour(seq), float(cost[0]), "held_karp", True)
 
 
 def nearest_neighbor_tsp(space: MetricSpace) -> OracleResult:
     """Greedy baseline from point 0, ties to the lowest index."""
-    n = space.n
     seq = [0]
-    remaining = set(range(1, n))
-    cur = 0
-    while remaining:
-        row = space.row(cur)
-        nxt = min(remaining, key=lambda p: (row[p], p))
+    seen = np.zeros(space.n, dtype=bool)
+    seen[0] = True
+    for _ in range(space.n - 1):
+        nxt = int(np.argmin(np.where(seen, np.inf, space.row(seq[-1]))))   # first minimum
         seq.append(nxt)
-        remaining.discard(nxt)
-        cur = nxt
+        seen[nxt] = True
     t = Tour(tuple(seq))
     return OracleResult(t, tour_weight(space, t), "nearest_neighbor", False)
 
@@ -265,48 +272,40 @@ def brute_force_matching(space: MetricSpace, vertices):
     return best["pairs"], float(best["w"])
 
 
-def _exact_matching_dp(space: MetricSpace, verts):
-    """Min-weight perfect matching over up to MATCHING_EXACT_MAX vertices (bitmask DP)."""
-    k = len(verts)
+def _exact_matching(space: MetricSpace, verts):
+    """Min-weight perfect matching of up to MATCHING_EXACT_MAX vertices: a
+    cheapest subset path from ``verts[0]`` through the others, each left by
+    exit 1 if it closes a pair (the first closes ``verts[0]``'s) and by exit
+    0 if it opens one. Closing costs the pair's distance, opening nothing;
+    the pairs are read off the path."""
+    if not verts:
+        return [], 0.0
     d = space.pairwise(verts, verts)
-    size = 1 << k
-    dp = np.full(size, np.inf)
-    choice = np.full(size, -1, dtype=np.int64)
-    dp[0] = 0.0
-    for mask in range(size):
-        if not np.isfinite(dp[mask]):
-            continue
-        free = [t for t in range(k) if not mask & (1 << t)]
-        if not free:
-            continue
-        a = free[0]
-        for b in free[1:]:
-            nm = mask | (1 << a) | (1 << b)
-            w = dp[mask] + d[a, b]
-            if w < dp[nm]:
-                dp[nm] = w
-                choice[nm] = a * k + b
-    pairs = []
-    mask = size - 1
-    while mask:
-        enc = int(choice[mask])
-        a, b = divmod(enc, k)
-        pairs.append((int(verts[a]), int(verts[b])))
-        mask ^= (1 << a) | (1 << b)
-    return pairs, float(dp[size - 1])
+    k = len(verts) - 1
+    entry = np.full((1, k, 2), np.inf)
+    entry[0, :, 1] = d[0, 1:]
+    hop = np.full((1, k, k, 2, 2), np.inf)
+    hop[0, :, :, 0, 1] = d[1:, 1:]
+    hop[0, :, :, 1, 0] = 0.0
+    close = np.full((1, k, 2), np.inf)
+    close[0, :, 1] = 0.0
+    cost, _, groups, _ = subset_path_close(subset_path_table(entry, hop), hop, close, [0])
+    seq = [int(verts[0])] + [int(verts[c + 1]) for c in groups[0].tolist()]
+    return list(zip(seq[::2], seq[1::2])), float(cost[0])
 
 
 def christofides(space: MetricSpace) -> OracleResult:
     """MST + matching on odd-degree vertices + Euler circuit + shortcut.
 
-    The matching is exact (subset DP) when at most MATCHING_EXACT_MAX odd
-    vertices exist, else the tree-based matching is used; the method tag
-    records which, since only the exact mode carries the 1.5 guarantee.
+    The matching is exact (:func:`_exact_matching`) when at most
+    MATCHING_EXACT_MAX odd vertices exist, else the tree-based matching is
+    used; the method tag records which, since only the exact mode carries the
+    1.5 guarantee.
     """
     tree = space.mst_edges
     odd = sorted(_odd_vertices(tree))
     if len(odd) <= MATCHING_EXACT_MAX:
-        edges = list(tree) + _exact_matching_dp(space, odd)[0]
+        edges = list(tree) + _exact_matching(space, odd)[0]
         method = "christofides_exact"
     else:
         edges = _eulerian(space, (), tree, 0, 0)

@@ -40,10 +40,10 @@ def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float):
     is sparse. A level with 2 w(MST(S)) <= 2 q s^i is skipped unscanned: in a
     metric, the MST of any subset weighs at most twice its Steiner tree, and
     MST(S) is one such tree, so no ball can exceed the cap there. A scanned
-    level's balls come from one membership mask, and the trees of all those
-    with at least 2 points from one :func:`tree_weights` call, each weight the
-    sum that ``edges_weight`` gives its tree; the maximum is then taken over
-    u in order.
+    level's balls come from one membership mask. The distinct ones with at
+    least 2 points, told apart by their packed rows, get their trees from one
+    :func:`tree_weights` call, each weight the sum that ``edges_weight`` gives
+    its tree; the maximum is then taken over u in order.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -55,8 +55,12 @@ def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float):
             continue
         inside = within(space.pairwise(), radius)          # row u is the ball of u
         centers = np.flatnonzero(np.count_nonzero(inside, axis=1) >= 2)
+        packed = np.packbits(inside[centers], axis=1)       # one bytes key per ball
+        _, first, ball = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                                   return_index=True, return_inverse=True)
+        weights = tree_weights(space, inside[centers[first]])[ball]
         best_w, best_v = -1.0, None
-        for u, w in zip(centers.tolist(), tree_weights(space, inside[centers]).tolist()):
+        for u, w in zip(centers.tolist(), weights.tolist()):
             if w > best_w + REL_TOL * max(1.0, best_w):
                 best_w, best_v = w, u
         if best_v is not None and best_w > cap * (1 + REL_TOL):
@@ -254,7 +258,7 @@ def check_local_tour_bounds(space: MetricSpace, tour: Tour, u: int, radius: floa
         lower_holds=wide >= lower - tol)
 
 
-def _splice(space: MetricSpace, t1: Tour, t2: Tour, shared) -> Tour:
+def _splice(t1: Tour, t2: Tour, shared) -> Tour:
     """Join two closed tours at the lowest-index shared point, then shortcut."""
     common = sorted(set(shared) & t1.visits() & t2.visits())
     if not common:
@@ -331,5 +335,5 @@ def solve_tsp(space: MetricSpace, params: SolveParams):
         peeled.append((solve_sparse(inside, sub1, build_hierarchy(sub1, params.s), note1),
                        set(inside) & set(indices)))
     for t1, shared in reversed(peeled):
-        tour = _splice(space, t1, tour, shared)
+        tour = _splice(t1, tour, shared)
     return tour, {"trace": trace, "weight": tour_weight(space, tour)}

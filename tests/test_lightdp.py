@@ -14,8 +14,8 @@ from nettsp.lightdp import (PortalSet, _Engine, _heuristic_orders, _reversal_bou
                             solve_light_tour, solve_with_radius_guessing, tree_from_samples)
 from nettsp.metric import REL_TOL, estimate_doubling, from_matrix, from_points, normalize
 from nettsp.nets import build_hierarchy
-from nettsp.oracles import (brute_force_tsp, held_karp_tsp, subset_path_step, subset_path_table,
-                            subset_path_trace)
+from nettsp.oracles import (brute_force_tsp, held_karp_tsp, subset_path_close, subset_path_step,
+                            subset_path_table)
 from nettsp.partition import distinct_carvings, partition_with_radii
 from nettsp.tours import _collapse, edges_weight, mst, tour_weight
 
@@ -311,9 +311,24 @@ def step_of(table, hop, mask, c, y):
 
 
 def trace_of(table, hop, c, y):
-    """subset_path_trace on one unstacked table: its (group, exit) pairs."""
-    groups, exits = subset_path_trace(table[None], hop[None], [0], [c], [y])
-    return list(zip(groups[0].tolist(), exits[0].tolist()))
+    """The cheapest visit of all groups of one unstacked table ending at
+    (c, y), walked back one step_of at a time: its (group, exit) pairs."""
+    mask, path = (1 << table.shape[-2]) - 1, [(c, y)]
+    while mask != 1 << path[0][0]:
+        prev = step_of(table, hop, mask, *path[0])
+        mask ^= 1 << path[0][0]
+        path.insert(0, prev)
+    return path
+
+
+def close_at(table, hops, s, c, y):
+    """subset_path_close of a stacked table with each row r closed at
+    (c[r], y[r]) alone: its (groups, exits)."""
+    close = np.full((len(s),) + table.shape[-2:], np.inf)
+    close[np.arange(len(s)), c, y] = 0.0
+    cost, finite, groups, exits = subset_path_close(table, hops, close, s)
+    assert finite.all() and np.array_equal(cost, table[s, -1, c, y])
+    return groups, exits
 
 
 def brute_path_costs(entry, hop):
@@ -475,10 +490,44 @@ def test_stacked_kernel_equals_each_samples_own_table(monkeypatch, block, k, m):
         assert np.array_equal(stacked[s], alone[s])
     # the stacked traceback equals each sample's own, from every finite last cell
     s, c, y = np.nonzero(np.isfinite(stacked[:, -1]))
-    groups, exits = subset_path_trace(stacked, hops, s, c, y)
+    groups, exits = close_at(stacked, hops, s, c, y)
     for t in range(len(s)):
         own = trace_of(alone[s[t]], hops[s[t]], int(c[t]), int(y[t]))
         assert list(zip(groups[t].tolist(), exits[t].tolist())) == own
+
+
+@pytest.mark.parametrize("k, m", [(1, 2), (4, 3), (7, 3), (9, 2), (6, 1)])
+def test_close_equals_a_per_row_loop_over_each_samples_full_layer(k, m):
+    rng = np.random.default_rng(100 * k + m)
+    entries, hops = stacked_groups(rng, k, m)
+    table = subset_path_table(entries, hops)
+    # five closing rows per sample: four of small integers (many ties), a
+    # third of them inf, then one that is inf everywhere
+    sample = np.repeat(np.arange(3), 5)
+    close = rng.integers(0, 3, size=(len(sample), k, m)).astype(float)
+    close[rng.random(close.shape) < 1 / 3] = np.inf
+    close[4::5] = np.inf
+    cost, finite, groups, exits = subset_path_close(table, hops, close, sample)
+    assert groups.shape == exits.shape == (np.count_nonzero(finite), k)
+    ties = 0
+    traced = iter(zip(groups.tolist(), exits.tolist()))
+    for r, s in enumerate(sample.tolist()):
+        best, at = np.inf, None
+        for c in range(k):
+            for y in range(m):
+                total = table[s, -1, c, y] + close[r, c, y]
+                if total < best:                # strict: the lowest (group, exit) keeps ties
+                    best, at = total, (c, y)
+        assert cost[r] == best and finite[r] == (at is not None)
+        if at is not None:
+            ties += np.count_nonzero(table[s, -1] + close[r] == best) > 1
+            path = list(zip(*next(traced)))
+            assert path == trace_of(table[s], hops[s], *at)
+    assert next(traced, None) is None
+    assert not finite[4::5].any()
+    assert finite.any()
+    if k > 1:
+        assert ties
 
 
 def test_stacked_kernel_working_memory_stays_near_its_tables():

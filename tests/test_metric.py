@@ -732,6 +732,6 @@ def test_a_covering_level_scans_each_ball_as_its_own_block_in_bounded_memory(mon
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert blocks == [(1, n, n)] * (n + 1)                # the whole tree, then each ball
-    assert weights == [whole] * n
+    assert blocks == [(1, n, n)] * 2                      # the whole tree, then the one ball
+    assert weights == [whole]
     assert peak <= 2 * n * n * 8

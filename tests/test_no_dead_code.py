@@ -64,3 +64,22 @@ def test_every_top_level_definition_is_used_by_src_or_the_acceptance_battery():
                     if all(m == module and s[:len(scope)] == scope
                            for m, s in readers[scope[-1]]))
     assert unused == [], f"defined but used by neither src/ nor the acceptance battery: {unused}"
+
+
+def test_every_parameter_of_a_private_function_is_read():
+    """A private function or method (one leading underscore) reads each of
+    its parameters in its body; a parameter no one reads is deleted, not
+    passed along by every caller."""
+    unread = []
+    for path in sorted((ROOT / "src" / "nettsp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, DEFINITIONS[:2]) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {name for stmt in node.body for name in _loaded_names(stmt)}
+            unread += [f"{path.stem}.{node.name}({a.arg})" for a in params
+                       if a.arg not in read]
+    assert unread == [], f"parameters their private function never reads: {unread}"
