@@ -10,7 +10,8 @@ level from the bottom, as the cluster tree lists them, all of a level's
 clusters with k children in one batched pass. A bottom cluster's children
 are its points, each its own one portal at cost 0, so every segment is a
 child order: a subset path on the one kernel of :mod:`nettsp.oracles` up to
-EXACT_PATH_CHILDREN children, a greedy plus 2-opt order above.
+EXACT_PATH_CHILDREN children; above, a greedy order, improved by 2-opt on a
+cheap symmetric surrogate and then by exact 2-opt.
 """
 
 from __future__ import annotations
@@ -177,10 +178,11 @@ class _Engine:
         stacks whose tables together stay within one table of
         EXACT_PATH_CHILDREN children, and each stack's tables are dropped
         once its cells are traced. Beyond that, the child order of every
-        pair of every job comes from batched greedy plus 2-opt searches, with
-        exact portal assignment per order (the tour stays valid; only the
-        table optimality narrows to the explored orders). The whole pass goes
-        to the search in one call, each pair with its entry and close matrices.
+        pair of every job comes from a batched search, greedy, then 2-opt on
+        a surrogate, then exact 2-opt (:func:`_heuristic_orders`), with exact
+        portal assignment per order (the tour stays valid; only the table
+        optimality narrows to the explored orders). The whole pass goes to the
+        search in one call, each pair with its entry and close matrices.
         """
         k = len(jobs[0][3])
         padded = self._padded([infos for _, _, _, infos in jobs])
@@ -350,14 +352,18 @@ class _Engine:
 
 
 def _heuristic_orders(hop, owner, entries, closes):
-    """Greedy insertion orders improved by deterministic 2-opt, for every pair
-    p of entry matrix entries[p] and close matrix closes[p] (pairs x k x m)
-    through the children of cluster owner[p], whose hops are hop[owner[p]];
-    returns the pairs' orders (pairs x k) and their forward min-plus vectors
-    (pairs x k x m).
+    """Greedy insertion orders improved by deterministic 2-opt, first on a
+    surrogate and then exactly, for every pair p of entry matrix entries[p]
+    and close matrix closes[p] (pairs x k x m) through the children of
+    cluster owner[p], whose hops are hop[owner[p]]; returns the pairs' orders
+    (pairs x k) and their forward min-plus vectors (pairs x k x m).
 
     Greedy (:func:`_greedy_orders`) depends only on the cluster and the
-    entry matrix, so it runs once per distinct pair of them. 2-opt is, per
+    entry matrix, so it runs once per distinct pair of them. Each greedy
+    order then goes to :func:`_surrogate_orders`, 2-opt to convergence at
+    O(1) per move, whose order replaces the greedy one only where its exact
+    score is strictly lower; the orders that moved are scored in one batched
+    pass of forward vectors. From that merged start, the exact 2-opt is, per
     pair, first-improvement in lexicographic (i, j) order, for at most four
     rounds: reversing order[i..j] is taken as soon as it scores more than
     1e-12 below the current order, and the scan goes on at (i, j + 1)
@@ -382,8 +388,8 @@ def _heuristic_orders(hop, owner, entries, closes):
     are rebuilt, in a second batched pass along their new orders. A dropped
     row is never a pair's first improving row, every score is the same
     prefix vector followed by the same float additions as scoring that
-    reversal alone, and min does not round, so the orders equal the
-    one-reversal-at-a-time scan's.
+    reversal alone, and min does not round, so from the merged start the
+    orders equal the one-reversal-at-a-time scan's.
     """
     _, k, _, m, _ = hop.shape
     owner = np.asarray(owner, dtype=np.int32)
@@ -394,22 +400,6 @@ def _heuristic_orders(hop, owner, entries, closes):
     rows_per_block = max(1, min(PULL_BLOCK // (m * m), npairs * len(lo)))
     buf = np.empty(m * m * rows_per_block)
 
-    distinct = {}                                   # (cluster, entry) -> its greedy row
-    of_pair = np.array([distinct.setdefault((g, entry.tobytes()), len(distinct))
-                        for g, entry in zip(owner.tolist(), E)])
-    rep = np.unique(of_pair, return_index=True)[1]
-    orders, vecs = _greedy_orders(hop, owner[rep], E[rep])
-    orders, vecs = orders[of_pair], vecs[of_pair]
-    base = np.min(vecs[:, -1] + C[np.arange(npairs), orders[:, -1]], axis=1)
-
-    mh = hop.min(axis=(3, 4))                       # (cluster, from, to) over both exits
-    least_entry, least_close = E.min(axis=2), C.min(axis=2)
-    t_all = np.arange(k, dtype=np.int32)
-    start = np.zeros(npairs, dtype=np.intp)
-    rounds = np.zeros(npairs, dtype=np.int32)
-    improved = np.zeros(npairs, dtype=bool)
-    active = np.ones(npairs, dtype=bool)
-
     def advance(cur, idx, n):
         """cur[:n] one min-plus step along the (cluster, from, to) hops idx[:n], blocked."""
         for b0 in range(0, n, rows_per_block):
@@ -419,14 +409,49 @@ def _heuristic_orders(hop, owner, entries, closes):
             np.add(cur[b0:b1].T[:, :, None], step, out=step)
             np.minimum.reduce(step, axis=0, out=cur[b0:b1])
 
-    def reversed_orders(p, i, j):
-        """orders[p] with [i..j] reversed, per row: order[i + j - t] inside the span."""
-        i, j = i[:, None], j[:, None]
-        return orders[p[:, None], np.where((i <= t_all) & (t_all <= j), i + j - t_all, t_all)]
-
     def steps(g, seqs):
         """Row t - 1: each sequence's (cluster, from, to) hop into its step t."""
         return np.ascontiguousarray(((g[:, None] * k + seqs[:, :-1]) * k + seqs[:, 1:]).T)
+
+    def forward(p, seqs):
+        """The forward vectors (rows x k x m) of pairs p along orders seqs, batched."""
+        hops = steps(owner[p], seqs)
+        fwd = E[p, seqs[:, 0]]
+        out = np.empty((len(p), k, m))
+        out[:, 0] = fwd
+        for t in range(1, k):
+            advance(fwd, hops[t - 1], len(p))
+            out[:, t] = fwd
+        return out
+
+    def score(p, seqs, fwd):
+        """Each pair's cheapest close after its order seqs, whose forward vectors are fwd."""
+        return np.min(fwd[:, -1] + C[p, seqs[:, -1]], axis=1)
+
+    distinct = {}                                   # (cluster, entry) -> its greedy row
+    of_pair = np.array([distinct.setdefault((g, entry.tobytes()), len(distinct))
+                        for g, entry in zip(owner.tolist(), E)])
+    rep = np.unique(of_pair, return_index=True)[1]
+    orders, vecs = _greedy_orders(hop, owner[rep], E[rep])
+    orders, vecs = orders[of_pair], vecs[of_pair]
+    base = score(np.arange(npairs), orders, vecs)
+
+    mh = hop.min(axis=(3, 4))                       # (cluster, from, to) over both exits
+    least_entry, least_close = E.min(axis=2), C.min(axis=2)
+    surrogate = _surrogate_orders(mh, owner, least_entry, least_close, orders)
+    moved = np.flatnonzero((surrogate != orders).any(axis=1))
+    fwd = forward(moved, surrogate[moved])
+    new = score(moved, surrogate[moved], fwd)
+    lower = new < base[moved]                       # greedy keeps ties
+    won = moved[lower]
+    orders[won], vecs[won], base[won] = surrogate[won], fwd[lower], new[lower]
+    del surrogate, fwd
+
+    t_all = np.arange(k, dtype=np.int32)
+    start = np.zeros(npairs, dtype=np.intp)
+    rounds = np.zeros(npairs, dtype=np.int32)
+    improved = np.zeros(npairs, dtype=bool)
+    active = np.ones(npairs, dtype=bool)
 
     while active.any():
         act = np.flatnonzero(active)
@@ -444,7 +469,7 @@ def _heuristic_orders(hop, owner, entries, closes):
         for r0 in range(0, len(rev), rows_per_block):      # one block per step
             p = row_owner[r0:r0 + rows_per_block]
             n = np.clip(live - r0, 0, len(p)).tolist()
-            seqs = reversed_orders(p, i[r0:r0 + len(p)], j[r0:r0 + len(p)])
+            seqs = _reversed_orders(orders, p, i[r0:r0 + len(p)], j[r0:r0 + len(p)])
             hops = steps(owner[p], seqs)
             cur = vecs[p, np.maximum(i[r0:r0 + len(p)] - 1, 0)]   # joins at step max(i, 1)
             cur[:n[0]] = E[p[:n[0]], seqs[:n[0], 0]]
@@ -456,17 +481,11 @@ def _heuristic_orders(hop, owner, entries, closes):
         better = np.flatnonzero(scores < base[row_owner] - 1e-12)
         won, first = np.unique(row_owner[better], return_index=True)
         rows = better[first]
-        orders[won] = reversed_orders(won, i[rows], j[rows])
+        orders[won] = _reversed_orders(orders, won, i[rows], j[rows])
         base[won] = scores[rows]
         start[won] = rev[rows] + 1
         improved[won] = True
-        if len(won):                        # the winners' forward vectors, rebuilt
-            hops = steps(owner[won], orders[won])
-            fwd = E[won, orders[won, 0]]
-            vecs[won, 0] = fwd
-            for t in range(1, k):
-                advance(fwd, hops[t - 1], len(won))
-                vecs[won, t] = fwd
+        vecs[won] = forward(won, orders[won])       # the winners' forward vectors, rebuilt
         ended = active.copy()
         ended[won] = start[won] >= len(lo)
         again = ended & improved & (rounds < 3)     # at most four rounds
@@ -475,6 +494,59 @@ def _heuristic_orders(hop, owner, entries, closes):
         start[again] = 0
         improved[again] = False
     return orders, vecs
+
+
+def _reversed_orders(orders, p, i, j):
+    """orders[p] with [i..j] reversed, per row: order[i + j - t] inside the span."""
+    t = np.arange(orders.shape[1], dtype=i.dtype)
+    i, j = i[:, None], j[:, None]
+    return orders[p[:, None], np.where((i <= t) & (t <= j), i + j - t, t)]
+
+
+def _surrogate_orders(mh, owner, head, tail, orders):
+    """Best-improvement 2-opt to convergence on a symmetric surrogate, for every
+    row r of ``orders`` (rows x k), a child order of cluster owner[r]: the
+    improved orders.
+
+    The surrogate link between children a and b is (mh[g, a, b] + mh[g, b,
+    a]) / 2 for the row's cluster g, where mh holds each cluster's least hops
+    over both exits; the order starts at head[r] of its first child (its
+    least entry cost) and ends at tail[r] of its last (its least close cost).
+    The link is symmetric, so reversing order[i..j] changes only the two
+    links at its boundaries: the one into order[i], or the entry end when
+    i = 0, and the one out of order[j], or the close end when j = k - 1. Each
+    pass takes, per row, the reversal whose new boundary sum is below the old
+    one less 1e-12 by the most, ties to the lowest (i, j) in
+    ``np.triu_indices`` order, and a row stops when no reversal is.
+    The rows run in lockstep over one (rows x reversals) gain array. The sums
+    are compared, and a gain is taken only where the new sum is the lower, so
+    inf links and ends give no NaN; each move lowers the count of inf links
+    or keeps it and lowers the finite sum, so the passes end.
+    """
+    rows, k = orders.shape
+    lo, hi = (a.astype(np.int32) for a in np.triu_indices(k, 1))
+    # Each row runs from S = k through its order to T = k + 1. links[r] holds
+    # the links among the children, from S into each child (its head) and
+    # from each child into T (its tail).
+    links = np.full((rows, k + 2, k + 2), np.inf)
+    links[:, :k, :k] = (mh + mh.transpose(0, 2, 1))[owner] / 2
+    links[:, k, :k] = head
+    links[:, :k, k + 1] = tail
+    seq = np.empty((rows, k + 2), dtype=orders.dtype)
+    seq[:, 0], seq[:, 1:-1], seq[:, -1] = k, orders, k + 1
+    live = np.arange(rows)
+    while len(live):
+        s, x = seq[live], live[:, None]
+        along = links[x, s[:, :-1], s[:, 1:]]      # along[t]: into order[t], or out to T at k
+        old = along[:, lo] + along[:, hi + 1]
+        new = links[x, s[:, lo], s[:, hi + 1]] + links[x, s[:, lo + 1], s[:, hi + 2]]
+        better = new < old - 1e-12
+        gain = np.subtract(old, new, out=np.full(old.shape, -np.inf), where=better)
+        best = np.argmax(gain, axis=1)             # the first largest gain
+        moving = better[np.arange(len(live)), best]
+        live, best = live[moving], best[moving]
+        seq[live] = _reversed_orders(seq, live, lo[best] + 1, hi[best] + 1)
+    return seq[:, 1:-1]
 
 
 def _greedy_orders(hop, owner, entries):

@@ -311,27 +311,27 @@ def test_run_solve_deterministic_across_repeats():
 
 
 @pytest.mark.parametrize("family, n, params, config, digest", [
-    # 19 children at the root: the greedy + 2-opt child order
+    # 19 children at the root: the heuristic child order
     ("uniform2d", 40, None, {},
      "3c562652601bda6d1314eec6e49b6960c3e10e423874239804b22eacb8d25af7"),
     # the dense scan fires: splits, splices and many small sub-solves
     ("clustered", 160, {"clusters": 4}, {"q": 2.0},
-     "a11ebdd137278ad828bb8b81388effbcf02609b668c8abcb805856b5f150a01c"),
+     "237daa7497b5573c9c0f719b97c1f8dae429fdfaffc705abc01ea93aa4a33be8"),
     # several children options per cluster
     ("uniform2d", 20, None, {"guesses": 2},
      "5eed531394960723ce3a9840d445d76c44be1e49268e422053f41bd1d83f3a24"),
     # one node of 98 children: the widest heuristic child order
     ("matrix_random_metric", 100, None, {},
-     "9c55f4f1224d243098a5641d007e2105ee75423b10bfcbb5ed19826f2d7c83ef"),
+     "d003ba899bfab7bc0f734da189931909b95d28d178afd3925e91ae93221bd422"),
     # many wide nodes over several levels
     ("uniform2d", 160, None, {},
-     "38952c811537d280be93c4c4ef65df25169f4cb2f17d64ea4b3f8d5a49c67c21"),
+     "99c88651ba85ab643426be324abd6aaba5a022a7a3af76ef7d23b0b8585e7115"),
     # three guesses: 3 of the 34 clusters above level 0 have several children options
     ("uniform2d", 30, None, {"guesses": 3},
      "9c7c525311cd14d251f99954723b62cfbc454a80e1d329f804928a7baa04a1a2"),
     # two guesses on a matrix: 3 of its 4 clusters above level 0 have several options
     ("matrix_random_metric", 40, None, {"guesses": 2},
-     "07cba26565b17bcd68298bb4daee2c441cd2ec1f900c0027702a20aa2445a404"),
+     "c2c20b5e992fbbd5ba96d3f102b2c61acebc61fc5c6007655bc3385edadf1d3e"),
 ], ids=["uniform2d-40", "clustered-160-q2", "uniform2d-20-two-guesses",
         "matrix_random_metric-100", "uniform2d-160", "uniform2d-30-three-guesses",
         "matrix_random_metric-40-two-guesses"])
@@ -562,8 +562,9 @@ def uniform_200d(n):
 
 @pytest.mark.parametrize("make, n", [
     (equilateral, 19), (equilateral, 60), (weights_10_to_13, 60), (uniform_200d, 60),
-    (star, 60)],
-    ids=["equilateral-19", "equilateral-60", "weights-10-13-60", "uniform-200d-60", "star-60"])
+    (star, 60), (equilateral, 100), (star, 100)],
+    ids=["equilateral-19", "equilateral-60", "weights-10-13-60", "uniform-200d-60", "star-60",
+         "equilateral-100", "star-100"])
 def test_cli_solves_instances_whose_bottom_cluster_holds_most_points(tmp_path, make, n):
     # The level-0 carve puts most or all of the points into one bottom cluster;
     # its points are then one node's children, ordered heuristically above 12.

@@ -567,11 +567,51 @@ def scalar_score(entry, close, hop, exits, order):
     return float(np.min(vecs[-1][: exits[last]] + close[last, : exits[last]]))
 
 
+def scalar_surrogate_order(mh, head, tail, order, log=None):
+    """Best-improvement 2-opt on the surrogate, one reversal at a time: the
+    reference for :func:`lightdp._surrogate_orders` on one order. The link
+    between children a and b is (mh[a, b] + mh[b, a]) / 2, and the order runs
+    from head[order[0]] to tail[order[-1]]. Each move taken is appended to
+    ``log`` as (i, j, reversals tied with it) when a list is given."""
+    k = len(order)
+
+    def link(a, b):
+        return (mh[a, b] + mh[b, a]) / 2
+
+    def into(t, c):                 # the link from position t - 1 (or the entry) into c
+        return head[c] if t == 0 else link(order[t - 1], c)
+
+    def out_of(t, c):               # the link from c out to position t + 1 (or the close)
+        return tail[c] if t == k - 1 else link(c, order[t + 1])
+
+    order = list(order)
+    while True:
+        best, ties = None, 0
+        for i in range(k - 1):
+            for j in range(i + 1, k):
+                old = into(i, order[i]) + out_of(j, order[j])
+                new = into(i, order[j]) + out_of(j, order[i])
+                if not new < old - 1e-12:
+                    continue
+                gain = old - new
+                if best is None or gain > best[0]:
+                    best, ties = (gain, i, j), 1
+                elif gain == best[0]:
+                    ties += 1
+        if best is None:
+            return order
+        _, i, j = best
+        order[i:j + 1] = order[i:j + 1][::-1]
+        if log is not None:
+            log.append((i, j, ties))
+
+
 def scalar_heuristic_order(entry, close, hop, exits, log=None):
-    """Greedy plus 2-opt that scores one reversal at a time over unpadded
-    vectors: the reference for the batched scan. Returns the order and the
-    number of reversals taken; each one taken is appended to ``log`` as
-    (round, i, j) when a list is given."""
+    """Greedy, then surrogate 2-opt, then exact 2-opt that scores one reversal
+    at a time over unpadded vectors: the reference for the batched scan. The
+    surrogate order replaces the greedy one only when it scores strictly
+    lower. Returns the order and the number of exact reversals taken; each
+    one taken is appended to ``log`` as (round, i, j) when a list is given."""
     k = len(entry)
 
     def entry_vec(c):
@@ -602,6 +642,10 @@ def scalar_heuristic_order(entry, close, hop, exits, log=None):
             pos_vec = np.min(pos_vec[:, None] + hop[cur, cj][: len(pos_vec)], axis=0)
         cur = cj
 
+    surrogate = scalar_surrogate_order(hop.min(axis=(2, 3)), entry.min(axis=1),
+                                       close.min(axis=1), order)
+    if score(surrogate) < score(order):
+        order = surrogate
     moves = 0
     improved = True
     rounds = 0
@@ -639,6 +683,92 @@ def test_batched_two_opt_matches_one_reversal_at_a_time():
         assert orders[0].tolist() == ref
         moves += taken
     assert moves > 0
+
+
+def surrogate_case(rng, k, kind):
+    """One cluster's least hops mh (k x k) and three rows of least entry and
+    close costs (3 x k): plane clumps threaded between the three pairs of two
+    ends, small integers (many ties), or random floats with some inf hops."""
+    if kind == "plane":
+        hop, entries, closes = multi_pair_node(rng, k, 3, 2, plane=True)
+        return hop.min(axis=(2, 3)), np.min(entries, axis=2), np.min(closes, axis=2)
+    if kind == "ints":
+        return (rng.integers(0, 4, size=(k, k)).astype(float),
+                rng.integers(0, 4, size=(3, k)).astype(float),
+                rng.integers(0, 4, size=(3, k)).astype(float))
+    mh = rng.random((k, k))
+    mh[rng.random((k, k)) < 0.05] = np.inf
+    return mh, rng.random((3, k)), rng.random((3, k))
+
+
+def test_surrogate_orders_equal_the_scalar_best_improvement_loop():
+    logs = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        k = 13 + 3 * seed
+        mh, heads, tails = surrogate_case(rng, k, ("plane", "ints", "floats")[seed % 3])
+        starts = np.array([rng.permutation(k) for _ in range(3)], dtype=np.int32)
+        got = lightdp._surrogate_orders(mh[None], np.zeros(3, dtype=np.intp), heads, tails,
+                                        starts)
+        for start, head, tail, order in zip(starts, heads, tails, got.tolist()):
+            log = []
+            assert order == scalar_surrogate_order(mh, head, tail, start.tolist(), log)
+            assert sorted(order) == list(range(k))
+            logs += [(k, move) for move in log]
+    assert any(i == 0 for _, (i, _, _) in logs)
+    assert any(j == k - 1 for k, (_, j, _) in logs)
+    # some move tied with a later reversal of the same gain and still equals
+    # the reference, which takes the first in (i, j) order
+    assert any(ties > 1 for _, (_, _, ties) in logs)
+
+
+def test_surrogate_ties_go_to_the_lowest_reversal():
+    # unit links but 3 between children 2 and 3, and free ends: from 0..5 the
+    # reversals (0, 2), (1, 2), (3, 4) and (3, 5) each gain 2 and leave every
+    # link at 1, so the first alone is taken
+    mh = np.ones((6, 6))
+    mh[2, 3] = mh[3, 2] = 3.0
+    zeros = np.zeros((1, 6))
+    order = lightdp._surrogate_orders(mh[None], [0], zeros, zeros,
+                                      np.arange(6, dtype=np.int32)[None])
+    log = []
+    assert (order[0].tolist() == [2, 1, 0, 3, 4, 5]
+            == scalar_surrogate_order(mh, zeros[0], zeros[0], list(range(6)), log))
+    assert log == [(0, 2, 4)]
+
+
+def test_surrogate_orders_of_several_clusters_in_one_call_equal_each_clusters_own():
+    rng = np.random.default_rng(7)
+    cases = [surrogate_case(rng, 17, kind) for kind in ("plane", "ints", "floats")]
+    starts = np.array([rng.permutation(17) for _ in range(9)], dtype=np.int32)
+    owner = np.repeat(np.arange(3), 3)
+    together = lightdp._surrogate_orders(np.array([mh for mh, _, _ in cases]), owner,
+                                         np.concatenate([h for _, h, _ in cases]),
+                                         np.concatenate([t for _, _, t in cases]), starts)
+    alone = [lightdp._surrogate_orders(mh[None], np.zeros(3, dtype=np.intp), heads, tails,
+                                       starts[3 * c:3 * c + 3])
+             for c, (mh, heads, tails) in enumerate(cases)]
+    assert np.array_equal(together, np.concatenate(alone))
+    assert not np.array_equal(together, starts)
+
+
+def test_surrogate_orders_take_an_unreachable_child_without_nan():
+    # child 4 has no finite entry, and no finite least hop to or from it
+    rng = np.random.default_rng(11)
+    k = 15
+    entry, hop = random_groups(rng, k, 3)
+    close = rng.integers(0, 4, size=(k, 3)).astype(float)
+    entry[4] = close[4] = np.inf
+    hop[4, :] = hop[:, 4] = np.inf
+    mh = hop.min(axis=(2, 3))
+    head, tail = entry.min(axis=1), close.min(axis=1)
+    start = np.array([rng.permutation(k)], dtype=np.int32)
+    with np.errstate(all="raise"):
+        order = lightdp._surrogate_orders(mh[None], [0], head[None], tail[None], start)
+        orders, vecs = _heuristic_orders(hop[None], [0], [entry], [close])
+    assert sorted(order[0].tolist()) == sorted(orders[0].tolist()) == list(range(k))
+    assert order[0].tolist() == scalar_surrogate_order(mh, head, tail, start[0].tolist())
+    assert not np.isnan(vecs).any()
 
 
 def plane_groups(rng, k, m):

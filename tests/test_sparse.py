@@ -160,10 +160,10 @@ UNIFORM40_TOUR = [
 CLUSTERED160_Q2_TOUR = [
     3, 79, 99, 159, 87, 83, 27, 15, 39, 123, 55, 19, 35, 119, 135, 63, 43, 67, 31, 103,
     95, 107, 155, 143, 7, 23, 59, 127, 11, 51, 71, 151, 47, 111, 139, 91, 115, 75, 147, 131,
-    1, 113, 45, 141, 73, 57, 21, 53, 117, 109, 33, 29, 17, 81, 153, 5, 89, 41, 93, 101,
-    105, 125, 65, 85, 69, 97, 145, 49, 157, 61, 133, 25, 9, 37, 149, 137, 121, 13, 77, 129,
-    16, 0, 132, 120, 104, 44, 36, 48, 152, 32, 116, 92, 8, 76, 136, 28, 68, 156, 148, 52,
-    144, 12, 128, 24, 56, 64, 80, 20, 112, 100, 108, 40, 84, 140, 88, 124, 4, 72, 96, 60,
+    1, 77, 129, 133, 61, 157, 69, 85, 25, 9, 37, 149, 137, 121, 13, 49, 145, 97, 65, 125,
+    105, 101, 93, 41, 89, 5, 153, 81, 17, 29, 33, 109, 117, 53, 21, 57, 73, 141, 45, 113,
+    0, 132, 120, 104, 44, 36, 48, 152, 32, 116, 92, 8, 76, 136, 28, 68, 156, 148, 52, 144,
+    12, 128, 24, 56, 64, 80, 20, 112, 100, 108, 40, 84, 140, 88, 124, 4, 72, 96, 60, 16,
     30, 106, 114, 50, 138, 2, 6, 70, 34, 102, 10, 14, 154, 38, 94, 130, 126, 42, 110, 26,
     86, 58, 134, 90, 18, 74, 98, 122, 158, 78, 118, 82, 146, 54, 142, 66, 150, 22, 46, 62]
 
