@@ -65,7 +65,7 @@ def _parse_tsplib(text: str):
             continue
         if section == "coords":
             parts = line.split()
-            if len(parts) < 3:
+            if len(parts) != 3:
                 raise ParseError(f"expected 'index x y', got {line!r}", line=ln)
             try:
                 coords.append((float(parts[1]), float(parts[2])))
@@ -134,7 +134,7 @@ def load_instance(path: str, fmt: str) -> MetricSpace:
         for ln, row in enumerate(csv.reader(text.splitlines()), start=1):
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) < 2:
+            if len(row) < 2 or "".join(row[2:]).strip():
                 raise ParseError(f"expected 'x,y', got {row!r}", line=ln)
             try:
                 pts.append((float(row[0]), float(row[1])))

@@ -361,9 +361,8 @@ def _heuristic_orders(hop, owner, entries, closes):
     Greedy (:func:`_greedy_orders`) depends only on the cluster and the
     entry matrix, so it runs once per distinct pair of them. Each greedy
     order then goes to :func:`_surrogate_orders`, 2-opt to convergence at
-    O(1) per move, whose order replaces the greedy one only where its exact
-    score is strictly lower; the orders that moved are scored in one batched
-    pass of forward vectors. From that merged start, the exact 2-opt is, per
+    O(1) per move, and its order is every pair's start, scored in one
+    batched pass of forward vectors. From there the exact 2-opt is, per
     pair, first-improvement in lexicographic (i, j) order, for at most four
     rounds: reversing order[i..j] is taken as soon as it scores more than
     1e-12 below the current order, and the scan goes on at (i, j + 1)
@@ -388,7 +387,7 @@ def _heuristic_orders(hop, owner, entries, closes):
     are rebuilt, in a second batched pass along their new orders. A dropped
     row is never a pair's first improving row, every score is the same
     prefix vector followed by the same float additions as scoring that
-    reversal alone, and min does not round, so from the merged start the
+    reversal alone, and min does not round, so from the surrogate start the
     orders equal the one-reversal-at-a-time scan's.
     """
     _, k, _, m, _ = hop.shape
@@ -432,20 +431,12 @@ def _heuristic_orders(hop, owner, entries, closes):
     of_pair = np.array([distinct.setdefault((g, entry.tobytes()), len(distinct))
                         for g, entry in zip(owner.tolist(), E)])
     rep = np.unique(of_pair, return_index=True)[1]
-    orders, vecs = _greedy_orders(hop, owner[rep], E[rep])
-    orders, vecs = orders[of_pair], vecs[of_pair]
-    base = score(np.arange(npairs), orders, vecs)
-
     mh = hop.min(axis=(3, 4))                       # (cluster, from, to) over both exits
     least_entry, least_close = E.min(axis=2), C.min(axis=2)
-    surrogate = _surrogate_orders(mh, owner, least_entry, least_close, orders)
-    moved = np.flatnonzero((surrogate != orders).any(axis=1))
-    fwd = forward(moved, surrogate[moved])
-    new = score(moved, surrogate[moved], fwd)
-    lower = new < base[moved]                       # greedy keeps ties
-    won = moved[lower]
-    orders[won], vecs[won], base[won] = surrogate[won], fwd[lower], new[lower]
-    del surrogate, fwd
+    orders = _surrogate_orders(mh, owner, least_entry, least_close,
+                               _greedy_orders(hop, owner[rep], E[rep])[of_pair])
+    vecs = forward(np.arange(npairs), orders)
+    base = score(np.arange(npairs), orders, vecs)
 
     t_all = np.arange(k, dtype=np.int32)
     start = np.zeros(npairs, dtype=np.intp)
@@ -550,33 +541,30 @@ def _surrogate_orders(mh, owner, head, tail, orders):
 
 
 def _greedy_orders(hop, owner, entries):
-    """Greedy insertion orders (int32, rows x k) and their forward min-plus
-    vectors (rows x k x m), one row per (cluster owner[r], entry matrix
-    entries[r]), in lockstep.
+    """Greedy insertion orders (int32, rows x k), one row per (cluster
+    owner[r], entry matrix entries[r]), in lockstep.
 
     Each step appends the child that is cheapest to reach next, ties to the
     lowest index; when no remaining child is reachable, the lowest remaining
-    one. A child's cost is the min over both exits of the last forward
+    one. A child's cost is the min over both exits of the row's forward
     vector plus the hop, the same sums as one order built alone.
     """
-    rows, k, m = entries.shape
+    rows, k, _ = entries.shape
     r = np.arange(rows)
     taken = np.zeros((rows, k), dtype=bool)
     orders = np.empty((rows, k), dtype=np.int32)
-    vecs = np.empty((rows, k, m))
     costs = entries.min(axis=2)
     for t in range(k):
         if t:
             h = hop[owner, orders[:, t - 1]]                    # (rows, to, x, y)
-            costs = np.min(vecs[:, t - 1, None, :, None] + h, axis=(2, 3))
+            costs = np.min(vec[:, None, :, None] + h, axis=(2, 3))
             costs[taken] = np.inf
         c = np.argmin(costs, axis=1)
         c = np.where(np.isfinite(costs[r, c]), c, np.argmin(taken, axis=1))
         orders[:, t] = c
         taken[r, c] = True
-        vecs[:, t] = entries[r, c] if t == 0 else np.min(vecs[:, t - 1, :, None] + h[r, c],
-                                                         axis=1)
-    return orders, vecs
+        vec = entries[r, c] if t == 0 else np.min(vec[:, :, None] + h[r, c], axis=1)
+    return orders
 
 
 def _reversal_bounds(mh, order, vecs, least_entry, least_close, q, i, j):

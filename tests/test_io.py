@@ -93,6 +93,18 @@ def test_parse_error_carries_line(tmp_path):
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("text, fmt, line", [
+    ("0,0\n0,0,5\n1,1\n", "points_csv", 2),
+    ("NODE_COORD_SECTION\n1 0 0\n2 0 0 5\n3 1 1\n", "tsplib_euc2d", 3),
+])
+def test_a_third_coordinate_is_a_parse_error(tmp_path, text, fmt, line):
+    path = tmp_path / "three.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_instance(str(path), fmt)
+    assert f"line {line}" in str(err.value)
+
+
 def test_duplicate_points_rejected(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("0,0\n0,0\n1,1\n")

@@ -609,8 +609,8 @@ def scalar_surrogate_order(mh, head, tail, order, log=None):
 def scalar_heuristic_order(entry, close, hop, exits, log=None):
     """Greedy, then surrogate 2-opt, then exact 2-opt that scores one reversal
     at a time over unpadded vectors: the reference for the batched scan. The
-    surrogate order replaces the greedy one only when it scores strictly
-    lower. Returns the order and the number of exact reversals taken; each
+    exact passes start from the surrogate order, whatever the greedy order
+    scores. Returns the order and the number of exact reversals taken; each
     one taken is appended to ``log`` as (round, i, j) when a list is given."""
     k = len(entry)
 
@@ -642,10 +642,8 @@ def scalar_heuristic_order(entry, close, hop, exits, log=None):
             pos_vec = np.min(pos_vec[:, None] + hop[cur, cj][: len(pos_vec)], axis=0)
         cur = cj
 
-    surrogate = scalar_surrogate_order(hop.min(axis=(2, 3)), entry.min(axis=1),
-                                       close.min(axis=1), order)
-    if score(surrogate) < score(order):
-        order = surrogate
+    order = scalar_surrogate_order(hop.min(axis=(2, 3)), entry.min(axis=1),
+                                   close.min(axis=1), order)
     moves = 0
     improved = True
     rounds = 0
@@ -856,7 +854,7 @@ def multi_pair_node(rng, k, m, portals, plane):
     return hop, [entries[a] for a, _ in pairs], [closes[b] for _, b in pairs]
 
 
-def test_heuristic_orders_equal_the_scalar_scan_for_every_pair_of_a_node():
+def test_heuristic_orders_equal_the_scalar_scan_for_every_pair_of_a_node(monkeypatch):
     spread, padded = 0, 0
     for seed, k in enumerate((13, 15, 17, 19, 21, 24)):
         rng = np.random.default_rng(seed)
@@ -875,10 +873,37 @@ def test_heuristic_orders_equal_the_scalar_scan_for_every_pair_of_a_node():
             padded += bool((exits < m).any())
         spread += len(stops) > 1           # pairs of this node ran different round counts
     assert spread > 0 and padded > 0
+    # uniform2d n = 50 seed 0 orders one node of 17 children for 10 portal
+    # pairs; on pair 2 the greedy order scores below the surrogate's, and the
+    # exact passes still start from the surrogate's
+    captured = []
+
+    def capturing(hop, owner, entries, closes):
+        captured.append((hop, owner, entries, closes))
+        return _heuristic_orders(hop, owner, entries, closes)
+
+    monkeypatch.setattr(lightdp, "_heuristic_orders", capturing)
+    runner.run(dict(mode="solve", seed=0, space=normalize(generate_instance("uniform2d", 50, 0))))
+    (hop, owner, entries, closes), = captured
+    hop = hop[0]
+    assert len(entries) == 10 and entries[0].shape[0] == 17
+    orders, got_vecs = _heuristic_orders(hop[None], owner, entries, closes)
+    greedy_lower = []
+    for entry, close, order, vecs in zip(entries, closes, orders.tolist(), got_vecs):
+        exits = np.isfinite(entry).sum(axis=1)
+        ref, _ = scalar_heuristic_order(entry, close, hop, exits)
+        assert order == ref
+        assert np.array_equal(vecs, chain_forward(entry, hop, order))
+        greedy = loop_greedy(hop, entry)
+        surrogate = scalar_surrogate_order(hop.min(axis=(2, 3)), entry.min(axis=1),
+                                           close.min(axis=1), greedy)
+        greedy_lower.append(scalar_score(entry, close, hop, exits, greedy)
+                            < scalar_score(entry, close, hop, exits, surrogate))
+    assert greedy_lower.index(True) == 2
 
 
 def loop_greedy(hop, entry):
-    """The per-entry greedy loop that the lockstep greedy replaced."""
+    """The order of the per-entry greedy loop that the lockstep greedy replaced."""
     remaining = list(range(len(entry)))
     order, fwd = [], []
     while remaining:
@@ -890,7 +915,7 @@ def loop_greedy(hop, entry):
         fwd.append(entry[cj] if not fwd
                    else np.min(fwd[-1][:, None] + hop[order[-1], cj], axis=0))
         order.append(cj)
-    return order, np.array(fwd)
+    return order
 
 
 def test_lockstep_greedy_equals_the_per_entry_loop():
@@ -911,10 +936,9 @@ def test_lockstep_greedy_equals_the_per_entry_loop():
         entries += [entry, rng.permutation(entry)]
         owner += [c, c]
     hop = np.array(hops)
-    orders, vecs = lightdp._greedy_orders(hop, np.array(owner), np.array(entries))
-    for g, entry, order, fwd in zip(owner, entries, orders, vecs):
-        ref, ref_fwd = loop_greedy(hop[g], entry)
-        assert order.tolist() == ref and np.array_equal(fwd, ref_fwd)
+    orders = lightdp._greedy_orders(hop, np.array(owner), np.array(entries))
+    for g, entry, order in zip(owner, entries, orders):
+        assert order.tolist() == loop_greedy(hop[g], entry)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -83,3 +83,56 @@ def test_every_parameter_of_a_private_function_is_read():
             unread += [f"{path.stem}.{node.name}({a.arg})" for a in params
                        if a.arg not in read]
     assert unread == [], f"parameters their private function never reads: {unread}"
+
+
+def _passed(call, offset):
+    """Positional slots (past the first ``offset``) and keyword names that a
+    call fills; None when it unpacks ``*`` or ``**`` and so may fill any."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            kw.arg is None for kw in call.keywords):
+        return None
+    return len(call.args) + offset, {kw.arg for kw in call.keywords}
+
+
+def test_every_optional_parameter_is_passed_by_src_or_the_acceptance_battery():
+    """Each parameter with a default, of any function or method in src/nettsp,
+    is passed by some call in src/ or in the acceptance battery, by position
+    or by keyword; else its default is all it ever is, a knob that changes
+    nothing. A call counts when its callee has the function's name, or the
+    class's for ``__init__``. ``cli.main``'s ``argv`` is exempt: the console
+    script calls main() and argparse reads sys.argv."""
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "nettsp").glob("*.py"))}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    calls = defaultdict(list)               # callee name -> calls
+    for tree in [*modules.values(), acceptance]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls[name].append(node)
+    unpassed = []
+    for module, tree in modules.items():
+        for owner in ast.walk(tree):
+            body = getattr(owner, "body", None)
+            for node in body if isinstance(body, list) else []:
+                if not isinstance(node, DEFINITIONS[:2]):
+                    continue
+                method = isinstance(owner, ast.ClassDef) and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)
+                name = owner.name if node.name == "__init__" else node.name
+                args = node.args
+                positional = args.posonlyargs + args.args
+                optional = [(i, a.arg) for i, a in enumerate(positional)
+                            if i >= len(positional) - len(args.defaults)]
+                optional += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None]
+                filled = [_passed(call, int(method)) for call in calls[name]]
+                for i, arg in optional:
+                    if (module, node.name, arg) == ("cli", "main", "argv"):
+                        continue
+                    if not any(f is None or arg in f[1] or (i is not None and i < f[0])
+                               for f in filled):
+                        unpassed.append(f"{module}.{node.name}({arg})")
+    assert unpassed == [], f"optional parameters no caller passes: {unpassed}"
