@@ -1,7 +1,10 @@
 """Exact TSP oracles and classical baselines used to validate everything else.
 
 Held-Karp, the portal DP's exact tables and Christofides' matching are all
-cheapest paths of one subset path kernel, read out by :func:`subset_path_close`.
+cheapest paths of one subset path kernel. The portal DP and the matching
+read their full tables out by :func:`subset_path_close`. Held-Karp fills its
+table only to half depth and joins the two halves of each tour at its
+middle vertex (:func:`held_karp_tsp`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ class OracleResult:
 
 
 def brute_force_tsp(space: MetricSpace) -> OracleResult:
-    """Minimum over all (n-1)!/2 closed tours anchored at point 0."""
+    """Minimum over all (n-1)!/2 closed tours anchored at point 0, each
+    scored in both directions (a matrix may be symmetric only within
+    REL_TOL); the reverse replaces the best only when strictly lower."""
     n = space.n
     if n > BRUTE_MAX:
         raise TooLarge(f"n={n} exceeds brute-force ceiling {BRUTE_MAX}")
@@ -46,16 +51,17 @@ def brute_force_tsp(space: MetricSpace) -> OracleResult:
     for perm in itertools.permutations(rest):
         if n > 2 and perm[0] > perm[-1]:
             continue
-        w = d[0, perm[0]] + d[perm[-1], 0]
-        for a, b in zip(perm, perm[1:]):
-            w += d[a, b]
-        if w < best:
-            best = w
-            best_seq = (0,) + perm
+        for way in (perm, perm[::-1]):
+            w = d[0, way[0]] + d[way[-1], 0]
+            for a, b in zip(way, way[1:]):
+                w += d[a, b]
+            if w < best:
+                best = w
+                best_seq = (0,) + way
     return OracleResult(Tour(best_seq), float(best), "brute", True)
 
 
-def subset_path_table(entry: np.ndarray, hop: np.ndarray) -> np.ndarray:
+def subset_path_table(entry: np.ndarray, hop: np.ndarray, top: int | None = None) -> np.ndarray:
     """Cheapest ordered visits of subsets of k groups, each left by one of m
     exits, for a stack of samples solved in one call.
 
@@ -65,6 +71,8 @@ def subset_path_table(entry: np.ndarray, hop: np.ndarray) -> np.ndarray:
     each with its own entry matrix and hop tensor. ``table[..., mask, c, y]``
     is the least cost of visiting exactly the groups in ``mask`` once each,
     ending at c and leaving by exit y (inf where c is not in ``mask``).
+    Only masks of at most ``top`` groups are filled (all k by default); the
+    rest stay inf, and the layers above ``top`` are never built.
 
     Pull form: layers run by popcount, so every entry is final before it is
     read. Every group c is in the same number of a layer's masks, so one step
@@ -88,6 +96,7 @@ def subset_path_table(entry: np.ndarray, hop: np.ndarray) -> np.ndarray:
     round, so the table depends on none of them.
     """
     k, m = entry.shape[-2:]
+    top = k if top is None else top
     batch = entry.shape[:-2]
     entry = entry.reshape(-1, k, m)
     s_all = len(entry)
@@ -108,7 +117,7 @@ def subset_path_table(entry: np.ndarray, hop: np.ndarray) -> np.ndarray:
     size = min(max(PULL_BLOCK, row), row * s_all * k * math.comb(k - 1, (k - 1) // 2))
     buf = np.empty(size)
     res = np.empty(size // len(live))
-    for cells, src in _layers(k):
+    for cells, src in _layers(k, top):
         per_group = src.shape[1]
         rows = min(per_group, max(1, PULL_BLOCK // row))
         groups = min(k, max(1, PULL_BLOCK // (row * rows)))
@@ -134,16 +143,16 @@ def subset_path_table(entry: np.ndarray, hop: np.ndarray) -> np.ndarray:
     return table.reshape(batch + table.shape[1:])
 
 
-def _layers(k: int):
-    """Each popcount layer 2..k, in order, as its (cells, sources) (see
-    :func:`_group_targets`).
+def _layers(k: int, top: int):
+    """Each popcount layer 2..top, in order, as its (cells, sources) (see
+    :func:`_group_targets`); no layer above ``top`` is built.
 
     Built afresh on every call, one layer at a time: all layers of k groups
     hold 2·k·2^k indices, 4 bytes each below k = 27.
     """
     masks = np.arange(1 << k, dtype=np.int32 if k << k < 2 ** 31 else np.int64)
     popcount = np.bitwise_count(masks)
-    for count in range(2, k + 1):
+    for count in range(2, top + 1):
         yield _group_targets(masks[popcount == count], k)
 
 
@@ -189,31 +198,55 @@ def subset_path_close(table: np.ndarray, hop: np.ndarray, close: np.ndarray, sam
     plus ``close[r]`` (k x m, the cost of ending at each (group, exit)), ties
     to the lowest group, then exit. Returns each row's cost, whether it is
     finite, and the finite rows' (groups, exits), each (rows x k) and first
-    to last, traced back one :func:`subset_path_step` at a time."""
+    to last (see :func:`_trace_back`)."""
     sample = np.asarray(sample, dtype=np.intp)
     k, m = table.shape[-2:]
     totals = (table[sample, -1] + close).reshape(len(sample), k * m)
     flat = np.argmin(totals, axis=1)
     cost = totals[np.arange(len(sample)), flat]
     finite = np.isfinite(cost)
-    sample = sample[finite]
-    groups = np.empty((len(sample), k), dtype=np.intp)
-    exits = np.empty((len(sample), k), dtype=np.intp)
-    groups[:, -1], exits[:, -1] = np.divmod(flat[finite], m)
-    mask = np.full(len(sample), (1 << k) - 1, dtype=np.int64)
-    for t in range(k - 1, 0, -1):
-        groups[:, t - 1], exits[:, t - 1] = subset_path_step(table, hop, sample, mask,
-                                                             groups[:, t], exits[:, t])
-        mask ^= 1 << groups[:, t]
+    groups, exits = _trace_back(table, hop, sample[finite], (1 << k) - 1,
+                                *np.divmod(flat[finite], m))
     return cost, finite, groups, exits
 
 
+def _trace_back(table: np.ndarray, hop: np.ndarray, sample, mask: int, c, y):
+    """Per row r, the (groups, exits) of the cheapest visit of ``mask`` in
+    sample ``sample[r]`` that ends at (c[r], y[r]), each (rows x popcount of
+    ``mask``) and first to last, traced back one :func:`subset_path_step` at
+    a time."""
+    size = mask.bit_count()
+    groups = np.empty((len(sample), size), dtype=np.intp)
+    exits = np.empty((len(sample), size), dtype=np.intp)
+    groups[:, -1], exits[:, -1] = c, y
+    masks = np.full(len(sample), mask, dtype=np.int64)
+    for t in range(size - 1, 0, -1):
+        groups[:, t - 1], exits[:, t - 1] = subset_path_step(table, hop, sample, masks,
+                                                             groups[:, t], exits[:, t])
+        masks ^= 1 << groups[:, t]
+    return groups, exits
+
+
 def held_karp_tsp(space: MetricSpace) -> OracleResult:
-    """Exact optimum by dynamic programming over vertex subsets.
+    """Exact optimum by dynamic programming over vertex subsets, met in the
+    middle.
 
     The subset path kernel with one group per vertex other than the anchor 0
-    and one exit each: paths start with an edge out of 0, and the tour closes
-    back to 0 from the cheapest last vertex.
+    and one exit each, in two directions: the forward table F holds paths
+    that start with an edge out of 0, the backward table B paths that end
+    with an edge into 0. With k = n - 1 groups, every tour splits at the
+    h-th vertex c after 0, h = (k + 2) // 2, into a forward path of h groups
+    ending at c and a backward path of the other k - h + 1 groups from c. So
+    F is filled only to h groups, B only to k - h + 1, and the tour is the
+    cheapest join F[M, c] + B[full ^ M | 1 << c, c] over the masks M of h
+    groups holding c, ties to the lowest c, then M; each half is traced back
+    in its own table. On a matrix equal to its transpose, as every
+    coordinate space and generated matrix is, B is F. A matrix symmetric
+    only within REL_TOL gets its own B, so the optimum stays exact.
+
+    The weight is the tour's left-to-right float sum from 0, in the
+    direction with the lower sum, ties to the lower last vertex: the float a
+    full forward table closes the same tour with.
     """
     n = space.n
     if n > HELD_KARP_MAX:
@@ -221,11 +254,39 @@ def held_karp_tsp(space: MetricSpace) -> OracleResult:
     if n == 1:
         return OracleResult(Tour((0,)), 0.0, "held_karp", True)
     d = space.pairwise()
+    k = n - 1
+    h = (k + 2) // 2
     hop = d[None, 1:, 1:, None, None]
-    table = subset_path_table(d[None, 0, 1:, None], hop)      # a stack of one
-    cost, _, groups, _ = subset_path_close(table, hop, d[None, 1:, 0, None], [0])
-    seq = (0,) + tuple(c + 1 for c in groups[0].tolist())
-    return OracleResult(Tour(seq), float(cost[0]), "held_karp", True)
+    fwd = subset_path_table(d[None, 0, 1:, None], hop, top=h)    # a stack of one
+    if np.array_equal(d, d.T):
+        back, bwd = hop, fwd
+    else:
+        back = d[1:, 1:].T[None, :, :, None, None]
+        bwd = subset_path_table(d[None, 1:, 0, None], back, top=k - h + 1)
+    full = (1 << k) - 1
+    masks = np.arange(1 << k, dtype=np.int32)
+    middle = masks[np.bitwise_count(masks) == h]
+    best, c, mask = np.inf, 0, 0
+    for g in range(k):          # one group at a time: all k at once took ~6 MB more at k = 17
+        held = middle[(middle >> g) & 1 == 1]
+        joined = fwd[0, held, g, 0] + bwd[0, (held ^ full) | (1 << g), g, 0]
+        i = int(np.argmin(joined))
+        if joined[i] < best:
+            best, c, mask = joined[i], g, int(held[i])
+    head = _trace_back(fwd, hop, [0], mask, c, 0)[0][0]
+    tail = _trace_back(bwd, back, [0], (mask ^ full) | (1 << c), c, 0)[0][0]
+    seq = (0,) + tuple(int(g) + 1 for g in head) + tuple(int(g) + 1 for g in tail[-2::-1])
+    weight, _, seq = min((_closed_sum(d, way), way[-1], way)
+                         for way in (seq, seq[:1] + seq[:0:-1]))
+    return OracleResult(Tour(seq), weight, "held_karp", True)
+
+
+def _closed_sum(d: np.ndarray, seq) -> float:
+    """The closed tour's weight, summed left to right from ``seq[0]``."""
+    weight = 0.0
+    for a, b in zip(seq, seq[1:] + seq[:1]):
+        weight += float(d[a, b])
+    return weight
 
 
 def nearest_neighbor_tsp(space: MetricSpace) -> OracleResult:

@@ -423,6 +423,23 @@ def test_pull_kernel_equals_push_form_across_blocks(monkeypatch, k, m):
     assert checked > 0
 
 
+@pytest.mark.parametrize("k, m, stacked", [(14, 1, False), (12, 6, False), (11, 2, True)],
+                         ids=["14-1", "12-6-dead-exits", "11-2-stacked"])
+def test_partial_table_equals_the_full_table_up_to_top(k, m, stacked):
+    rng = np.random.default_rng(7 * k + m)
+    entry, hop = stacked_groups(rng, k, m) if stacked else random_groups(rng, k, m)
+    if m > 1:                    # some source exit is dead in every sample
+        assert not np.isfinite(hop).reshape(-1, k, k, m, m).any(axis=(0, 2, 4)).all()
+    full = subset_path_table(entry, hop)
+    popcount = np.bitwise_count(np.arange(1 << k))
+    for top in sorted({1, 2, k // 2, (k + 2) // 2, k - 1}):
+        part = subset_path_table(entry, hop, top)
+        low = popcount <= top
+        assert np.array_equal(part[..., low, :, :], full[..., low, :, :])
+        assert np.isposinf(part[..., ~low, :, :]).all()
+    assert np.array_equal(subset_path_table(entry, hop, k), full)
+
+
 @pytest.mark.parametrize("rows", [1, 3, 5])
 @pytest.mark.parametrize("k, m", [(1, 1), (1, 3), (4, 1), (7, 3), (9, 2)])
 def test_pull_kernel_equals_push_form_at_any_block_size(monkeypatch, rows, k, m):

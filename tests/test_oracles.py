@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from nettsp import oracles
 from nettsp.errors import OddParity, TooLarge
 from nettsp.io import generate_instance
-from nettsp.metric import from_matrix, from_points, normalize
+from nettsp.metric import from_matrix, from_points, normalize, validate_metric
 from nettsp.oracles import (MATCHING_EXACT_MAX, _exact_matching, brute_force_matching,
                             brute_force_tsp, christofides, held_karp_tsp, nearest_neighbor_tsp)
 from nettsp.tours import edges_weight, mst, odd_matching_by_tree, tour_weight
@@ -86,6 +87,95 @@ def test_held_karp_mst_sandwich():
 def test_held_karp_too_large():
     with pytest.raises(TooLarge):
         held_karp_tsp(rand_space(3, 19))
+
+
+def closed_sum(d, seq):
+    """The closed tour's weight, summed left to right from ``seq[0]``."""
+    weight = 0.0
+    for a, b in zip(seq, seq[1:] + seq[:1]):
+        weight += d[a][b]
+    return weight
+
+
+def enumerated_optimum(d):
+    """The least closed_sum over every order of points 1..n-1 after 0, so
+    over both directions of every cycle."""
+    d = np.asarray(d).tolist()
+    return min(closed_sum(d, (0,) + perm) for perm in itertools.permutations(range(1, len(d))))
+
+
+def near_symmetric_space():
+    """8 random points whose distances above the diagonal gain up to 5e-10:
+    symmetric only within REL_TOL, so the two directions of a cycle differ."""
+    rng = np.random.default_rng(3)
+    d = from_points(rng.random((8, 2))).pairwise() + np.triu(rng.random((8, 8)) * 5e-10, 1)
+    return from_matrix(d)
+
+
+def star_space(n, center):
+    d = np.full((n, n), 2.0)
+    d[center, :] = d[:, center] = 1.0
+    np.fill_diagonal(d, 0.0)
+    return from_matrix(d)
+
+
+def equilateral_space(n):
+    return from_matrix(1.0 - np.eye(n))
+
+
+def test_brute_scores_both_directions_on_a_near_symmetric_matrix():
+    sp = near_symmetric_space()
+    validate_metric(sp)
+    assert not np.array_equal(sp.pairwise(), sp.pairwise().T)
+    # scoring each cycle in one direction only gave 2.5792081146033774
+    assert repr(enumerated_optimum(sp.pairwise())) == "2.5792081134139"
+    assert repr(brute_force_tsp(sp).weight) == "2.5792081134139"
+    assert repr(held_karp_tsp(sp).weight) == "2.5792081134139"
+
+
+@pytest.mark.parametrize("shape, n", [
+    (shape, n) for shape in ("points-0", "points-1", "star-first", "star-last", "equilateral")
+    for n in range(1, 10)] + [("near-symmetric", 8)])
+def test_held_karp_equals_a_full_enumeration(shape, n):
+    if shape.startswith("points"):
+        sp = from_points(np.random.default_rng(100 * n + int(shape[-1])).random((n, 2)))
+    elif shape.startswith("star"):
+        sp = star_space(n, 0 if shape == "star-first" else n - 1)
+    elif shape == "equilateral":
+        sp = equilateral_space(n)
+    else:                        # its own backward table
+        sp = near_symmetric_space()
+    d = sp.pairwise()
+    res = held_karp_tsp(sp)
+    seq = res.tour.seq
+    assert seq[0] == 0 and sorted(seq) == list(range(n))
+    assert res.weight == closed_sum(d, seq) == enumerated_optimum(d)
+    # the returned direction: the lower sum, ties to the lower last point
+    back = seq[:1] + seq[:0:-1]
+    assert (res.weight, seq[-1]) <= (closed_sum(d, back), back[-1])
+
+
+@pytest.mark.parametrize("space", [
+    normalize(generate_instance("uniform2d", 18, 0)),
+    normalize(generate_instance("matrix_random_metric", 18, 0)),
+    near_symmetric_space()], ids=["uniform2d-18", "matrix_random_metric-18", "near-symmetric-8"])
+def test_held_karp_fills_its_tables_only_to_half_depth(monkeypatch, space):
+    built = []
+    group_targets = oracles._group_targets
+
+    def counting(layer, k):
+        built.append(int(np.bitwise_count(layer[0])))
+        return group_targets(layer, k)
+
+    monkeypatch.setattr(oracles, "_group_targets", counting)
+    held_karp_tsp(space)
+    k = space.n - 1
+    h = (k + 2) // 2
+    forward = list(range(2, h + 1))
+    if np.array_equal(space.pairwise(), space.pairwise().T):
+        assert built == forward                     # 17 groups: 8 layers, not 16
+    else:                                           # its own backward table
+        assert built == forward + list(range(2, k - h + 2))
 
 
 def test_christofides_three_points_exact():
