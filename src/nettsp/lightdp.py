@@ -170,7 +170,8 @@ class _Engine:
         cells, and a trace per finite cell. Each segment threads every child
         exactly once (two crossings each). The jobs' children are stacked,
         padded to the group's widest child: padding adds only inf candidates
-        and real exits stay a prefix, so no sum, min or argmin moves.
+        and real exits stay a prefix, so no sum, min or argmin moves, and the
+        kernel skips the padded exits both as sources and as targets.
 
         Up to EXACT_PATH_CHILDREN children, one subset path table per (job,
         entry portal A) sample closes every exit B >= A at once, ties to the

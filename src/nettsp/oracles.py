@@ -1,10 +1,11 @@
 """Exact TSP oracles and classical baselines used to validate everything else.
 
 Held-Karp, the portal DP's exact tables and Christofides' matching are all
-cheapest paths of one subset path kernel. The portal DP and the matching
-read their full tables out by :func:`subset_path_close`. Held-Karp fills its
-table only to half depth and joins the two halves of each tour at its
-middle vertex (:func:`held_karp_tsp`).
+cheapest paths of one subset path kernel, which skips the portal DP's
+padded portal slots both as sources and as targets. The portal DP and the
+matching read their full tables out by :func:`subset_path_close`. Held-Karp
+fills its table only to half depth and joins the two halves of each tour at
+its middle vertex (:func:`held_karp_tsp`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,11 @@ class OracleResult:
 def brute_force_tsp(space: MetricSpace) -> OracleResult:
     """Minimum over all (n-1)!/2 closed tours anchored at point 0, each
     scored in both directions (a matrix may be symmetric only within
-    REL_TOL); the reverse replaces the best only when strictly lower."""
+    REL_TOL); the reverse replaces the best only when strictly lower.
+
+    A tour's weight is its left-to-right float sum from 0 (:func:`_closed_sum`),
+    the sum Held-Karp reports, so the two oracles give the same float for the
+    same cycle."""
     n = space.n
     if n > BRUTE_MAX:
         raise TooLarge(f"n={n} exceeds brute-force ceiling {BRUTE_MAX}")
@@ -51,13 +56,10 @@ def brute_force_tsp(space: MetricSpace) -> OracleResult:
     for perm in itertools.permutations(rest):
         if n > 2 and perm[0] > perm[-1]:
             continue
-        for way in (perm, perm[::-1]):
-            w = d[0, way[0]] + d[way[-1], 0]
-            for a, b in zip(way, way[1:]):
-                w += d[a, b]
+        for way in ((0,) + perm, (0,) + perm[::-1]):
+            w = _closed_sum(d, way)
             if w < best:
-                best = w
-                best_seq = (0,) + way
+                best, best_seq = w, way
     return OracleResult(Tour(best_seq), float(best), "brute", True)
 
 
@@ -81,19 +83,26 @@ def subset_path_table(entry: np.ndarray, hop: np.ndarray, top: int | None = None
     ``(previous group, exit)``, and adds ``into[c]`` (what reaches c from each
     of them) into one preallocated buffer laid out ``((previous group, exit),
     sample, c, exit y, row)``; the min over that leading axis is
-    ``table[mask, c, y]``. A block holds as many masks of one group as fit in
-    the buffer, then as many groups, then as many samples as fit beside them,
-    so a small layer of many samples is one step. The buffer holds at most
-    ``PULL_BLOCK`` floats (or one row, if larger), so the kernel's working
-    memory beside the table stays small.
+    ``table[mask, c, y]``. A block holds as many masks of one group as the
+    candidates of all m exits fit in the buffer, then as many groups, then as
+    many samples as fit beside them, so a small layer of many samples is one
+    step. The buffer holds at most ``PULL_BLOCK`` floats (or one row, if
+    larger), so the kernel's working memory beside the table stays small.
 
-    A dead exit is a source (group, exit) whose every hop is inf in every
-    sample, such as a padded portal slot: it reaches no cell, so it is left
-    out of the candidate axis (with every exit dead, or one group, the
-    table is its first layer). When no exit is dead, as in Held-Karp, the
-    rows are gathered whole. Every candidate is the same float sum under any
-    layout, blocking or stacking, a dead one adds only inf, and min does not
-    round, so the table depends on none of them.
+    A padded portal slot is dead on both axes. As a source, a (group, exit)
+    whose every hop is inf in every sample reaches no cell, so it is left
+    out of the candidate axis (with every source dead, or one group, the
+    table is its first layer). As a target, an exit that no hop reaches in
+    any sample stays inf above the first layer. A group's width is one past
+    its last exit that some hop reaches, and a block computes only the exits
+    below the widest of its groups' widths: padding leaves a group's real
+    exits a prefix, so a block of one group computes exactly those, a wider
+    block also a narrower group's padded exits, as inf, and a block that no
+    hop reaches is skipped. When no exit is dead, as in Held-Karp and the
+    matching, every exit is computed and the rows are gathered whole. Every
+    candidate is the same float sum under any layout, blocking or stacking,
+    a dead one adds only inf, and min does not round, so the table depends
+    on none of them.
     """
     k, m = entry.shape[-2:]
     top = k if top is None else top
@@ -103,12 +112,15 @@ def subset_path_table(entry: np.ndarray, hop: np.ndarray, top: int | None = None
     hop = hop.reshape(s_all, k, k, m, m)
     table = np.full((s_all, 1 << k, k, m), np.inf)
     table[:, 1 << np.arange(k), np.arange(k)] = entry
-    live = np.flatnonzero(np.isfinite(hop).any(axis=(0, 2, 4)))   # sources, as (group, exit)
+    reach = np.isfinite(hop).any(axis=0)                # (group, next group, exit, exit)
+    live = np.flatnonzero(reach.any(axis=(1, 3)))       # sources, as (group, exit)
     whole = len(live) == k * m
     into = hop.transpose(1, 3, 0, 2, 4).reshape(k * m, s_all, k, m)
     into = np.ascontiguousarray(into if whole else into[live])[..., None]
     if k < 2 or not len(live):
         return table.reshape(batch + table.shape[1:])
+    # a target group's width is one past its last exit that some hop reaches
+    width = (reach.any(axis=(0, 2)) * np.arange(1, m + 1)).max(axis=1).tolist()
     flat = table.reshape(s_all, 1 << k, k * m)          # row mask: (group, exit)
     cells_flat = table.reshape(s_all, (1 << k) * k * m)
     by_cell = table.reshape(s_all, (1 << k) * k, m)     # row mask * k + group: exit
@@ -126,19 +138,23 @@ def subset_path_table(entry: np.ndarray, hop: np.ndarray, top: int | None = None
             s1 = min(s_all, s0 + samples)
             for c0 in range(0, k, groups):
                 c1 = min(k, c0 + groups)
+                q = max(width[c0:c1])
+                if not q:
+                    continue
+                reaching = into[:, s0:s1, c0:c1, :q]
                 for lo in range(0, per_group, rows):
                     block = src[c0:c1, lo:lo + rows]
                     g, n = block.shape
                     if whole:
-                        prev = flat[s0:s1].take(block, axis=1)
-                    else:
-                        prev = cells_flat[s0:s1].take(block[..., None] * (k * m) + live, axis=1)
-                    cand = buf[:row * (s1 - s0) * g * n].reshape(len(live), s1 - s0, g, m, n)
-                    best = res[:(s1 - s0) * g * m * n].reshape(s1 - s0, g, m, n)
-                    np.add(prev.transpose(3, 0, 1, 2)[:, :, :, None], into[:, s0:s1, c0:c1],
-                           out=cand)
+                        prev = flat[s0:s1].take(block, axis=1).transpose(3, 0, 1, 2)
+                    else:   # source-major, so the add reads each source's rows contiguously
+                        prev = cells_flat[s0:s1].take(live[:, None, None] + block * (k * m),
+                                                      axis=1).transpose(1, 0, 2, 3)
+                    best = res[:(s1 - s0) * g * q * n].reshape(s1 - s0, g, q, n)
+                    cand = buf[:len(live) * best.size].reshape((len(live),) + best.shape)
+                    np.add(prev[:, :, :, None], reaching, out=cand)
                     np.minimum.reduce(cand.reshape(len(live), -1), axis=0, out=best.reshape(-1))
-                    by_cell[s0:s1, cells[c0:c1, lo:lo + rows]] = best.transpose(0, 1, 3, 2)
+                    by_cell[s0:s1, cells[c0:c1, lo:lo + rows], :q] = best.transpose(0, 1, 3, 2)
         del cells, src, block, prev             # before the next layer's are built
     return table.reshape(batch + table.shape[1:])
 

@@ -563,6 +563,133 @@ def test_stacked_kernel_working_memory_stays_near_its_tables():
     assert after - before <= 1.01 * table_bytes
 
 
+def padded_stack(rng, counts, m):
+    """One sample per row of ``counts``: small-integer entry and hop costs
+    (many ties), each group's exits past its count padded to inf as
+    ``_Engine._padded`` pads a child's portals, and no hop from a group to
+    itself."""
+    counts = np.asarray(counts)
+    s, k = counts.shape
+    entries = rng.integers(0, 4, size=(s, k, m)).astype(float)
+    hops = rng.integers(0, 4, size=(s, k, k, m, m)).astype(float)
+    for t, c in np.ndindex(s, k):
+        entries[t, c, counts[t, c]:] = np.inf
+        hops[t, c, :, counts[t, c]:, :] = np.inf
+        hops[t, :, c, :, counts[t, c]:] = np.inf
+    hops[:, np.arange(k), np.arange(k)] = np.inf
+    return entries, hops
+
+
+def reference_path_table(entry, hop):
+    """One sample's table, every cell of every layer filled one (mask,
+    group) row at a time over every (previous group, exit), dead or not."""
+    k, m = entry.shape
+    table = np.full((1 << k, k, m), np.inf)
+    table[1 << np.arange(k), np.arange(k)] = entry
+    for mask in sorted(range(1, 1 << k), key=int.bit_count):
+        for c in range(k):
+            if mask >> c & 1 and mask != 1 << c:
+                table[mask, c] = (table[mask ^ 1 << c][:, :, None] + hop[:, c]).min(axis=(0, 1))
+    return table
+
+
+def reference_close(table, hops, close, sample):
+    """Per row, subset_path_close's cost, finiteness and (groups, exits),
+    each argmin the first (group, exit) in row order, traced back one cell
+    at a time."""
+    k, m = table.shape[-2:]
+    costs, paths = [], []
+    for row, s in zip(close, sample):
+        totals = table[s, -1] + row
+        c, y = divmod(int(np.argmin(totals)), m)
+        costs.append(totals[c, y])
+        if not np.isfinite(totals[c, y]):
+            continue
+        mask, path = (1 << k) - 1, [(c, y)]
+        while mask != 1 << c:
+            mask ^= 1 << c
+            c, y = divmod(int(np.argmin(table[s, mask] + hops[s][:, c, :, y])), m)
+            path.insert(0, (c, y))
+        paths.append(path)
+    return np.array(costs), paths
+
+
+def dead_slot_stack(case):
+    """A stack whose exits are dead on one axis, in some samples, or in most
+    of a benchmark-shaped node; see test_kernel_with_dead_exits_equals_the_reference."""
+    rng = np.random.default_rng(0)
+    if case == "dead-only-as-target":      # finite entry and hops out, no hop in
+        entries, hops = padded_stack(rng, [[3, 3, 2, 3, 1], [2, 3, 3, 3, 2]], 3)
+        hops[:, :, 1, :, 2] = np.inf       # the last real exit of group 1
+        hops[:, :, 3, :, 0] = np.inf       # the first of group 3
+    elif case == "dead-only-as-source":    # hops in, no hop out
+        entries, hops = padded_stack(rng, [[3, 3, 2, 3, 1], [2, 3, 3, 3, 2]], 3)
+        hops[:, 2, :, 1, :] = np.inf
+        hops[:, 3, :, 2, :] = np.inf
+    elif case == "live-in-one-sample":     # exit 2 of groups 0 and 4 real in sample 1 only
+        entries, hops = padded_stack(rng, [[2, 1, 3, 1, 2, 1], [3, 1, 1, 2, 3, 1],
+                                           [1, 2, 2, 1, 1, 1]], 3)
+    else:                                  # k = 12, m = 5: one wide child, the others 1-2
+        entries, hops = padded_stack(rng, [[2, 1, 5, 2, 2, 1, 1, 1, 1, 2, 1, 1]], 5)
+    return entries, hops
+
+
+@pytest.mark.parametrize("block", [1, None])
+@pytest.mark.parametrize("case", ["dead-only-as-target", "dead-only-as-source",
+                                  "live-in-one-sample", "benchmark-heavy"])
+def test_kernel_with_dead_exits_equals_the_reference(monkeypatch, case, block):
+    entries, hops = dead_slot_stack(case)
+    s, k, m = entries.shape
+    into = np.isfinite(hops).any(axis=(0, 1, 3))            # a hop reaches (group, exit)
+    out = np.isfinite(hops).any(axis=(0, 2, 4))             # a hop leaves it
+    entered = np.isfinite(entries).any(axis=0)
+    if case == "dead-only-as-target":
+        assert entered[1, 2] and out[1, 2] and not into[1, 2]
+        assert entered[3, 0] and out[3, 0] and not into[3, 0] and into[3, 1:].all()
+    elif case == "dead-only-as-source":
+        assert into[2, 1] and not out[2, 1] and into[3, 2] and not out[3, 2]
+    elif case == "live-in-one-sample":
+        real = np.isfinite(entries)
+        assert real[1, 0, 2] and real[1, 4, 2] and not real[[0, 2]][:, [0, 4], 2].any()
+    else:
+        assert np.count_nonzero(into) == 20             # of 60 slots
+    if block is not None:        # one group, mask and sample per block
+        monkeypatch.setattr(oracles, "PULL_BLOCK", block)
+    table = subset_path_table(entries, hops)
+    for t in range(s):
+        assert np.array_equal(table[t], reference_path_table(entries[t], hops[t]))
+    rng = np.random.default_rng(k * m)
+    sample = np.repeat(np.arange(s), 4)
+    close = rng.integers(0, 3, size=(len(sample), k, m)).astype(float)
+    close[~np.isfinite(entries[sample])] = np.inf           # padded as _close_matrices pads
+    close[3::4] = np.inf
+    cost, finite, groups, exits = subset_path_close(table, hops, close, sample)
+    ref_cost, ref_paths = reference_close(table, hops, close, sample)
+    assert np.array_equal(cost, ref_cost) and np.array_equal(finite, np.isfinite(ref_cost))
+    assert [list(zip(g, x)) for g, x in zip(groups.tolist(), exits.tolist())] == ref_paths
+    assert ref_paths
+
+
+def test_stacked_kernel_working_memory_stays_near_its_tables_when_most_exits_are_dead():
+    k, m = 11, 5
+    rng = np.random.default_rng(11)
+    counts = rng.integers(1, 3, size=(3, k))
+    counts[:, 0] = m
+    entries, hops = padded_stack(rng, counts, m)
+    assert np.count_nonzero(np.isfinite(hops).any(axis=(0, 1, 3))) < k * m / 2
+    table_bytes = 3 * (1 << k) * k * m * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = subset_path_table(entries, hops)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == table_bytes
+    assert peak - before <= 1.75 * table_bytes
+    assert after - before <= 1.01 * table_bytes
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_traceback_weight_equals_table_cost_on_a_grid(seed):
     *_, grid = small_spaces()

@@ -1,7 +1,8 @@
-"""Small instances of hard shapes, each solved end to end by the runner.
+"""Instances of hard shapes, each solved end to end by the runner.
 
-At these sizes (n <= 18) the runner also runs Held-Karp, so every solve is
-checked against the exact optimum in its own report.
+At n <= 18 the runner also runs Held-Karp, so every small solve is checked
+against the exact optimum in its own report. The larger shapes are checked
+against the MST bound in their report and, for the grid, its known optimum.
 """
 
 import numpy as np
@@ -59,3 +60,29 @@ def test_small_shapes_solve_to_a_tour_no_lighter_than_the_optimum(shape, n):
     optimum = {star: 2 * n - 2, equilateral: n}.get(shape)
     if optimum is not None:
         assert solve["weight"] == exact == optimum
+
+
+def ten_dimensional(n):
+    return from_points(np.random.default_rng(0).random((n, 10)))
+
+
+def unit_grid(n):
+    """The n x n unit grid; its optimum is n * n for even n."""
+    i = np.arange(n * n)
+    return from_points(np.stack([i % n, i // n], axis=1).astype(float))
+
+
+# The weights are pinned at their last bit: the exact tables are min-plus
+# over the same float sums under any blocking, so no kernel change moves them.
+@pytest.mark.parametrize("space, optimum, weight", [
+    (ten_dimensional(120), None, "201.61343150688677"),
+    (unit_grid(20), 400.0, "433.15849883094495"),
+], ids=["ten-dimensional-120", "unit-grid-20x20"])
+def test_larger_shapes_solve_to_a_valid_tour_above_their_bounds(space, optimum, weight):
+    report = run({"space": space, "mode": "solve", "seed": 0})
+    solve = report["results"]["solve"]
+    assert sorted(solve["tour"]) == list(range(space.n))
+    assert solve["weight"] >= report["lower_bounds"]["mst"]
+    if optimum is not None:
+        assert solve["weight"] >= optimum
+    assert repr(solve["weight"]) == weight
