@@ -96,13 +96,12 @@ def subset_path_table(entry: np.ndarray, hop: np.ndarray, top: int | None = None
     any sample stays inf above the first layer. A group's width is one past
     its last exit that some hop reaches, and a block computes only the exits
     below the widest of its groups' widths: padding leaves a group's real
-    exits a prefix, so a block of one group computes exactly those, a wider
-    block also a narrower group's padded exits, as inf, and a block that no
-    hop reaches is skipped. When no exit is dead, as in Held-Karp and the
-    matching, every exit is computed and the rows are gathered whole. Every
-    candidate is the same float sum under any layout, blocking or stacking,
-    a dead one adds only inf, and min does not round, so the table depends
-    on none of them.
+    exits a prefix, so a block of one group computes exactly those and a
+    wider block also a narrower group's padded exits, as inf. When no exit
+    is dead, as in Held-Karp and the matching, every exit is computed and
+    the rows are gathered whole. Every candidate is the same float sum under
+    any layout, blocking or stacking, a dead one adds only inf, and min does
+    not round, so the table depends on none of them.
     """
     k, m = entry.shape[-2:]
     top = k if top is None else top
@@ -139,8 +138,6 @@ def subset_path_table(entry: np.ndarray, hop: np.ndarray, top: int | None = None
             for c0 in range(0, k, groups):
                 c1 = min(k, c0 + groups)
                 q = max(width[c0:c1])
-                if not q:
-                    continue
                 reaching = into[:, s0:s1, c0:c1, :q]
                 for lo in range(0, per_group, rows):
                     block = src[c0:c1, lo:lo + rows]

@@ -622,6 +622,7 @@ def dead_slot_stack(case):
         entries, hops = padded_stack(rng, [[3, 3, 2, 3, 1], [2, 3, 3, 3, 2]], 3)
         hops[:, :, 1, :, 2] = np.inf       # the last real exit of group 1
         hops[:, :, 3, :, 0] = np.inf       # the first of group 3
+        hops[:, :, 4] = np.inf             # every exit of group 4
     elif case == "dead-only-as-source":    # hops in, no hop out
         entries, hops = padded_stack(rng, [[3, 3, 2, 3, 1], [2, 3, 3, 3, 2]], 3)
         hops[:, 2, :, 1, :] = np.inf
@@ -646,6 +647,7 @@ def test_kernel_with_dead_exits_equals_the_reference(monkeypatch, case, block):
     if case == "dead-only-as-target":
         assert entered[1, 2] and out[1, 2] and not into[1, 2]
         assert entered[3, 0] and out[3, 0] and not into[3, 0] and into[3, 1:].all()
+        assert entered[4, 0] and out[4, 0] and not into[4].any()
     elif case == "dead-only-as-source":
         assert into[2, 1] and not out[2, 1] and into[3, 2] and not out[3, 2]
     elif case == "live-in-one-sample":
