@@ -44,7 +44,8 @@ class ParseError(NetTspError):
 
 
 class InvalidMetric(NetTspError):
-    """A distance is non-finite, negative, asymmetric or a non-zero self-distance."""
+    """A distance is non-finite, negative, asymmetric or a non-zero self-distance,
+    or the diameter spans too many min gaps to normalize."""
 
 
 class TriangleViolation(NetTspError):

@@ -182,16 +182,29 @@ def mst(space: MetricSpace, subset) -> list:
     return list(zip(pts[lo[0]].tolist(), pts[hi[0]].tolist()))
 
 
+def fold_weight(d: np.ndarray, u, v, where=True) -> np.ndarray:
+    """The one weight rule: ``d[u, v]`` added left to right from 0.0 along
+    the last axis (``u``, ``v`` and ``where`` broadcast together), a term
+    where ``where`` is False adding 0.0, which keeps a sum of non-negative
+    terms bit for bit. ``np.cumsum`` adds in order, unlike ``np.sum``
+    (pairwise) or builtin ``sum`` (compensated from Python 3.12 on), so a
+    weight is the same float on every interpreter."""
+    terms = d[u, v]
+    shape = np.broadcast_shapes(terms.shape, np.shape(where))
+    acc = np.zeros(shape[:-1] + (shape[-1] + 1,))
+    np.copyto(acc[..., 1:], terms, where=where)
+    return np.cumsum(acc, axis=-1, out=acc)[..., -1]
+
+
 def tree_weights(space: MetricSpace, members: np.ndarray) -> np.ndarray:
     """MST weight of each row's point set, for a (sets x n) boolean mask
     whose every row holds at least 2 points.
 
-    Each weight is the left fold over the tree's sorted edges, bit for bit
-    the sum ``tours.edges_weight(space, mst(space, set))`` gives wherever
-    ``sum`` adds floats left to right (Python 3.11 and earlier). The
-    trees are built by :func:`_prim`, largest sets first, in blocks whose
-    local distance blocks hold at most n x n floats together, the size of
-    the space's own distance matrix: a set of every point is a block alone.
+    Each weight is the :func:`fold_weight` of the tree's sorted edges, bit
+    for bit ``tours.edges_weight(space, mst(space, set))``. The trees are
+    built by :func:`_prim`, largest sets first, in blocks whose local
+    distance blocks hold at most n x n floats together, the size of the
+    space's own distance matrix: a set of every point is a block alone.
     """
     n = space.n
     d = space.pairwise()
@@ -204,11 +217,8 @@ def tree_weights(space: MetricSpace, members: np.ndarray) -> np.ndarray:
         block = order[start:start + n * n // (width * width)]
         # each row's points first, in index order, then the rest as padding
         pts = np.argsort(~members[block], axis=1, kind="stable")[:, :width]
-        local = _local_blocks(d, pts)
-        lo, hi = _prim(local, sizes[block])
-        rows = np.arange(len(block))
-        # the running sum up to each tree's last edge
-        weights[block] = np.cumsum(local[rows[:, None], lo, hi], axis=1)[rows, sizes[block] - 2]
+        ends = [np.take_along_axis(pts, x, 1) for x in _prim(_local_blocks(d, pts), sizes[block])]
+        weights[block] = fold_weight(d, *ends, where=np.arange(width - 1) < sizes[block, None] - 1)
         start += len(block)
     return weights
 
@@ -333,6 +343,8 @@ def _coincident(space: MetricSpace, i: int, j: int) -> DegenerateInstance:
     return DegenerateInstance(f"points {i} and {j} coincide; deduplicate first")
 
 
+# a sum that overflows to inf exceeds every finite distance, so it hides no violation
+@np.errstate(over="ignore")
 def _first_triangle_violation(d: np.ndarray, tol: float):
     """The first (i, j, k, slack) whose slack exceeds ``tol``, or None (see validate_metric)."""
     n = d.shape[0]
@@ -362,13 +374,18 @@ def _first_triangle_violation(d: np.ndarray, tol: float):
 def normalize(space: MetricSpace) -> MetricSpace:
     """Rescale so the minimum interpoint distance is exactly 1.
 
-    Raises DegenerateInstance if two points coincide.
+    Raises DegenerateInstance if two points coincide, and InvalidMetric if the
+    diameter is over 2^500 min gaps, which would overflow once squared or summed.
     """
     if space.n < 2:
         raise ValueError("normalize requires at least 2 points")
     gap, pair = space.min_gap()
     if gap <= 0:
         raise _coincident(space, *pair)
+    spread = math.log2(space.diameter()) - math.log2(gap)
+    if spread > 500:
+        raise InvalidMetric(f"the diameter is 2^{spread:.1f} times the smallest distance, over "
+                            "2^500: drop far points, or rescale so near points lie farther apart")
     factor = 1.0 / gap
     if space.coords is not None:
         return MetricSpace(coords=space.coords * factor, scale=space.scale * factor)

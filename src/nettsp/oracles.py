@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OddParity, TooLarge
-from .metric import MetricSpace
+from .metric import MetricSpace, fold_weight
 from .tours import (Tour, _closed_tour, _eulerian, _odd_vertices, dedupe_visits,
                     euler_trail, tour_weight)
 
@@ -25,7 +25,7 @@ BRUTE_MAX = 10
 HELD_KARP_MAX = 18
 MATCHING_BRUTE_MAX = 12
 MATCHING_EXACT_MAX = 16
-PULL_BLOCK = 1 << 15     # floats in subset_path_table's candidate buffer
+PULL_BLOCK = 1 << 15     # floats in subset_path_table's buffer and brute force's blocks
 
 
 @dataclass
@@ -37,30 +37,25 @@ class OracleResult:
 
 
 def brute_force_tsp(space: MetricSpace) -> OracleResult:
-    """Minimum over all (n-1)!/2 closed tours anchored at point 0, each
-    scored in both directions (a matrix may be symmetric only within
-    REL_TOL); the reverse replaces the best only when strictly lower.
-
-    A tour's weight is its left-to-right float sum from 0 (:func:`_closed_sum`),
-    the sum Held-Karp reports, so the two oracles give the same float for the
-    same cycle."""
+    """The first minimum over all (n-1)!/2 closed tours anchored at point 0,
+    each permutation then its reverse (a matrix may be symmetric only within
+    REL_TOL), scored in blocks of PULL_BLOCK edges. A tour's weight is the
+    :func:`metric.fold_weight` of its edges from 0, the rule Held-Karp reports
+    by, so the two oracles give the same float for the same cycle."""
     n = space.n
     if n > BRUTE_MAX:
         raise TooLarge(f"n={n} exceeds brute-force ceiling {BRUTE_MAX}")
     if n == 1:
         return OracleResult(Tour((0,)), 0.0, "brute", True)
-    d = space.pairwise()
-    best = math.inf
-    best_seq = None
-    rest = list(range(1, n))
-    for perm in itertools.permutations(rest):
-        if n > 2 and perm[0] > perm[-1]:
-            continue
-        for way in ((0,) + perm, (0,) + perm[::-1]):
-            w = _closed_sum(d, way)
-            if w < best:
-                best, best_seq = w, way
-    return OracleResult(Tour(best_seq), float(best), "brute", True)
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(1, n))),
+                        np.int8).reshape(-1, n - 1)
+    perms = perms[perms[:, 0] <= perms[:, -1]]          # each cycle once
+    ways = np.insert(np.stack([perms, perms[:, ::-1]], axis=1).reshape(-1, n - 1), 0, 0, axis=1)
+    d, step = space.pairwise(), PULL_BLOCK // n
+    weights = np.concatenate([fold_weight(d, block, np.roll(block, -1, axis=1))
+                              for block in np.split(ways, np.arange(step, len(ways), step))])
+    i = int(np.argmin(weights))                         # the first minimum
+    return OracleResult(Tour(ways[i]), float(weights[i]), "brute", True)
 
 
 def subset_path_table(entry: np.ndarray, hop: np.ndarray, top: int | None = None) -> np.ndarray:
@@ -161,9 +156,9 @@ def _layers(k: int, top: int):
     :func:`_group_targets`); no layer above ``top`` is built.
 
     Built afresh on every call, one layer at a time: all layers of k groups
-    hold 2·k·2^k indices, 4 bytes each below k = 27.
+    hold 2·k·2^k indices, 4 bytes each (k ≤ 17 here; int32 holds them below k = 27).
     """
-    masks = np.arange(1 << k, dtype=np.int32 if k << k < 2 ** 31 else np.int64)
+    masks = np.arange(1 << k, dtype=np.int32)
     popcount = np.bitwise_count(masks)
     for count in range(2, top + 1):
         yield _group_targets(masks[popcount == count], k)
@@ -179,9 +174,7 @@ def _group_targets(layer: np.ndarray, k: int):
     """
     octets = layer.astype("<u4").view(np.uint8).reshape(-1, 4)
     held = np.unpackbits(octets, axis=1, count=k, bitorder="little").T.view(bool)
-    cells = np.empty((k, np.count_nonzero(held[0])), layer.dtype)
-    for c, bits in enumerate(held):
-        cells[c] = layer[bits]
+    cells = np.broadcast_to(layer, held.shape)[held].reshape(k, -1)
     del octets, held                            # before the sources are built
     c = np.arange(k, dtype=layer.dtype)[:, None]
     src = cells ^ (1 << c)
@@ -257,9 +250,9 @@ def held_karp_tsp(space: MetricSpace) -> OracleResult:
     coordinate space and generated matrix is, B is F. A matrix symmetric
     only within REL_TOL gets its own B, so the optimum stays exact.
 
-    The weight is the tour's left-to-right float sum from 0, in the
-    direction with the lower sum, ties to the lower last vertex: the float a
-    full forward table closes the same tour with.
+    The weight is :func:`metric.fold_weight` of the tour's edges from 0, in
+    the direction with the lower weight, ties to the lower last vertex: the
+    float a full forward table closes the same tour with.
     """
     n = space.n
     if n > HELD_KARP_MAX:
@@ -289,17 +282,10 @@ def held_karp_tsp(space: MetricSpace) -> OracleResult:
     head = _trace_back(fwd, hop, [0], mask, c, 0)[0][0]
     tail = _trace_back(bwd, back, [0], (mask ^ full) | (1 << c), c, 0)[0][0]
     seq = (0,) + tuple(int(g) + 1 for g in head) + tuple(int(g) + 1 for g in tail[-2::-1])
-    weight, _, seq = min((_closed_sum(d, way), way[-1], way)
-                         for way in (seq, seq[:1] + seq[:0:-1]))
+    ways = (seq, seq[:1] + seq[:0:-1])
+    weights = fold_weight(d, ways, np.roll(ways, -1, axis=1)).tolist()
+    weight, _, seq = min((w, way[-1], way) for w, way in zip(weights, ways))
     return OracleResult(Tour(seq), weight, "held_karp", True)
-
-
-def _closed_sum(d: np.ndarray, seq) -> float:
-    """The closed tour's weight, summed left to right from ``seq[0]``."""
-    weight = 0.0
-    for a, b in zip(seq, seq[1:] + seq[:1]):
-        weight += float(d[a, b])
-    return weight
 
 
 def nearest_neighbor_tsp(space: MetricSpace) -> OracleResult:

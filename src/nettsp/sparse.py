@@ -19,17 +19,16 @@ import numpy as np
 
 from .errors import DegenerateSplit
 from .lightdp import solve_with_radius_guessing
-from .metric import (REL_TOL, MetricSpace, ball, estimate_doubling, restrict, tree_weights,
-                     within)
+from .metric import (REL_TOL, MetricSpace, ball, estimate_doubling, fold_weight, restrict,
+                     tree_weights, within)
 from .nets import NetHierarchy, build_hierarchy
 from .tours import Tour, dedupe_visits, edges_weight, mst, tour_weight
 
 
 def restricted_tour_weight(space: MetricSpace, tour: Tour, inside) -> float:
-    """Total weight of tour transitions with both endpoints in ``inside``."""
+    """The :func:`edges_weight` of the tour's transitions with both endpoints in ``inside``."""
     iset = set(int(p) for p in inside)
-    return float(sum(space.dist(x, y) for x, y in tour.transitions()
-                     if x in iset and y in iset))
+    return edges_weight(space, [(x, y) for x, y in tour.transitions() if x in iset and y in iset])
 
 
 def find_dense_region(space: MetricSpace, h: NetHierarchy, q: float):
@@ -87,22 +86,19 @@ def choose_split_radius(space: MetricSpace, v: int, level: int, delta: float,
     mean, which is all the averaging argument needs. Ties go to the smallest
     radius. A candidate's score is the weight of the tree edges with both ends
     in its annulus, as the per-candidate loop in tests/test_sparse.py scores
-    it: edge weights and endpoint distances to v are read once, and the
-    selected weights are summed in tree order.
+    it: all candidates' scores are one :func:`fold_weight` over the tree's
+    edges, in tree order, each candidate leaving out the edges it does not cut.
     """
     if delta > 1.0 / 12 + REL_TOL:
         raise ValueError("delta must be at most 1/12")
     si = s ** level
-    tree = space.mst_edges
+    tree = np.asarray(space.mst_edges, dtype=np.intp).reshape(-1, 2)
     width = 6 * delta * si
-    weights = [space.dist(a, b) for a, b in tree]
-    ends = space.row(v)[np.asarray(tree, dtype=np.intp).reshape(-1, 2)]
-    heights = (12 * si + (np.arange(SPLIT_CANDIDATES) + 0.5) / SPLIT_CANDIDATES * si)
-    heights = heights[:, None, None]
-    inside = _in_annulus(ends, heights - width, heights + width).all(axis=2)
+    heights = (12 * si + (np.arange(SPLIT_CANDIDATES) + 0.5) / SPLIT_CANDIDATES * si)[:, None, None]
+    inside = _in_annulus(space.row(v)[tree], heights - width, heights + width).all(axis=2)
+    cuts = fold_weight(space.pairwise(), tree[:, 0], tree[:, 1], where=inside)
     best_h, best_c = None, math.inf
-    for hcand, sel in zip(heights.ravel().tolist(), inside):
-        c = float(sum(weights[e] for e in np.flatnonzero(sel)))
+    for hcand, c in zip(heights.ravel().tolist(), cuts.tolist()):
         if best_h is None or c < best_c - REL_TOL * max(1.0, best_c):
             best_h, best_c = hcand, c
     return float(best_h)

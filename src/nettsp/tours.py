@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Disconnected, OddParity
-from .metric import REL_TOL, MetricSpace, mst
+from .metric import REL_TOL, MetricSpace, fold_weight, mst
 from .nets import NetHierarchy
 
 
@@ -42,7 +42,7 @@ class Tour:
 
 
 def tour_weight(space: MetricSpace, tour: Tour) -> float:
-    return float(sum(space.dist(x, y) for x, y in tour.transitions()))
+    return edges_weight(space, tour.transitions())
 
 
 def _collapse(points):
@@ -66,7 +66,7 @@ def dedupe_visits(tour: Tour) -> Tour:
 
 
 def edges_weight(space: MetricSpace, edges) -> float:
-    return float(sum(space.dist(u, v) for u, v in edges))
+    return float(fold_weight(space.pairwise(), *np.asarray(edges, dtype=np.intp).reshape(-1, 2).T))
 
 
 def _preorder(edges, root):

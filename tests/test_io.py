@@ -1,9 +1,12 @@
+import builtins
 import hashlib
 import json
 import math
 import re
 import time
 import warnings
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -11,11 +14,12 @@ import pytest
 from nettsp.errors import (ConfigError, DegenerateInstance, InvalidMetric, ParseError,
                            TriangleViolation)
 from nettsp.io import generate_instance, instance_digest, load_instance, save_points_csv
-from nettsp.metric import from_points, normalize, validate_metric
+from nettsp.metric import from_points, normalize, tree_weights, validate_metric, within
 from nettsp.nets import build_hierarchy
+from nettsp.oracles import brute_force_tsp, held_karp_tsp
 from nettsp.runner import MODES, render_report, run, strip_timing
 from nettsp.sparse import find_dense_region
-from nettsp.tours import Tour, tour_weight
+from nettsp.tours import Tour, edges_weight, mst, tour_weight
 from nettsp.cli import main
 
 
@@ -83,6 +87,23 @@ def test_cli_run_reports_non_finite_input(tmp_path, capsys):
                  "--mode", "solve"])
     assert code == 2
     assert "non-finite coordinate at (1, 1): replace nan and inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, spread", [
+    ('{"points": [[0, 0], [1e-160, 0], [1e150, 0]]}', "2^1029.8"),
+    ('{"matrix": [[0, 1e-300, 1e300], [1e-300, 0, 1e300], [1e300, 1e300, 0]]}', "2^1993.2"),
+], ids=["points", "matrix"])
+def test_cli_run_names_a_spread_that_normalization_would_overflow(tmp_path, capsys, text, spread):
+    # both pass validation; the points hung in estimate_doubling on NaN
+    # distances, and the matrix raised IndexError
+    path = tmp_path / "far.json"
+    path.write_text(text)
+    assert main(["validate", "--instance", str(path), "--format", "points_json"]) == 0
+    for mode in MODES:
+        code = main(["run", "--instance", str(path), "--format", "points_json", "--mode", mode])
+        assert code == 2
+        assert (f"error: the diameter is {spread} times the smallest distance, over 2^500: "
+                "drop far points") in capsys.readouterr().err
 
 
 def test_parse_error_carries_line(tmp_path):
@@ -322,7 +343,7 @@ def test_run_solve_deterministic_across_repeats():
     assert r1 == r2
 
 
-@pytest.mark.parametrize("family, n, params, config, digest", [
+SOLVE_DIGESTS = [
     # 19 children at the root: the heuristic child order
     ("uniform2d", 40, None, {},
      "3c562652601bda6d1314eec6e49b6960c3e10e423874239804b22eacb8d25af7"),
@@ -344,15 +365,54 @@ def test_run_solve_deterministic_across_repeats():
     # two guesses on a matrix: 3 of its 4 clusters above level 0 have several options
     ("matrix_random_metric", 40, None, {"guesses": 2},
      "c2c20b5e992fbbd5ba96d3f102b2c61acebc61fc5c6007655bc3385edadf1d3e"),
-], ids=["uniform2d-40", "clustered-160-q2", "uniform2d-20-two-guesses",
-        "matrix_random_metric-100", "uniform2d-160", "uniform2d-30-three-guesses",
-        "matrix_random_metric-40-two-guesses"])
+]
+
+
+@pytest.mark.parametrize("family, n, params, config, digest", SOLVE_DIGESTS,
+                         ids=["uniform2d-40", "clustered-160-q2", "uniform2d-20-two-guesses",
+                              "matrix_random_metric-100", "uniform2d-160",
+                              "uniform2d-30-three-guesses", "matrix_random_metric-40-two-guesses"])
 def test_solve_reports_are_pinned(family, n, params, config, digest):
-    from nettsp.metric import normalize
     space = normalize(generate_instance(family, n, 0, params))
     report = run(dict(config, mode="solve", seed=0, space=space))
     text = strip_timing(render_report(report)) + repr(report["results"]["solve"]["weight"])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+BUILTIN_SUM = builtins.sum
+
+
+def compensated_sum(items, /, start=0):
+    """Builtin sum with float terms added exactly rounded (math.fsum), as
+    Python 3.12 and later add them with compensation; ints as before."""
+    items = list(items)
+    if any(isinstance(item, float) for item in items):
+        return start + math.fsum(items)
+    return BUILTIN_SUM(items, start)
+
+
+def test_weights_do_not_depend_on_builtin_sum(monkeypatch):
+    # every weight is a left fold from 0.0, whatever the interpreter's sum does
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    for case in SOLVE_DIGESTS:
+        test_solve_reports_are_pinned(*case)
+    for family in ("uniform2d", "matrix_random_metric"):
+        sp = normalize(generate_instance(family, 40, 0))
+        h = build_hierarchy(sp, 6.0)
+        for level in range(h.top + 1):
+            inside = within(sp.pairwise(), 3 * h.radius(level))
+            inside = inside[np.count_nonzero(inside, axis=1) >= 2]
+            for row, w in zip(inside, tree_weights(sp, inside).tolist()):
+                assert w == edges_weight(sp, mst(sp, np.flatnonzero(row)))
+    for family in ("uniform2d", "clustered", "line", "matrix_random_metric"):
+        for n in range(2, 9):
+            sp = normalize(generate_instance(family, n, 0))
+            d = sp.pairwise().tolist()
+            brute, exact = brute_force_tsp(sp), held_karp_tsp(sp)
+            for res in (brute, exact):
+                folded = reduce(add, (d[a][b] for a, b in res.tour.transitions()), 0.0)
+                assert repr(res.weight) == repr(folded) == repr(tour_weight(sp, res.tour))
+            assert brute.weight <= exact.weight
 
 
 @pytest.mark.parametrize("family, n, params, config, digests", [

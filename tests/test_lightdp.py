@@ -3,6 +3,8 @@ import math
 import tracemalloc
 import weakref
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -234,7 +236,7 @@ def test_leaf_equals_the_best_order_by_permutation_search(seed):
     for members, config in leaf_cases(rng, n):
         (a, b), = config
         rest = [p for p in members if p not in (a, b)]
-        best = min(sum(D[u, v] for u, v in zip((a,) + order, order + (b,)))
+        best = min(reduce(add, (D[u, v] for u, v in zip((a,) + order, order + (b,))), 0.0)
                    for order in itertools.permutations(rest))
         # a bottom cluster whose portals are the case's ends, solved as a node of
         # singleton children at every pair of its portals: the one child of a
@@ -254,7 +256,7 @@ def test_leaf_equals_the_best_order_by_permutation_search(seed):
             seg = seg[::-1]
         assert seg[0] == a and seg[-1] == b
         assert sorted(seg[1:-1]) == sorted(rest)
-        assert sum(D[u, v] for u, v in zip(seg, seg[1:])) == cost
+        assert reduce(add, (D[u, v] for u, v in zip(seg, seg[1:])), 0.0) == cost
         k = len(members)
         # the root's one-child table per portal adds 1 · 1 · 2^1 / 8 + 1 = 1 each
         assert engine.ops == m * (k * k * (1 << k) // 8 + 1) + m

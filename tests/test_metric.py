@@ -10,9 +10,9 @@ import pytest
 from nettsp import metric, sparse
 from nettsp.errors import DegenerateInstance, InvalidMetric, TriangleViolation
 from nettsp.io import generate_instance
-from nettsp.metric import (REL_TOL, DoublingEstimate, MetricSpace, _local_blocks, _prim, ball,
-                           estimate_doubling, from_matrix, from_points, mst, normalize,
-                           restrict, tree_weights, validate_metric, within)
+from nettsp.metric import (EXHAUSTIVE_MAX, REL_TOL, DoublingEstimate, MetricSpace, _local_blocks,
+                           _prim, ball, estimate_doubling, fold_weight, from_matrix, from_points, mst,
+                           normalize, restrict, tree_weights, validate_metric, within)
 from nettsp.nets import build_hierarchy
 from nettsp.sparse import SolveParams, find_dense_region, solve_tsp
 from nettsp.tours import edges_weight, tour_weight
@@ -125,6 +125,39 @@ def test_normalize_random_min_gap_exactly_one():
 def test_normalize_rejects_duplicates():
     with pytest.raises(DegenerateInstance):
         normalize(from_points([(0.0, 0.0), (0.0, 0.0), (1.0, 1.0)]))
+
+
+@pytest.mark.parametrize("space_at", [
+    lambda far: from_points([0.0, 1.0, far]),
+    lambda far: from_matrix([[0.0, 1.0, far], [1.0, 0.0, far], [far, far, 0.0]]),
+], ids=["points", "matrix"])
+def test_normalize_rejects_a_diameter_over_2_to_the_500_min_gaps(space_at):
+    with pytest.raises(InvalidMetric, match=(
+            r"^the diameter is 2\^501\.0 times the smallest distance, over 2\^500: drop far "
+            r"points, or rescale so near points lie farther apart$")):
+        normalize(space_at(2.0 ** 501))
+    assert normalize(space_at(2.0 ** 500)).diameter() == 2.0 ** 500
+
+
+@pytest.mark.parametrize("n", [2, EXHAUSTIVE_MAX + 1], ids=["every-triple", "sampled"])
+def test_triangle_sums_that_overflow_raise_no_warning(n):
+    # an inf sum exceeds every finite distance, so it hides no violation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        validate_metric(from_matrix(1e308 * (1 - np.eye(n))))
+
+
+def test_fold_weight_adds_each_rows_kept_terms_left_to_right_from_zero():
+    d = from_points(np.random.default_rng(0).random((30, 2))).pairwise()
+    u, v = np.random.default_rng(1).integers(0, 30, size=(2, 40, 25))
+    keep = np.random.default_rng(2).random((40, 25)) < 0.5
+    for row, w in enumerate(fold_weight(d, u, v, where=keep).tolist()):
+        want = 0.0
+        for a, b in zip(u[row][keep[row]], v[row][keep[row]]):
+            want += d[a, b]
+        assert w == want
+    assert fold_weight(d, u[0], v[0]).tolist() == fold_weight(d, u, v)[0] != 0.0
+    assert fold_weight(d, [], []).tolist() == 0.0
 
 
 def test_within_is_inclusive_at_rel_tol_of_the_radius_or_of_one():

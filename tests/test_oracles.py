@@ -1,5 +1,7 @@
 import itertools
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -301,7 +303,8 @@ def test_exact_matching_pairs_equal_the_old_dps_on_random_points(k, seed):
     pairs, w = _exact_matching(sp, verts)
     assert pair_set(pairs) == pair_set(old_matching_dp(sp, verts)[0])
     assert sorted(p for pair in pairs for p in pair) == verts
-    assert sum(sp.dist(a, b) for a, b in pairs) == w       # summed in path order
+    # summed in path order, left to right from 0.0
+    assert reduce(add, (sp.dist(a, b) for a, b in pairs), 0.0) == w
 
 
 @pytest.mark.parametrize("seed", range(5))
